@@ -20,7 +20,7 @@ from .catalog import (
     Slate,
     diversity_marginal,
 )
-from .errors import DimensionMismatchError, InsufficientCandidatesError
+from .errors import DimensionMismatchError
 from .seeding import as_rng
 
 
@@ -72,6 +72,7 @@ class StaticScorer:
                 f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
             )
         self.u_bar = u_bar
+        self.catalog = catalog  # range-checks the candidate ids
         logits = catalog.relevance @ u_bar
         self.quality = 1.0 / (1.0 + np.exp(-logits))
         self.quality.flags.writeable = False
@@ -81,22 +82,10 @@ class StaticScorer:
         self._unit = catalog.relevance / safe[:, None]
         self._unit.flags.writeable = False
 
-    def similarity_column(self, item: int, others: np.ndarray) -> np.ndarray:
-        return self._unit[others] @ self._unit[item]
-
-
-def _sorted_candidates(candidates, k: int) -> np.ndarray:
-    cand = np.unique(np.asarray(list(candidates), dtype=np.intp))
-    if k < 1 or cand.size < k:
-        raise InsufficientCandidatesError(
-            f"need {k} items but only {cand.size} candidates"
-        )
-    return cand
-
 
 def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:
     """Top-K candidates by quality, ties broken by smallest item id."""
-    cand = _sorted_candidates(candidates, k)
+    cand = scorer.catalog.candidate_ids(candidates, k)
     order = np.argsort(-scorer.quality[cand], kind="stable")
     return Slate(tuple(int(cand[i]) for i in order[:k]), capacity=k)
 
@@ -116,8 +105,9 @@ def mmr_select(
     """
     if not 0.0 <= mmr_alpha <= 1.0:
         raise ValueError(f"mmr_alpha must lie in [0, 1], got {mmr_alpha}")
-    cand = _sorted_candidates(candidates, k)
+    cand = catalog.candidate_ids(candidates, k)
     quality = scorer.quality[cand]
+    unit = scorer._unit[cand]
     sim_sum = np.zeros(cand.size)
     taken = np.zeros(cand.size, dtype=bool)
     chosen: list[int] = []
@@ -130,7 +120,7 @@ def mmr_select(
         taken[pick] = True
         item = int(cand[pick])
         chosen.append(item)
-        sim_sum += scorer.similarity_column(item, cand)
+        sim_sum += unit @ scorer._unit[item]
     return Slate(tuple(chosen), capacity=k)
 
 
@@ -145,17 +135,17 @@ def epsilon_greedy_select(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     rng = as_rng(rng)
-    cand = _sorted_candidates(candidates, k)
-    quality = scorer.quality[cand].copy()
-    remaining = list(range(cand.size))
+    cand = scorer.catalog.candidate_ids(candidates, k)
+    quality = scorer.quality[cand]  # a copy; taken entries become -inf
+    taken = np.zeros(cand.size, dtype=bool)
     chosen: list[int] = []
-    for _ in range(k):
+    for step in range(k):
         if rng.random() < epsilon:
-            pick = remaining[int(rng.integers(len(remaining)))]
+            pick = int(np.flatnonzero(~taken)[rng.integers(cand.size - step)])
         else:
-            scores = quality[remaining]
-            pick = remaining[int(np.argmax(scores))]
-        remaining.remove(pick)
+            pick = int(np.argmax(quality))
+        taken[pick] = True
+        quality[pick] = -np.inf
         chosen.append(int(cand[pick]))
     return Slate(tuple(chosen), capacity=k)
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DuplicateItemError,
+    InsufficientCandidatesError,
     InvalidItemError,
     UndefinedSimilarityError,
 )
@@ -31,6 +32,15 @@ from .errors import (
 DEFAULT_TABLE_THRESHOLD = 4096
 
 METRIC_MODES = ("raw", "slate-normalized")
+
+
+def sorted_ids(ids) -> np.ndarray:
+    """Distinct ids as a sorted intp array; one already in that form is returned as is."""
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    elif ids.dtype == np.intp and ids.ndim == 1 and np.all(ids[1:] > ids[:-1]):
+        return ids
+    return np.unique(np.asarray(ids, dtype=np.intp))
 
 
 def cosine_similarity(z_i: np.ndarray, z_j: np.ndarray) -> float:
@@ -275,6 +285,26 @@ class ItemCatalog:
                 f"item {item} outside ground set of size {self.item_count}"
             )
         return item
+
+    def candidate_ids(self, candidates, k: int) -> np.ndarray:
+        """Candidates as a sorted, distinct, in-range intp array holding >= k ids.
+
+        The one candidate format every selector works on: a strictly
+        increasing intp array passes with a range check of its end points and
+        no copy; any other iterable goes through `np.unique` once.
+        """
+        cand = sorted_ids(candidates)
+        if cand.size and (cand[0] < 0 or cand[-1] >= self.item_count):
+            bad = cand[(cand < 0) | (cand >= self.item_count)]
+            raise InvalidItemError(
+                f"candidate ids outside ground set of size {self.item_count}: "
+                f"{bad[:5].tolist()}"
+            )
+        if k < 1 or cand.size < k:
+            raise InsufficientCandidatesError(
+                f"need {k} items but only {cand.size} candidates"
+            )
+        return cand
 
     def check_eta(self, eta: PreferenceVector) -> None:
         if eta.theta.shape[0] != self.relevance_dim:

@@ -23,6 +23,7 @@ from .catalog import (
     Slate,
     cosine_metric,
     diversity_marginal,
+    sorted_ids,
     utility,
 )
 from .errors import (
@@ -192,10 +193,15 @@ def candidate_set(
     rng: np.random.Generator | None = None,
     sample_size: int | None = None,
 ) -> np.ndarray:
-    """Ground set minus consumed items, optionally subsampled, sorted by id."""
-    ground = np.unique(np.asarray(list(ground), dtype=np.intp))
+    """Ground set minus consumed items, optionally subsampled, sorted by id.
+
+    A ground set given as a sorted intp array (see `sorted_ids`) is used
+    without a copy; `consumed` is a set, so both sides are distinct.
+    """
+    ground = sorted_ids(ground)
     if consumed:
-        remaining = np.setdiff1d(ground, np.asarray(sorted(consumed), dtype=np.intp))
+        consumed = np.fromiter(consumed, dtype=np.intp, count=len(consumed))
+        remaining = np.setdiff1d(ground, consumed, assume_unique=True)
     else:
         remaining = ground
     if remaining.size < k:
@@ -270,9 +276,7 @@ class ReplayEnvironment:
         self.catalog = catalog
         self.user = user
         self.ground = (
-            catalog.all_items()
-            if ground is None
-            else np.unique(np.asarray(list(ground), dtype=np.intp))
+            catalog.all_items() if ground is None else catalog.candidate_ids(ground, 1)
         )
 
     def candidates(self, t: int, k: int) -> np.ndarray:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ItemCatalog, PreferenceVector, Slate, utility
-from .errors import (
-    DegenerateInstanceError,
-    InsufficientCandidatesError,
-    TooLargeInstanceError,
-)
+from .errors import DegenerateInstanceError, TooLargeInstanceError
 
 #: Maximum number of subsets the exhaustive oracle will enumerate.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -44,24 +40,6 @@ class GreedyResult:
         return float(sum(self.gain_trace))
 
 
-def _prepare_candidates(
-    catalog: ItemCatalog, candidates, k: int
-) -> np.ndarray:
-    cand = np.unique(np.asarray(list(candidates), dtype=np.intp))
-    if cand.size and (cand[0] < 0 or cand[-1] >= catalog.item_count):
-        bad = cand[(cand < 0) | (cand >= catalog.item_count)]
-        raise InsufficientCandidatesError(
-            f"candidate ids outside catalog: {bad[:5].tolist()}"
-        )
-    if k < 1:
-        raise InsufficientCandidatesError(f"need K >= 1, got {k}")
-    if cand.size < k:
-        raise InsufficientCandidatesError(
-            f"need {k} items but only {cand.size} candidates"
-        )
-    return cand
-
-
 def greedy_select(
     eta: PreferenceVector,
     catalog: ItemCatalog,
@@ -73,7 +51,7 @@ def greedy_select(
     Always fills all K slots even if late marginal gains are negative.
     """
     catalog.check_eta(eta)
-    cand = _prepare_candidates(catalog, candidates, k)
+    cand = catalog.candidate_ids(candidates, k)
     rel_scores = catalog.relevance[cand] @ eta.theta
     div_acc = np.zeros((cand.size, catalog.diversity_dim))
     taken = np.zeros(cand.size, dtype=bool)
@@ -120,7 +98,7 @@ def exhaustive_optimum(
     scored in vectorized blocks.  Refuses instances above `budget` subsets.
     """
     catalog.check_eta(eta)
-    cand = _prepare_candidates(catalog, candidates, k)
+    cand = catalog.candidate_ids(candidates, k)
     n_subsets = math.comb(cand.size, k)
     if n_subsets > budget:
         raise TooLargeInstanceError(

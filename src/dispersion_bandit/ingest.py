@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,17 @@ class InteractionTable:
     def n_interactions(self) -> int:
         return int(self.users.shape[0])
 
+    @cached_property
+    def _by_user(self) -> tuple[np.ndarray, np.ndarray]:
+        """(users, items) sorted by user, then item; built on first use."""
+        order = np.lexsort((self.items, self.users))
+        return self.users[order], self.items[order]
+
     def items_of(self, dense_user: int) -> np.ndarray:
-        return np.sort(self.items[self.users == dense_user])
+        """Sorted item ids of one user (a fresh array)."""
+        users, items = self._by_user
+        lo, hi = np.searchsorted(users, (dense_user, dense_user + 1))
+        return items[lo:hi].copy()
 
 
 def _split_line(line: str, sep: str, line_number: int) -> list[str]:

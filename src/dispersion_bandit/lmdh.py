@@ -32,7 +32,6 @@ from .baselines import SlateSelection
 from .catalog import ItemCatalog, Slate
 from .errors import (
     DimensionMismatchError,
-    InsufficientCandidatesError,
     InvalidFeedbackError,
     NumericalDegeneracyError,
     ParseError,
@@ -166,16 +165,18 @@ def confidence_width(
 
 
 def _raw_widths_batch(
-    Z: np.ndarray, X: np.ndarray, stats: HybridStatistics
+    HZ: np.ndarray, term_zz: np.ndarray, X: np.ndarray, stats: HybridStatistics
 ) -> np.ndarray:
-    """Row-wise widths for stacked features; no per-row inversions or loops."""
-    HZ = Z @ stats.inv_H  # (L, d)
-    MX = X @ stats.inv_M  # (L, m)
-    BMX = MX @ stats.B.T  # (L, d)
-    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    """Row-wise widths given HZ = Z H^{-1} and term_zz = rowwise z.H^{-1}z.
+
+    np.dot forms the same products as `@` (a test compares the bits) without
+    matmul's overhead on the thin (L, m) operands.
+    """
+    MX = np.dot(X, stats.inv_M)  # (L, m)
+    BMX = np.dot(MX, stats.B.T)  # (L, d)
     term_zx = np.einsum("ij,ij->i", HZ, BMX)
     term_xx = np.einsum("ij,ij->i", MX, X)
-    term_bb = np.einsum("ij,ij->i", BMX @ stats.inv_H, BMX)
+    term_bb = np.einsum("ij,ij->i", np.dot(BMX, stats.inv_H), BMX)
     return term_zz - 2.0 * term_zx + term_xx + term_bb
 
 
@@ -206,26 +207,25 @@ def select_slate(
 ) -> SlateSelection:
     """Greedy UCB slate: k passes, each re-scoring marginals against the prefix.
 
-    Relevance features are fixed per item, so their estimate/width pieces are
-    computed once; only the diversity marginal x changes as the slate grows.
-    Ties take the smallest item id.  Per-pass cost is O(L*(d^2 + m^2 + d*m))
-    with both inverses read from cache.
+    Candidates are validated once by `ItemCatalog.candidate_ids`.  Relevance
+    features are fixed per item, so Z H^{-1}, its width term and Z theta_hat
+    are computed once per call, O(L*d^2); each pass then recomputes only the
+    terms that involve the diversity marginal x, which changes as the slate
+    grows, O(L*(d^2 + d*m + m^2)).  Ties take the smallest item id.  Both
+    inverses are read from cache.
     """
     if config.d != catalog.relevance_dim or config.m != catalog.diversity_dim:
         raise DimensionMismatchError(
             f"config dims ({config.d}, {config.m}) do not match catalog "
             f"({catalog.relevance_dim}, {catalog.diversity_dim})"
         )
-    cand = np.unique(np.asarray(list(candidates), dtype=np.intp))
-    if config.k < 1 or cand.size < config.k:
-        raise InsufficientCandidatesError(
-            f"need {config.k} items but only {cand.size} candidates"
-        )
-    for item in cand:
-        catalog.check_item(int(item))
+    cand = catalog.candidate_ids(candidates, config.k)
 
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance[cand]  # (L, d)
+    HZ = Z @ stats.inv_H  # (L, d)
+    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    rel_scores = Z @ theta
     X = np.zeros((cand.size, catalog.diversity_dim))
     div_cols = np.zeros((cand.size, len(catalog.metrics)))
 
@@ -237,11 +237,11 @@ def select_slate(
     scores_taken = np.zeros(config.k)
 
     for step in range(config.k):
-        v = _raw_widths_batch(Z, X, stats)
+        v = _raw_widths_batch(HZ, term_zz, X, stats)
         live = ~taken
         stats.clamp_count += int(np.count_nonzero(v[live] < 0.0))
         v = np.maximum(v, 0.0)
-        scores = Z @ theta + X @ beta + config.alpha * np.sqrt(v)
+        scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
         scores[taken] = -np.inf
         pick = int(np.argmax(scores))
         taken[pick] = True

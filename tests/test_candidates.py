@@ -1,0 +1,296 @@
+"""The one candidate format: `ItemCatalog.candidate_ids` and its callers.
+
+Every selector takes its candidates through `candidate_ids`, so the form in
+which candidates arrive (sorted array, list, shuffled list with duplicates)
+must not change a single output bit.  The rewritten loops are checked
+against the list-based versions they replaced, kept here as oracles.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispersion_bandit.baselines import (
+    StaticScorer,
+    annotate_slate,
+    epsilon_greedy_select,
+    logrank_select,
+    mmr_select,
+)
+from dispersion_bandit.catalog import sorted_ids
+from dispersion_bandit.environments import candidate_set
+from dispersion_bandit.errors import (
+    ExhaustedCandidatesError,
+    InsufficientCandidatesError,
+    InvalidItemError,
+)
+from dispersion_bandit.greedy import greedy_select
+from dispersion_bandit.lmdh import (
+    HybridStatistics,
+    LmdhConfig,
+    _raw_widths_batch,
+    select_slate,
+    update,
+)
+from dispersion_bandit.seeding import as_rng
+
+from conftest import random_catalog, random_eta
+
+
+# ---------------------------------------------------------------------------
+# oracles: the list-based code the array path replaced
+
+
+def epsilon_greedy_oracle(scorer, candidates, k, epsilon, rng):
+    """epsilon-greedy over a Python list of remaining positions."""
+    rng = as_rng(rng)
+    cand = np.unique(np.asarray(list(candidates), dtype=np.intp))
+    quality = scorer.quality[cand].copy()
+    remaining = list(range(cand.size))
+    chosen = []
+    for _ in range(k):
+        if rng.random() < epsilon:
+            pick = remaining[int(rng.integers(len(remaining)))]
+        else:
+            scores = quality[remaining]
+            pick = remaining[int(np.argmax(scores))]
+        remaining.remove(pick)
+        chosen.append(int(cand[pick]))
+    return tuple(chosen)
+
+
+def candidate_set_oracle(t, ground, consumed, k, mode="remaining", rng=None,
+                         sample_size=None):
+    """Set difference that re-sorts and re-uniques both sides."""
+    ground = np.unique(np.asarray(list(ground), dtype=np.intp))
+    if consumed:
+        remaining = np.setdiff1d(ground, np.asarray(sorted(consumed), dtype=np.intp))
+    else:
+        remaining = ground
+    if remaining.size < k:
+        raise ExhaustedCandidatesError(f"round {t}")
+    if mode == "sampled":
+        size = min(int(sample_size), remaining.size)
+        if size < k:
+            raise ExhaustedCandidatesError(f"round {t}")
+        remaining = np.sort(rng.choice(remaining, size=size, replace=False))
+    return remaining
+
+
+def raw_widths_oracle(Z, X, stats):
+    """Per-pass widths with every term recomputed from Z."""
+    HZ = Z @ stats.inv_H
+    MX = X @ stats.inv_M
+    BMX = MX @ stats.B.T
+    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    term_zx = np.einsum("ij,ij->i", HZ, BMX)
+    term_xx = np.einsum("ij,ij->i", MX, X)
+    term_bb = np.einsum("ij,ij->i", BMX @ stats.inv_H, BMX)
+    return term_zz - 2.0 * term_zx + term_xx + term_bb
+
+
+def trained_stats(rng, catalog, k, rounds=4):
+    d, m = catalog.relevance_dim, catalog.diversity_dim
+    stats = HybridStatistics(d, m, lam=1.0)
+    config = LmdhConfig(lam=1.0, alpha=1.0, d=d, m=m, k=k)
+    for _ in range(rounds):
+        selection = select_slate(stats, config, catalog, catalog.all_items())
+        update(stats, selection.slate, rng.integers(0, 2, k).astype(float), selection)
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# candidate_ids
+
+
+def test_sorted_intp_array_is_returned_as_is():
+    catalog = random_catalog(np.random.default_rng(1), 10)
+    cand = np.array([0, 3, 4, 9], dtype=np.intp)
+    assert catalog.candidate_ids(cand, 2) is cand
+    assert sorted_ids(cand) is cand
+
+
+@pytest.mark.parametrize(
+    "candidates",
+    [
+        [3, 1, 2, 1],
+        (4, 0, 7),
+        range(2, 9, 3),
+        np.array([5, 2, 8, 0], dtype=np.intp),
+        np.array([1, 1, 6, 6, 2], dtype=np.intp),
+        np.array([9, 0, 4], dtype=np.int32),
+        np.array([[2, 1], [1, 5]], dtype=np.intp),
+    ],
+    ids=["list", "tuple", "range", "unsorted", "duplicates", "int32", "2d"],
+)
+def test_other_inputs_equal_np_unique(candidates):
+    catalog = random_catalog(np.random.default_rng(2), 10)
+    got = catalog.candidate_ids(candidates, 1)
+    expected = np.unique(np.asarray(candidates))
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected)
+    assert got is not candidates
+
+
+@pytest.mark.parametrize(
+    "candidates, bad",
+    [
+        ([-1, 0, 1], r"\[-1\]"),
+        ([0, 1, 10], r"\[10\]"),
+        (np.array([-3, 2, 12]), r"\[-3, 12\]"),
+    ],
+)
+def test_out_of_range_ids_raise_invalid_item(candidates, bad):
+    catalog = random_catalog(np.random.default_rng(3), 10)
+    with pytest.raises(InvalidItemError, match=bad):
+        catalog.candidate_ids(candidates, 2)
+
+
+def test_too_few_candidates_or_bad_k_raise_insufficient():
+    catalog = random_catalog(np.random.default_rng(4), 10)
+    with pytest.raises(InsufficientCandidatesError):
+        catalog.candidate_ids([0, 1, 1], 3)
+    with pytest.raises(InsufficientCandidatesError):
+        catalog.candidate_ids(np.arange(5), 0)
+    with pytest.raises(InsufficientCandidatesError):
+        catalog.candidate_ids([], 1)
+
+
+# ---------------------------------------------------------------------------
+# every selector goes through candidate_ids
+
+
+def _selectors(catalog, k, stats=None):
+    """The five selectors as functions of the candidates alone."""
+    rng = np.random.default_rng(5)
+    if stats is None:
+        stats = HybridStatistics(catalog.relevance_dim, catalog.diversity_dim, 1.0)
+    config = LmdhConfig(
+        lam=1.0, alpha=1.0, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
+    )
+    scorer = StaticScorer(rng.normal(size=catalog.relevance_dim), catalog)
+    eta = random_eta(rng, d=catalog.relevance_dim, m=catalog.diversity_dim)
+    return {
+        "lmdh": lambda c: select_slate(stats.copy(), config, catalog, c),
+        "greedy": lambda c: greedy_select(eta, catalog, c, k),
+        "logrank": lambda c: logrank_select(scorer, c, k),
+        "mmr": lambda c: mmr_select(scorer, catalog, c, k),
+        "epsilon-greedy": lambda c: epsilon_greedy_select(scorer, c, k, 0.5, 0),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["lmdh", "greedy", "logrank", "mmr", "epsilon-greedy"]
+)
+def test_selectors_reject_out_of_range_ids(name):
+    catalog = random_catalog(np.random.default_rng(6), 4)
+    select = _selectors(catalog, 2)[name]
+    with pytest.raises(InvalidItemError, match=r"\[-1\]"):
+        select([-1, 0, 1])
+    with pytest.raises(InvalidItemError, match=r"\[4\]"):
+        select(np.array([0, 1, 4], dtype=np.intp))
+
+
+def _outputs(name, result, catalog):
+    """Every array and id a selector returns, as comparable tuples."""
+    if name == "lmdh":
+        return (
+            result.slate.items,
+            result.relevance_features.tobytes(),
+            result.diversity_features.tobytes(),
+            result.widths.tobytes(),
+            result.scores.tobytes(),
+        )
+    if name == "greedy":
+        return result.slate.items, np.array(result.gain_trace).tobytes()
+    annotated = annotate_slate(result, catalog)
+    return (
+        result.items,
+        annotated.relevance_features.tobytes(),
+        annotated.diversity_features.tobytes(),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_candidate_form_does_not_change_any_output_bit(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    n_items = data.draw(st.integers(6, 30), label="n_items")
+    m = data.draw(st.integers(1, 2), label="m")
+    k = data.draw(st.integers(1, 5), label="k")
+    catalog = random_catalog(rng, n_items, d=3, m=m)
+    chosen = np.sort(rng.choice(n_items, size=rng.integers(k, n_items + 1), replace=False))
+    as_array = chosen.astype(np.intp)
+    as_list = [int(i) for i in chosen]
+    shuffled = as_list + as_list[: rng.integers(0, len(as_list) + 1)]
+    rng.shuffle(shuffled)
+    stats = trained_stats(rng, catalog, k)
+    for name in ("lmdh", "greedy", "logrank", "mmr", "epsilon-greedy"):
+        results = []
+        for form in (as_array, as_list, shuffled):
+            # fresh selectors per form: equal learner state and rng stream
+            select = _selectors(catalog, k, stats)[name]
+            results.append(_outputs(name, select(form), catalog))
+        assert results[0] == results[1] == results[2], name
+
+
+# ---------------------------------------------------------------------------
+# the rewritten loops against their oracles
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.5, 1.0])
+def test_epsilon_greedy_matches_list_oracle(epsilon):
+    rng = np.random.default_rng(7)
+    catalog = random_catalog(rng, 40, d=3)
+    scorer = StaticScorer(rng.normal(size=3), catalog)
+    for trial in range(60):
+        consumed = set(rng.choice(40, size=rng.integers(0, 35), replace=False).tolist())
+        cand = candidate_set(trial, catalog.all_items(), consumed, 1)
+        k = int(rng.integers(1, min(5, cand.size) + 1))
+        fast_rng = np.random.default_rng(trial)
+        slow_rng = np.random.default_rng(trial)
+        fast = epsilon_greedy_select(scorer, cand, k, epsilon, fast_rng)
+        slow = epsilon_greedy_oracle(scorer, cand, k, epsilon, slow_rng)
+        assert fast.items == slow
+        assert fast_rng.random() == slow_rng.random()  # same draws consumed
+
+
+def test_candidate_set_matches_set_difference_oracle():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        ground = np.arange(n) if trial % 2 else list(rng.permutation(n))
+        consumed = set(rng.choice(n + 5, size=rng.integers(0, n + 1), replace=False).tolist())
+        k = int(rng.integers(1, 6))
+        mode = "sampled" if trial % 3 == 0 else "remaining"
+        sample = int(rng.integers(1, n + 1))
+        outcomes = []
+        for fn in (candidate_set, candidate_set_oracle):
+            draw = np.random.default_rng(trial)
+            try:
+                outcomes.append(fn(trial, ground, consumed, k, mode, draw, sample))
+            except ExhaustedCandidatesError:
+                outcomes.append(None)
+        fast, slow = outcomes
+        if slow is None:
+            assert fast is None
+        else:
+            assert fast.dtype == slow.dtype == np.intp
+            assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hoisted_width_terms_match_per_pass_oracle(m):
+    rng = np.random.default_rng(9 + m)
+    catalog = random_catalog(rng, 25, d=4, m=m)
+    stats = trained_stats(rng, catalog, 3, rounds=6)
+    for rows in (1, 25, 4000):  # up to replay-sized candidate sets
+        Z = rng.uniform(-1.0, 1.0, size=(rows, 4))
+        HZ = Z @ stats.inv_H
+        term_zz = np.einsum("ij,ij->i", HZ, Z)
+        X = rng.uniform(0.0, 2.0, size=(rows, m))
+        X[rng.random(rows) < 0.3] = 0.0
+        got = _raw_widths_batch(HZ, term_zz, X, stats)
+        assert got.tobytes() == raw_widths_oracle(Z, X, stats).tobytes()

@@ -187,6 +187,26 @@ def test_subtable_reindexes_users(tmp_path):
     assert sub.items_of(0).tolist() == [0, 1]
 
 
+def test_items_of_matches_a_full_scan(tmp_path):
+    rng = np.random.default_rng(17)
+    lines = "".join(
+        f"{u}\t{i}\t{r}\t0\n"
+        for u, i, r in zip(
+            rng.integers(1, 60, 900), rng.integers(1, 80, 900), rng.integers(1, 6, 900)
+        )
+    )
+    table = parse_ratings(write(tmp_path / "u.data", lines), "ml100k-tab")
+    train, test = split_users(table, SplitSpec(seed=5))
+    top = filter_top_items(table, 20)
+    for t in (table, train, test, top):
+        for u in range(t.n_users):
+            got = t.items_of(u)
+            assert np.array_equal(got, np.sort(t.items[t.users == u]))
+            got[:] = -1  # a copy: the cached index is untouched
+            assert np.array_equal(t.items_of(u), np.sort(t.items[t.users == u]))
+        assert t.items_of(t.n_users).size == 0
+
+
 def test_load_embeddings_minmax_endpoints(tmp_path):
     path = write(
         tmp_path / "emb.csv", "item,e0\n1,0\n2,5\n3,10\n"
