@@ -74,6 +74,22 @@ class DistanceMetric:
         return np.array([self.pair(item, int(j)) for j in others], dtype=np.float64)
 
 
+def _mirror_upper(table: np.ndarray, block: int = 256) -> None:
+    """Copy the strict upper triangle onto the lower one and zero the diagonal.
+
+    Works in place, a band of `block` rows at a time, so the only temporaries
+    are one band's worth of the table.
+    """
+    n = len(table)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        table[lo:hi, :lo] = table[:lo, lo:hi].T
+        square = table[lo:hi, lo:hi]
+        below = np.tril_indices(hi - lo, k=-1)
+        square[below] = square.T[below]
+        np.fill_diagonal(square, 0.0)
+
+
 class CosineDistanceMetric(DistanceMetric):
     """scale * (1 - cos_sim) over item relevance vectors.
 
@@ -106,9 +122,10 @@ class CosineDistanceMetric(DistanceMetric):
         self._unit.flags.writeable = False
         self._table: np.ndarray | None = None
         if len(vectors) <= table_threshold:
-            table = self.scale * (1.0 - self._unit @ self._unit.T)
-            table = np.triu(table, k=1)
-            table = table + table.T  # exact symmetry, zero diagonal
+            table = self._unit @ self._unit.T
+            np.subtract(1.0, table, out=table)
+            table *= self.scale
+            _mirror_upper(table)  # exact symmetry, zero diagonal
             np.clip(table, 0.0, None, out=table)
             table.flags.writeable = False
             self._table = table

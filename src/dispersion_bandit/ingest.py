@@ -10,8 +10,11 @@ the number of data lines read.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +79,9 @@ class InteractionTable:
         return items[lo:hi].copy()
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _split_line(line: str, sep: str, line_number: int) -> list[str]:
     parts = line.rstrip("\n").rstrip("\r").split(sep)
     if len(parts) < 3:
@@ -104,103 +110,182 @@ def _parse_record(parts: list[str], line_number: int) -> tuple[int, int, float, 
             raise ParseError(
                 f"bad timestamp {parts[3]!r}", line_number=line_number
             ) from exc
+    if not (
+        _INT64_MIN <= user <= _INT64_MAX
+        and _INT64_MIN <= item <= _INT64_MAX
+        and (ts is None or _INT64_MIN <= ts <= _INT64_MAX)
+    ):
+        raise ParseError(
+            f"id or timestamp outside the int64 range in {parts[:4]!r}",
+            line_number=line_number,
+        )
     return user, item, rating, ts
 
 
-def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> InteractionTable:
-    """Read a ratings file, keep ratings strictly above the threshold."""
-    tag = canonical_format(format)
-    records: list[tuple[int, int, float, int | None]] = []
-    raw_lines = 0
-    filtered = 0
+class _Columns(NamedTuple):
+    """One entry per data line, in file order."""
 
+    users: np.ndarray  # int64 original ids
+    items: np.ndarray  # int64 original ids
+    ratings: np.ndarray  # float64
+    timestamps: np.ndarray  # int64, 0 where the line had none
+    has_timestamp: np.ndarray  # bool
+
+
+_SEPARATORS = {"ml100k-tab": "\t", "ml1m-colons": "::"}
+_COLUMNAR_FIELDS = {"\t": (0, 1, 2, 3), "::": (0, 2, 4, 6)}
+_COLUMNAR_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("ts", "i8")]
+
+
+def _read_columnar(path, sep: str) -> _Columns | None:
+    """All four columns from one `np.loadtxt` call, or None to use the line reader.
+
+    Only a file made of unsigned decimals, `\\n` and the separator is tried,
+    and for `::` only one whose colons all come in pairs, so that splitting on
+    `:` puts the fields at the even positions.  On such a file `loadtxt`
+    either yields the values the line reader would or raises `ValueError`.
+    A file with no data is left to the line reader (`loadtxt` warns on it).
+    """
+    raw = Path(path).read_bytes()
+    if not raw.strip() or raw.translate(None, b"0123456789.\n" + sep[:1].encode()):
+        return None
+    if sep == "::" and raw.count(b":") != 2 * raw.count(b"::"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" into an int column with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            data = np.loadtxt(
+                path,
+                delimiter=sep[0],
+                dtype=_COLUMNAR_DTYPE,
+                usecols=_COLUMNAR_FIELDS[sep],
+                comments=None,
+                ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    return _Columns(
+        data["user"], data["item"], data["rating"], data["ts"], np.ones(len(data), bool)
+    )
+
+
+def _csv_rows(fh, path):
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDatasetError(f"{path} is empty") from None
+    expected = ["user", "item", "rating"]
+    if [h.strip().lower() for h in header[:3]] != expected:
+        raise ParseError(
+            f"header must start with user,item,rating — got {header!r}",
+            line_number=1,
+        )
+    for line_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 3:
+            raise ParseError(
+                f"expected at least 3 fields, got {len(row)}",
+                line_number=line_number,
+            )
+        yield line_number, row
+
+
+def _separated_rows(fh, sep: str):
+    for line_number, line in enumerate(fh, start=1):
+        if line.strip():
+            yield line_number, _split_line(line, sep, line_number)
+
+
+def _read_lines(path, tag: str) -> _Columns:
+    """Columns from parsing line by line; raises ParseError naming a bad line."""
+    users: list[int] = []
+    items: list[int] = []
+    ratings: list[float] = []
+    stamps: list[int | None] = []
     with open(path, newline="") as fh:
         if tag == "generic-csv":
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyDatasetError(f"{path} is empty") from None
-            expected = ["user", "item", "rating"]
-            if [h.strip().lower() for h in header[:3]] != expected:
-                raise ParseError(
-                    f"header must start with user,item,rating — got {header!r}",
-                    line_number=1,
-                )
-            for line_number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                raw_lines += 1
-                if len(row) < 3:
-                    raise ParseError(
-                        f"expected at least 3 fields, got {len(row)}",
-                        line_number=line_number,
-                    )
-                user, item, rating, ts = _parse_record(row, line_number)
-                if rating > positive_threshold:
-                    records.append((user, item, rating, ts))
-                else:
-                    filtered += 1
+            rows = _csv_rows(fh, path)
         else:
-            sep = "\t" if tag == "ml100k-tab" else "::"
-            for line_number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                raw_lines += 1
-                parts = _split_line(line, sep, line_number)
-                user, item, rating, ts = _parse_record(parts, line_number)
-                if rating > positive_threshold:
-                    records.append((user, item, rating, ts))
-                else:
-                    filtered += 1
-
-    if not records:
-        raise EmptyDatasetError(
-            f"no interactions with rating > {positive_threshold} in {path}"
-        )
-
-    # deduplicate (user, item), keeping the highest rating
-    best: dict[tuple[int, int], tuple[float, int | None]] = {}
-    duplicates = 0
-    for user, item, rating, ts in records:
-        key = (user, item)
-        kept = best.get(key)
-        if kept is None:
-            best[key] = (rating, ts)
-        else:
-            duplicates += 1
-            if rating > kept[0]:
-                best[key] = (rating, ts)
-
-    keys = sorted(best)
-    users_orig = np.array([k[0] for k in keys], dtype=np.int64)
-    items_orig = np.array([k[1] for k in keys], dtype=np.int64)
-    ratings = np.array([best[k][0] for k in keys], dtype=np.float64)
-    ts_values = [best[k][1] for k in keys]
-    timestamps = (
-        None
-        if any(v is None for v in ts_values)
-        else np.array(ts_values, dtype=np.int64)
+            rows = _separated_rows(fh, _SEPARATORS[tag])
+        for line_number, parts in rows:
+            user, item, rating, ts = _parse_record(parts, line_number)
+            users.append(user)
+            items.append(item)
+            ratings.append(rating)
+            stamps.append(ts)
+    return _Columns(
+        np.array(users, dtype=np.int64),
+        np.array(items, dtype=np.int64),
+        np.array(ratings, dtype=np.float64),
+        np.array([ts or 0 for ts in stamps], dtype=np.int64),
+        np.array([ts is not None for ts in stamps], dtype=bool),
     )
 
+
+def _table_from_columns(
+    columns: _Columns, positive_threshold: float, source: str, tag: str
+) -> InteractionTable:
+    """Threshold, deduplicate and densely re-index parsed columns."""
+    raw_lines = len(columns.users)
+    positive = columns.ratings > positive_threshold
+    if not positive.any():
+        raise EmptyDatasetError(
+            f"no interactions with rating > {positive_threshold} in {source}"
+        )
+    users, items, ratings, stamps, has_stamp = (c[positive] for c in columns)
+
+    # one row per (user, item): the highest rating, the first line on ties
+    line_index = np.arange(len(users))
+    order = np.lexsort((line_index, -ratings, items, users))
+    users, items = users[order], items[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    best = order[first]
+
+    users_orig, items_orig = users[first], items[first]
     user_ids = np.unique(users_orig)
     item_ids = np.unique(items_orig)
-    users = np.searchsorted(user_ids, users_orig)
-    items = np.searchsorted(item_ids, items_orig)
-
     return InteractionTable(
-        users=users,
-        items=items,
-        ratings=ratings,
-        timestamps=timestamps,
+        users=np.searchsorted(user_ids, users_orig),
+        items=np.searchsorted(item_ids, items_orig),
+        ratings=ratings[best],
+        timestamps=stamps[best] if has_stamp[best].all() else None,
         user_ids=user_ids,
         item_ids=item_ids,
-        source=str(path),
+        source=source,
         format=tag,
         raw_lines=raw_lines,
-        filtered_count=filtered,
-        duplicate_count=duplicates,
+        filtered_count=raw_lines - len(users),
+        duplicate_count=len(users) - len(best),
     )
+
+
+def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> InteractionTable:
+    """Read a ratings file, keep ratings strictly above the threshold.
+
+    Duplicate (user, item) pairs keep the highest rating, the first line
+    among equal ones.  Two readers produce the columns, and the table built
+    from them is the same in every field and bit whichever reader ran:
+
+    * columnar: a tab or `::` file whose bytes are only unsigned decimals,
+      `\\n` and the separator (for `::`, with every colon in a pair) is read
+      whole by one `np.loadtxt` call;
+    * line by line: every generic CSV, every other tab or `::` file (CRLF,
+      signs, spaces, 3-field or mixed-field lines) and any file `loadtxt`
+      rejects.
+
+    Only the line reader raises on bad input: a `ParseError` naming the
+    first bad line, ids or timestamps outside the int64 range included.
+    No line above the threshold raises `EmptyDatasetError`.
+    """
+    tag = canonical_format(format)
+    columns = None if tag == "generic-csv" else _read_columnar(path, _SEPARATORS[tag])
+    if columns is None:
+        columns = _read_lines(path, tag)
+    return _table_from_columns(columns, positive_threshold, str(path), tag)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,44 @@ class TestCosineMetricModes:
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError):
             cosine_metric(rng.uniform(size=(3, 2)), mode="euclid")
+
+
+def four_step_table(vectors, scale):
+    """The table as built through full-size temporaries: the bit-level oracle."""
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    table = scale * (1.0 - unit @ unit.T)
+    table = np.triu(table, k=1)
+    table = table + table.T
+    return np.clip(table, 0.0, None)
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
+    def test_bit_equal_to_the_four_step_oracle(self, rng, n, scale):
+        vectors = rng.uniform(-1.0, 1.0, size=(n, 5))
+        if n >= 2:
+            vectors[-1] = -3.0 * vectors[0]  # anti-parallel rows: distance 2
+        if n >= 3:
+            vectors[n // 2] = vectors[0]  # duplicate rows: distance 0
+        metric = CosineDistanceMetric(vectors, scale=scale)
+        expected = four_step_table(vectors, scale)
+        assert metric._table.dtype == np.float64
+        assert np.array_equal(
+            metric._table.view(np.uint64), expected.view(np.uint64)
+        )
+
+    def test_peak_memory_is_about_one_table(self, rng):
+        n = 1500
+        vectors = rng.uniform(-1.0, 1.0, size=(n, 10))
+        tracemalloc.start()
+        try:
+            metric = CosineDistanceMetric(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert metric._table.nbytes == n * n * 8
+        assert peak <= 1.25 * metric._table.nbytes
 
 
 class TestTableMetricValidation:

@@ -4,12 +4,19 @@ Fixture files are written byte-for-byte in each format so the field
 separators themselves are under test.
 """
 
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dispersion_bandit import ingest
 from dispersion_bandit.errors import EmptyDatasetError, ParseError
 from dispersion_bandit.ingest import (
     EmbeddingTable,
+    InteractionTable,
     SplitSpec,
     canonical_format,
     filter_top_items,
@@ -317,3 +324,239 @@ def test_write_maps(tmp_path):
     items = (tmp_path / "items.map.csv").read_text().strip().split("\n")
     assert users == ["dense,original", "0,2", "1,9"]
     assert items == ["dense,original", "0,7", "1,50"]
+
+
+# --- the two readers of parse_ratings -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, fmt, text",
+    [
+        ("u.data", "ml100k-tab", "1\t1\t4\t0\n99999999999999999999\t2\t5\t4\n"),
+        ("u.data", "ml100k-tab", "1\t1\t4\t0\n1\t9223372036854775808\t5\t4\n"),
+        ("u.data", "ml100k-tab", "1\t1\t4\t0\n-9223372036854775809\t2\t5\t4\n"),
+        ("u.data", "ml100k-tab", "1\t1\t4\t0\n1\t2\t1\t99999999999999999999\n"),
+        ("ratings.dat", "ml1m-colons", "1::1::4::0\n99999999999999999999::2::5::4\n"),
+        ("r.csv", "generic-csv", "user,item,rating\n99999999999999999999,2,5\n"),
+    ],
+)
+def test_ids_beyond_int64_raise_a_parse_error_naming_the_line(tmp_path, name, fmt, text):
+    path = write(tmp_path / name, text)
+    with pytest.raises(ParseError, match="line 2: .*int64") as info:
+        parse_ratings(path, fmt)
+    assert info.value.line_number == 2
+
+
+def test_int64_extremes_are_kept(tmp_path):
+    path = write(
+        tmp_path / "u.data",
+        "9223372036854775807\t1\t5\t0\n-9223372036854775808\t1\t5\t0\n",
+    )
+    table = parse_ratings(path, "ml100k-tab")
+    assert table.user_ids.tolist() == [-(2**63), 2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "name, fmt, text",
+    [
+        ("u.data", "ml100k-tab", "1\t10\t4\t7\n2\t10\t5\t8\n1\t10\t4.5\t9\n\n"),
+        ("ratings.dat", "ml1m-colons", "1::10::4::7\n2::10::5::8\n1::10::4.5::9"),
+    ],
+)
+def test_plain_numeric_files_take_the_columnar_reader(tmp_path, monkeypatch, name, fmt, text):
+    path = write(tmp_path / name, text)
+
+    def no_line_reader(*args):
+        raise AssertionError("line reader used on a plain numeric file")
+
+    monkeypatch.setattr(ingest, "_read_lines", no_line_reader)
+    table = parse_ratings(path, fmt)
+    assert table.ratings.tolist() == [4.5, 5.0]
+    assert table.timestamps.tolist() == [9, 8]
+    assert table.duplicate_count == 1
+
+
+def _oracle_split_line(line, sep, line_number):
+    parts = line.rstrip("\n").rstrip("\r").split(sep)
+    if len(parts) < 3:
+        raise ParseError(
+            f"expected at least 3 {sep!r}-separated fields, got {len(parts)}",
+            line_number=line_number,
+        )
+    return parts
+
+
+def _oracle_parse_record(parts, line_number):
+    try:
+        user = int(parts[0])
+        item = int(parts[1])
+        rating = float(parts[2])
+    except ValueError as exc:
+        raise ParseError("bad record", line_number=line_number) from exc
+    ts = None
+    if len(parts) > 3 and parts[3] != "":
+        try:
+            ts = int(parts[3])
+        except ValueError as exc:
+            raise ParseError("bad timestamp", line_number=line_number) from exc
+    return user, item, rating, ts
+
+
+def dict_parse_ratings(path, format, positive_threshold=3.0):
+    """The per-line, dict-deduplicating parser: the oracle for both readers."""
+    tag = canonical_format(format)
+    records = []
+    raw_lines = 0
+    filtered = 0
+
+    with open(path, newline="") as fh:
+        if tag == "generic-csv":
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDatasetError(f"{path} is empty") from None
+            if [h.strip().lower() for h in header[:3]] != ["user", "item", "rating"]:
+                raise ParseError("bad header", line_number=1)
+            for line_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                raw_lines += 1
+                if len(row) < 3:
+                    raise ParseError("too few fields", line_number=line_number)
+                user, item, rating, ts = _oracle_parse_record(row, line_number)
+                if rating > positive_threshold:
+                    records.append((user, item, rating, ts))
+                else:
+                    filtered += 1
+        else:
+            sep = "\t" if tag == "ml100k-tab" else "::"
+            for line_number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                raw_lines += 1
+                parts = _oracle_split_line(line, sep, line_number)
+                user, item, rating, ts = _oracle_parse_record(parts, line_number)
+                if rating > positive_threshold:
+                    records.append((user, item, rating, ts))
+                else:
+                    filtered += 1
+
+    if not records:
+        raise EmptyDatasetError("no interactions")
+
+    best = {}
+    duplicates = 0
+    for user, item, rating, ts in records:
+        key = (user, item)
+        kept = best.get(key)
+        if kept is None:
+            best[key] = (rating, ts)
+        else:
+            duplicates += 1
+            if rating > kept[0]:
+                best[key] = (rating, ts)
+
+    keys = sorted(best)
+    users_orig = np.array([k[0] for k in keys], dtype=np.int64)
+    items_orig = np.array([k[1] for k in keys], dtype=np.int64)
+    ratings = np.array([best[k][0] for k in keys], dtype=np.float64)
+    ts_values = [best[k][1] for k in keys]
+    timestamps = (
+        None if any(v is None for v in ts_values) else np.array(ts_values, dtype=np.int64)
+    )
+    user_ids = np.unique(users_orig)
+    item_ids = np.unique(items_orig)
+    return InteractionTable(
+        users=np.searchsorted(user_ids, users_orig),
+        items=np.searchsorted(item_ids, items_orig),
+        ratings=ratings,
+        timestamps=timestamps,
+        user_ids=user_ids,
+        item_ids=item_ids,
+        source=str(path),
+        format=tag,
+        raw_lines=raw_lines,
+        filtered_count=filtered,
+        duplicate_count=duplicates,
+    )
+
+
+def assert_same_table(got, expected):
+    for field in dataclasses.fields(InteractionTable):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def parse_outcome(parse, path, fmt, threshold):
+    """The table, or the exception type and line number it raised."""
+    try:
+        return parse(path, fmt, threshold)
+    except ParseError as exc:
+        return ("ParseError", exc.line_number)
+    except EmptyDatasetError:
+        return ("EmptyDatasetError", None)
+
+
+# ids stay inside int64 so the oracle, which has no range check, cannot overflow
+_ID = st.builds(
+    lambda zeros, value: "0" * zeros + str(value),
+    st.integers(0, 3),
+    st.one_of(st.integers(1, 4), st.integers(0, 2**63 - 1)),
+)
+_RATING = st.one_of(
+    st.sampled_from(["1", "3", "4", "5", "4.5", "5.0", "4.", ".5", "3.0000000000000001"]),
+    st.from_regex(r"\A[0-9]{1,20}(\.[0-9]{0,20})?\Z"),
+)
+_JUNK = st.text(alphabet="0123456789.:\t +-e\r,", max_size=4)
+
+
+@st.composite
+def ratings_files(draw):
+    fmt = draw(st.sampled_from(["ml100k-tab", "ml1m-colons", "generic-csv"]))
+    sep = {"ml100k-tab": "\t", "ml1m-colons": "::", "generic-csv": ","}[fmt]
+    clean = draw(st.booleans())  # clean tab and :: files exercise the columnar reader
+    lines = ["user,item,rating,ts"] if fmt == "generic-csv" else []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "::"])))
+            continue
+        fields = [draw(_ID), draw(_ID), draw(_RATING), draw(_ID), draw(_ID)]
+        fields = fields[: draw(st.sampled_from([4, 4, 3, 5]))]
+        if not clean:
+            for i in range(len(fields)):
+                if draw(st.integers(0, 3)) == 0:
+                    fields[i] = draw(_JUNK)
+        line_sep = sep if clean else draw(st.sampled_from([sep, sep, ":", "\t", " ", ","]))
+        lines.append(line_sep.join(fields))
+    newline = "\n" if clean else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return fmt, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(ratings_files(), st.sampled_from([3.0, 0.0, 4.5, -1.0]))
+@example(("ml1m-colons", "1:2:3:4:5:6:7\n"), 3.0)  # odd colons: misaligned fields
+@example(("ml1m-colons", "1::::2::5::3\n"), 3.0)
+@example(("ml1m-colons", "1::2::5::\n1::3::4::7\n"), 3.0)  # an empty timestamp
+@example(("ml100k-tab", "1\t2\t5\t3\n\t\n1\t2\t5\t4"), 3.0)  # a tab-only line
+@example(("ml100k-tab", "1\t2\t5\t3\t\t9\n1\t2\t5\t1\n"), 3.0)  # tied duplicates
+@example(("ml100k-tab", "1.0\t2\t5\t3\n"), 3.0)
+@example(("ml100k-tab", "\n\n"), 3.0)
+def test_both_readers_match_the_dict_oracle(tmp_path_factory, case, threshold):
+    fmt, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "ratings"
+    path.write_bytes(text.encode())
+    got = parse_outcome(parse_ratings, path, fmt, threshold)
+    expected = parse_outcome(dict_parse_ratings, path, fmt, threshold)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_same_table(got, expected)
