@@ -21,6 +21,7 @@ from .catalog import (
     diversity_marginal,
 )
 from .errors import DimensionMismatchError
+from .greedy import greedy_fill
 from .seeding import as_rng
 
 
@@ -108,20 +109,17 @@ def mmr_select(
     cand = catalog.candidate_ids(candidates, k)
     quality = scorer.quality[cand]
     unit = scorer._unit[cand]
-    sim_sum = np.zeros(cand.size)
-    taken = np.zeros(cand.size, dtype=bool)
-    chosen: list[int] = []
-    for step in range(k):
+
+    def score(step: int, sim_sum: np.ndarray, taken: np.ndarray) -> np.ndarray:
         scores = mmr_alpha * quality
         if step > 0:
             scores = scores - (1.0 - mmr_alpha) / step * sim_sum
-        scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        sim_sum += unit @ scorer._unit[item]
-    return Slate(tuple(chosen), capacity=k)
+        return scores
+
+    picks, _, _ = greedy_fill(
+        np.zeros(cand.size), k, score, lambda pick: unit @ scorer._unit[cand[pick]]
+    )
+    return Slate(tuple(cand[picks]), capacity=k)
 
 
 def epsilon_greedy_select(

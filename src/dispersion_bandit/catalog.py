@@ -43,24 +43,15 @@ def sorted_ids(ids) -> np.ndarray:
     return np.unique(np.asarray(ids, dtype=np.intp))
 
 
-def cosine_similarity(z_i: np.ndarray, z_j: np.ndarray) -> float:
-    """Cosine similarity; raises on zero-norm inputs."""
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    if z_i.shape != z_j.shape:
-        raise DimensionMismatchError(
-            f"vectors have shapes {z_i.shape} and {z_j.shape}"
+def unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero-norm rows raise UndefinedSimilarityError."""
+    norms = np.linalg.norm(vectors, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise UndefinedSimilarityError(
+            f"items {zero[:5].tolist()} have zero-norm vectors"
         )
-    ni = np.linalg.norm(z_i)
-    nj = np.linalg.norm(z_j)
-    if ni == 0.0 or nj == 0.0:
-        raise UndefinedSimilarityError("cosine similarity of a zero-norm vector")
-    return float(np.dot(z_i, z_j) / (ni * nj))
-
-
-def cosine_distance(z_i: np.ndarray, z_j: np.ndarray) -> float:
-    """1 - cosine similarity; lies in [0, 2]."""
-    return 1.0 - cosine_similarity(z_i, z_j)
+    return vectors / norms[:, None]
 
 
 class DistanceMetric:
@@ -111,14 +102,8 @@ class CosineDistanceMetric(DistanceMetric):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise DimensionMismatchError("metric vectors must be 2-dimensional")
-        norms = np.linalg.norm(vectors, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise UndefinedSimilarityError(
-                f"items {zero[:5].tolist()} have zero-norm vectors"
-            )
         self.scale = float(scale)
-        self._unit = vectors / norms[:, None]
+        self._unit = unit_rows(vectors)
         self._unit.flags.writeable = False
         self._table: np.ndarray | None = None
         if len(vectors) <= table_threshold:
@@ -247,11 +232,6 @@ class PreferenceVector:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """Concatenated [theta; beta] of length d + m."""
-        return np.concatenate([self.theta, self.beta])
-
 
 @dataclass(frozen=True)
 class ItemCatalog:
@@ -367,21 +347,6 @@ def diversity_marginal(
         for i, metric in enumerate(catalog.metrics):
             gain[i] = metric.column(item, ids).sum()
     return gain
-
-
-def joint_marginal(
-    item: int, slate: Slate | Sequence[int], catalog: ItemCatalog
-) -> np.ndarray:
-    """Concatenated [relevance_marginal; diversity_marginal], length d + m.
-
-    eta . joint_marginal(a | A) equals F(A + a | eta) - F(A | eta).
-    """
-    return np.concatenate(
-        [
-            relevance_marginal(item, slate, catalog),
-            diversity_marginal(item, slate, catalog),
-        ]
-    )
 
 
 def utility(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import EpsilonGreedyPolicy, LogRankPolicy, MmrPolicy, StaticScorer
-from .catalog import ItemCatalog, cosine_metric
+from .catalog import METRIC_MODES, ItemCatalog, cosine_metric
 from .environments import (
     ReplayEnvironment,
     ReplayUser,
@@ -71,7 +71,6 @@ DEFAULT_RATIO_KS = (2, 3, 4, 5)
 EMB_SEED_INDEX = 977
 
 POLICIES = ("lmdh", "logrank", "mmr", "epsilon-greedy")
-METRIC_MODES = ("raw", "slate-normalized")
 OPTIMUM_MODES = ("exhaustive", "greedy-oracle")
 
 
@@ -147,25 +146,39 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 # simulate
 
 
-def _make_scored_policy(
+def make_policy(
     name: str,
     catalog: ItemCatalog,
     k: int,
+    lam: float,
+    alpha: float,
     epsilon: float,
     mmr_alpha: float,
-    policy_rng: np.random.Generator,
+    rng: np.random.Generator,
+    u_bar: np.ndarray | None = None,
 ):
-    """Baselines score with a population preference drawn from the same prior
-    as the true one — a stand-in for a scorer trained on other users."""
-    u_bar = policy_rng.uniform(0.0, 0.2, catalog.relevance_dim)
+    """The one place a policy is built from the command-line settings.
+
+    Baselines score with the population preference `u_bar`; when it is None
+    it is drawn from `rng` from the same prior as the true one (a stand-in
+    for a scorer trained on other users), before epsilon-greedy takes the
+    same `rng` for its exploration.
+    """
+    if name == "lmdh":
+        config = LmdhConfig(
+            lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
+        )
+        return LmdhPolicy(config, catalog)
+    if name not in POLICIES:
+        raise SystemExit(f"unknown policy {name!r}")
+    if u_bar is None:
+        u_bar = rng.uniform(0.0, 0.2, catalog.relevance_dim)
     scorer = StaticScorer(u_bar, catalog)
     if name == "logrank":
         return LogRankPolicy(scorer, catalog, k)
     if name == "mmr":
         return MmrPolicy(scorer, catalog, k, mmr_alpha)
-    if name == "epsilon-greedy":
-        return EpsilonGreedyPolicy(scorer, catalog, k, epsilon, policy_rng)
-    raise SystemExit(f"unknown policy {name!r}")
+    return EpsilonGreedyPolicy(scorer, catalog, k, epsilon, rng)
 
 
 def _simulate_run(task: tuple):
@@ -184,14 +197,10 @@ def _simulate_run(task: tuple):
     instance = study_instance(
         run_seed, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
     )
-    if policy_name == "lmdh":
-        config = LmdhConfig(lam=lam, alpha=alpha_value, d=SIM_D, m=SIM_M, k=k)
-        policy = LmdhPolicy(config, instance.catalog)
-    else:
-        policy_rng = rng_from_seed(run_seed, STREAM_POLICY)
-        policy = _make_scored_policy(
-            policy_name, instance.catalog, k, epsilon, mmr_alpha, policy_rng
-        )
+    policy = make_policy(
+        policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+        rng_from_seed(run_seed, STREAM_POLICY),
+    )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)
     return scaled_regret(log, instance, RegretConfig(optimum_mode=optimum_mode))
@@ -384,27 +393,10 @@ def _replay_task(task: tuple):
     _, test, catalog, u_bar = _replay_context(key)
     positives = frozenset(int(i) for i in test.items_of(u))
     user = ReplayUser(user_id=u, positives=positives)
-    if policy_name == "lmdh":
-        config = LmdhConfig(
-            lam=lam, alpha=alpha_value, d=catalog.relevance_dim, m=1, k=k
-        )
-        policy = LmdhPolicy(config, catalog)
-    else:
-        scorer = StaticScorer(u_bar, catalog)
-        if policy_name == "logrank":
-            policy = LogRankPolicy(scorer, catalog, k)
-        elif policy_name == "mmr":
-            policy = MmrPolicy(scorer, catalog, k, mmr_alpha)
-        elif policy_name == "epsilon-greedy":
-            policy = EpsilonGreedyPolicy(
-                scorer,
-                catalog,
-                k,
-                epsilon,
-                rng_from_seed(derive_seed(seed, u), STREAM_POLICY),
-            )
-        else:
-            raise SystemExit(f"unknown policy {policy_name!r}")
+    policy = make_policy(
+        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
+    )
     environment = ReplayEnvironment(catalog, user)
     return run_episode(policy, environment, rounds, k)
 

@@ -27,18 +27,11 @@ from .catalog import (
     utility,
 )
 from .errors import (
-    DimensionMismatchError,
     DispersionBanditError,
     ExhaustedCandidatesError,
     ProtocolViolationError,
 )
-from .seeding import (
-    STREAM_CANDIDATES,
-    STREAM_INSTANCE,
-    STREAM_REWARDS,
-    as_rng,
-    rng_from_seed,
-)
+from .seeding import STREAM_INSTANCE, STREAM_REWARDS, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -48,24 +41,9 @@ class SimInstance:
     catalog: ItemCatalog
     eta_star: PreferenceVector
     seed: int
-    candidate_mode: str = "all"
-    sample_size: int | None = None
 
     def __post_init__(self):
-        if self.eta_star.theta.shape[0] != self.catalog.relevance_dim:
-            raise DimensionMismatchError(
-                f"eta_star has {self.eta_star.theta.shape[0]} relevance weights, "
-                f"catalog expects {self.catalog.relevance_dim}"
-            )
-        if self.eta_star.beta.shape[0] != self.catalog.diversity_dim:
-            raise DimensionMismatchError(
-                f"eta_star has {self.eta_star.beta.shape[0]} diversity weights, "
-                f"catalog expects {self.catalog.diversity_dim}"
-            )
-        if self.candidate_mode not in ("all", "sampled"):
-            raise ValueError(f"unknown candidate_mode {self.candidate_mode!r}")
-        if self.candidate_mode == "sampled" and not self.sample_size:
-            raise ValueError("sampled candidate_mode requires a sample_size")
+        self.catalog.check_eta(self.eta_star)
 
 
 def study_instance(
@@ -78,8 +56,6 @@ def study_instance(
     pref_low: float = 0.0,
     pref_high: float = 0.2,
     metric_mode: str = "slate-normalized",
-    candidate_mode: str = "all",
-    sample_size: int | None = None,
 ) -> SimInstance:
     """Draw a simulated instance: features U[0, 0.5]^d, preferences U[0, 0.2].
 
@@ -92,13 +68,7 @@ def study_instance(
     beta = rng.uniform(pref_low, pref_high, size=1)
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
-    return SimInstance(
-        catalog=catalog,
-        eta_star=PreferenceVector(theta, beta),
-        seed=seed,
-        candidate_mode=candidate_mode,
-        sample_size=sample_size,
-    )
+    return SimInstance(catalog=catalog, eta_star=PreferenceVector(theta, beta), seed=seed)
 
 
 @dataclass
@@ -161,15 +131,6 @@ def position_means(slate: Slate, instance: SimInstance) -> tuple[np.ndarray, int
     return means, clamp_hits
 
 
-def bernoulli_feedback(
-    slate: Slate, instance: SimInstance, rng: np.random.Generator | int
-) -> np.ndarray:
-    """Independent Bernoulli rewards, one per position, deterministic per seed."""
-    rng = as_rng(rng)
-    means, _ = position_means(slate, instance)
-    return (rng.random(len(slate)) < means).astype(np.float64)
-
-
 def replay_feedback(slate: Slate, user: ReplayUser) -> np.ndarray:
     """Membership rewards against the user's positives; consumes the slate."""
     repeats = user.consumed.intersection(slate.items)
@@ -184,16 +145,8 @@ def replay_feedback(slate: Slate, user: ReplayUser) -> np.ndarray:
     return rewards
 
 
-def candidate_set(
-    t: int,
-    ground,
-    consumed,
-    k: int,
-    mode: str = "remaining",
-    rng: np.random.Generator | None = None,
-    sample_size: int | None = None,
-) -> np.ndarray:
-    """Ground set minus consumed items, optionally subsampled, sorted by id.
+def candidate_set(t: int, ground, consumed, k: int) -> np.ndarray:
+    """Ground set minus consumed items, sorted by id.
 
     A ground set given as a sorted intp array (see `sorted_ids`) is used
     without a copy; `consumed` is a set, so both sides are distinct.
@@ -208,15 +161,6 @@ def candidate_set(
         raise ExhaustedCandidatesError(
             f"round {t}: {remaining.size} candidates left, need {k}"
         )
-    if mode == "sampled":
-        if rng is None or sample_size is None:
-            raise ValueError("sampled mode needs an rng and a sample_size")
-        size = min(int(sample_size), remaining.size)
-        if size < k:
-            raise ExhaustedCandidatesError(
-                f"round {t}: sample of {size} cannot fill a slate of {k}"
-            )
-        remaining = np.sort(rng.choice(remaining, size=size, replace=False))
     return remaining
 
 
@@ -225,8 +169,7 @@ class SimulatedEnvironment:
 
     Candidates are not consumed across rounds here — the horizon (1000
     rounds) dwarfs the inventory (20 items) in the simulated study, so the
-    same items stay recommendable and the learner revisits them.  `sampled`
-    mode draws a fresh seeded subset each round instead.
+    same items stay recommendable and the learner revisits them.
     """
 
     kind = "simulated"
@@ -234,29 +177,18 @@ class SimulatedEnvironment:
     def __init__(self, instance: SimInstance):
         self.instance = instance
         self._rewards_rng = rng_from_seed(instance.seed, STREAM_REWARDS)
-        self._candidates_rng = rng_from_seed(instance.seed, STREAM_CANDIDATES)
         self.clamp_hits = 0
 
     def candidates(self, t: int, k: int) -> np.ndarray:
-        mode = self.instance.candidate_mode
-        if mode == "all":
-            items = self.instance.catalog.all_items()
-            if items.size < k:
-                raise ExhaustedCandidatesError(
-                    f"round {t}: catalog holds {items.size} items, need {k}"
-                )
-            return items
-        return candidate_set(
-            t,
-            self.instance.catalog.all_items(),
-            set(),
-            k,
-            mode="sampled",
-            rng=self._candidates_rng,
-            sample_size=self.instance.sample_size,
-        )
+        items = self.instance.catalog.all_items()
+        if items.size < k:
+            raise ExhaustedCandidatesError(
+                f"round {t}: catalog holds {items.size} items, need {k}"
+            )
+        return items
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
+        """Independent Bernoulli rewards, one per position, from the seeded reward stream."""
         means, hits = position_means(selection.slate, self.instance)
         self.clamp_hits += hits
         return (self._rewards_rng.random(len(selection.slate)) < means).astype(

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, PreferenceVector, Slate, utility
+from .catalog import ItemCatalog, PreferenceVector, unit_rows
 from .environments import SimInstance, TrialLog
-from .errors import (
-    PreconditionError,
-    UndefinedDiversityError,
-    UndefinedSimilarityError,
-)
+from .errors import PreconditionError, UndefinedDiversityError
 from .greedy import exhaustive_optimum, greedy_select
 
 
@@ -99,31 +95,6 @@ def _usable(logs, positives) -> tuple[list[TrialLog], list[frozenset], int]:
     return kept_logs, kept_pos, excluded
 
 
-def recall_at(logs, positives, t: int) -> float:
-    """Mean over alive users of sum_{l<=t} |A_l intersect I| / |I|."""
-    kept_logs, kept_pos, _ = _usable(logs, positives)
-    contributions = []
-    for log, pos in zip(kept_logs, kept_pos):
-        if len(log) < t:
-            continue  # user's episode ended before t
-        hits = sum(
-            1 for entry in log.rounds[:t] for item in entry.items if item in pos
-        )
-        contributions.append(hits / len(pos))
-    if not contributions:
-        raise PreconditionError(f"no user is alive at round {t}")
-    return _ordered_mean(contributions)
-
-
-def _unit_rows(catalog: ItemCatalog) -> np.ndarray:
-    norms = np.linalg.norm(catalog.relevance, axis=1)
-    if np.any(norms == 0.0):
-        raise UndefinedSimilarityError(
-            "cosine diversity undefined for zero-norm embeddings"
-        )
-    return catalog.relevance / norms[:, None]
-
-
 def slate_diversity(items, catalog: ItemCatalog, unit: np.ndarray | None = None) -> float:
     """Mean raw cosine distance over the slate's pairs: 2/(|A|(|A|-1)) * sum."""
     if len(items) < 2:
@@ -131,32 +102,12 @@ def slate_diversity(items, catalog: ItemCatalog, unit: np.ndarray | None = None)
             f"diversity needs at least 2 items, got {len(items)}"
         )
     if unit is None:
-        unit = _unit_rows(catalog)
+        unit = unit_rows(catalog.relevance)
     vecs = unit[list(items)]
     sims = vecs @ vecs.T
     n = len(items)
     upper = sims[np.triu_indices(n, k=1)]
     return float(np.sum(1.0 - upper) * 2.0 / (n * (n - 1)))
-
-
-def diversity_at(logs, catalog: ItemCatalog, t: int) -> float:
-    """Per user: average slate diversity over rounds 1..t; then mean over users.
-
-    Always measured with the raw cosine distance, whatever metric mode the
-    policy optimized — this is the reported metric, not the objective.
-    """
-    unit = _unit_rows(catalog)
-    contributions = []
-    for log in logs:
-        if len(log) < t:
-            continue
-        per_round = [
-            slate_diversity(entry.items, catalog, unit) for entry in log.rounds[:t]
-        ]
-        contributions.append(float(np.sort(np.asarray(per_round)).sum() / t))
-    if not contributions:
-        raise PreconditionError(f"no user is alive at round {t}")
-    return _ordered_mean(contributions)
 
 
 def f_beta_at(recall: float, diversity: float, beta: float) -> float:
@@ -183,7 +134,7 @@ def compute_metric_series(
     recall = np.zeros(horizon)
     diversity = np.zeros(horizon)
     n_users = np.zeros(horizon, dtype=np.intp)
-    unit = _unit_rows(catalog)
+    unit = unit_rows(catalog.relevance)
 
     # running per-user state so the sweep is O(total rounds), not O(t^2)
     hit_fractions = [0.0 for _ in kept_logs]

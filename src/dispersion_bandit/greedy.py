@@ -40,6 +40,43 @@ class GreedyResult:
         return float(sum(self.gain_trace))
 
 
+def greedy_fill(acc: np.ndarray, k: int, score, column):
+    """The greedy pass loop shared by every slate selector.
+
+    Pass `step` scores all candidates with `score(step, acc, taken)`, which
+    returns a fresh array, masks the taken ones, picks the first maximum
+    (the smallest id, as candidates are sorted) and adds `column(pick)` to
+    `acc` in place, so `acc` holds the summed columns of the picks so far.
+    Returns the pick positions, `acc`'s row at each pick (before its own
+    column is added) and the score at each pick.
+    """
+    taken = np.zeros(acc.shape[0], dtype=bool)
+    picks = np.empty(k, dtype=np.intp)
+    rows = np.empty((k,) + acc.shape[1:])
+    pick_scores = np.empty(k)
+    for step in range(k):
+        scores = score(step, acc, taken)
+        scores[taken] = -np.inf
+        pick = int(np.argmax(scores))
+        taken[pick] = True
+        picks[step] = pick
+        rows[step] = acc[pick]
+        pick_scores[step] = scores[pick]
+        if step + 1 < k:
+            acc += column(pick)
+    return picks, rows, pick_scores
+
+
+def metric_columns(catalog: ItemCatalog, cand: np.ndarray):
+    """column(pick) -> (n, m): h_i(cand[pick], cand) for each metric i."""
+
+    def column(pick: int) -> np.ndarray:
+        item = int(cand[pick])
+        return np.array([metric.column(item, cand) for metric in catalog.metrics]).T
+
+    return column
+
+
 def greedy_select(
     eta: PreferenceVector,
     catalog: ItemCatalog,
@@ -53,35 +90,28 @@ def greedy_select(
     catalog.check_eta(eta)
     cand = catalog.candidate_ids(candidates, k)
     rel_scores = catalog.relevance[cand] @ eta.theta
-    div_acc = np.zeros((cand.size, catalog.diversity_dim))
-    taken = np.zeros(cand.size, dtype=bool)
-
-    chosen: list[int] = []
-    gains: list[float] = []
-    for _ in range(k):
-        scores = rel_scores + div_acc @ eta.beta
-        scores[taken] = -np.inf
-        pick = int(np.argmax(scores))  # first max = smallest id (cand is sorted)
-        gains.append(float(scores[pick]))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        for i, metric in enumerate(catalog.metrics):
-            div_acc[:, i] += metric.column(item, cand)
-
-    return GreedyResult(slate=Slate(tuple(chosen), capacity=k), gain_trace=tuple(gains))
+    picks, _, gains = greedy_fill(
+        np.zeros((cand.size, catalog.diversity_dim)),
+        k,
+        lambda step, div_acc, taken: rel_scores + div_acc @ eta.beta,
+        metric_columns(catalog, cand),
+    )
+    return GreedyResult(
+        slate=Slate(tuple(cand[picks]), capacity=k),
+        gain_trace=tuple(float(g) for g in gains),
+    )
 
 
 def _pairwise_weights(
     eta: PreferenceVector, catalog: ItemCatalog, cand: np.ndarray
 ) -> np.ndarray:
     """W[p, q] = sum_i beta_i * h_i(cand[p], cand[q]) over the candidate grid."""
+    column = metric_columns(catalog, cand)
+    h = np.array([column(p) for p in range(cand.size)])  # h[p, q, i]
     w = np.zeros((cand.size, cand.size))
-    for beta_i, metric in zip(eta.beta, catalog.metrics):
-        if beta_i == 0.0:
-            continue
-        for p, item in enumerate(cand):
-            w[p] += beta_i * metric.column(int(item), cand)
+    for i, beta_i in enumerate(eta.beta):
+        if beta_i != 0.0:
+            w += beta_i * h[:, :, i]
     return w
 
 

@@ -398,12 +398,6 @@ class EmbeddingTable:
         """Rows for the given original ids, in the given order."""
         return np.vstack([self.vector(int(i)) for i in original_ids])
 
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        span = self.maxs - self.mins
-        return np.where(
-            span == 0.0, self.mins, (normalized + 1.0) / 2.0 * span + self.mins
-        )
-
 
 def normalize_embeddings(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-max map each dimension onto [-1, 1]; constant dimensions go to 0."""
@@ -472,9 +466,9 @@ def synthetic_embeddings(
 ) -> EmbeddingTable:
     """I.i.d. uniform vectors, ids 0..n_items-1, deterministic per seed.
 
-    The stored affine map is the identity (the draws are used as-is), which
-    keeps `denormalize` a no-op; the coordinates already live in [-1, 1]
-    whenever [low, high] does.
+    The stored affine map (mins -1, maxs 1) is the identity: the draws are
+    used as-is, and the coordinates already live in [-1, 1] whenever
+    [low, high] does.
     """
     if n_items < 1 or d < 1:
         raise ValueError("n_items and d must be >= 1")

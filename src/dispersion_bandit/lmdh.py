@@ -22,7 +22,6 @@ touches no inverse inside the per-item loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -34,9 +33,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidFeedbackError,
     NumericalDegeneracyError,
-    ParseError,
     PreconditionError,
 )
+from .greedy import greedy_fill, metric_columns
 
 
 @dataclass(frozen=True)
@@ -147,21 +146,10 @@ def _check_feature_dims(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -
         )
 
 
-def _raw_width(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -> float:
-    hz = stats.inv_H @ z
-    mx = stats.inv_M @ x
-    bmx = stats.B @ mx
-    return float(z @ hz - 2.0 * (hz @ bmx) + x @ mx + bmx @ (stats.inv_H @ bmx))
-
-
-def confidence_width(
-    z: np.ndarray, x: np.ndarray, stats: HybridStatistics
-) -> float:
-    """Variance term v = zeta^T Phi^{-1} zeta via the four blockwise products."""
-    z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_feature_dims(z, x, stats)
-    return max(_raw_width(z, x, stats), 0.0)
+def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """HZ = Z H^{-1} and the row-wise width term z.H^{-1}z, fixed within a round."""
+    HZ = Z @ stats.inv_H
+    return HZ, np.einsum("ij,ij->i", HZ, Z)
 
 
 def _raw_widths_batch(
@@ -180,23 +168,23 @@ def _raw_widths_batch(
     return term_zz - 2.0 * term_zx + term_xx + term_bb
 
 
-def ucb_score(
-    z: np.ndarray,
-    x: np.ndarray,
-    stats: HybridStatistics,
-    alpha: float,
-    estimates: tuple[np.ndarray, np.ndarray] | None = None,
+def confidence_width(
+    z: np.ndarray, x: np.ndarray, stats: HybridStatistics
 ) -> float:
-    """Optimistic index theta_hat.z + beta_hat.x + alpha*sqrt(v), clamping v at 0."""
-    z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    """Variance term v = zeta^T Phi^{-1} zeta: the learner's batch path on one row."""
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     _check_feature_dims(z, x, stats)
-    theta, beta = estimates if estimates is not None else estimate_preferences(stats)
-    v = _raw_width(z, x, stats)
-    if v < 0.0:
-        stats.clamp_count += 1
-        v = 0.0
-    return float(theta @ z + beta @ x + alpha * math.sqrt(v))
+    HZ, term_zz = _z_terms(z, stats)
+    return max(float(_raw_widths_batch(HZ, term_zz, x, stats)[0]), 0.0)
+
+
+def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
+    if config.d != catalog.relevance_dim or config.m != catalog.diversity_dim:
+        raise DimensionMismatchError(
+            f"config dims ({config.d}, {config.m}) do not match catalog "
+            f"({catalog.relevance_dim}, {catalog.diversity_dim})"
+        )
 
 
 def select_slate(
@@ -205,63 +193,44 @@ def select_slate(
     catalog: ItemCatalog,
     candidates,
 ) -> SlateSelection:
-    """Greedy UCB slate: k passes, each re-scoring marginals against the prefix.
+    """Greedy UCB slate: k `greedy_fill` passes, each re-scoring against the prefix.
 
     Candidates are validated once by `ItemCatalog.candidate_ids`.  Relevance
     features are fixed per item, so Z H^{-1}, its width term and Z theta_hat
     are computed once per call, O(L*d^2); each pass then recomputes only the
     terms that involve the diversity marginal x, which changes as the slate
-    grows, O(L*(d^2 + d*m + m^2)).  Ties take the smallest item id.  Both
-    inverses are read from cache.
+    grows, O(L*(d^2 + d*m + m^2)).  Negative widths of candidates not yet
+    taken are counted in `stats.clamp_count` and clipped to zero.  Ties take
+    the smallest item id.  Both inverses are read from cache.
     """
-    if config.d != catalog.relevance_dim or config.m != catalog.diversity_dim:
-        raise DimensionMismatchError(
-            f"config dims ({config.d}, {config.m}) do not match catalog "
-            f"({catalog.relevance_dim}, {catalog.diversity_dim})"
-        )
+    _check_config(config, catalog)
     cand = catalog.candidate_ids(candidates, config.k)
 
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance[cand]  # (L, d)
-    HZ = Z @ stats.inv_H  # (L, d)
-    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    HZ, term_zz = _z_terms(Z, stats)
     rel_scores = Z @ theta
-    X = np.zeros((cand.size, catalog.diversity_dim))
-    div_cols = np.zeros((cand.size, len(catalog.metrics)))
+    passes: list[np.ndarray] = []  # clipped widths of every pass
 
-    taken = np.zeros(cand.size, dtype=bool)
-    chosen: list[int] = []
-    rel_feats = np.zeros((config.k, config.d))
-    div_feats = np.zeros((config.k, config.m))
-    widths = np.zeros(config.k)
-    scores_taken = np.zeros(config.k)
-
-    for step in range(config.k):
+    def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
         v = _raw_widths_batch(HZ, term_zz, X, stats)
-        live = ~taken
-        stats.clamp_count += int(np.count_nonzero(v[live] < 0.0))
+        stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
         v = np.maximum(v, 0.0)
-        scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
-        scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        rel_feats[step] = Z[pick]
-        div_feats[step] = X[pick]
-        widths[step] = math.sqrt(v[pick])
-        scores_taken[step] = scores[pick]
-        if step + 1 < config.k:
-            for i, metric in enumerate(catalog.metrics):
-                div_cols[:, i] += metric.column(item, cand)
-            X = div_cols
+        passes.append(v)
+        return rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
 
+    picks, div_feats, scores = greedy_fill(
+        np.zeros((cand.size, catalog.diversity_dim)),
+        config.k,
+        score,
+        metric_columns(catalog, cand),
+    )
     return SlateSelection(
-        slate=Slate(tuple(chosen), capacity=config.k),
-        relevance_features=rel_feats,
+        slate=Slate(tuple(cand[picks]), capacity=config.k),
+        relevance_features=Z[picks],
         diversity_features=div_feats,
-        widths=widths,
-        scores=scores_taken,
+        widths=np.sqrt([v[pick] for v, pick in zip(passes, picks)]),
+        scores=scores,
     )
 
 
@@ -322,18 +291,22 @@ def theoretical_alpha(params: TheoryParams) -> float:
     return math.sqrt(log_term) + math.sqrt(params.lam) * params.eta_norm_bound
 
 
-def lemma1_width_budget(params: TheoryParams) -> float:
-    """Upper bound on the summed selection widths over the whole horizon."""
-    if params.n == 0:
-        return 0.0
+def _width_sum_inner(params: TheoryParams) -> float:
+    """n(d+m) log(1 + nK/((d+m)lam)) / (lam log(1 + 1/lam)): the squared width sum per slot."""
     dm = params.d + params.m
-    inner = (
+    return (
         params.n
         * dm
         * math.log1p(params.n * params.k / (dm * params.lam))
         / (params.lam * math.log1p(1.0 / params.lam))
     )
-    return params.k * math.sqrt(inner)
+
+
+def lemma1_width_budget(params: TheoryParams) -> float:
+    """Upper bound on the summed selection widths over the whole horizon."""
+    if params.n == 0:
+        return 0.0
+    return params.k * math.sqrt(_width_sum_inner(params))
 
 
 def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
@@ -345,74 +318,8 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
         )
     if params.n == 0:
         return 0.0
-    dm = params.d + params.m
-    inner = (
-        params.n
-        * dm
-        * math.log1p(params.n * params.k / (dm * params.lam))
-        / (params.lam * math.log1p(1.0 / params.lam))
-    )
-    main = (2.0 * alpha * params.k / params.gamma) * math.sqrt(inner)
+    main = (2.0 * alpha * params.k / params.gamma) * math.sqrt(_width_sum_inner(params))
     return main + params.n * params.k * params.delta
-
-
-def save_statistics(stats: HybridStatistics, path) -> None:
-    """Write an exact CSV snapshot; floats use repr so loading is bit-faithful."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "m", "lambda"])
-        writer.writerow([stats.d, stats.m, repr(stats.lam)])
-        for name in ("H", "B", "M", "u", "y"):
-            arr = getattr(stats, name)
-            writer.writerow([name] + [repr(float(v)) for v in np.ravel(arr, order="C")])
-        writer.writerow(
-            ["counters", stats.observation_count, stats.clamp_count]
-        )
-
-
-def load_statistics(path) -> HybridStatistics:
-    """Rebuild statistics from a snapshot and refresh the cached inverses."""
-    shapes = {
-        "H": lambda d, m: (d, d),
-        "B": lambda d, m: (d, m),
-        "M": lambda d, m: (m, m),
-        "u": lambda d, m: (d,),
-        "y": lambda d, m: (m,),
-    }
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[0] != ["d", "m", "lambda"]:
-        raise ParseError("snapshot header must be d,m,lambda", line_number=1)
-    try:
-        d, m, lam = int(rows[1][0]), int(rows[1][1]), float(rows[1][2])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad dimension row: {rows[1]}", line_number=2) from exc
-    stats = HybridStatistics(d, m, lam)
-    seen = set()
-    for idx, row in enumerate(rows[2:], start=3):
-        if not row:
-            continue
-        name = row[0]
-        if name == "counters":
-            stats.observation_count = int(row[1])
-            stats.clamp_count = int(row[2])
-            continue
-        if name not in shapes:
-            raise ParseError(f"unknown block {name!r}", line_number=idx)
-        shape = shapes[name](d, m)
-        values = np.array([float(v) for v in row[1:]], dtype=np.float64)
-        if values.size != int(np.prod(shape)):
-            raise ParseError(
-                f"block {name} has {values.size} entries, expected {np.prod(shape)}",
-                line_number=idx,
-            )
-        setattr(stats, name, values.reshape(shape))
-        seen.add(name)
-    missing = set(shapes) - seen
-    if missing:
-        raise ParseError(f"snapshot is missing blocks: {sorted(missing)}")
-    stats.refresh_inverses()
-    return stats
 
 
 class LmdhPolicy:
@@ -421,11 +328,7 @@ class LmdhPolicy:
     name = "lmdh"
 
     def __init__(self, config: LmdhConfig, catalog: ItemCatalog):
-        if config.d != catalog.relevance_dim or config.m != catalog.diversity_dim:
-            raise DimensionMismatchError(
-                f"config dims ({config.d}, {config.m}) do not match catalog "
-                f"({catalog.relevance_dim}, {catalog.diversity_dim})"
-            )
+        _check_config(config, catalog)
         self.config = config
         self.catalog = catalog
         self.stats = HybridStatistics(config.d, config.m, config.lam)

@@ -6,9 +6,10 @@ that experiments are bit-reproducible across platforms and worker counts.
 Seed-derivation rule (documented contract):
 
 * a per-user / per-run seed is ``experiment_seed XOR index``;
-* independent streams under one seed (instance generation, reward draws,
-  policy randomization) are ``Philox(seed).jumped(stream)`` for
-  ``stream = 0, 1, 2, ...``.
+* independent streams under one seed are ``Philox(seed).jumped(stream)``:
+  ``STREAM_INSTANCE = 0`` draws the simulated instance, ``STREAM_REWARDS = 1``
+  the simulated Bernoulli rewards and ``STREAM_POLICY = 2`` the baselines'
+  population preference and the epsilon-greedy exploration.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 STREAM_INSTANCE = 0
 STREAM_REWARDS = 1
 STREAM_POLICY = 2
-STREAM_CANDIDATES = 3
 
 
 def derive_seed(experiment_seed: int, index: int) -> int:

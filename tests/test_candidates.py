@@ -60,8 +60,7 @@ def epsilon_greedy_oracle(scorer, candidates, k, epsilon, rng):
     return tuple(chosen)
 
 
-def candidate_set_oracle(t, ground, consumed, k, mode="remaining", rng=None,
-                         sample_size=None):
+def candidate_set_oracle(t, ground, consumed, k):
     """Set difference that re-sorts and re-uniques both sides."""
     ground = np.unique(np.asarray(list(ground), dtype=np.intp))
     if consumed:
@@ -70,11 +69,6 @@ def candidate_set_oracle(t, ground, consumed, k, mode="remaining", rng=None,
         remaining = ground
     if remaining.size < k:
         raise ExhaustedCandidatesError(f"round {t}")
-    if mode == "sampled":
-        size = min(int(sample_size), remaining.size)
-        if size < k:
-            raise ExhaustedCandidatesError(f"round {t}")
-        remaining = np.sort(rng.choice(remaining, size=size, replace=False))
     return remaining
 
 
@@ -264,13 +258,10 @@ def test_candidate_set_matches_set_difference_oracle():
         ground = np.arange(n) if trial % 2 else list(rng.permutation(n))
         consumed = set(rng.choice(n + 5, size=rng.integers(0, n + 1), replace=False).tolist())
         k = int(rng.integers(1, 6))
-        mode = "sampled" if trial % 3 == 0 else "remaining"
-        sample = int(rng.integers(1, n + 1))
         outcomes = []
         for fn in (candidate_set, candidate_set_oracle):
-            draw = np.random.default_rng(trial)
             try:
-                outcomes.append(fn(trial, ground, consumed, k, mode, draw, sample))
+                outcomes.append(fn(trial, ground, consumed, k))
             except ExhaustedCandidatesError:
                 outcomes.append(None)
         fast, slow = outcomes

@@ -12,10 +12,8 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
     TableDistanceMetric,
-    cosine_distance,
     cosine_metric,
     diversity_marginal,
-    joint_marginal,
     relevance_marginal,
     guarantee_preconditions,
     utility,
@@ -117,19 +115,22 @@ class TestDiversityMarginal:
                     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def marginal_gain(eta, item, slate, catalog):
+    """eta . [relevance_marginal; diversity_marginal] of appending `item`."""
+    return float(
+        eta.theta @ relevance_marginal(item, slate, catalog)
+        + eta.beta @ diversity_marginal(item, slate, catalog)
+    )
+
+
 class TestJointMarginal:
     def test_empty_slate(self):
         catalog = ItemCatalog(
             relevance=np.array([[0.5]]),
             metrics=(TableDistanceMetric(np.zeros((1, 1))),),
         )
-        np.testing.assert_array_equal(joint_marginal(0, (), catalog), [0.5, 0.0])
-
-    def test_is_concatenation(self, rng):
-        catalog = random_catalog(rng, 4, d=3, m=2)
-        got = joint_marginal(2, (0, 3), catalog)
-        np.testing.assert_array_equal(got[:3], relevance_marginal(2, (0, 3), catalog))
-        np.testing.assert_array_equal(got[3:], diversity_marginal(2, (0, 3), catalog))
+        np.testing.assert_array_equal(relevance_marginal(0, (), catalog), [0.5])
+        np.testing.assert_array_equal(diversity_marginal(0, (), catalog), [0.0])
 
     def test_matches_utility_difference(self, rng):
         catalog = random_catalog(rng, 5, d=2, m=2)
@@ -140,7 +141,7 @@ class TestJointMarginal:
                 for slate in itertools.combinations(others, size):
                     grown = tuple(slate) + (a,)
                     diff = utility(grown, eta, catalog) - utility(slate, eta, catalog)
-                    got = float(eta.stacked @ joint_marginal(a, slate, catalog))
+                    got = marginal_gain(eta, a, slate, catalog)
                     assert got == pytest.approx(diff, abs=1e-12)
 
 
@@ -165,7 +166,7 @@ class TestUtility:
         for perm in itertools.permutations(items):
             total = 0.0
             for k, a in enumerate(perm):
-                total += float(eta.stacked @ joint_marginal(a, perm[:k], catalog))
+                total += marginal_gain(eta, a, perm[:k], catalog)
             assert total == pytest.approx(reference, abs=1e-12)
 
     def test_matches_hand_oracle(self, rng):
@@ -218,6 +219,10 @@ class TestUtility:
                 utility(tuple(order[:size]), eta, catalog) for size in range(8)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def cosine_distance(z_i, z_j):
+    return CosineDistanceMetric(np.vstack([z_i, z_j])).pair(0, 1)
 
 
 class TestCosineDistance:

@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersion_bandit.cli import build_parser, main, resolve_seed
+from dispersion_bandit.baselines import (
+    EpsilonGreedyPolicy,
+    LogRankPolicy,
+    MmrPolicy,
+)
+from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy, resolve_seed
+from dispersion_bandit.environments import study_instance
+from dispersion_bandit.lmdh import LmdhPolicy
+from dispersion_bandit.seeding import rng_from_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -46,6 +54,44 @@ def test_parser_defaults():
     ratio = p.parse_args(["approx-ratio", "--out", "x"])
     assert ratio.metric_mode == "raw"
     assert ratio.runs == 100 and ratio.k is None
+
+
+POLICY_CLASSES = {
+    "lmdh": LmdhPolicy,
+    "logrank": LogRankPolicy,
+    "mmr": MmrPolicy,
+    "epsilon-greedy": EpsilonGreedyPolicy,
+}
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_make_policy_builds_each_policy(name):
+    assert set(POLICY_CLASSES) == set(POLICIES)
+    catalog = study_instance(3, n_items=9, d=4, k=3).catalog
+    rng = rng_from_seed(5, 2)
+    policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng)
+    assert type(policy) is POLICY_CLASSES[name]
+    assert policy.name == name and policy.catalog is catalog
+    if name == "lmdh":
+        assert (policy.config.k, policy.config.lam, policy.config.alpha) == (3, 2.5, 0.7)
+        assert (policy.config.d, policy.config.m) == (4, 1)
+        return
+    assert policy.k == 3
+    # the population preference is the rng's first draw
+    expected_u_bar = rng_from_seed(5, 2).uniform(0.0, 0.2, 4)
+    assert np.array_equal(policy.scorer.u_bar, expected_u_bar)
+    if name == "mmr":
+        assert policy.mmr_alpha == 0.6
+    if name == "epsilon-greedy":
+        assert policy.epsilon == 0.25 and policy.rng is rng
+    given = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, np.ones(4))
+    assert np.array_equal(given.scorer.u_bar, np.ones(4))
+
+
+def test_make_policy_rejects_unknown_names():
+    catalog = study_instance(3, n_items=9, d=4, k=3).catalog
+    with pytest.raises(SystemExit, match="'ucb-plain'"):
+        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0))
 
 
 def test_ingest_summary_line(capsys):

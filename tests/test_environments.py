@@ -17,7 +17,6 @@ from dispersion_bandit.environments import (
     SimInstance,
     SimulatedEnvironment,
     TrialLog,
-    bernoulli_feedback,
     candidate_set,
     study_instance,
     position_means,
@@ -38,7 +37,6 @@ from dispersion_bandit.lmdh import (
     LmdhPolicy,
     update,
 )
-from dispersion_bandit.seeding import rng_from_seed
 
 
 def zero_eta_instance(seed=5, n_items=6, d=3):
@@ -66,14 +64,16 @@ def test_sim_instance_validates_dimensions():
         SimInstance(inst.catalog, PreferenceVector(np.zeros(3), np.zeros(1)), seed=7)
     with pytest.raises(DimensionMismatchError):
         SimInstance(inst.catalog, PreferenceVector(np.zeros(4), np.zeros(2)), seed=7)
-    with pytest.raises(ValueError):
-        SimInstance(inst.catalog, inst.eta_star, seed=7, candidate_mode="sampled")
+
+
+def bernoulli_feedback(slate, env):
+    return env.feedback(annotate_slate(slate, env.instance.catalog))
 
 
 def test_bernoulli_zero_eta_gives_zero_rewards():
     inst = zero_eta_instance()
     slate = Slate((0, 1, 2), capacity=3)
-    rewards = bernoulli_feedback(slate, inst, rng=1)
+    rewards = bernoulli_feedback(slate, SimulatedEnvironment(inst))
     assert np.array_equal(rewards, np.zeros(3))
 
 
@@ -87,7 +87,7 @@ def test_bernoulli_saturated_mean_gives_one_rewards():
     means, hits = position_means(slate, pumped)
     assert np.array_equal(means, np.ones(3))
     assert hits == 3
-    rewards = bernoulli_feedback(slate, pumped, rng=2)
+    rewards = bernoulli_feedback(slate, SimulatedEnvironment(pumped))
     assert np.array_equal(rewards, np.ones(3))
 
 
@@ -97,10 +97,11 @@ def test_bernoulli_click_rate_matches_mean():
     slate = Slate((0, 3, 5), capacity=3)
     means, _ = position_means(slate, inst)
     draws = 100_000
-    rng = rng_from_seed(11, 1)
+    env = SimulatedEnvironment(inst)
+    selection = annotate_slate(slate, inst.catalog)
     total = np.zeros(3)
     for _ in range(draws):
-        total += bernoulli_feedback(slate, inst, rng)
+        total += env.feedback(selection)
     freq = total / draws
     sigma = np.sqrt(means * (1.0 - means) / draws)
     assert np.all(np.abs(freq - means) <= 3.0 * sigma + 1e-9), (freq, means)
@@ -148,19 +149,6 @@ def test_candidate_set_removes_consumed():
         candidate_set(3, ground, set(range(8)), 3)
 
 
-def test_candidate_set_sampled_mode():
-    rng1 = rng_from_seed(50, 3)
-    rng2 = rng_from_seed(50, 3)
-    a = candidate_set(1, range(30), {0, 1}, 3, mode="sampled", rng=rng1, sample_size=5)
-    b = candidate_set(1, range(30), {0, 1}, 3, mode="sampled", rng=rng2, sample_size=5)
-    assert np.array_equal(a, b)
-    assert a.size == 5
-    assert np.all(np.isin(a, np.arange(2, 30)))
-    assert np.all(np.diff(a) > 0)
-    with pytest.raises(ValueError):
-        candidate_set(1, range(30), set(), 3, mode="sampled", rng=None, sample_size=5)
-
-
 def test_simulated_environment_counts_clamps():
     inst = study_instance(21, n_items=6, d=3, k=3)
     eta = PreferenceVector(np.full(3, 50.0), np.full(1, 50.0))
@@ -176,16 +164,6 @@ def test_simulated_environment_presents_full_ground_set():
     env = SimulatedEnvironment(inst)
     for t in (1, 5, 100):
         assert np.array_equal(env.candidates(t, 3), np.arange(7))
-
-
-def test_simulated_environment_sampled_mode():
-    inst = study_instance(23, n_items=12, d=3, k=3, candidate_mode="sampled", sample_size=6)
-    env = SimulatedEnvironment(inst)
-    first = env.candidates(1, 3)
-    assert first.size == 6
-    # a second environment with the same seed replays the same subsets
-    env2 = SimulatedEnvironment(inst)
-    assert np.array_equal(env2.candidates(1, 3), first)
 
 
 def test_run_episode_zero_rounds():

@@ -29,10 +29,10 @@ from dispersion_bandit.evaluation import (
     RegretConfig,
     RegretSeries,
     average_regret,
+    _ordered_mean,
+    _usable,
     compute_metric_series,
-    diversity_at,
     f_beta_at,
-    recall_at,
     scaled_regret,
     slate_diversity,
     write_metrics_csv,
@@ -61,6 +61,40 @@ def fake_log(round_items):
     return TrialLog(
         tuple(fake_round(t, items) for t, items in enumerate(round_items, start=1))
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles: recall and diversity at one round, recomputed from round 1 (O(t^2)
+# over a series); compute_metric_series keeps running sums instead
+
+
+def recall_at(logs, positives, t: int) -> float:
+    """Mean over alive users of sum_{l<=t} |A_l intersect I| / |I|."""
+    kept_logs, kept_pos, _ = _usable(logs, positives)
+    contributions = []
+    for log, pos in zip(kept_logs, kept_pos):
+        if len(log) < t:
+            continue  # user's episode ended before t
+        hits = sum(
+            1 for entry in log.rounds[:t] for item in entry.items if item in pos
+        )
+        contributions.append(hits / len(pos))
+    if not contributions:
+        raise PreconditionError(f"no user is alive at round {t}")
+    return _ordered_mean(contributions)
+
+
+def diversity_at(logs, catalog, t: int) -> float:
+    """Per user: average slate diversity over rounds 1..t; then mean over users."""
+    contributions = []
+    for log in logs:
+        if len(log) < t:
+            continue
+        per_round = [slate_diversity(entry.items, catalog) for entry in log.rounds[:t]]
+        contributions.append(float(np.sort(np.asarray(per_round)).sum() / t))
+    if not contributions:
+        raise PreconditionError(f"no user is alive at round {t}")
+    return _ordered_mean(contributions)
 
 
 def test_recall_hand_example():
@@ -191,6 +225,24 @@ def test_metric_series_is_order_independent():
     assert np.array_equal(series_a.recall, series_b.recall)
     assert np.array_equal(series_a.diversity, series_b.diversity)
     assert np.array_equal(series_a.n_users, series_b.n_users)
+
+
+def test_metric_series_matches_per_round_oracles():
+    rng = np.random.default_rng(78)
+    relevance = rng.uniform(-1.0, 1.0, size=(12, 3))
+    catalog = ItemCatalog(relevance, (TableDistanceMetric(np.zeros((12, 12))),))
+    logs, positives = [], []
+    for _ in range(6):
+        rounds = int(rng.integers(1, 6))
+        shown = rng.permutation(12)[: 2 * rounds].reshape(rounds, 2)
+        logs.append(fake_log([tuple(int(i) for i in pair) for pair in shown]))
+        positives.append(set(rng.choice(12, size=rng.integers(1, 6), replace=False).tolist()))
+    series = compute_metric_series(logs, positives, catalog)
+    for t in series.rounds:
+        assert series.recall[t - 1] == pytest.approx(recall_at(logs, positives, t), abs=1e-12)
+        assert series.diversity[t - 1] == pytest.approx(
+            diversity_at(logs, catalog, t), abs=1e-12
+        )
 
 
 def regret_instance(seed=77):

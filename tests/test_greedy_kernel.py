@@ -1,0 +1,207 @@
+"""The one greedy pass loop, `greedy.greedy_fill`, against the loops it replaced.
+
+`greedy_select`, `lmdh.select_slate` and `baselines.mmr_select` each wrote
+the pass loop (score, mask the taken items, argmax, add a distance column)
+themselves.  Those three loops are kept here as oracles, and the selectors
+built on the kernel must match them bit for bit: slates, gains, features,
+widths, scores and the width-clamp count.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispersion_bandit.baselines import StaticScorer, mmr_select
+from dispersion_bandit.catalog import (
+    ItemCatalog,
+    PreferenceVector,
+    Slate,
+    TableDistanceMetric,
+)
+from dispersion_bandit.greedy import _pairwise_weights, greedy_select
+from dispersion_bandit.lmdh import (
+    HybridStatistics,
+    LmdhConfig,
+    _raw_widths_batch,
+    estimate_preferences,
+    select_slate,
+    update,
+)
+
+# ---------------------------------------------------------------------------
+# oracles: the three pass loops as they stood before the kernel
+
+
+def greedy_select_oracle(eta, catalog, candidates, k):
+    catalog.check_eta(eta)
+    cand = catalog.candidate_ids(candidates, k)
+    rel_scores = catalog.relevance[cand] @ eta.theta
+    div_acc = np.zeros((cand.size, catalog.diversity_dim))
+    taken = np.zeros(cand.size, dtype=bool)
+    chosen, gains = [], []
+    for _ in range(k):
+        scores = rel_scores + div_acc @ eta.beta
+        scores[taken] = -np.inf
+        pick = int(np.argmax(scores))
+        gains.append(float(scores[pick]))
+        taken[pick] = True
+        item = int(cand[pick])
+        chosen.append(item)
+        for i, metric in enumerate(catalog.metrics):
+            div_acc[:, i] += metric.column(item, cand)
+    return tuple(chosen), tuple(gains)
+
+
+def select_slate_oracle(stats, config, catalog, candidates):
+    cand = catalog.candidate_ids(candidates, config.k)
+    theta, beta = estimate_preferences(stats)
+    Z = catalog.relevance[cand]
+    HZ = Z @ stats.inv_H
+    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    rel_scores = Z @ theta
+    X = np.zeros((cand.size, catalog.diversity_dim))
+    div_cols = np.zeros((cand.size, len(catalog.metrics)))
+    taken = np.zeros(cand.size, dtype=bool)
+    chosen = []
+    rel_feats = np.zeros((config.k, config.d))
+    div_feats = np.zeros((config.k, config.m))
+    widths = np.zeros(config.k)
+    scores_taken = np.zeros(config.k)
+    for step in range(config.k):
+        v = _raw_widths_batch(HZ, term_zz, X, stats)
+        live = ~taken
+        stats.clamp_count += int(np.count_nonzero(v[live] < 0.0))
+        v = np.maximum(v, 0.0)
+        scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
+        scores[taken] = -np.inf
+        pick = int(np.argmax(scores))
+        taken[pick] = True
+        item = int(cand[pick])
+        chosen.append(item)
+        rel_feats[step] = Z[pick]
+        div_feats[step] = X[pick]
+        widths[step] = math.sqrt(v[pick])
+        scores_taken[step] = scores[pick]
+        if step + 1 < config.k:
+            for i, metric in enumerate(catalog.metrics):
+                div_cols[:, i] += metric.column(item, cand)
+            X = div_cols
+    return tuple(chosen), rel_feats, div_feats, widths, scores_taken
+
+
+def mmr_select_oracle(scorer, catalog, candidates, k, mmr_alpha):
+    cand = catalog.candidate_ids(candidates, k)
+    quality = scorer.quality[cand]
+    unit = scorer._unit[cand]
+    sim_sum = np.zeros(cand.size)
+    taken = np.zeros(cand.size, dtype=bool)
+    chosen = []
+    for step in range(k):
+        scores = mmr_alpha * quality
+        if step > 0:
+            scores = scores - (1.0 - mmr_alpha) / step * sim_sum
+        scores[taken] = -np.inf
+        pick = int(np.argmax(scores))
+        taken[pick] = True
+        item = int(cand[pick])
+        chosen.append(item)
+        sim_sum += unit @ scorer._unit[item]
+    return tuple(chosen)
+
+
+def pairwise_weights_oracle(eta, catalog, cand):
+    w = np.zeros((cand.size, cand.size))
+    for beta_i, metric in zip(eta.beta, catalog.metrics):
+        if beta_i == 0.0:
+            continue
+        for p, item in enumerate(cand):
+            w[p] += beta_i * metric.column(int(item), cand)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# random instances, with exact ties when the values are drawn from a grid
+
+
+def draw_values(rng, size, tied):
+    if tied:
+        return rng.choice(np.array([-1.0, 0.0, 0.5, 1.0]), size=size)
+    return rng.uniform(-1.0, 1.0, size=size)
+
+
+def draw_catalog(rng, n_items, d, m, tied):
+    relevance = draw_values(rng, (n_items, d), tied)
+    relevance[np.all(relevance == 0.0, axis=1), 0] = 1.0  # MMR needs no zero rows
+    metrics = []
+    for _ in range(m):
+        raw = np.abs(draw_values(rng, (n_items, n_items), tied))
+        upper = np.triu(raw, k=1)
+        metrics.append(TableDistanceMetric(upper + upper.T))
+    return ItemCatalog(relevance, tuple(metrics))
+
+
+def trained_stats(rng, catalog, k, rounds):
+    d, m = catalog.relevance_dim, catalog.diversity_dim
+    stats = HybridStatistics(d, m, lam=1.0)
+    config = LmdhConfig(lam=1.0, alpha=1.0, d=d, m=m, k=k)
+    for _ in range(rounds):
+        selection = select_slate_oracle(stats, config, catalog, catalog.all_items())
+        chosen, z, x, _, _ = selection
+        update(stats, Slate(chosen, k), rng.integers(0, 2, k).astype(float), (z, x))
+    return stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.sampled_from([1, 2, 3]), label="m")
+    d = data.draw(st.integers(1, 4), label="d")
+    n_items = data.draw(st.integers(1, 12), label="n_items")
+    tied = data.draw(st.booleans(), label="tied")
+    catalog = draw_catalog(rng, n_items, d, m, tied)
+    n_cand = data.draw(st.integers(1, n_items), label="n_cand")
+    cand = np.sort(rng.choice(n_items, size=n_cand, replace=False)).astype(np.intp)
+    k = data.draw(
+        st.sampled_from([1, n_cand]) | st.integers(1, n_cand), label="k"
+    )
+
+    # greedy: negative theta and beta allowed
+    eta = PreferenceVector(draw_values(rng, d, tied), draw_values(rng, m, tied))
+    result = greedy_select(eta, catalog, cand, k)
+    items, gains = greedy_select_oracle(eta, catalog, cand, k)
+    assert result.slate.items == items
+    assert np.array(result.gain_trace).tobytes() == np.array(gains).tobytes()
+    assert (
+        _pairwise_weights(eta, catalog, cand).tobytes()
+        == pairwise_weights_oracle(eta, catalog, cand).tobytes()
+    )
+
+    # LMDH: trained statistics; a negated H^{-1} forces negative widths so
+    # the clamp count (over candidates not yet taken) is exercised
+    stats = trained_stats(rng, catalog, 1, data.draw(st.integers(0, 4), label="rounds"))
+    if data.draw(st.booleans(), label="negative_widths"):
+        stats.inv_H = -stats.inv_H
+    alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")
+    config = LmdhConfig(lam=1.0, alpha=alpha, d=d, m=m, k=k)
+    ours, theirs = stats.copy(), stats.copy()
+    got = select_slate(ours, config, catalog, cand)
+    want = select_slate_oracle(theirs, config, catalog, cand)
+    assert got.slate.items == want[0]
+    assert got.relevance_features.tobytes() == want[1].tobytes()
+    assert got.diversity_features.tobytes() == want[2].tobytes()
+    assert got.widths.tobytes() == want[3].tobytes()
+    assert got.scores.tobytes() == want[4].tobytes()
+    assert ours.clamp_count - stats.clamp_count == theirs.clamp_count - stats.clamp_count
+
+    # MMR: a zero population preference ties every quality
+    u_bar = np.zeros(d) if tied else rng.normal(size=d)
+    scorer = StaticScorer(u_bar, catalog)
+    mmr_alpha = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="mmr_alpha")
+    assert (
+        mmr_select(scorer, catalog, cand, k, mmr_alpha).items
+        == mmr_select_oracle(scorer, catalog, cand, k, mmr_alpha)
+    )

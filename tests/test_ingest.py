@@ -241,7 +241,7 @@ def test_load_embeddings_round_trip(tmp_path):
     path = write(tmp_path / "emb.csv", "\n".join(lines) + "\n")
     emb = load_embeddings(path, expected_d=3)
     assert np.all(emb.vectors >= -1.0) and np.all(emb.vectors <= 1.0)
-    recovered = emb.denormalize(emb.vectors)
+    recovered = (emb.vectors + 1.0) / 2.0 * (emb.maxs - emb.mins) + emb.mins
     assert np.allclose(recovered, raw, atol=1e-9)
 
 

@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersion_bandit.catalog import PreferenceVector, Slate
+from dispersion_bandit.catalog import (
+    ItemCatalog,
+    PreferenceVector,
+    Slate,
+    TableDistanceMetric,
+)
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
     InvalidFeedbackError,
-    ParseError,
     PreconditionError,
 )
 from dispersion_bandit.greedy import greedy_select
@@ -29,12 +33,9 @@ from dispersion_bandit.lmdh import (
     confidence_width,
     estimate_preferences,
     lemma1_width_budget,
-    load_statistics,
     regret_upper_bound,
-    save_statistics,
     select_slate,
     theoretical_alpha,
-    ucb_score,
     update,
 )
 
@@ -279,13 +280,24 @@ def test_reward_model_consistency_monte_carlo():
     assert err < 0.1
 
 
+def ucb_scores(stats, z, x, alpha):
+    """select_slate's logged scores on two items with relevance z, distance x.
+
+    The tie at the first pick takes item 0, whose index is taken at
+    (z, 0); item 1's at the second pick is taken at (z, x).
+    """
+    table = np.array([[0.0, x], [x, 0.0]])
+    catalog = ItemCatalog(np.vstack([z, z]), (TableDistanceMetric(table),))
+    config = LmdhConfig(lam=stats.lam, alpha=alpha, d=z.size, m=1, k=2)
+    return select_slate(stats, config, catalog, [0, 1]).scores
+
+
 def test_ucb_score_fresh():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
     z = np.array([1.0, 0.0, 0.0])
-    x = np.zeros(1)
-    assert ucb_score(z, x, stats, alpha=1.0) == pytest.approx(1.0, abs=1e-12)
-    assert ucb_score(z, x, stats, alpha=0.0) == pytest.approx(0.0, abs=1e-12)
-    assert ucb_score(z, x, stats, alpha=2.0) == pytest.approx(2.0, abs=1e-12)
+    assert ucb_scores(stats, z, 0.0, alpha=1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert ucb_scores(stats, z, 0.0, alpha=0.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert ucb_scores(stats, z, 0.0, alpha=2.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ucb_score_is_monotone_in_alpha():
@@ -293,9 +305,11 @@ def test_ucb_score_is_monotone_in_alpha():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
     feed(stats, random_rounds(rng, 10, 2, 3, 1))
     z = rng.uniform(0.0, 1.0, size=3)
-    x = rng.uniform(0.0, 1.0, size=1)
-    scores = [ucb_score(z, x, stats, alpha=a) for a in (0.0, 0.5, 1.0, 2.0)]
-    assert scores == sorted(scores)
+    x = float(rng.uniform(0.0, 1.0))
+    scores = [ucb_scores(stats, z, x, alpha=a) for a in (0.0, 0.5, 1.0, 2.0)]
+    for pos in (0, 1):
+        column = [s[pos] for s in scores]
+        assert column == sorted(column)
 
 
 def test_select_slate_fresh_orders_by_width():
@@ -326,8 +340,6 @@ def test_select_slate_fresh_orders_by_width():
 
 
 def test_select_slate_tie_breaks_by_smallest_id():
-    from dispersion_bandit.catalog import ItemCatalog, TableDistanceMetric
-
     relevance = np.tile(np.array([0.4, 0.1]), (4, 1))
     table = np.ones((4, 4)) - np.eye(4)
     catalog = ItemCatalog(relevance, (TableDistanceMetric(table),))
@@ -483,33 +495,6 @@ def test_width_budget_properties():
     assert lemma1_width_budget(more_rounds) > lemma1_width_budget(base)
     assert lemma1_width_budget(bigger_slates) > lemma1_width_budget(base)
     assert lemma1_width_budget(base) == pytest.approx(1558.412, abs=0.01)
-
-
-def test_snapshot_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(24)
-    stats = HybridStatistics(d=4, m=2, lam=0.7)
-    feed(stats, random_rounds(rng, 25, 3, 4, 2))
-    path = tmp_path / "stats.csv"
-    save_statistics(stats, path)
-    loaded = load_statistics(path)
-    assert loaded.d == stats.d and loaded.m == stats.m and loaded.lam == stats.lam
-    for name in ("H", "B", "M", "u", "y"):
-        assert np.array_equal(getattr(loaded, name), getattr(stats, name)), name
-    assert loaded.observation_count == stats.observation_count
-    assert np.allclose(loaded.inv_H @ loaded.H, np.eye(4), atol=1e-10)
-
-
-def test_snapshot_rejects_malformed_files(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("not,a,header\n1,2,3\n")
-    with pytest.raises(ParseError):
-        load_statistics(path)
-    path.write_text("d,m,lambda\n2,1,1.0\nH,1.0\n")
-    with pytest.raises(ParseError):
-        load_statistics(path)
-    path.write_text("d,m,lambda\n2,1,1.0\n")
-    with pytest.raises(ParseError):
-        load_statistics(path)
 
 
 def test_config_validation():
