@@ -116,9 +116,10 @@ def mmr_select(
             scores = scores - (1.0 - mmr_alpha) / step * sim_sum
         return scores
 
-    picks, _, _ = greedy_fill(
-        np.zeros(cand.size), k, score, lambda pick: unit @ scorer._unit[cand[pick]]
-    )
+    def add_similarity(sim_sum: np.ndarray, pick: int) -> None:
+        sim_sum += unit @ scorer._unit[cand[pick]]
+
+    picks, _, _ = greedy_fill(np.zeros(cand.size), k, score, add_similarity)
     return Slate(tuple(cand[picks]), capacity=k)
 
 

@@ -155,14 +155,12 @@ def make_policy(
     epsilon: float,
     mmr_alpha: float,
     rng: np.random.Generator,
-    u_bar: np.ndarray | None = None,
+    u_bar: np.ndarray,
 ):
     """The one place a policy is built from the command-line settings.
 
-    Baselines score with the population preference `u_bar`; when it is None
-    it is drawn from `rng` from the same prior as the true one (a stand-in
-    for a scorer trained on other users), before epsilon-greedy takes the
-    same `rng` for its exploration.
+    Baselines score with the population preference `u_bar`; epsilon-greedy
+    explores with `rng`.  LMDH uses neither.
     """
     if name == "lmdh":
         config = LmdhConfig(
@@ -171,8 +169,6 @@ def make_policy(
         return LmdhPolicy(config, catalog)
     if name not in POLICIES:
         raise SystemExit(f"unknown policy {name!r}")
-    if u_bar is None:
-        u_bar = rng.uniform(0.0, 0.2, catalog.relevance_dim)
     scorer = StaticScorer(u_bar, catalog)
     if name == "logrank":
         return LogRankPolicy(scorer, catalog, k)
@@ -197,9 +193,13 @@ def _simulate_run(task: tuple):
     instance = study_instance(
         run_seed, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
     )
+    # The baselines' u_bar is drawn from the true preference's prior (a
+    # stand-in for a scorer trained on other users) before epsilon-greedy
+    # takes the same rng for its exploration.
+    rng = rng_from_seed(run_seed, STREAM_POLICY)
     policy = make_policy(
         policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng_from_seed(run_seed, STREAM_POLICY),
+        rng, rng.uniform(0.0, 0.2, SIM_D),
     )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)

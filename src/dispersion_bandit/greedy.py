@@ -40,15 +40,16 @@ class GreedyResult:
         return float(sum(self.gain_trace))
 
 
-def greedy_fill(acc: np.ndarray, k: int, score, column):
+def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     """The greedy pass loop shared by every slate selector.
 
     Pass `step` scores all candidates with `score(step, acc, taken)`, which
     returns a fresh array, masks the taken ones, picks the first maximum
-    (the smallest id, as candidates are sorted) and adds `column(pick)` to
-    `acc` in place, so `acc` holds the summed columns of the picks so far.
-    Returns the pick positions, `acc`'s row at each pick (before its own
-    column is added) and the score at each pick.
+    (the smallest id, as candidates are sorted) and calls
+    `add_column(acc, pick)`, which adds the pick's column to `acc` in place,
+    so `acc` holds the summed columns of the picks so far.  Returns the pick
+    positions, `acc`'s row at each pick (before its own column is added) and
+    the score at each pick.
     """
     taken = np.zeros(acc.shape[0], dtype=bool)
     picks = np.empty(k, dtype=np.intp)
@@ -63,18 +64,19 @@ def greedy_fill(acc: np.ndarray, k: int, score, column):
         rows[step] = acc[pick]
         pick_scores[step] = scores[pick]
         if step + 1 < k:
-            acc += column(pick)
+            add_column(acc, pick)
     return picks, rows, pick_scores
 
 
 def metric_columns(catalog: ItemCatalog, cand: np.ndarray):
-    """column(pick) -> (n, m): h_i(cand[pick], cand) for each metric i."""
+    """add(acc, pick): acc[:, i] += h_i(cand[pick], cand) for each metric i."""
 
-    def column(pick: int) -> np.ndarray:
+    def add(acc: np.ndarray, pick: int) -> None:
         item = int(cand[pick])
-        return np.array([metric.column(item, cand) for metric in catalog.metrics]).T
+        for i, metric in enumerate(catalog.metrics):
+            acc[:, i] += metric.column(item, cand)
 
-    return column
+    return add
 
 
 def greedy_select(
@@ -106,8 +108,10 @@ def _pairwise_weights(
     eta: PreferenceVector, catalog: ItemCatalog, cand: np.ndarray
 ) -> np.ndarray:
     """W[p, q] = sum_i beta_i * h_i(cand[p], cand[q]) over the candidate grid."""
-    column = metric_columns(catalog, cand)
-    h = np.array([column(p) for p in range(cand.size)])  # h[p, q, i]
+    add = metric_columns(catalog, cand)
+    h = np.zeros((cand.size, cand.size, catalog.diversity_dim))  # h[p, q, i]
+    for p in range(cand.size):
+        add(h[p], p)
     w = np.zeros((cand.size, cand.size))
     for i, beta_i in enumerate(eta.beta):
         if beta_i != 0.0:

@@ -202,6 +202,10 @@ def select_slate(
     grows, O(L*(d^2 + d*m + m^2)).  Negative widths of candidates not yet
     taken are counted in `stats.clamp_count` and clipped to zero.  Ties take
     the smallest item id.  Both inverses are read from cache.
+
+    `greedy_fill` records the accumulator row and the score at each pick, but
+    not the width, so the score closure keeps each pass's clipped widths in
+    `passes` and the width at each pick is read from them afterwards.
     """
     _check_config(config, catalog)
     cand = catalog.candidate_ids(candidates, config.k)

@@ -4,6 +4,7 @@ Most tests drive main() in-process for speed; one subprocess test proves the
 module entry point works from a cold interpreter.
 """
 
+import copy
 import csv
 import hashlib
 import json
@@ -19,10 +20,11 @@ from dispersion_bandit.baselines import (
     LogRankPolicy,
     MmrPolicy,
 )
+from dispersion_bandit import cli
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy, resolve_seed
 from dispersion_bandit.environments import study_instance
 from dispersion_bandit.lmdh import LmdhPolicy
-from dispersion_bandit.seeding import rng_from_seed
+from dispersion_bandit.seeding import STREAM_POLICY, rng_from_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -69,7 +71,8 @@ def test_make_policy_builds_each_policy(name):
     assert set(POLICY_CLASSES) == set(POLICIES)
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
     rng = rng_from_seed(5, 2)
-    policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng)
+    u_bar = np.linspace(0.0, 0.2, 4)
+    policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, u_bar)
     assert type(policy) is POLICY_CLASSES[name]
     assert policy.name == name and policy.catalog is catalog
     if name == "lmdh":
@@ -77,21 +80,35 @@ def test_make_policy_builds_each_policy(name):
         assert (policy.config.d, policy.config.m) == (4, 1)
         return
     assert policy.k == 3
-    # the population preference is the rng's first draw
-    expected_u_bar = rng_from_seed(5, 2).uniform(0.0, 0.2, 4)
-    assert np.array_equal(policy.scorer.u_bar, expected_u_bar)
+    assert np.array_equal(policy.scorer.u_bar, u_bar)
     if name == "mmr":
         assert policy.mmr_alpha == 0.6
     if name == "epsilon-greedy":
         assert policy.epsilon == 0.25 and policy.rng is rng
-    given = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, np.ones(4))
-    assert np.array_equal(given.scorer.u_bar, np.ones(4))
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch):
+    built = []
+
+    def recording_make_policy(*args):
+        rng, u_bar = args[-2:]
+        built.append((copy.deepcopy(rng).random(3), u_bar))
+        return make_policy(*args)
+
+    monkeypatch.setattr(cli, "make_policy", recording_make_policy)
+    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, "slate-normalized", "exhaustive"))
+    next_draws, u_bar = built[0]
+    # u_bar is the stream's first draw; the rng is handed over right after it
+    fresh = rng_from_seed(17, STREAM_POLICY)
+    assert np.array_equal(u_bar, fresh.uniform(0.0, 0.2, cli.SIM_D))
+    assert np.array_equal(next_draws, fresh.random(3))
 
 
 def test_make_policy_rejects_unknown_names():
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
     with pytest.raises(SystemExit, match="'ucb-plain'"):
-        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0))
+        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0), np.ones(4))
 
 
 def test_ingest_summary_line(capsys):
