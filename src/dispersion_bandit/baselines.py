@@ -15,11 +15,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .catalog import (
-    ItemCatalog,
-    Slate,
-    diversity_marginal,
-)
+from .catalog import ItemCatalog, Slate, slate_features
 from .errors import DimensionMismatchError
 from .greedy import greedy_fill
 from .seeding import as_rng
@@ -53,13 +49,7 @@ class PolicyInterface(Protocol):
 
 def annotate_slate(slate: Slate, catalog: ItemCatalog) -> SlateSelection:
     """Fill in per-position marginal features for a slate chosen by any rule."""
-    k = len(slate)
-    z = np.zeros((k, catalog.relevance_dim))
-    x = np.zeros((k, catalog.diversity_dim))
-    for pos, item in enumerate(slate.items):
-        prefix = slate.items[:pos]
-        z[pos] = catalog.relevance[catalog.check_item(item)]
-        x[pos] = diversity_marginal(item, prefix, catalog)
+    z, x = slate_features(slate, catalog)
     return SlateSelection(slate=slate, relevance_features=z, diversity_features=x)
 
 

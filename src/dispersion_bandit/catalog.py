@@ -15,7 +15,7 @@ greedy selector and the bandit learner exploit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -283,6 +283,15 @@ class ItemCatalog:
             )
         return item
 
+    def check_ids(self, ids: np.ndarray, what: str) -> None:
+        """Raise InvalidItemError naming the (first five) ids outside 0..L-1."""
+        bad = ids[(ids < 0) | (ids >= self.item_count)]
+        if bad.size:
+            raise InvalidItemError(
+                f"{what} outside ground set of size {self.item_count}: "
+                f"{bad[:5].tolist()}"
+            )
+
     def candidate_ids(self, candidates, k: int) -> np.ndarray:
         """Candidates as a sorted, distinct, in-range intp array holding >= k ids.
 
@@ -292,11 +301,7 @@ class ItemCatalog:
         """
         cand = sorted_ids(candidates)
         if cand.size and (cand[0] < 0 or cand[-1] >= self.item_count):
-            bad = cand[(cand < 0) | (cand >= self.item_count)]
-            raise InvalidItemError(
-                f"candidate ids outside ground set of size {self.item_count}: "
-                f"{bad[:5].tolist()}"
-            )
+            self.check_ids(cand, "candidate ids")
         if k < 1 or cand.size < k:
             raise InsufficientCandidatesError(
                 f"need {k} items but only {cand.size} candidates"
@@ -320,33 +325,20 @@ def _slate_items(slate: Slate | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(a) for a in slate)
 
 
-def relevance_marginal(
-    item: int, slate: Slate | Sequence[int], catalog: ItemCatalog
-) -> np.ndarray:
-    """Relevance gain of appending `item`: its feature row, independent of A."""
-    item = catalog.check_item(item)
-    if item in _slate_items(slate):
-        raise DuplicateItemError(f"item {item} already in slate")
-    return catalog.relevance[item].copy()
+def slate_features(slate: Slate, catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position marginal features (z, x) of a slate, in slate order.
 
-
-def diversity_marginal(
-    item: int, slate: Slate | Sequence[int], catalog: ItemCatalog
-) -> np.ndarray:
-    """Diversity gain of appending `item`: sum of distances to the slate.
-
-    Component i is sum_{j in A} h_i(item, j); the zero vector for empty A.
+    z[p] is item a_p's relevance row and x[p, i] = sum_{j < p} h_i(a_p, a_j)
+    its diversity marginal against the items before it (zero at p = 0).  The
+    slate's ids are range-checked once.
     """
-    item = catalog.check_item(item)
-    items = _slate_items(slate)
-    if item in items:
-        raise DuplicateItemError(f"item {item} already in slate")
-    gain = np.zeros(catalog.diversity_dim)
-    if items:
-        ids = np.asarray(items, dtype=np.intp)
+    ids = np.asarray(slate.items, dtype=np.intp)
+    catalog.check_ids(ids, "slate ids")
+    x = np.zeros((ids.size, catalog.diversity_dim))
+    for p in range(1, ids.size):
         for i, metric in enumerate(catalog.metrics):
-            gain[i] = metric.column(item, ids).sum()
-    return gain
+            x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
+    return catalog.relevance[ids], x
 
 
 def utility(

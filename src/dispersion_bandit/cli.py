@@ -38,7 +38,7 @@ from .evaluation import (
     write_metrics_csv,
     write_regret_csv,
 )
-from .greedy import exhaustive_optimum, greedy_select
+from .greedy import exhaustive_optimum, greedy_select, ratio_to_optimum
 from .ingest import (
     FORMAT_ALIASES,
     FORMATS,
@@ -294,8 +294,7 @@ def _ratio_task(task: tuple):
     _, optimal_value = exhaustive_optimum(
         instance.eta_star, instance.catalog, candidates, k
     )
-    ratio = result.value / optimal_value if optimal_value > 0 else 1.0
-    return result.value, optimal_value, ratio
+    return result.value, optimal_value, ratio_to_optimum(result.value, optimal_value)
 
 
 def cmd_approx_ratio(args: argparse.Namespace) -> int:

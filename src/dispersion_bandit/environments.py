@@ -22,7 +22,7 @@ from .catalog import (
     PreferenceVector,
     Slate,
     cosine_metric,
-    diversity_marginal,
+    slate_features,
     sorted_ids,
     utility,
 )
@@ -116,15 +116,11 @@ def position_means(slate: Slate, instance: SimInstance) -> tuple[np.ndarray, int
     counted for visibility.
     """
     theta, beta = instance.eta_star.theta, instance.eta_star.beta
+    z, x = slate_features(slate, instance.catalog)
     means = np.zeros(len(slate))
     clamp_hits = 0
-    for pos, item in enumerate(slate.items):
-        idx = instance.catalog.check_item(item)
-        prefix = slate.items[:pos]
-        raw = float(
-            theta @ instance.catalog.relevance[idx]
-            + beta @ diversity_marginal(item, prefix, instance.catalog)
-        )
+    for pos in range(len(slate)):
+        raw = float(theta @ z[pos] + beta @ x[pos])
         if raw < 0.0 or raw > 1.0:
             clamp_hits += 1
         means[pos] = min(max(raw, 0.0), 1.0)

@@ -181,6 +181,14 @@ def approximation_ratio(
     """
     result = greedy_select(eta, catalog, candidates, k)
     _, best_value = exhaustive_optimum(eta, catalog, candidates, k, budget=budget)
-    if best_value == 0.0:
-        raise DegenerateInstanceError("optimal utility is zero; ratio undefined")
-    return utility(result.slate, eta, catalog) / best_value
+    return ratio_to_optimum(utility(result.slate, eta, catalog), best_value)
+
+
+def ratio_to_optimum(greedy_value: float, optimal_value: float) -> float:
+    """greedy / optimum; an optimum <= 0 has no meaningful ratio and raises."""
+    if optimal_value <= 0.0:
+        raise DegenerateInstanceError(
+            f"optimal utility {optimal_value} is not positive (greedy "
+            f"{greedy_value}); ratio undefined"
+        )
+    return greedy_value / optimal_value

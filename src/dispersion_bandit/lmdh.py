@@ -1,23 +1,15 @@
 """Hybrid linear-UCB learner over joint relevance + diversity marginal features.
 
-The learner regresses rewards w on the stacked feature zeta = [z; x] where z
-is the item's relevance vector and x its diversity marginal against the
-partial slate.  Rather than carrying the full (d+m)-dimensional design matrix
-Phi = lam*I + sum zeta zeta^T, the statistics keep blockwise sums
-
-    M = lam*I_m + sum x x^T        B = sum z x^T        y = sum w x
-
-together with the z-side blocks already reduced by the Schur complement:
-
-    H = lam*I_d + sum z z^T - B M^{-1} B^T
-    u = sum w z - B M^{-1} y
-
-Under this invariant theta_hat = H^{-1} u and beta_hat = M^{-1}(y - B^T
-theta_hat) recover exactly the joint ridge solution Phi^{-1} b, and the
-four-term confidence width computed below equals zeta^T Phi^{-1} zeta by the
-block-inverse identity.  The payoff is that per-round work inverts only a
-d x d and an m x m matrix instead of a (d+m) x (d+m) one, and slate selection
-touches no inverse inside the per-item loop.
+The learner regresses rewards w on zeta = [z; x]: the item's relevance
+vector z and its diversity marginal x against the partial slate.  There is
+one shared theta and one shared beta and no per-arm parameters, so the
+statistics are the plain joint ridge sums A = lam*I + sum zeta zeta^T and
+b = sum w zeta with A^{-1} cached: [theta_hat; beta_hat] = A^{-1} b and the
+width is v = zeta^T A^{-1} zeta.  Hybrid LinUCB's Schur-complement split
+(Li et al. 2010, Algorithm 2) exists to keep per-arm blocks apart, so it
+buys nothing here; sums that are only ever added to do not drift from the
+joint ridge solution.  Within one selection only x changes between passes,
+so the width's z-only terms are computed once per selection (`_z_terms`).
 """
 
 from __future__ import annotations
@@ -89,16 +81,17 @@ class TheoryParams:
 
 def _pd_inverse(mat: np.ndarray, label: str) -> np.ndarray:
     try:
+        np.linalg.cholesky(mat)  # raises unless positive definite
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"{label} is singular") from exc
+        raise NumericalDegeneracyError(f"{label} is not positive definite") from exc
     if not np.all(np.isfinite(inv)):
         raise NumericalDegeneracyError(f"inverse of {label} is not finite")
     return (inv + inv.T) / 2.0
 
 
 class HybridStatistics:
-    """Mutable sufficient statistics (H, B, M, u, y) with cached inverses."""
+    """Joint sums A = lam*I + sum zeta zeta^T and b = sum w zeta; A^{-1} cached."""
 
     def __init__(self, d: int, m: int, lam: float):
         if d < 1 or m < 1:
@@ -108,23 +101,15 @@ class HybridStatistics:
         self.d = d
         self.m = m
         self.lam = float(lam)
-        self.H = lam * np.eye(d)
-        self.B = np.zeros((d, m))
-        self.M = lam * np.eye(m)
-        self.u = np.zeros(d)
-        self.y = np.zeros(m)
-        self.inv_H = np.eye(d) / lam
-        self.inv_M = np.eye(m) / lam
+        self.A = lam * np.eye(d + m)
+        self.b = np.zeros(d + m)
+        self.inv_A = np.eye(d + m) / lam
         self.observation_count = 0
         self.clamp_count = 0  # negative width values clipped to zero
 
-    def refresh_inverses(self) -> None:
-        self.inv_H = _pd_inverse(self.H, "H")
-        self.inv_M = _pd_inverse(self.M, "M")
-
     def copy(self) -> "HybridStatistics":
         dup = HybridStatistics(self.d, self.m, self.lam)
-        for name in ("H", "B", "M", "u", "y", "inv_H", "inv_M"):
+        for name in ("A", "b", "inv_A"):
             setattr(dup, name, getattr(self, name).copy())
         dup.observation_count = self.observation_count
         dup.clamp_count = self.clamp_count
@@ -132,10 +117,9 @@ class HybridStatistics:
 
 
 def estimate_preferences(stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
-    """Return (theta_hat, beta_hat); all-zero on fresh statistics."""
-    theta = stats.inv_H @ stats.u
-    beta = stats.inv_M @ (stats.y - stats.B.T @ theta)
-    return theta, beta
+    """Return (theta_hat, beta_hat) = A^{-1} b; all-zero on fresh statistics."""
+    eta = stats.inv_A @ stats.b
+    return eta[: stats.d], eta[stats.d :]
 
 
 def _check_feature_dims(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -> None:
@@ -147,36 +131,33 @@ def _check_feature_dims(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -
 
 
 def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
-    """HZ = Z H^{-1} and the row-wise width term z.H^{-1}z, fixed within a round."""
-    HZ = Z @ stats.inv_H
-    return HZ, np.einsum("ij,ij->i", HZ, Z)
+    """Width terms fixed within a round: row-wise z.P_zz z and 2 Z P_zx, P = A^{-1}."""
+    d = stats.d
+    term_zz = np.einsum("ij,ij->i", Z @ stats.inv_A[:d, :d], Z)
+    return term_zz, 2.0 * (Z @ stats.inv_A[:d, d:])
 
 
 def _raw_widths_batch(
-    HZ: np.ndarray, term_zz: np.ndarray, X: np.ndarray, stats: HybridStatistics
+    term_zz: np.ndarray, zx2: np.ndarray, X: np.ndarray, stats: HybridStatistics
 ) -> np.ndarray:
-    """Row-wise widths given HZ = Z H^{-1} and term_zz = rowwise z.H^{-1}z.
+    """Row-wise v = z.P_zz z + 2 z.P_zx x + x.P_xx x with P = A^{-1}.
 
-    np.dot forms the same products as `@` (a test compares the bits) without
+    Given `_z_terms`' first two terms this costs O(L*m^2); np.dot skips
     matmul's overhead on the thin (L, m) operands.
     """
-    MX = np.dot(X, stats.inv_M)  # (L, m)
-    BMX = np.dot(MX, stats.B.T)  # (L, d)
-    term_zx = np.einsum("ij,ij->i", HZ, BMX)
-    term_xx = np.einsum("ij,ij->i", MX, X)
-    term_bb = np.einsum("ij,ij->i", np.dot(BMX, stats.inv_H), BMX)
-    return term_zz - 2.0 * term_zx + term_xx + term_bb
+    PX = np.dot(X, stats.inv_A[stats.d :, stats.d :])  # (L, m)
+    return term_zz + np.einsum("ij,ij->i", zx2, X) + np.einsum("ij,ij->i", PX, X)
 
 
 def confidence_width(
     z: np.ndarray, x: np.ndarray, stats: HybridStatistics
 ) -> float:
-    """Variance term v = zeta^T Phi^{-1} zeta: the learner's batch path on one row."""
+    """Variance term v = zeta^T A^{-1} zeta: the learner's batch path on one row."""
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     _check_feature_dims(z, x, stats)
-    HZ, term_zz = _z_terms(z, stats)
-    return max(float(_raw_widths_batch(HZ, term_zz, x, stats)[0]), 0.0)
+    term_zz, zx2 = _z_terms(z, stats)
+    return max(float(_raw_widths_batch(term_zz, zx2, x, stats)[0]), 0.0)
 
 
 def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
@@ -196,12 +177,12 @@ def select_slate(
     """Greedy UCB slate: k `greedy_fill` passes, each re-scoring against the prefix.
 
     Candidates are validated once by `ItemCatalog.candidate_ids`.  Relevance
-    features are fixed per item, so Z H^{-1}, its width term and Z theta_hat
-    are computed once per call, O(L*d^2); each pass then recomputes only the
-    terms that involve the diversity marginal x, which changes as the slate
-    grows, O(L*(d^2 + d*m + m^2)).  Negative widths of candidates not yet
-    taken are counted in `stats.clamp_count` and clipped to zero.  Ties take
-    the smallest item id.  Both inverses are read from cache.
+    features are fixed per item, so the z-only width terms and Z theta_hat
+    are computed once per call, O(L*d*(d+m)); each pass then recomputes only
+    the terms that involve the diversity marginal x, which changes as the
+    slate grows, O(L*m^2).  Negative widths of candidates not yet taken are
+    counted in `stats.clamp_count` and clipped to zero.  Ties take the
+    smallest item id.  A^{-1} is read from cache.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
     not the width, so the score closure keeps each pass's clipped widths in
@@ -212,12 +193,12 @@ def select_slate(
 
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance[cand]  # (L, d)
-    HZ, term_zz = _z_terms(Z, stats)
+    term_zz, zx2 = _z_terms(Z, stats)
     rel_scores = Z @ theta
     passes: list[np.ndarray] = []  # clipped widths of every pass
 
     def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
-        v = _raw_widths_batch(HZ, term_zz, X, stats)
+        v = _raw_widths_batch(term_zz, zx2, X, stats)
         stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
         v = np.maximum(v, 0.0)
         passes.append(v)
@@ -244,12 +225,9 @@ def update(
     rewards: np.ndarray,
     features: SlateSelection | tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Absorb one round of feedback, preserving the Schur-complement invariant.
+    """Absorb one round of feedback: A += zeta^T zeta, b += zeta^T w, refresh A^{-1}.
 
-    Phase one strips the old correction so H and u briefly hold the plain
-    sums; phase two adds the new observations to the x-side blocks and
-    refreshes M^{-1}; phase three re-applies the correction with the updated
-    blocks and refreshes H^{-1}.  An empty slate is a no-op.
+    An empty slate is a no-op.
     """
     if isinstance(features, SlateSelection):
         Z, X = features.relevance_features, features.diversity_features
@@ -270,20 +248,10 @@ def update(
     if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
         raise InvalidFeedbackError(f"rewards must lie in [0, 1], got {w}")
 
-    stats.H += stats.B @ stats.inv_M @ stats.B.T
-    stats.u += stats.B @ (stats.inv_M @ stats.y)
-
-    stats.M += X.T @ X
-    stats.B += Z.T @ X
-    stats.y += X.T @ w
-    stats.M = (stats.M + stats.M.T) / 2.0
-    stats.inv_M = _pd_inverse(stats.M, "M")
-
-    stats.H += Z.T @ Z - stats.B @ stats.inv_M @ stats.B.T
-    stats.u += Z.T @ w - stats.B @ (stats.inv_M @ stats.y)
-    stats.H = (stats.H + stats.H.T) / 2.0
-    stats.inv_H = _pd_inverse(stats.H, "H")
-
+    zeta = np.hstack([Z, X])
+    stats.A += zeta.T @ zeta
+    stats.b += zeta.T @ w
+    stats.inv_A = _pd_inverse(stats.A, "A")
     stats.observation_count += w.size
 
 
@@ -327,7 +295,7 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
 
 
 class LmdhPolicy:
-    """Policy wrapper: greedy UCB selection plus the two-phase update."""
+    """Policy wrapper: greedy UCB selection plus the joint ridge update."""
 
     name = "lmdh"
 

@@ -252,7 +252,7 @@ def test_criterion_4_width_equals_joint_ridge(capsys):
     verdict(
         capsys,
         4,
-        [(worst <= 1e-8, f"max |block - monolith| = {worst:.2e} <= 1e-8 "
+        [(worst <= 1e-8, f"max |learner - monolith| = {worst:.2e} <= 1e-8 "
           "over 100 probes after 200 select/update rounds")],
     )
 

@@ -30,6 +30,7 @@ from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     _raw_widths_batch,
+    _z_terms,
     select_slate,
     update,
 )
@@ -73,15 +74,9 @@ def candidate_set_oracle(t, ground, consumed, k):
 
 
 def raw_widths_oracle(Z, X, stats):
-    """Per-pass widths with every term recomputed from Z."""
-    HZ = Z @ stats.inv_H
-    MX = X @ stats.inv_M
-    BMX = MX @ stats.B.T
-    term_zz = np.einsum("ij,ij->i", HZ, Z)
-    term_zx = np.einsum("ij,ij->i", HZ, BMX)
-    term_xx = np.einsum("ij,ij->i", MX, X)
-    term_bb = np.einsum("ij,ij->i", BMX @ stats.inv_H, BMX)
-    return term_zz - 2.0 * term_zx + term_xx + term_bb
+    """Per-pass widths zeta^T A^{-1} zeta, each row solved afresh against A."""
+    zeta = np.hstack([Z, X])
+    return np.einsum("ij,ji->i", zeta, np.linalg.solve(stats.A, zeta.T))
 
 
 def trained_stats(rng, catalog, k, rounds=4):
@@ -279,9 +274,8 @@ def test_hoisted_width_terms_match_per_pass_oracle(m):
     stats = trained_stats(rng, catalog, 3, rounds=6)
     for rows in (1, 25, 4000):  # up to replay-sized candidate sets
         Z = rng.uniform(-1.0, 1.0, size=(rows, 4))
-        HZ = Z @ stats.inv_H
-        term_zz = np.einsum("ij,ij->i", HZ, Z)
         X = rng.uniform(0.0, 2.0, size=(rows, m))
         X[rng.random(rows) < 0.3] = 0.0
-        got = _raw_widths_batch(HZ, term_zz, X, stats)
-        assert got.tobytes() == raw_widths_oracle(Z, X, stats).tobytes()
+        got = _raw_widths_batch(*_z_terms(Z, stats), X, stats)
+        want = raw_widths_oracle(Z, X, stats)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -12,10 +12,10 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
     TableDistanceMetric,
+    _slate_items,
     cosine_metric,
-    diversity_marginal,
-    relevance_marginal,
     guarantee_preconditions,
+    slate_features,
     utility,
 )
 from dispersion_bandit.errors import (
@@ -41,6 +41,32 @@ class TestSlate:
         slate = Slate((3, 0), capacity=4)
         assert len(slate) == 2
         assert 3 in slate and 1 not in slate
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-item marginals `slate_features` replaced
+
+
+def relevance_marginal(item, slate, catalog):
+    """Relevance gain of appending `item`: its feature row, independent of A."""
+    item = catalog.check_item(item)
+    if item in _slate_items(slate):
+        raise DuplicateItemError(f"item {item} already in slate")
+    return catalog.relevance[item].copy()
+
+
+def diversity_marginal(item, slate, catalog):
+    """Diversity gain of appending `item`: sum_{j in A} h_i(item, j) per metric."""
+    item = catalog.check_item(item)
+    items = _slate_items(slate)
+    if item in items:
+        raise DuplicateItemError(f"item {item} already in slate")
+    gain = np.zeros(catalog.diversity_dim)
+    if items:
+        ids = np.asarray(items, dtype=np.intp)
+        for i, metric in enumerate(catalog.metrics):
+            gain[i] = metric.column(item, ids).sum()
+    return gain
 
 
 class TestRelevanceMarginal:
@@ -143,6 +169,48 @@ class TestJointMarginal:
                     diff = utility(grown, eta, catalog) - utility(slate, eta, catalog)
                     got = marginal_gain(eta, a, slate, catalog)
                     assert got == pytest.approx(diff, abs=1e-12)
+
+
+class TestSlateFeatures:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_the_marginal_oracles(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        m = data.draw(st.sampled_from([1, 2]), label="m")
+        k = data.draw(st.integers(1, 6), label="k")
+        on_demand = data.draw(st.booleans(), label="on_demand")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k, 12))
+        # table_threshold=0 makes the cosine metric evaluate columns on demand
+        metrics = tuple(
+            cosine_metric(
+                rng.uniform(-1.0, 1.0, size=(n, 3)),
+                mode="raw",
+                table_threshold=0 if on_demand else n,
+            )
+            for _ in range(m)
+        )
+        catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
+        items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
+        z, x = slate_features(Slate(items, capacity=k), catalog)
+        for p, item in enumerate(items):
+            prefix = items[:p]
+            want_z = relevance_marginal(item, prefix, catalog)
+            want_x = diversity_marginal(item, prefix, catalog)
+            assert z[p].tobytes() == want_z.tobytes()
+            assert x[p].tobytes() == want_x.tobytes()
+
+    def test_empty_slate(self, rng):
+        catalog = random_catalog(rng, 4, d=3, m=2)
+        z, x = slate_features(Slate((), capacity=2), catalog)
+        assert z.shape == (0, 3) and x.shape == (0, 2)
+
+    def test_out_of_range_ids_raise_naming_them(self, rng):
+        catalog = random_catalog(rng, 4)
+        with pytest.raises(InvalidItemError, match=r"\[7\]"):
+            slate_features(Slate((0, 7, 1), capacity=3), catalog)
+        with pytest.raises(InvalidItemError, match=r"\[-1\]"):
+            slate_features(Slate((-1,), capacity=1), catalog)
 
 
 class TestUtility:

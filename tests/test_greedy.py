@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from dispersion_bandit import cli
 from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
     TableDistanceMetric,
     utility,
 )
+from dispersion_bandit.environments import SimInstance
 from dispersion_bandit.errors import (
     DegenerateInstanceError,
     InsufficientCandidatesError,
@@ -157,14 +159,26 @@ class TestApproximationRatio:
             ratio = approximation_ratio(eta, catalog, range(8), 3)
             assert ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_zero_optimum(self):
+    @pytest.mark.parametrize("optimum", [0.0, -2.0], ids=["zero", "negative"])
+    @pytest.mark.parametrize("caller", ["library", "cli"])
+    def test_non_positive_optimum_raises(self, monkeypatch, caller, optimum):
+        # every pair of the three items is worth `optimum`, greedy's included
         catalog = ItemCatalog(
-            relevance=np.zeros((3, 1)),
+            relevance=np.full((3, 1), optimum / 2.0),
             metrics=(TableDistanceMetric(np.zeros((3, 3))),),
         )
         eta = PreferenceVector(theta=np.ones(1), beta=np.ones(1))
-        with pytest.raises(DegenerateInstanceError):
-            approximation_ratio(eta, catalog, (0, 1, 2), 2)
+        if caller == "cli":
+            instance = SimInstance(catalog, eta, seed=0)
+            monkeypatch.setattr(cli, "study_instance", lambda *a, **kw: instance)
+        with pytest.raises(
+            DegenerateInstanceError,
+            match=rf"optimal utility {optimum} is not positive \(greedy {optimum}\)",
+        ):
+            if caller == "library":
+                approximation_ratio(eta, catalog, (0, 1, 2), 2)
+            else:
+                cli._ratio_task((0, 2, "raw"))
 
     def test_guarantee_floor_on_random_instances(self):
         # >= 1000 random instances with L <= 12, K <= 4 under the guarantee's

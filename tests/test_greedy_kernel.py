@@ -25,6 +25,7 @@ from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     _raw_widths_batch,
+    _z_terms,
     estimate_preferences,
     select_slate,
     update,
@@ -58,8 +59,7 @@ def select_slate_oracle(stats, config, catalog, candidates):
     cand = catalog.candidate_ids(candidates, config.k)
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance[cand]
-    HZ = Z @ stats.inv_H
-    term_zz = np.einsum("ij,ij->i", HZ, Z)
+    term_zz, zx2 = _z_terms(Z, stats)
     rel_scores = Z @ theta
     X = np.zeros((cand.size, catalog.diversity_dim))
     div_cols = np.zeros((cand.size, len(catalog.metrics)))
@@ -70,7 +70,7 @@ def select_slate_oracle(stats, config, catalog, candidates):
     widths = np.zeros(config.k)
     scores_taken = np.zeros(config.k)
     for step in range(config.k):
-        v = _raw_widths_batch(HZ, term_zz, X, stats)
+        v = _raw_widths_batch(term_zz, zx2, X, stats)
         live = ~taken
         stats.clamp_count += int(np.count_nonzero(v[live] < 0.0))
         v = np.maximum(v, 0.0)
@@ -180,11 +180,11 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
         == pairwise_weights_oracle(eta, catalog, cand).tobytes()
     )
 
-    # LMDH: trained statistics; a negated H^{-1} forces negative widths so
+    # LMDH: trained statistics; a negated A^{-1} forces negative widths so
     # the clamp count (over candidates not yet taken) is exercised
     stats = trained_stats(rng, catalog, 1, data.draw(st.integers(0, 4), label="rounds"))
     if data.draw(st.booleans(), label="negative_widths"):
-        stats.inv_H = -stats.inv_H
+        stats.inv_A = -stats.inv_A
     alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")
     config = LmdhConfig(lam=1.0, alpha=alpha, d=d, m=m, k=k)
     ours, theirs = stats.copy(), stats.copy()

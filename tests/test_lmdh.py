@@ -1,8 +1,10 @@
-"""Tests for the hybrid statistics, driven by a monolithic ridge oracle.
+"""Tests for the hybrid statistics, driven by two oracles.
 
-The oracle below carries the full (d+m)-dimensional design matrix with no
-blockwise tricks.  Agreement between the two is the main correctness claim
-for the Schur-complement bookkeeping.
+`JointRidgeOracle` solves the full (d+m)-dimensional ridge system afresh for
+every query.  `SchurOracle` is the Schur-complement bookkeeping of hybrid
+LinUCB (Li et al. 2010, Algorithm 2) that the plain joint sums replaced:
+blockwise sums, an update that strips and re-applies the correction, and a
+four-term width.  The learner must agree with both.
 """
 
 import math
@@ -18,10 +20,12 @@ from dispersion_bandit.catalog import (
     Slate,
     TableDistanceMetric,
 )
+from dispersion_bandit.environments import SimulatedEnvironment, study_instance
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
     InvalidFeedbackError,
+    NumericalDegeneracyError,
     PreconditionError,
 )
 from dispersion_bandit.greedy import greedy_select
@@ -64,6 +68,46 @@ class JointRidgeOracle:
         return float(zeta @ np.linalg.solve(self.phi, zeta))
 
 
+class SchurOracle:
+    """Blockwise sums with the z side reduced by the Schur complement.
+
+        M = lam*I + sum x x^T     B = sum z x^T     y = sum w x
+        H = lam*I + sum z z^T - B M^{-1} B^T     u = sum w z - B M^{-1} y
+
+    theta_hat = H^{-1} u and beta_hat = M^{-1}(y - B^T theta_hat).
+    """
+
+    def __init__(self, d, m, lam):
+        self.H, self.B, self.M = lam * np.eye(d), np.zeros((d, m)), lam * np.eye(m)
+        self.u, self.y = np.zeros(d), np.zeros(m)
+        self.inv_H, self.inv_M = np.eye(d) / lam, np.eye(m) / lam
+
+    def update(self, Z, X, w):
+        # strip the old correction, add the x-side sums, re-apply the correction
+        self.H += self.B @ self.inv_M @ self.B.T
+        self.u += self.B @ (self.inv_M @ self.y)
+        self.M += X.T @ X
+        self.B += Z.T @ X
+        self.y += X.T @ w
+        self.M = (self.M + self.M.T) / 2.0
+        self.inv_M = np.linalg.inv(self.M)
+        self.H += Z.T @ Z - self.B @ self.inv_M @ self.B.T
+        self.u += Z.T @ w - self.B @ (self.inv_M @ self.y)
+        self.H = (self.H + self.H.T) / 2.0
+        self.inv_H = np.linalg.inv(self.H)
+
+    def eta_hat(self):
+        theta = self.inv_H @ self.u
+        return theta, self.inv_M @ (self.y - self.B.T @ theta)
+
+    def width(self, z, x):
+        """The four-term block form of zeta^T Phi^{-1} zeta."""
+        hz = self.inv_H @ z
+        mx = self.inv_M @ x
+        bmx = self.B @ mx
+        return float(z @ hz - 2.0 * hz @ bmx + x @ mx + bmx @ self.inv_H @ bmx)
+
+
 def random_rounds(rng, n_rounds, k, d, m):
     """Deterministic observation log: (Z, X, w) per round, rewards in [0, 1]."""
     rounds = []
@@ -89,12 +133,9 @@ def feed_oracle(oracle, rounds):
 
 def test_fresh_statistics_shapes_and_values():
     stats = HybridStatistics(d=4, m=2, lam=3.0)
-    assert np.array_equal(stats.H, 3.0 * np.eye(4))
-    assert np.array_equal(stats.M, 3.0 * np.eye(2))
-    assert np.array_equal(stats.B, np.zeros((4, 2)))
-    assert np.array_equal(stats.u, np.zeros(4))
-    assert np.array_equal(stats.y, np.zeros(2))
-    assert np.allclose(stats.inv_H @ stats.H, np.eye(4), atol=1e-12)
+    assert np.array_equal(stats.A, 3.0 * np.eye(6))
+    assert np.array_equal(stats.b, np.zeros(6))
+    assert np.allclose(stats.inv_A @ stats.A, np.eye(6), atol=1e-12)
 
 
 def test_fresh_estimates_are_zero():
@@ -106,7 +147,7 @@ def test_fresh_estimates_are_zero():
 
 def test_single_observation_hand_case():
     # one item, z = e1, x = 0, reward 1, lam = 1:
-    #   H gains zz^T -> diag(2, 1, ...), u = e1, M/B/y untouched,
+    #   A gains zeta zeta^T -> diag(2, 1, ...), b = e1, the x rows untouched,
     #   so theta_hat = (0.5, 0, ...) and beta_hat = 0.
     d, m = 4, 2
     stats = HybridStatistics(d, m, lam=1.0)
@@ -114,13 +155,11 @@ def test_single_observation_hand_case():
     z[0] = 1.0
     x = np.zeros(m)
     update(stats, Slate((7,), capacity=1), np.array([1.0]), (z[None, :], x[None, :]))
-    expected_H = np.eye(d)
-    expected_H[0, 0] = 2.0
-    assert np.allclose(stats.H, expected_H, atol=1e-12)
-    assert np.allclose(stats.u, z, atol=1e-12)
-    assert np.array_equal(stats.M, np.eye(m))
-    assert np.array_equal(stats.B, np.zeros((d, m)))
-    assert np.array_equal(stats.y, np.zeros(m))
+    expected_A = np.eye(d + m)
+    expected_A[0, 0] = 2.0
+    assert np.array_equal(stats.A, expected_A)
+    assert np.array_equal(stats.b, np.concatenate([z, x]))
+    assert np.allclose(stats.inv_A @ expected_A, np.eye(d + m), atol=1e-12)
     theta, beta = estimate_preferences(stats)
     assert np.allclose(theta, [0.5, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(beta, np.zeros(m), atol=1e-12)
@@ -153,6 +192,60 @@ def test_width_matches_monolithic_oracle_after_updates():
         x = rng.uniform(-1.0, 1.0, size=m)
         assert confidence_width(z, x, stats) == pytest.approx(
             oracle.width(z, x), abs=1e-8
+        )
+
+
+def test_estimates_and_widths_match_the_schur_oracle():
+    rng = np.random.default_rng(24)
+    for d, m in ((10, 1), (4, 3)):
+        stats = HybridStatistics(d, m, lam=1.0)
+        oracle = SchurOracle(d, m, lam=1.0)
+        for Z, X, w in random_rounds(rng, 200, 5, d, m):
+            feed(stats, [(Z, X, w)])
+            oracle.update(Z, X, w)
+        theta, beta = estimate_preferences(stats)
+        theta_o, beta_o = oracle.eta_hat()
+        assert np.max(np.abs(theta - theta_o)) <= 1e-12
+        assert np.max(np.abs(beta - beta_o)) <= 1e-12
+        for _ in range(20):
+            z = rng.uniform(-1.0, 1.0, size=d)
+            x = rng.uniform(-1.0, 2.0, size=m)
+            assert abs(confidence_width(z, x, stats) - oracle.width(z, x)) <= 1e-12
+
+
+def test_estimate_stays_on_the_joint_ridge_solution_over_20000_rounds():
+    # The reference sums A and b alongside the learner, in the same order, and
+    # solves once at the end.  The Schur bookkeeping (adding back and
+    # subtracting the correction every round) left that solve by 8.9e-11
+    # here; sums that are only ever added to stay within 1e-12 of it.
+    instance = study_instance(0)
+    lam = 1.0
+    config = LmdhConfig(lam=lam, alpha=1.0, d=10, m=1, k=5)
+    policy = LmdhPolicy(config, instance.catalog)
+    env = SimulatedEnvironment(instance)
+    candidates = instance.catalog.all_items()
+    A, b = lam * np.eye(11), np.zeros(11)
+    for t in range(1, 20_001):
+        selection = policy.select(candidates, t)
+        w = env.feedback(selection)
+        policy.observe(selection, w)
+        zeta = np.hstack([selection.relevance_features, selection.diversity_features])
+        A += zeta.T @ zeta
+        b += zeta.T @ w
+    estimate = np.concatenate(estimate_preferences(policy.stats))
+    assert np.max(np.abs(estimate - np.linalg.solve(A, b))) <= 1e-11
+
+
+@pytest.mark.parametrize("corner", [-1.0, 0.0], ids=["indefinite", "singular"])
+def test_non_positive_definite_A_raises_naming_it(corner):
+    stats = HybridStatistics(d=2, m=1, lam=1.0)
+    stats.A[0, 0] = corner
+    with pytest.raises(NumericalDegeneracyError, match=r"^A is not positive definite"):
+        update(
+            stats,
+            Slate((0,), capacity=1),
+            np.array([0.0]),
+            (np.zeros((1, 2)), np.zeros((1, 1))),
         )
 
 
@@ -210,24 +303,23 @@ def test_update_keeps_blocks_positive_definite():
     d, m = 6, 3
     stats = HybridStatistics(d, m, lam=1.0)
     feed(stats, random_rounds(rng, 80, 3, d, m))
-    assert np.min(np.linalg.eigvalsh(stats.H)) > 0.0
-    assert np.min(np.linalg.eigvalsh(stats.M)) > 0.0
-    assert np.linalg.norm(stats.H @ stats.inv_H - np.eye(d)) <= 1e-8
-    assert np.linalg.norm(stats.M @ stats.inv_M - np.eye(m)) <= 1e-8
-    assert np.allclose(stats.H, stats.H.T)
-    assert np.allclose(stats.M, stats.M.T)
+    assert np.min(np.linalg.eigvalsh(stats.A)) > 0.0
+    assert np.linalg.norm(stats.A @ stats.inv_A - np.eye(d + m)) <= 1e-8
+    assert np.allclose(stats.A, stats.A.T)
+    assert np.allclose(stats.inv_A, stats.inv_A.T)
 
 
 def test_update_empty_slate_is_noop():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
-    before_H = stats.H.copy()
+    before = stats.copy()
     update(
         stats,
         Slate((), capacity=2),
         np.zeros(0),
         (np.zeros((0, 3)), np.zeros((0, 1))),
     )
-    assert np.array_equal(stats.H, before_H)
+    for name in ("A", "b", "inv_A"):
+        assert np.array_equal(getattr(stats, name), getattr(before, name))
     assert stats.observation_count == 0
 
 
@@ -402,7 +494,7 @@ def test_select_slate_does_not_touch_inverses():
     config = LmdhConfig(lam=1.0, alpha=0.5, d=2, m=1, k=3)
     stats = HybridStatistics(2, 1, lam=1.0)
     feed(stats, random_rounds(rng, 5, 2, 2, 1))
-    snap = {name: getattr(stats, name).copy() for name in ("H", "B", "M", "u", "y")}
+    snap = {name: getattr(stats, name).copy() for name in ("A", "b", "inv_A")}
     select_slate(stats, config, catalog, catalog.all_items())
     for name, arr in snap.items():
         assert np.array_equal(getattr(stats, name), arr)
