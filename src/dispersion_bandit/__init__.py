@@ -27,7 +27,6 @@ from .environments import (
     TrialLog,
     study_instance,
     run_episode,
-    write_trial_log,
 )
 from .evaluation import (
     MetricSeries,
@@ -36,7 +35,7 @@ from .evaluation import (
     compute_metric_series,
     scaled_regret,
 )
-from .greedy import approximation_ratio, exhaustive_optimum, greedy_select
+from .greedy import exhaustive_optimum, greedy_select
 from .ingest import (
     SplitSpec,
     load_embeddings,

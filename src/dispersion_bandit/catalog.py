@@ -15,7 +15,6 @@ greedy selector and the bandit learner exploit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,14 +54,14 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 class DistanceMetric:
-    """Symmetric, non-negative pairwise item distance with h(i, i) = 0."""
+    """Non-negative symmetric item distance, h(i, i) = 0, read a column at a time."""
 
-    def pair(self, i: int, j: int) -> float:
+    def __len__(self) -> int:
         raise NotImplementedError
 
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
-        """Distances h(item, j) for every j in `others` (vectorized path)."""
-        return np.array([self.pair(item, int(j)) for j in others], dtype=np.float64)
+        """Distances h(item, j) for every j in `others`."""
+        raise NotImplementedError
 
 
 def _mirror_upper(table: np.ndarray, block: int = 256) -> None:
@@ -168,7 +167,6 @@ def cosine_metric(
     vectors: np.ndarray,
     mode: str = "slate-normalized",
     slate_capacity: int | None = None,
-    table_threshold: int = DEFAULT_TABLE_THRESHOLD,
 ) -> CosineDistanceMetric:
     """Build the experiment distance metric in one of two modes.
 
@@ -187,7 +185,7 @@ def cosine_metric(
         if slate_capacity is None or slate_capacity < 2:
             raise ValueError("slate-normalized mode needs a slate capacity >= 2")
         scale = 2.0 / (slate_capacity * (slate_capacity - 1))
-    return CosineDistanceMetric(vectors, scale=scale, table_threshold=table_threshold)
+    return CosineDistanceMetric(vectors, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ class ItemCatalog:
         if not metrics:
             raise DimensionMismatchError("at least one distance metric is required")
         for metric in metrics:
-            if hasattr(metric, "__len__") and len(metric) != relevance.shape[0]:
+            if len(metric) != relevance.shape[0]:
                 raise DimensionMismatchError(
                     "metric covers a different number of items than the catalog"
                 )
@@ -274,14 +272,6 @@ class ItemCatalog:
 
     def all_items(self) -> np.ndarray:
         return np.arange(self.item_count)
-
-    def check_item(self, item: int) -> int:
-        item = int(item)
-        if not 0 <= item < self.item_count:
-            raise InvalidItemError(
-                f"item {item} outside ground set of size {self.item_count}"
-            )
-        return item
 
     def check_ids(self, ids: np.ndarray, what: str) -> None:
         """Raise InvalidItemError naming the (first five) ids outside 0..L-1."""
@@ -319,20 +309,16 @@ class ItemCatalog:
             )
 
 
-def _slate_items(slate: Slate | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(slate, Slate):
-        return slate.items
-    return tuple(int(a) for a in slate)
-
-
-def slate_features(slate: Slate, catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
+def slate_features(
+    slate: Slate | tuple[int, ...], catalog: ItemCatalog
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-position marginal features (z, x) of a slate, in slate order.
 
-    z[p] is item a_p's relevance row and x[p, i] = sum_{j < p} h_i(a_p, a_j)
-    its diversity marginal against the items before it (zero at p = 0).  The
-    slate's ids are range-checked once.
+    `slate` is a `Slate` or a sequence of ids.  z[p] is item a_p's relevance
+    row and x[p, i] = sum_{j < p} h_i(a_p, a_j) its diversity marginal
+    against the items before it (zero at p = 0).  The ids are range-checked.
     """
-    ids = np.asarray(slate.items, dtype=np.intp)
+    ids = np.asarray(slate.items if isinstance(slate, Slate) else slate, dtype=np.intp)
     catalog.check_ids(ids, "slate ids")
     x = np.zeros((ids.size, catalog.diversity_dim))
     for p in range(1, ids.size):
@@ -342,22 +328,23 @@ def slate_features(slate: Slate, catalog: ItemCatalog) -> tuple[np.ndarray, np.n
 
 
 def utility(
-    slate: Slate | Sequence[int], eta: PreferenceVector, catalog: ItemCatalog
+    slate: Slate | tuple[int, ...], eta: PreferenceVector, catalog: ItemCatalog
 ) -> float:
-    """F(A | eta); order-independent, 0.0 for the empty slate."""
+    """F(A | eta); order-independent, 0.0 for the empty slate.
+
+    The diversity marginals of `slate_features` are summed left to right.
+    """
     catalog.check_eta(eta)
-    items = _slate_items(slate)
+    items = slate.items if isinstance(slate, Slate) else tuple(int(a) for a in slate)
     if len(set(items)) != len(items):
         raise DuplicateItemError(f"slate contains duplicates: {items}")
     if not items:
         return 0.0
-    ids = np.asarray([catalog.check_item(a) for a in items], dtype=np.intp)
-    value = float(catalog.relevance[ids].sum(axis=0) @ eta.theta)
-    for beta_i, metric in zip(eta.beta, catalog.metrics):
-        pair_sum = 0.0
-        for k in range(1, len(ids)):
-            pair_sum += float(metric.column(int(ids[k]), ids[:k]).sum())
-        value += float(beta_i) * pair_sum
+    z, x = slate_features(items, catalog)
+    value = float(z.sum(axis=0) @ eta.theta)
+    dispersion = np.cumsum(x, axis=0)[-1]  # x[0] is zero: a fold from 0.0
+    for beta_i, v_i in zip(eta.beta, dispersion):
+        value += float(beta_i) * float(v_i)
     return value
 
 

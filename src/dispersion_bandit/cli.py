@@ -90,8 +90,6 @@ def resolve_seed(value: int | None) -> int:
 def resolve_workers(value: int | None, n_tasks: int) -> int:
     if value is None:
         value = os.cpu_count() or 1
-    if value < 1:
-        raise SystemExit(f"--workers must be >= 1, got {value}")
     return max(1, min(value, n_tasks))
 
 
@@ -113,6 +111,25 @@ def resolve_alpha(spec: str, k: int, d: int, m: int, lam: float, horizon: int) -
     if value < 0:
         raise SystemExit(f"--alpha must be non-negative, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def manifest_options(args: argparse.Namespace, **resolved) -> dict:
+    """Every parsed flag but --workers (it never changes outputs), by its spelling."""
+    options = {
+        ("lambda" if name == "lam" else name.replace("_", "-")): value
+        for name, value in vars(args).items()
+        if name not in ("command", "func", "workers")
+    }
+    options.update(resolved)
+    return options
 
 
 def _write_manifest(out_dir: Path, command: str, options: dict, derived: dict, outputs: list[str]) -> None:
@@ -242,20 +259,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             bounds = np.array([regret_upper_bound(p, alpha_value) for p in params])
     write_regret_csv(series, out / "regret.csv", bounds=bounds, budgets=budgets)
 
-    options = {
-        "policy": args.policy,
-        "lambda": args.lam,
-        "alpha": args.alpha,
-        "epsilon": args.epsilon,
-        "mmr-alpha": args.mmr_alpha,
-        "k": args.k,
-        "rounds": args.rounds,
-        "runs": args.runs,
-        "metric-mode": args.metric_mode,
-        "optimum": args.optimum,
-        "seed": seed,
-        "out": str(args.out),
-    }
     derived = {
         "alpha_value": alpha_value,
         "delta": 1.0 / max(args.rounds * args.k, 2),
@@ -264,7 +267,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "sim_d": SIM_D,
         "sim_m": SIM_M,
     }
-    _write_manifest(out, "simulate", options, derived, ["regret.csv"])
+    _write_manifest(
+        out, "simulate", manifest_options(args, seed=seed), derived, ["regret.csv"]
+    )
 
     final = args.rounds - 1
     line = (
@@ -320,20 +325,15 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
                     f"{repr(float(optimal_value))},{repr(float(ratio))}\n"
                 )
 
-    options = {
-        "k": args.k,
-        "runs": args.runs,
-        "metric-mode": args.metric_mode,
-        "seed": seed,
-        "out": str(args.out),
-    }
     derived = {
         "ks": ks,
         "instance_seeds": instance_seeds,
         "sim_items": SIM_ITEMS,
         "sim_d": SIM_D,
     }
-    _write_manifest(out, "approx-ratio", options, derived, ["ratios.csv"])
+    _write_manifest(
+        out, "approx-ratio", manifest_options(args, seed=seed), derived, ["ratios.csv"]
+    )
 
     idx = 0
     for k in ks:
@@ -442,23 +442,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     series = compute_metric_series(logs, positives, catalog)
     write_metrics_csv(series, out / "metrics.csv")
 
-    options = {
-        "dataset": args.dataset,
-        "format": args.format,
-        "threshold": args.threshold,
-        "embeddings": args.embeddings,
-        "top-items": args.top_items,
-        "policy": args.policy,
-        "lambda": args.lam,
-        "alpha": args.alpha,
-        "epsilon": args.epsilon,
-        "mmr-alpha": args.mmr_alpha,
-        "k": args.k,
-        "rounds": args.rounds,
-        "metric-mode": args.metric_mode,
-        "seed": seed,
-        "out": str(args.out),
-    }
     derived = {
         "alpha_value": alpha_value,
         "format_canonical": fmt,
@@ -471,7 +454,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if args.embeddings is not None
         else derive_seed(seed, EMB_SEED_INDEX),
     }
-    _write_manifest(out, "replay", options, derived, ["metrics.csv"])
+    _write_manifest(
+        out, "replay", manifest_options(args, seed=seed), derived, ["metrics.csv"]
+    )
 
     last = len(series.rounds) - 1
     print(
@@ -500,13 +485,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_maps(table, out / "users.map.csv", out / "items.map.csv")
-        options = {
-            "dataset": args.dataset,
-            "format": args.format,
-            "threshold": args.threshold,
-            "top-items": args.top_items,
-            "out": str(args.out),
-        }
         derived = {
             "format_canonical": fmt,
             "n_users": table.n_users,
@@ -516,7 +494,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "duplicates_collapsed": table.duplicate_count,
         }
         _write_manifest(
-            out, "ingest", options, derived, ["users.map.csv", "items.map.csv"]
+            out, "ingest", manifest_options(args), derived,
+            ["users.map.csv", "items.map.csv"],
         )
         print(f"wrote {out / 'users.map.csv'} and {out / 'items.map.csv'}")
     return 0
@@ -535,7 +514,7 @@ def _add_seed_workers(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes (default: all cores); never changes outputs",
     )
@@ -575,7 +554,7 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--top-items",
         dest="top_items",
-        type=int,
+        type=positive_int,
         default=None,
         help="keep only the N most-rated items",
     )
@@ -591,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="seeded Bernoulli simulation, regret curves")
     _add_policy_flags(sim, lam=1.0)
-    sim.add_argument("--k", type=int, default=5)
-    sim.add_argument("--rounds", type=int, default=1000)
-    sim.add_argument("--runs", type=int, default=20)
+    sim.add_argument("--k", type=positive_int, default=5)
+    sim.add_argument("--rounds", type=positive_int, default=1000)
+    sim.add_argument("--runs", type=positive_int, default=20)
     sim.add_argument("--metric-mode", dest="metric_mode", choices=METRIC_MODES,
                      default="slate-normalized")
     sim.add_argument("--optimum", choices=OPTIMUM_MODES, default="exhaustive")
@@ -604,9 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
     ratio = sub.add_parser(
         "approx-ratio", help="greedy vs exhaustive utility on random instances"
     )
-    ratio.add_argument("--k", type=int, default=None, help="single slate size "
-                       "(default: sweep 2, 3, 4, 5)")
-    ratio.add_argument("--runs", type=int, default=100, help="instances per K")
+    ratio.add_argument("--k", type=positive_int, default=None, help="single slate "
+                       "size (default: sweep 2, 3, 4, 5)")
+    ratio.add_argument("--runs", type=positive_int, default=100,
+                       help="instances per K")
     ratio.add_argument("--metric-mode", dest="metric_mode", choices=METRIC_MODES,
                        default="raw")
     ratio.add_argument("--out", required=True)
@@ -621,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="item embedding CSV (item,e0,...); synthetic when omitted",
     )
     _add_policy_flags(rep, lam=50.0)
-    rep.add_argument("--k", type=int, default=10)
-    rep.add_argument("--rounds", type=int, default=30)
+    rep.add_argument("--k", type=positive_int, default=10)
+    rep.add_argument("--rounds", type=positive_int, default=30)
     rep.add_argument("--metric-mode", dest="metric_mode", choices=METRIC_MODES,
                      default="slate-normalized")
     rep.add_argument("--out", required=True)
@@ -638,7 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "metric_mode", None) == "slate-normalized" and args.k == 1:
+        parser.error(
+            "--metric-mode slate-normalized needs --k >= 2: it divides by K * (K - 1)"
+        )
     try:
         return args.func(args)
     except DispersionBanditError as exc:

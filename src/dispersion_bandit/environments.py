@@ -11,7 +11,6 @@ future candidate sets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,8 +167,6 @@ class SimulatedEnvironment:
     same items stay recommendable and the learner revisits them.
     """
 
-    kind = "simulated"
-
     def __init__(self, instance: SimInstance):
         self.instance = instance
         self._rewards_rng = rng_from_seed(instance.seed, STREAM_REWARDS)
@@ -197,8 +194,6 @@ class SimulatedEnvironment:
 
 class ReplayEnvironment:
     """Offline replay world: membership rewards, consumed items leave the pool."""
-
-    kind = "replay"
 
     def __init__(self, catalog: ItemCatalog, user: ReplayUser, ground=None):
         self.catalog = catalog
@@ -255,15 +250,3 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
         )
     return TrialLog(tuple(rounds))
 
-
-def write_trial_log(log: TrialLog, path) -> None:
-    """CSV form: one row per (round, position); width empty for static policies."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "position", "item_id", "reward", "width"])
-        for entry in log.rounds:
-            for pos, item in enumerate(entry.items):
-                width = "" if entry.widths is None else repr(float(entry.widths[pos]))
-                writer.writerow(
-                    [entry.t, pos + 1, item, repr(entry.rewards[pos]), width]
-                )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, PreferenceVector, Slate, utility
+from .catalog import ItemCatalog, PreferenceVector, Slate
 from .errors import DegenerateInstanceError, TooLargeInstanceError
 
 #: Maximum number of subsets the exhaustive oracle will enumerate.
@@ -36,8 +36,14 @@ class GreedyResult:
 
     @property
     def value(self) -> float:
-        """Telescoped utility of the full slate."""
-        return float(sum(self.gain_trace))
+        """Telescoped utility of the full slate, summed left to right.
+
+        Not builtin `sum`: it is compensated from Python 3.12 on.
+        """
+        total = 0.0
+        for gain in self.gain_trace:
+            total += gain
+        return total
 
 
 def greedy_fill(acc: np.ndarray, k: int, score, add_column):
@@ -167,25 +173,12 @@ def exhaustive_optimum(
     return best_subset, best_value
 
 
-def approximation_ratio(
-    eta: PreferenceVector,
-    catalog: ItemCatalog,
-    candidates,
-    k: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> float:
-    """F(greedy) / F(optimum) on one instance.
-
-    At least 1/4 whenever theta.z_a >= 0 for all items and beta >= 0, and at
-    most 1 by optimality of the exhaustive solution.
-    """
-    result = greedy_select(eta, catalog, candidates, k)
-    _, best_value = exhaustive_optimum(eta, catalog, candidates, k, budget=budget)
-    return ratio_to_optimum(utility(result.slate, eta, catalog), best_value)
-
-
 def ratio_to_optimum(greedy_value: float, optimal_value: float) -> float:
-    """greedy / optimum; an optimum <= 0 has no meaningful ratio and raises."""
+    """greedy / optimum; an optimum <= 0 has no meaningful ratio and raises.
+
+    The ratio study divides `greedy_select(...).value` by the optimum of
+    `exhaustive_optimum`; under the guarantee's preconditions it is >= 1/4.
+    """
     if optimal_value <= 0.0:
         raise DegenerateInstanceError(
             f"optimal utility {optimal_value} is not positive (greedy "

@@ -107,14 +107,6 @@ class HybridStatistics:
         self.observation_count = 0
         self.clamp_count = 0  # negative width values clipped to zero
 
-    def copy(self) -> "HybridStatistics":
-        dup = HybridStatistics(self.d, self.m, self.lam)
-        for name in ("A", "b", "inv_A"):
-            setattr(dup, name, getattr(self, name).copy())
-        dup.observation_count = self.observation_count
-        dup.clamp_count = self.clamp_count
-        return dup
-
 
 def estimate_preferences(stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
     """Return (theta_hat, beta_hat) = A^{-1} b; all-zero on fresh statistics."""

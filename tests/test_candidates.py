@@ -6,6 +6,8 @@ must not change a single output bit.  The rewritten loops are checked
 against the list-based versions they replaced, kept here as oracles.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,7 +163,7 @@ def _selectors(catalog, k, stats=None):
     scorer = StaticScorer(rng.normal(size=catalog.relevance_dim), catalog)
     eta = random_eta(rng, d=catalog.relevance_dim, m=catalog.diversity_dim)
     return {
-        "lmdh": lambda c: select_slate(stats.copy(), config, catalog, c),
+        "lmdh": lambda c: select_slate(copy.deepcopy(stats), config, catalog, c),
         "greedy": lambda c: greedy_select(eta, catalog, c, k),
         "logrank": lambda c: logrank_select(scorer, c, k),
         "mmr": lambda c: mmr_select(scorer, catalog, c, k),

@@ -12,12 +12,12 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
     TableDistanceMetric,
-    _slate_items,
     cosine_metric,
     guarantee_preconditions,
     slate_features,
     utility,
 )
+from dispersion_bandit.environments import study_instance
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     DuplicateItemError,
@@ -44,29 +44,57 @@ class TestSlate:
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-item marginals `slate_features` replaced
+# oracles: the per-item marginals `slate_features` replaced, and the pair loop
+# `utility` ran before it read `slate_features`
+
+
+def check_item(item, catalog):
+    """`item` as an int, or InvalidItemError when it is outside 0..L-1."""
+    item = int(item)
+    if not 0 <= item < catalog.item_count:
+        raise InvalidItemError(
+            f"item {item} outside ground set of size {catalog.item_count}"
+        )
+    return item
 
 
 def relevance_marginal(item, slate, catalog):
-    """Relevance gain of appending `item`: its feature row, independent of A."""
-    item = catalog.check_item(item)
-    if item in _slate_items(slate):
+    """Relevance gain of appending `item` to the id tuple `slate`: its row."""
+    item = check_item(item, catalog)
+    if item in slate:
         raise DuplicateItemError(f"item {item} already in slate")
     return catalog.relevance[item].copy()
 
 
 def diversity_marginal(item, slate, catalog):
     """Diversity gain of appending `item`: sum_{j in A} h_i(item, j) per metric."""
-    item = catalog.check_item(item)
-    items = _slate_items(slate)
-    if item in items:
+    item = check_item(item, catalog)
+    if item in slate:
         raise DuplicateItemError(f"item {item} already in slate")
     gain = np.zeros(catalog.diversity_dim)
-    if items:
-        ids = np.asarray(items, dtype=np.intp)
+    if slate:
+        ids = np.asarray(slate, dtype=np.intp)
         for i, metric in enumerate(catalog.metrics):
             gain[i] = metric.column(item, ids).sum()
     return gain
+
+
+def pair_loop_utility(slate, eta, catalog):
+    """F(A | eta) summed pair by pair per metric: the bit-level oracle."""
+    catalog.check_eta(eta)
+    items = slate.items if isinstance(slate, Slate) else tuple(int(a) for a in slate)
+    if len(set(items)) != len(items):
+        raise DuplicateItemError(f"slate contains duplicates: {items}")
+    if not items:
+        return 0.0
+    ids = np.asarray([check_item(a, catalog) for a in items], dtype=np.intp)
+    value = float(catalog.relevance[ids].sum(axis=0) @ eta.theta)
+    for beta_i, metric in zip(eta.beta, catalog.metrics):
+        pair_sum = 0.0
+        for k in range(1, len(ids)):
+            pair_sum += float(metric.column(int(ids[k]), ids[:k]).sum())
+        value += float(beta_i) * pair_sum
+    return value
 
 
 class TestRelevanceMarginal:
@@ -183,9 +211,8 @@ class TestSlateFeatures:
         n = int(rng.integers(k, 12))
         # table_threshold=0 makes the cosine metric evaluate columns on demand
         metrics = tuple(
-            cosine_metric(
+            CosineDistanceMetric(
                 rng.uniform(-1.0, 1.0, size=(n, 3)),
-                mode="raw",
                 table_threshold=0 if on_demand else n,
             )
             for _ in range(m)
@@ -214,6 +241,65 @@ class TestSlateFeatures:
 
 
 class TestUtility:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_the_pair_loop(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        m = data.draw(st.integers(1, 3), label="m")
+        k = data.draw(st.integers(0, 10), label="k")
+        on_demand = data.draw(st.booleans(), label="on_demand")
+        as_slate = data.draw(st.booleans(), label="as_slate")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(max(k, 1), 16))
+        # table_threshold=0 makes the cosine metric evaluate columns on demand
+        metrics = tuple(
+            CosineDistanceMetric(
+                rng.uniform(-1.0, 1.0, size=(n, 3)),
+                scale=float(rng.uniform(0.1, 2.0)),
+                table_threshold=0 if on_demand else n,
+            )
+            for _ in range(m)
+        )
+        catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
+        eta = random_eta(rng, d=4, m=m)
+        items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
+        slate = Slate(items, capacity=max(k, 1)) if as_slate else items
+        assert utility(slate, eta, catalog) == pair_loop_utility(slate, eta, catalog)
+
+    def test_bit_equal_to_the_pair_loop_on_study_instances(self):
+        for seed in range(20):
+            instance = study_instance(seed, k=5)
+            args = (instance.eta_star, instance.catalog)
+            rng = np.random.default_rng(seed)
+            for k in range(11):
+                items = tuple(rng.choice(20, size=k, replace=False).tolist())
+                assert utility(items, *args) == pair_loop_utility(items, *args)
+
+    @pytest.mark.parametrize(
+        "items, eta_dims, error",
+        [
+            ((0, 2, 0), (2, 1), DuplicateItemError),
+            ((5, 5), (2, 1), DuplicateItemError),
+            ((0, 7), (2, 1), InvalidItemError),
+            ((-1,), (2, 1), InvalidItemError),
+            ((0, 1), (3, 1), DimensionMismatchError),
+            ((0, 0), (2, 2), DimensionMismatchError),
+        ],
+    )
+    def test_errors_match_the_pair_loop(self, rng, items, eta_dims, error):
+        catalog = random_catalog(rng, 4, d=2, m=1)
+        d, m = eta_dims
+        eta = PreferenceVector(theta=np.ones(d), beta=np.ones(m))
+        for fn in (utility, pair_loop_utility):
+            for slate in (items, list(items)):
+                with pytest.raises(error):
+                    fn(slate, eta, catalog)
+
+    def test_out_of_range_ids_raise_naming_them(self, rng):
+        catalog = random_catalog(rng, 4)
+        with pytest.raises(InvalidItemError, match=r"slate ids .*: \[7, 9\]"):
+            utility((0, 7, 1, 9), random_eta(rng), catalog)
+
     def test_empty_slate(self, rng):
         catalog = random_catalog(rng, 3)
         assert utility((), random_eta(rng), catalog) == 0.0

@@ -172,6 +172,99 @@ def test_manifest_argv_reproduces_outputs(tmp_path, capsys):
     assert read_manifest(out) == manifest
 
 
+# every flag of each command set to a value other than its default
+NON_DEFAULT_FLAGS = {
+    "simulate": [
+        "--policy", "mmr", "--lambda", "2.0", "--alpha", "theory",
+        "--epsilon", "0.1", "--mmr-alpha", "0.8", "--k", "3", "--rounds", "4",
+        "--runs", "2", "--metric-mode", "raw", "--optimum", "greedy-oracle",
+        "--seed", "7",
+    ],
+    "approx-ratio": [
+        "--k", "3", "--runs", "2", "--metric-mode", "slate-normalized", "--seed", "7",
+    ],
+    "replay": [
+        "--dataset", RATINGS, "--format", "generic-csv", "--threshold", "2.5",
+        "--top-items", "30", "--embeddings", EMBEDDINGS, "--policy",
+        "epsilon-greedy", "--lambda", "20.0", "--alpha", "0.5", "--epsilon", "0.2",
+        "--mmr-alpha", "0.7", "--k", "3", "--rounds", "2",
+        "--metric-mode", "raw", "--seed", "7",
+    ],
+    "ingest": [
+        "--dataset", RATINGS, "--format", "generic", "--threshold", "2.5",
+        "--top-items", "30",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_DEFAULT_FLAGS))
+def test_manifest_options_are_the_parsed_command_line(tmp_path, capsys, command):
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    actions = [
+        a for a in commands[command]._actions if a.dest not in ("help", "workers")
+    ]
+    workers = ["--workers", "1"] if command != "ingest" else []
+    argv = [command, *NON_DEFAULT_FLAGS[command], "--out", str(tmp_path), *workers]
+    given = vars(parser.parse_args(argv))
+    assert all(given[a.dest] != a.default for a in actions)
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = read_manifest(tmp_path)
+    assert set(manifest["options"]) == {a.option_strings[0][2:] for a in actions}
+    reparsed = vars(parser.parse_args(manifest["argv"]))
+    given.pop("workers", None)
+    reparsed.pop("workers", None)
+    assert reparsed == given
+
+
+COUNT_FLAGS = [
+    ("simulate", "--k"),
+    ("simulate", "--runs"),
+    ("simulate", "--rounds"),
+    ("approx-ratio", "--k"),
+    ("approx-ratio", "--runs"),
+    ("replay", "--k"),
+    ("replay", "--rounds"),
+    ("replay", "--top-items"),
+    ("ingest", "--top-items"),
+    ("simulate", "--workers"),
+    ("approx-ratio", "--workers"),
+    ("replay", "--workers"),
+]
+REQUIRED = {
+    "simulate": ["--rounds", "3", "--runs", "1"],
+    "approx-ratio": ["--runs", "1"],
+    "replay": ["--dataset", RATINGS, "--format", "generic", "--rounds", "2"],
+    "ingest": ["--dataset", RATINGS, "--format", "generic"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", COUNT_FLAGS)
+def test_bad_count_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, *REQUIRED[command], "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
+def test_slate_normalized_needs_two_slots(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, *REQUIRED[command], "--k", "1", "--metric-mode",
+            "slate-normalized", "--out", str(out), "--workers", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "slate-normalized needs --k >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     lone, pooled = tmp_path / "w1", tmp_path / "w2"
     main(["simulate", "--runs", "3", "--rounds", "10", "--out", str(lone),

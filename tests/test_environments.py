@@ -22,7 +22,6 @@ from dispersion_bandit.environments import (
     position_means,
     replay_feedback,
     run_episode,
-    write_trial_log,
 )
 from dispersion_bandit.errors import (
     DimensionMismatchError,
@@ -277,26 +276,3 @@ def test_run_episode_annotates_errors_with_round():
     with pytest.raises(InvalidFeedbackError, match="round 3"):
         run_episode(FaultyPolicy(), env, 5, 2)
 
-
-def test_write_trial_log_schema(tmp_path):
-    inst = study_instance(31, n_items=6, d=3, k=2)
-    env = SimulatedEnvironment(inst)
-    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=2), inst.catalog)
-    log = run_episode(policy, env, 3, 2)
-    path = tmp_path / "log.csv"
-    write_trial_log(log, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,position,item_id,reward,width"
-    assert len(lines) == 1 + 3 * 2
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "1"
-    assert first[3] in ("0.0", "1.0")
-    assert float(first[4]) >= 0.0
-
-    scorer = StaticScorer(np.zeros(3), inst.catalog)
-    static_log = run_episode(
-        LogRankPolicy(scorer, inst.catalog, k=2), SimulatedEnvironment(inst), 2, 2
-    )
-    write_trial_log(static_log, path)
-    lines = path.read_text().strip().split("\n")
-    assert all(line.endswith(",") for line in lines[1:])  # width column empty

@@ -7,6 +7,7 @@ built on the kernel must match them bit for bit: slates, gains, features,
 widths, scores and the width-clamp count.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -187,7 +188,7 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
         stats.inv_A = -stats.inv_A
     alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")
     config = LmdhConfig(lam=1.0, alpha=alpha, d=d, m=m, k=k)
-    ours, theirs = stats.copy(), stats.copy()
+    ours, theirs = copy.deepcopy(stats), copy.deepcopy(stats)
     got = select_slate(ours, config, catalog, cand)
     want = select_slate_oracle(theirs, config, catalog, cand)
     assert got.slate.items == want[0]

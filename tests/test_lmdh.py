@@ -7,6 +7,7 @@ blockwise sums, an update that strips and re-applies the correction, and a
 four-term width.  The learner must agree with both.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -311,7 +312,7 @@ def test_update_keeps_blocks_positive_definite():
 
 def test_update_empty_slate_is_noop():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
-    before = stats.copy()
+    before = copy.deepcopy(stats)
     update(
         stats,
         Slate((), capacity=2),
