@@ -77,8 +77,16 @@ class StaticScorer:
 def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:
     """Top-K candidates by quality, ties broken by smallest item id."""
     cand = scorer.catalog.candidate_ids(candidates, k)
-    order = np.argsort(-scorer.quality[cand], kind="stable")
-    return Slate(tuple(int(cand[i]) for i in order[:k]), capacity=k)
+    neg = -scorer.quality[cand]
+    if k < cand.size:
+        # a stable sort of every position not above the k-th smallest key
+        # gives the same first k as a stable sort of all of them
+        kth = np.partition(neg, k - 1)[k - 1]
+        top = np.flatnonzero(~(neg > kth))
+    else:
+        top = np.arange(cand.size)
+    order = top[np.argsort(neg[top], kind="stable")][:k]
+    return Slate(tuple(int(cand[i]) for i in order), capacity=k)
 
 
 def mmr_select(

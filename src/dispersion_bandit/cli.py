@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -101,16 +102,10 @@ def _sim_theory(n: int, k: int, d: int, m: int, lam: float, horizon: int) -> The
 
 
 def resolve_alpha(spec: str, k: int, d: int, m: int, lam: float, horizon: int) -> float:
-    """Parse --alpha: a float literal, or "theory" for the derived radius."""
+    """--alpha's value: the number, or the derived radius for "theory"."""
     if spec == "theory":
         return theoretical_alpha(_sim_theory(horizon, k, d, m, lam, horizon))
-    try:
-        value = float(spec)
-    except ValueError:
-        raise SystemExit(f'--alpha must be a number or "theory", got {spec!r}')
-    if value < 0:
-        raise SystemExit(f"--alpha must be non-negative, got {value}")
-    return value
+    return float(spec)
 
 
 def positive_int(text: str) -> int:
@@ -119,6 +114,33 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _float_flag(rule: str, holds):
+    """argparse type for a float flag: a finite number for which `holds` is true."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+positive_float = _float_flag("a finite number > 0", lambda v: v > 0)
+unit_float = _float_flag("a finite number in [0, 1]", lambda v: 0 <= v <= 1)
+_alpha_number = _float_flag('"theory" or a finite number >= 0', lambda v: v >= 0)
+
+
+def alpha_spec(text: str) -> str:
+    """argparse type for --alpha: "theory" or a finite number >= 0, kept as given."""
+    if text != "theory":
+        _alpha_number(text)
+    return text
 
 
 def manifest_options(args: argparse.Namespace, **resolved) -> dict:
@@ -380,8 +402,15 @@ def _replay_context(key: tuple):
     catalog = ItemCatalog(vectors, (metric,))
     # Population scorer: mean over training users of their mean positive-item
     # vector (profile of an average user, as a trained ranker would supply).
+    # Records are in user order, so each user's rows are one slice of a single
+    # gather; add.reduce over it and a divide is what `mean` computes.
+    rows = vectors[train.items]
+    bounds = np.searchsorted(train.users, np.arange(train.n_users + 1))
     user_means = np.vstack(
-        [vectors[train.items_of(u)].mean(axis=0) for u in range(train.n_users)]
+        [
+            np.add.reduce(rows[lo:hi], axis=0) / (hi - lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
     )
     u_bar = user_means.mean(axis=0)
     return table, test, catalog, u_bar
@@ -525,17 +554,18 @@ def _add_policy_flags(parser: argparse.ArgumentParser, lam: float) -> None:
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=float,
+        type=positive_float,
         default=lam,
         help=f"ridge regularizer (default {lam})",
     )
     parser.add_argument(
         "--alpha",
+        type=alpha_spec,
         default="1.0",
         help='exploration width multiplier, or "theory" for the derived radius',
     )
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--mmr-alpha", dest="mmr_alpha", type=float, default=0.9)
+    parser.add_argument("--epsilon", type=unit_float, default=0.05)
+    parser.add_argument("--mmr-alpha", dest="mmr_alpha", type=unit_float, default=0.9)
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:

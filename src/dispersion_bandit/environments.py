@@ -22,7 +22,6 @@ from .catalog import (
     Slate,
     cosine_metric,
     slate_features,
-    sorted_ids,
     utility,
 )
 from .errors import (
@@ -140,25 +139,6 @@ def replay_feedback(slate: Slate, user: ReplayUser) -> np.ndarray:
     return rewards
 
 
-def candidate_set(t: int, ground, consumed, k: int) -> np.ndarray:
-    """Ground set minus consumed items, sorted by id.
-
-    A ground set given as a sorted intp array (see `sorted_ids`) is used
-    without a copy; `consumed` is a set, so both sides are distinct.
-    """
-    ground = sorted_ids(ground)
-    if consumed:
-        consumed = np.fromiter(consumed, dtype=np.intp, count=len(consumed))
-        remaining = np.setdiff1d(ground, consumed, assume_unique=True)
-    else:
-        remaining = ground
-    if remaining.size < k:
-        raise ExhaustedCandidatesError(
-            f"round {t}: {remaining.size} candidates left, need {k}"
-        )
-    return remaining
-
-
 class SimulatedEnvironment:
     """Bernoulli world; the full ground set is on offer every round.
 
@@ -193,20 +173,34 @@ class SimulatedEnvironment:
 
 
 class ReplayEnvironment:
-    """Offline replay world: membership rewards, consumed items leave the pool."""
+    """Offline replay world: membership rewards, consumed items leave the pool.
 
-    def __init__(self, catalog: ItemCatalog, user: ReplayUser, ground=None):
+    A boolean mask over the catalog marks the items still open to the user:
+    the user's consumed items start closed (ids outside the catalog raise
+    InvalidItemError), and each accepted slate closes its items.
+    """
+
+    def __init__(self, catalog: ItemCatalog, user: ReplayUser):
         self.catalog = catalog
         self.user = user
-        self.ground = (
-            catalog.all_items() if ground is None else catalog.candidate_ids(ground, 1)
-        )
+        consumed = np.fromiter(user.consumed, dtype=np.intp, count=len(user.consumed))
+        catalog.check_ids(consumed, "consumed items")
+        self._open = np.ones(catalog.item_count, dtype=bool)
+        self._open[consumed] = False
 
     def candidates(self, t: int, k: int) -> np.ndarray:
-        return candidate_set(t, self.ground, self.user.consumed, k)
+        """Open items, sorted by id."""
+        remaining = np.flatnonzero(self._open)
+        if remaining.size < k:
+            raise ExhaustedCandidatesError(
+                f"round {t}: {remaining.size} candidates left, need {k}"
+            )
+        return remaining
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
-        return replay_feedback(selection.slate, self.user)
+        rewards = replay_feedback(selection.slate, self.user)
+        self._open[list(selection.slate.items)] = False
+        return rewards
 
 
 def run_episode(policy, environment, n: int, k: int) -> TrialLog:

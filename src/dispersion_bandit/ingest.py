@@ -4,7 +4,8 @@ Parsing keeps only strictly-positive feedback (rating > threshold), then
 deduplicates (user, item) pairs keeping the highest rating, then re-indexes
 users and items densely in ascending original-id order.  Counts of every
 dropped record are retained so `kept + filtered + duplicates` always equals
-the number of data lines read.
+the number of data lines read.  Every table holds its records in (user, item)
+order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +40,12 @@ def canonical_format(name: str) -> str:
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """Thresholded, deduplicated, densely re-indexed interactions."""
+    """Thresholded, deduplicated, densely re-indexed interactions.
+
+    Records are in (user, item) order, each pair once: every constructor
+    produces that order, `__post_init__` checks it, and `items_of` relies
+    on it.
+    """
 
     users: np.ndarray  # dense user index per record
     items: np.ndarray  # dense item index per record
@@ -54,6 +59,16 @@ class InteractionTable:
     filtered_count: int
     duplicate_count: int
 
+    def __post_init__(self):
+        u, i = self.users, self.items
+        behind = (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (i[1:] <= i[:-1]))
+        if behind.any():
+            r = int(np.argmax(behind)) + 1
+            raise ValueError(
+                f"records must be in (user, item) order, each pair once: record {r} "
+                f"(user {u[r]}, item {i[r]}) follows (user {u[r - 1]}, item {i[r - 1]})"
+            )
+
     @property
     def n_users(self) -> int:
         return int(self.user_ids.shape[0])
@@ -66,17 +81,10 @@ class InteractionTable:
     def n_interactions(self) -> int:
         return int(self.users.shape[0])
 
-    @cached_property
-    def _by_user(self) -> tuple[np.ndarray, np.ndarray]:
-        """(users, items) sorted by user, then item; built on first use."""
-        order = np.lexsort((self.items, self.users))
-        return self.users[order], self.items[order]
-
     def items_of(self, dense_user: int) -> np.ndarray:
         """Sorted item ids of one user (a fresh array)."""
-        users, items = self._by_user
-        lo, hi = np.searchsorted(users, (dense_user, dense_user + 1))
-        return items[lo:hi].copy()
+        lo, hi = np.searchsorted(self.users, (dense_user, dense_user + 1))
+        return self.items[lo:hi].copy()
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -237,20 +245,21 @@ def _table_from_columns(
         )
     users, items, ratings, stamps, has_stamp = (c[positive] for c in columns)
 
+    # every user and item keeps a row through deduplication
+    user_ids, ui = np.unique(users, return_inverse=True)
+    item_ids, ii = np.unique(items, return_inverse=True)
     # one row per (user, item): the highest rating, the first line on ties
-    line_index = np.arange(len(users))
-    order = np.lexsort((line_index, -ratings, items, users))
-    users, items = users[order], items[order]
+    # (lexsort is stable); pair < rows**2, so it cannot overflow
+    pair = ui * len(item_ids) + ii
+    order = np.lexsort((-ratings, pair))
+    pair = pair[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    first[1:] = pair[1:] != pair[:-1]
     best = order[first]
 
-    users_orig, items_orig = users[first], items[first]
-    user_ids = np.unique(users_orig)
-    item_ids = np.unique(items_orig)
     return InteractionTable(
-        users=np.searchsorted(user_ids, users_orig),
-        items=np.searchsorted(item_ids, items_orig),
+        users=ui[best],
+        items=ii[best],
         ratings=ratings[best],
         timestamps=stamps[best] if has_stamp[best].all() else None,
         user_ids=user_ids,
@@ -307,22 +316,32 @@ def subtable(table: InteractionTable, dense_users) -> InteractionTable:
 
     The item index space is left untouched — items keep their parent dense
     ids even if a split holds no record for them — so embedding matrices and
-    catalogs built on the parent remain valid for both splits.
+    catalogs built on the parent remain valid for both splits.  Dense user ids
+    outside 0..n_users-1 raise ValueError.
     """
-    mask = np.isin(table.users, np.asarray(dense_users))
-    users_orig = table.user_ids[table.users[mask]]
-    user_ids = np.unique(users_orig)
-    kept = int(mask.sum())
+    dense_users = np.asarray(dense_users, dtype=np.intp)
+    outside = dense_users[(dense_users < 0) | (dense_users >= table.n_users)]
+    if outside.size:
+        raise ValueError(
+            f"dense user ids outside 0..{table.n_users - 1}: {outside[:5].tolist()}"
+        )
+    chosen = np.zeros(table.n_users, dtype=bool)
+    chosen[dense_users] = True
+    mask = chosen[table.users]
+    users = table.users[mask]
+    # records stay in user order, so each kept user is one run
+    starts = np.ones(users.size, dtype=bool)
+    starts[1:] = users[1:] != users[:-1]
     return InteractionTable(
-        users=np.searchsorted(user_ids, users_orig),
+        users=np.cumsum(starts, dtype=np.intp) - 1,
         items=table.items[mask],
         ratings=table.ratings[mask],
         timestamps=None if table.timestamps is None else table.timestamps[mask],
-        user_ids=user_ids,
+        user_ids=table.user_ids[users[starts]],
         item_ids=table.item_ids,
         source=table.source,
         format=table.format,
-        raw_lines=kept,
+        raw_lines=users.size,
         filtered_count=0,
         duplicate_count=0,
     )

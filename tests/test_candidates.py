@@ -7,6 +7,7 @@ against the list-based versions they replaced, kept here as oracles.
 """
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_bandit.baselines import (
+    LogRankPolicy,
     StaticScorer,
     annotate_slate,
     epsilon_greedy_select,
     logrank_select,
     mmr_select,
 )
-from dispersion_bandit.catalog import sorted_ids
-from dispersion_bandit.environments import candidate_set
+from dispersion_bandit.catalog import Slate, sorted_ids
+from dispersion_bandit.environments import ReplayEnvironment, ReplayUser, run_episode
 from dispersion_bandit.errors import (
     ExhaustedCandidatesError,
     InsufficientCandidatesError,
@@ -73,6 +75,13 @@ def candidate_set_oracle(t, ground, consumed, k):
     if remaining.size < k:
         raise ExhaustedCandidatesError(f"round {t}")
     return remaining
+
+
+def logrank_oracle(scorer, candidates, k):
+    """LogRank by a full stable argsort of every candidate's quality."""
+    cand = scorer.catalog.candidate_ids(candidates, k)
+    order = np.argsort(-scorer.quality[cand], kind="stable")
+    return tuple(int(cand[i]) for i in order[:k])
 
 
 def raw_widths_oracle(Z, X, stats):
@@ -238,7 +247,7 @@ def test_epsilon_greedy_matches_list_oracle(epsilon):
     scorer = StaticScorer(rng.normal(size=3), catalog)
     for trial in range(60):
         consumed = set(rng.choice(40, size=rng.integers(0, 35), replace=False).tolist())
-        cand = candidate_set(trial, catalog.all_items(), consumed, 1)
+        cand = candidate_set_oracle(trial, catalog.all_items(), consumed, 1)
         k = int(rng.integers(1, min(5, cand.size) + 1))
         fast_rng = np.random.default_rng(trial)
         slow_rng = np.random.default_rng(trial)
@@ -249,24 +258,96 @@ def test_epsilon_greedy_matches_list_oracle(epsilon):
 
 
 def test_candidate_set_matches_set_difference_oracle():
+    """The replay mask against the set difference, round by round to exhaustion."""
     rng = np.random.default_rng(8)
     for trial in range(200):
         n = int(rng.integers(1, 60))
-        ground = np.arange(n) if trial % 2 else list(rng.permutation(n))
-        consumed = set(rng.choice(n + 5, size=rng.integers(0, n + 1), replace=False).tolist())
+        catalog = random_catalog(rng, n)
+        consumed = set(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
+        user = ReplayUser(user_id=trial, positives=frozenset(), consumed=consumed)
+        env = ReplayEnvironment(catalog, user)
         k = int(rng.integers(1, 6))
-        outcomes = []
-        for fn in (candidate_set, candidate_set_oracle):
-            try:
-                outcomes.append(fn(trial, ground, consumed, k))
-            except ExhaustedCandidatesError:
-                outcomes.append(None)
-        fast, slow = outcomes
-        if slow is None:
-            assert fast is None
-        else:
+        for t in range(1, n + 2):
+            outcomes = []
+            for call in (
+                lambda: env.candidates(t, k),
+                lambda: candidate_set_oracle(t, range(n), user.consumed, k),
+            ):
+                try:
+                    outcomes.append(call())
+                except ExhaustedCandidatesError as exc:
+                    outcomes.append(str(exc))
+            fast, slow = outcomes
+            if isinstance(slow, str):
+                assert fast == f"round {t}: {n - len(user.consumed)} candidates left, need {k}"
+                break
             assert fast.dtype == slow.dtype == np.intp
             assert np.array_equal(fast, slow)
+            shown = rng.choice(fast, size=k, replace=False)
+            env.feedback(SimpleNamespace(slate=Slate(tuple(int(i) for i in shown), k)))
+        else:
+            raise AssertionError("candidates never ran out")
+
+
+class OracleCheckedReplay(ReplayEnvironment):
+    """Replay world that checks every candidate set against the oracle."""
+
+    def __init__(self, catalog, user):
+        super().__init__(catalog, user)
+        self.rounds = []
+
+    def candidates(self, t, k):
+        ground = range(self.catalog.item_count)
+        try:
+            expected = candidate_set_oracle(t, ground, self.user.consumed, k)
+        except ExhaustedCandidatesError:
+            expected = None
+        try:
+            got = super().candidates(t, k)
+        except ExhaustedCandidatesError:
+            assert expected is None, f"round {t}: exhausted early"
+            self.rounds.append(t)
+            raise
+        assert expected is not None, f"round {t}: not exhausted"
+        assert np.array_equal(got, expected)
+        self.rounds.append(t)
+        return got
+
+
+@pytest.mark.parametrize("consumed", [set(), {0, 5, 12, 13}])
+def test_replay_candidates_match_oracle_every_round(consumed):
+    rng = np.random.default_rng(10)
+    catalog = random_catalog(rng, 23, d=3)
+    scorer = StaticScorer(rng.normal(size=3), catalog)
+    user = ReplayUser(user_id=0, positives=frozenset({1, 2, 3}), consumed=set(consumed))
+    env = OracleCheckedReplay(catalog, user)
+    log = run_episode(LogRankPolicy(scorer, catalog, 4), env, 10, 4)
+    # 23 - |consumed| items at 4 per round: exhaustion ends the episode
+    full_rounds = (23 - len(consumed)) // 4
+    assert len(log) == full_rounds
+    assert env.rounds == list(range(1, full_rounds + 2))
+    assert user.consumed == set(consumed) | {i for r in log for i in r.items}
+
+
+# qualities drawn from a few levels, so ties are common, plus +-inf and NaN
+_QUALITY = st.one_of(
+    st.integers(0, 4).map(lambda q: q / 4),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_logrank_top_k_matches_full_argsort(data):
+    n_items = data.draw(st.integers(1, 29), label="n_items")
+    quality = np.array(data.draw(st.lists(_QUALITY, min_size=n_items, max_size=n_items)))
+    catalog = random_catalog(np.random.default_rng(n_items), n_items)
+    scorer = SimpleNamespace(catalog=catalog, quality=quality)
+    cand = data.draw(
+        st.lists(st.integers(0, n_items - 1), min_size=1, unique=True), label="cand"
+    )
+    k = data.draw(st.integers(1, len(cand)), label="k")
+    assert logrank_select(scorer, cand, k).items == logrank_oracle(scorer, cand, k)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -23,6 +23,7 @@ from dispersion_bandit.baselines import (
 from dispersion_bandit import cli
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy, resolve_seed
 from dispersion_bandit.environments import study_instance
+from dispersion_bandit.ingest import SplitSpec, split_users
 from dispersion_bandit.lmdh import LmdhPolicy
 from dispersion_bandit.seeding import STREAM_POLICY, rng_from_seed
 
@@ -253,6 +254,33 @@ def test_bad_count_flags_are_usage_errors(tmp_path, capsys, command, flag, value
     assert not out.exists()
 
 
+BAD_FLOATS = {
+    "--lambda": ("0", "-1"),
+    "--alpha": ("nope", "-1"),
+    "--epsilon": ("2", "-0.5"),
+    "--mmr-alpha": ("-1", "1.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in ("simulate", "replay")
+        for flag, values in BAD_FLOATS.items()
+        for value in (*values, "nan", "inf")
+    ],
+)
+def test_bad_float_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, *REQUIRED[command], "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
 def test_slate_normalized_needs_two_slots(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -374,6 +402,43 @@ def test_replay_synthetic_embeddings_when_omitted(tmp_path, capsys):
     manifest = read_manifest(out)
     assert manifest["derived"]["embedding_seed"] is not None
     assert manifest["derived"]["embedding_d"] == 10
+
+
+def per_user_mean_u_bar(train, vectors):
+    """The population scorer as a `.mean` per training user (the pre-gather loop)."""
+    user_means = np.vstack(
+        [
+            vectors[np.sort(train.items[train.users == u])].mean(axis=0)
+            for u in range(train.n_users)
+        ]
+    )
+    return user_means.mean(axis=0)
+
+
+def random_tab_ratings(path: Path) -> str:
+    rng = np.random.default_rng(300)
+    users = np.repeat(np.arange(1, 301), rng.integers(1, 40, 300))
+    items = rng.integers(1, 500, users.size)
+    ratings = rng.integers(1, 6, users.size)
+    lines = (f"{u}\t{i}\t{r}\t0\n" for u, i, r in zip(users, items, ratings))
+    path.write_text("".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("top_items", [None, 20])
+@pytest.mark.parametrize("source", ["sample", "sample-embeddings", "random-300"])
+def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
+    if source == "random-300":
+        dataset, fmt = random_tab_ratings(tmp_path / "u.data"), "ml100k-tab"
+    else:
+        dataset, fmt = RATINGS, "generic-csv"
+    embeddings = EMBEDDINGS if source == "sample-embeddings" else None
+    seed = 7
+    key = (dataset, fmt, 3.0, top_items, seed, embeddings, "slate-normalized", 3)
+    table, test, catalog, u_bar = cli._replay_context(key)
+    train, _ = split_users(table, SplitSpec(seed=seed))
+    assert train.n_users + test.n_users == table.n_users
+    assert u_bar.tobytes() == per_user_mean_u_bar(train, catalog.relevance).tobytes()
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from dispersion_bandit.environments import (
     SimInstance,
     SimulatedEnvironment,
     TrialLog,
-    candidate_set,
     study_instance,
     position_means,
     replay_feedback,
@@ -27,6 +26,7 @@ from dispersion_bandit.errors import (
     DimensionMismatchError,
     ExhaustedCandidatesError,
     InvalidFeedbackError,
+    InvalidItemError,
     ProtocolViolationError,
 )
 from dispersion_bandit.greedy import greedy_select
@@ -140,12 +140,23 @@ def test_replay_feedback_all_in_and_all_out():
 
 
 def test_candidate_set_removes_consumed():
-    ground = range(10)
-    assert np.array_equal(candidate_set(1, ground, set(), 3), np.arange(10))
-    remaining = candidate_set(2, ground, {1, 4, 7}, 3)
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
+    fresh = ReplayEnvironment(catalog, ReplayUser(user_id=0, positives=frozenset()))
+    assert np.array_equal(fresh.candidates(1, 3), np.arange(10))
+    user = ReplayUser(user_id=1, positives=frozenset(), consumed={1, 4, 7})
+    remaining = ReplayEnvironment(catalog, user).candidates(2, 3)
+    assert remaining.dtype == np.intp
     assert np.array_equal(remaining, [0, 2, 3, 5, 6, 8, 9])
-    with pytest.raises(ExhaustedCandidatesError):
-        candidate_set(3, ground, set(range(8)), 3)
+    user = ReplayUser(user_id=2, positives=frozenset(), consumed=set(range(8)))
+    with pytest.raises(ExhaustedCandidatesError, match="round 3: 2 candidates left, need 3"):
+        ReplayEnvironment(catalog, user).candidates(3, 3)
+
+
+def test_replay_environment_rejects_consumed_ids_outside_the_catalog():
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
+    user = ReplayUser(user_id=0, positives=frozenset(), consumed={3, 10, -1})
+    with pytest.raises(InvalidItemError, match=r"consumed items outside .*10"):
+        ReplayEnvironment(catalog, user)
 
 
 def test_simulated_environment_counts_clamps():

@@ -6,6 +6,7 @@ separators themselves are under test.
 
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -206,12 +207,44 @@ def test_items_of_matches_a_full_scan(tmp_path):
     train, test = split_users(table, SplitSpec(seed=5))
     top = filter_top_items(table, 20)
     for t in (table, train, test, top):
+        # (user, item) order, each pair once
+        order = np.lexsort((t.items, t.users))
+        assert np.array_equal(order, np.arange(t.n_interactions))
+        assert len(set(zip(t.users.tolist(), t.items.tolist()))) == t.n_interactions
         for u in range(t.n_users):
             got = t.items_of(u)
             assert np.array_equal(got, np.sort(t.items[t.users == u]))
-            got[:] = -1  # a copy: the cached index is untouched
+            got[:] = -1  # a copy: the table is untouched
             assert np.array_equal(t.items_of(u), np.sort(t.items[t.users == u]))
         assert t.items_of(t.n_users).size == 0
+
+
+@pytest.mark.parametrize(
+    "users, items, record",
+    [
+        ([0, 0, 1], [1, 0, 0], r"record 1 \(user 0, item 0\) follows \(user 0, item 1\)"),
+        ([0, 1, 0], [0, 0, 1], r"record 2 \(user 0, item 1\) follows \(user 1, item 0\)"),
+        ([0, 1, 1], [0, 2, 2], r"record 2 \(user 1, item 2\) follows \(user 1, item 2\)"),
+    ],
+    ids=["items", "users", "repeated-pair"],
+)
+def test_out_of_order_table_raises(tmp_path, users, items, record):
+    table = parse_ratings(write(tmp_path / "u.data", "1\t1\t5\t0\n"), "ml100k-tab")
+    fields = dict(
+        vars(table), users=np.array(users), items=np.array(items),
+        ratings=np.full(3, 5.0), timestamps=None,
+    )
+    with pytest.raises(ValueError, match=record):
+        InteractionTable(**fields)
+
+
+@pytest.mark.parametrize("dense", [[0, 4], [-1], [2, 7, -3]])
+def test_subtable_rejects_dense_ids_out_of_range(tmp_path, dense):
+    lines = "".join(f"{u}\t1\t5\t0\n" for u in range(4))
+    table = parse_ratings(write(tmp_path / "u.data", lines), "ml100k-tab")
+    bad = [u for u in dense if not 0 <= u < 4]
+    with pytest.raises(ValueError, match=re.escape(f"outside 0..3: {bad}")):
+        subtable(table, dense)
 
 
 def test_load_embeddings_minmax_endpoints(tmp_path):
@@ -549,6 +582,17 @@ def ratings_files(draw):
 @example(("ml100k-tab", "1\t2\t5\t3\n\t\n1\t2\t5\t4"), 3.0)  # a tab-only line
 @example(("ml100k-tab", "1\t2\t5\t3\t\t9\n1\t2\t5\t1\n"), 3.0)  # tied duplicates
 @example(("ml100k-tab", "1.0\t2\t5\t3\n"), 3.0)
+@example(  # tied duplicates far apart, either side of other users' records
+    ("ml1m-colons", "7::2::5::1\n" + "".join(f"{u}::{u}::4::9\n" for u in range(60))
+     + "7::2::5::2\n7::2::4::3\n"),
+    3.0,
+)
+@example(("ml100k-tab", "9223372036854775807\t0\t5\t1\n0\t9223372036854775807\t5\t2\n"), 3.0)
+@example(  # int64 extremes on the line reader, which takes signs
+    ("ml100k-tab", "-9223372036854775808\t9223372036854775807\t5\t-9223372036854775808\n"
+     "9223372036854775807\t-9223372036854775808\t5\t9223372036854775807\n"),
+    3.0,
+)
 @example(("ml100k-tab", "\n\n"), 3.0)
 def test_both_readers_match_the_dict_oracle(tmp_path_factory, case, threshold):
     fmt, text = case
