@@ -159,15 +159,42 @@ class _StaticPolicy:
         pass
 
 
-class LogRankPolicy(_StaticPolicy):
-    name = "logrank"
+class _FixedSlatePolicy(_StaticPolicy):
+    """A static policy whose slate is a function of the candidate set alone.
+
+    Each distinct candidate set's annotated slate is computed once and
+    returned again whenever the same set comes back, so one policy can serve
+    every user of a replay world.  The memo grows by one entry per distinct
+    set; its feature arrays are read-only because every caller shares them.
+    """
+
+    def __init__(self, scorer: StaticScorer, catalog: ItemCatalog, k: int):
+        super().__init__(scorer, catalog, k)
+        self._selections: dict[bytes, SlateSelection] = {}
+
+    def _slate(self, cand: np.ndarray) -> Slate:
+        raise NotImplementedError
 
     def select(self, candidates, round_index: int) -> SlateSelection:
-        slate = logrank_select(self.scorer, candidates, self.k)
-        return annotate_slate(slate, self.catalog)
+        cand = self.catalog.candidate_ids(candidates, self.k)
+        key = cand.tobytes()
+        selection = self._selections.get(key)
+        if selection is None:
+            selection = annotate_slate(self._slate(cand), self.catalog)
+            selection.relevance_features.flags.writeable = False
+            selection.diversity_features.flags.writeable = False
+            self._selections[key] = selection
+        return selection
 
 
-class MmrPolicy(_StaticPolicy):
+class LogRankPolicy(_FixedSlatePolicy):
+    name = "logrank"
+
+    def _slate(self, cand: np.ndarray) -> Slate:
+        return logrank_select(self.scorer, cand, self.k)
+
+
+class MmrPolicy(_FixedSlatePolicy):
     name = "mmr"
 
     def __init__(
@@ -180,11 +207,8 @@ class MmrPolicy(_StaticPolicy):
         super().__init__(scorer, catalog, k)
         self.mmr_alpha = mmr_alpha
 
-    def select(self, candidates, round_index: int) -> SlateSelection:
-        slate = mmr_select(
-            self.scorer, self.catalog, candidates, self.k, self.mmr_alpha
-        )
-        return annotate_slate(slate, self.catalog)
+    def _slate(self, cand: np.ndarray) -> Slate:
+        return mmr_select(self.scorer, self.catalog, cand, self.k, self.mmr_alpha)
 
 
 class EpsilonGreedyPolicy(_StaticPolicy):

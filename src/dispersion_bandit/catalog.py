@@ -64,15 +64,21 @@ class DistanceMetric:
         raise NotImplementedError
 
 
-def _mirror_upper(table: np.ndarray, block: int = 256) -> None:
-    """Copy the strict upper triangle onto the lower one and zero the diagonal.
+def _distances_in_place(table: np.ndarray, scale: float, block: int = 256) -> None:
+    """Turn cosine similarities into distances, symmetric with a zero diagonal.
 
-    Works in place, a band of `block` rows at a time, so the only temporaries
-    are one band's worth of the table.
+    Each band of `block` rows maps its upper part to max(scale * (1 - s), 0)
+    and takes its lower part from the bands above, so every distance is
+    computed once, from the upper triangle.  Works in place, so the only
+    temporaries are one band's worth of the table.
     """
     n = len(table)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        upper = table[lo:hi, lo:]
+        np.subtract(1.0, upper, out=upper)
+        upper *= scale
+        np.clip(upper, 0.0, None, out=upper)
         table[lo:hi, :lo] = table[:lo, lo:hi].T
         square = table[lo:hi, lo:hi]
         below = np.tril_indices(hi - lo, k=-1)
@@ -107,10 +113,7 @@ class CosineDistanceMetric(DistanceMetric):
         self._table: np.ndarray | None = None
         if len(vectors) <= table_threshold:
             table = self._unit @ self._unit.T
-            np.subtract(1.0, table, out=table)
-            table *= self.scale
-            _mirror_upper(table)  # exact symmetry, zero diagonal
-            np.clip(table, 0.0, None, out=table)
+            _distances_in_place(table, self.scale)
             table.flags.writeable = False
             self._table = table
 
@@ -129,7 +132,7 @@ class CosineDistanceMetric(DistanceMetric):
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
         others = np.asarray(others, dtype=np.intp)
         if self._table is not None:
-            return self._table[item, others].astype(np.float64, copy=True)
+            return self._table[item][others]
         col = self.scale * (1.0 - self._unit[others] @ self._unit[item])
         np.clip(col, 0.0, None, out=col)
         col[others == item] = 0.0
@@ -160,7 +163,7 @@ class TableDistanceMetric(DistanceMetric):
 
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
         others = np.asarray(others, dtype=np.intp)
-        return self._table[item, others].astype(np.float64, copy=True)
+        return self._table[item][others]
 
 
 def cosine_metric(

@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -134,6 +132,14 @@ def _float_flag(rule: str, holds):
 positive_float = _float_flag("a finite number > 0", lambda v: v > 0)
 unit_float = _float_flag("a finite number in [0, 1]", lambda v: 0 <= v <= 1)
 _alpha_number = _float_flag('"theory" or a finite number >= 0', lambda v: v >= 0)
+finite_float = _float_flag("a finite number", lambda v: True)
+
+
+def existing_file(text: str) -> str:
+    """argparse type for an input file flag: a path to a file, kept as given."""
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
 
 
 def alpha_spec(text: str) -> str:
@@ -176,6 +182,10 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
     """Order-preserving map, forking a pool only when it can actually help."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # imported here so that commands run in one process never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         return list(pool.map(fn, tasks))
@@ -384,7 +394,11 @@ def _sniff_embedding_dim(path: str) -> int:
 
 @lru_cache(maxsize=1)
 def _replay_context(key: tuple):
-    """Rebuild the replay world from primitives (cached once per process)."""
+    """Rebuild the replay world from primitives (cached once per process).
+
+    A new world also drops the previous world's shared policy.
+    """
+    _world_policy.cache_clear()
     (dataset, fmt, threshold, top_items, seed, embeddings, metric_mode, k) = key
     table = parse_ratings(dataset, fmt, threshold)
     if top_items is not None:
@@ -416,23 +430,43 @@ def _replay_context(key: tuple):
     return table, test, catalog, u_bar
 
 
+# Policies whose slate depends only on the candidate set; one serves every user
+STATIC_POLICIES = ("logrank", "mmr")
+
+
+@lru_cache(maxsize=1)
+def _world_policy(key: tuple, policy_name: str, k: int, mmr_alpha: float):
+    """The one LogRank or MMR policy of a replay world, shared by its users.
+
+    Every test user starts with nothing consumed, so the users of a world
+    walk the same candidate sets and the policy's memo computes each slate
+    once per process.
+    """
+    _, _, catalog, u_bar = _replay_context(key)
+    return make_policy(
+        policy_name, catalog, k, lam=None, alpha=None, epsilon=None,
+        mmr_alpha=mmr_alpha, rng=None, u_bar=u_bar,
+    )
+
+
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, u_bar = _replay_context(key)
     positives = frozenset(int(i) for i in test.items_of(u))
     user = ReplayUser(user_id=u, positives=positives)
-    policy = make_policy(
-        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
-    )
+    if policy_name in STATIC_POLICIES:
+        policy = _world_policy(key, policy_name, k, mmr_alpha)
+    else:
+        policy = make_policy(
+            policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+            rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
+        )
     environment = ReplayEnvironment(catalog, user)
     return run_episode(policy, environment, rounds, k)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fmt = canonical_format(args.format)
     key = (
         args.dataset,
@@ -445,6 +479,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         args.k,
     )
     table, test, catalog, _ = _replay_context(key)
+    # created only once the ratings have parsed, so a bad file leaves no directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(
         args.alpha, args.k, catalog.relevance_dim, 1, args.lam, args.rounds
     )
@@ -569,7 +606,9 @@ def _add_policy_flags(parser: argparse.ArgumentParser, lam: float) -> None:
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", required=True, help="ratings file to parse")
+    parser.add_argument(
+        "--dataset", required=True, type=existing_file, help="ratings file to parse"
+    )
     parser.add_argument(
         "--format",
         choices=sorted(set(FORMATS) | set(FORMAT_ALIASES)),
@@ -577,7 +616,7 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=finite_float,
         default=3.0,
         help="keep interactions with rating strictly above this",
     )
@@ -627,6 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(rep)
     rep.add_argument(
         "--embeddings",
+        type=existing_file,
         default=None,
         help="item embedding CSV (item,e0,...); synthetic when omitted",
     )

@@ -139,6 +139,8 @@ def compute_metric_series(
     # running per-user state so the sweep is O(total rounds), not O(t^2)
     hit_fractions = [0.0 for _ in kept_logs]
     diversity_sums = [0.0 for _ in kept_logs]
+    # users often see the same slate (static policies); each is scored once
+    slate_diversities: dict[tuple[int, ...], float] = {}
     for t in rounds:
         rec_vals, div_vals = [], []
         for i, (log, pos) in enumerate(zip(kept_logs, kept_pos)):
@@ -148,7 +150,11 @@ def compute_metric_series(
             hit_fractions[i] += sum(
                 1 for item in entry.items if item in pos
             ) / len(pos)
-            diversity_sums[i] += slate_diversity(entry.items, catalog, unit)
+            slate_div = slate_diversities.get(entry.items)
+            if slate_div is None:
+                slate_div = slate_diversity(entry.items, catalog, unit)
+                slate_diversities[entry.items] = slate_div
+            diversity_sums[i] += slate_div
             rec_vals.append(hit_fractions[i])
             div_vals.append(diversity_sums[i] / t)
         n_users[t - 1] = len(rec_vals)

@@ -233,42 +233,68 @@ def _read_lines(path, tag: str) -> _Columns:
     )
 
 
+def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ids and each entry's index among them (`np.unique`'s pair).
+
+    Ids spanning at most a few times their count are ranked through a boolean
+    table over the span, without sorting; wider spans, such as sparse 64-bit
+    ids, go through `np.unique`.
+    """
+    lo = ids.min()
+    span = int(ids.max()) - int(lo) + 1  # Python ints: cannot overflow
+    if span > 4 * ids.size:
+        return np.unique(ids, return_inverse=True)
+    offset = ids - lo
+    present = np.zeros(span, dtype=bool)
+    present[offset] = True
+    rank = np.cumsum(present, dtype=np.intp) - 1
+    return np.flatnonzero(present) + lo, rank[offset]
+
+
 def _table_from_columns(
     columns: _Columns, positive_threshold: float, source: str, tag: str
 ) -> InteractionTable:
     """Threshold, deduplicate and densely re-index parsed columns."""
     raw_lines = len(columns.users)
-    positive = columns.ratings > positive_threshold
-    if not positive.any():
+    # line numbers of the positive rows; the other columns are gathered only
+    # for the rows that survive deduplication
+    positive = np.flatnonzero(columns.ratings > positive_threshold)
+    if not positive.size:
         raise EmptyDatasetError(
             f"no interactions with rating > {positive_threshold} in {source}"
         )
-    users, items, ratings, stamps, has_stamp = (c[positive] for c in columns)
 
     # every user and item keeps a row through deduplication
-    user_ids, ui = np.unique(users, return_inverse=True)
-    item_ids, ii = np.unique(items, return_inverse=True)
-    # one row per (user, item): the highest rating, the first line on ties
-    # (lexsort is stable); pair < rows**2, so it cannot overflow
+    user_ids, ui = _dense_ids(columns.users[positive])
+    item_ids, ii = _dense_ids(columns.items[positive])
+    # one row per (user, item); pair < rows**2, so it cannot overflow
     pair = ui * len(item_ids) + ii
-    order = np.lexsort((-ratings, pair))
-    pair = pair[order]
+    # while every pair is distinct, any sort gives this one order
+    order = np.argsort(pair)
+    sorted_pair = pair[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
+    first[1:] = sorted_pair[1:] != sorted_pair[:-1]
+    if not first.all():
+        # a repeated pair keeps its highest rating, the first line on ties
+        # (lexsort is stable); it orders pairs as above, so `first` holds
+        order = np.lexsort((-columns.ratings[positive], pair))
     best = order[first]
+    lines = positive[best]
 
     return InteractionTable(
         users=ui[best],
         items=ii[best],
-        ratings=ratings[best],
-        timestamps=stamps[best] if has_stamp[best].all() else None,
+        ratings=columns.ratings[lines],
+        timestamps=(
+            columns.timestamps[lines] if columns.has_timestamp[lines].all() else None
+        ),
         user_ids=user_ids,
         item_ids=item_ids,
         source=source,
         format=tag,
         raw_lines=raw_lines,
-        filtered_count=raw_lines - len(users),
-        duplicate_count=len(users) - len(best),
+        filtered_count=raw_lines - len(positive),
+        duplicate_count=len(positive) - len(best),
     )
 
 

@@ -231,3 +231,44 @@ def test_static_policies_do_not_learn():
     policy.observe(first, np.ones(3))
     second = policy.select(catalog.all_items(), 1)
     assert first.slate.items == second.slate.items
+
+
+@pytest.mark.parametrize("name", ["logrank", "mmr"])
+def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
+    rng = np.random.default_rng(44)
+    catalog = random_catalog(rng, n_items=10, d=3, m=1)
+    scorer = StaticScorer(rng.normal(size=3), catalog)
+    if name == "logrank":
+        policy = LogRankPolicy(scorer, catalog, k=3)
+        fresh = lambda cand: annotate_slate(logrank_select(scorer, cand, 3), catalog)
+    else:
+        policy = MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.7)
+        fresh = lambda cand: annotate_slate(
+            mmr_select(scorer, catalog, cand, 3, 0.7), catalog
+        )
+    computed = []
+    slate = policy._slate
+    monkeypatch.setattr(policy, "_slate", lambda cand: computed.append(1) or slate(cand))
+
+    first = policy.select(np.arange(8), 1)
+    # an equal set as a list, unsorted, or an array hits the same entry
+    assert policy.select([7, 6, 5, 4, 3, 2, 1, 0], 2) is first
+    assert policy.select(np.arange(8), 3) is first
+    assert len(computed) == 1
+    # different sets get their own entries
+    other = policy.select(np.arange(2, 10), 4)
+    smaller = policy.select([0, 1, 2], 5)
+    assert len(computed) == 3 and len({id(first), id(other), id(smaller)}) == 3
+    assert policy.select(range(2, 10), 6) is other
+    assert len(computed) == 3
+    for cand, selection in ((np.arange(8), first), (np.arange(2, 10), other),
+                            (np.arange(3), smaller)):
+        want = fresh(cand)
+        assert selection.slate == want.slate
+        assert selection.relevance_features.tobytes() == want.relevance_features.tobytes()
+        assert selection.diversity_features.tobytes() == want.diversity_features.tobytes()
+        # every caller shares the stored arrays
+        assert not selection.relevance_features.flags.writeable
+        assert not selection.diversity_features.flags.writeable
+    with pytest.raises(InsufficientCandidatesError):
+        policy.select([0, 1], 7)

@@ -445,7 +445,54 @@ def four_step_table(vectors, scale):
     return np.clip(table, 0.0, None)
 
 
+def in_place_four_pass_table(vectors, scale, block=256):
+    """The in-place build before each band was transformed on its own: three
+    full-table passes (1 - s, times scale, clip) around a band-wise mirror."""
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    table = unit @ unit.T
+    np.subtract(1.0, table, out=table)
+    table *= scale
+    n = len(table)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        table[lo:hi, :lo] = table[:lo, lo:hi].T
+        square = table[lo:hi, lo:hi]
+        below = np.tril_indices(hi - lo, k=-1)
+        square[below] = square.T[below]
+        np.fill_diagonal(square, 0.0)
+    np.clip(table, 0.0, None, out=table)
+    return table
+
+
 class TestDistanceTable:
+    @pytest.mark.parametrize("n", [1, 2, 127, 129, 300])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
+    def test_bit_equal_to_the_in_place_four_pass_build(self, rng, n, scale):
+        vectors = rng.uniform(-1.0, 1.0, size=(n, 5))
+        # duplicate rows: some unit rows have u.u > 1, whose distance is clipped
+        vectors[n // 2 :] = vectors[: n - n // 2]
+        if n >= 2:
+            vectors[-1] = -3.0 * vectors[0]  # anti-parallel rows: distance 2
+        unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+        if n >= 100:
+            assert (unit @ unit.T > 1.0).any()
+        metric = CosineDistanceMetric(vectors, scale=scale)
+        assert metric._table.tobytes() == in_place_four_pass_table(vectors, scale).tobytes()
+
+    @pytest.mark.parametrize("others", [[], [0], [4, 1, 4, 0], list(range(9))])
+    def test_columns_equal_the_copied_pair_gather(self, rng, others):
+        vectors = rng.uniform(-1.0, 1.0, size=(9, 3))
+        for metric in (
+            CosineDistanceMetric(vectors, scale=0.5),
+            TableDistanceMetric(random_table(rng, 9)),
+        ):
+            ids = np.asarray(others, dtype=np.intp)
+            for item in range(9):
+                col = metric.column(item, others)
+                want = metric._table[item, ids].astype(np.float64, copy=True)
+                assert col.dtype == np.float64 and col.tobytes() == want.tobytes()
+                assert col.flags.writeable and not np.shares_memory(col, metric._table)
+
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
     @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
     def test_bit_equal_to_the_four_step_oracle(self, rng, n, scale):

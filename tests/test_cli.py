@@ -6,10 +6,13 @@ module entry point works from a cold interpreter.
 
 import copy
 import csv
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +25,16 @@ from dispersion_bandit.baselines import (
 )
 from dispersion_bandit import cli
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy, resolve_seed
-from dispersion_bandit.environments import study_instance
+from dispersion_bandit.environments import (
+    ReplayEnvironment,
+    ReplayUser,
+    run_episode,
+    study_instance,
+)
+from dispersion_bandit.evaluation import compute_metric_series, write_metrics_csv
 from dispersion_bandit.ingest import SplitSpec, split_users
 from dispersion_bandit.lmdh import LmdhPolicy
-from dispersion_bandit.seeding import STREAM_POLICY, rng_from_seed
+from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -51,7 +60,7 @@ def test_parser_defaults():
     assert (sim.lam, sim.alpha, sim.k, sim.rounds, sim.runs) == (1.0, "1.0", 5, 1000, 20)
     assert sim.metric_mode == "slate-normalized"
     assert sim.optimum == "exhaustive"
-    rep = p.parse_args(["replay", "--dataset", "d", "--out", "x"])
+    rep = p.parse_args(["replay", "--dataset", RATINGS, "--out", "x"])
     assert (rep.lam, rep.k, rep.rounds, rep.threshold) == (50.0, 10, 30, 3.0)
     assert (rep.epsilon, rep.mmr_alpha) == (0.05, 0.9)
     ratio = p.parse_args(["approx-ratio", "--out", "x"])
@@ -262,23 +271,76 @@ BAD_FLOATS = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [
-        (command, flag, value)
-        for command in ("simulate", "replay")
-        for flag, values in BAD_FLOATS.items()
-        for value in (*values, "nan", "inf")
-    ],
-)
+FILE_FLAGS = ("--dataset", "--embeddings")
+BAD_FLAGS = [
+    (command, flag, value)
+    for command in ("simulate", "replay")
+    for flag, values in BAD_FLOATS.items()
+    for value in (*values, "nan", "inf")
+] + [
+    (command, flag, value)
+    for command in ("replay", "ingest")
+    for flag, value in [
+        *(("--threshold", v) for v in ("nan", "inf", "1e999", "x")),
+        ("--dataset", "missing.dat"),
+        ("--dataset", "."),  # a directory
+    ]
+] + [("replay", "--embeddings", "missing.csv")]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
 def test_bad_float_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    """Bad float flags and input files that do not exist, for every command."""
     out = tmp_path / "out"
     argv = [command, *REQUIRED[command], "--out", str(out), flag, value]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {flag}: must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    rule = "no such file" if flag in FILE_FLAGS else "must be"
+    assert f"argument {flag}: {rule}" in err and repr(value) in err
     assert not out.exists()
+
+
+def write_embeddings_without_item_101(path: Path) -> str:
+    lines = Path(EMBEDDINGS).read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("101,")))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["no-positive-rating", "bad-line", "missing-embedding"])
+def test_replay_data_errors_leave_no_out(tmp_path, capsys, case):
+    argv = ["replay", "--format", "generic", "--rounds", "2", "--workers", "1"]
+    if case == "no-positive-rating":
+        argv += ["--dataset", RATINGS, "--threshold", "5"]
+        message = "no interactions with rating > 5.0"
+    elif case == "bad-line":
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user,item,rating\n1,2,5\n1,x,4\n")
+        argv += ["--dataset", str(bad)]
+        message = "line 3"
+    else:
+        argv += ["--dataset", RATINGS, "--embeddings",
+                 write_embeddings_without_item_101(tmp_path / "emb.csv")]
+        message = "lack embeddings"
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_one_process_commands_do_not_import_the_process_pool():
+    code = (
+        "import sys, dispersion_bandit.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
@@ -294,13 +356,23 @@ def test_slate_normalized_needs_two_slots(tmp_path, capsys, command):
 
 
 def test_worker_count_does_not_change_outputs(tmp_path, capsys):
-    lone, pooled = tmp_path / "w1", tmp_path / "w2"
-    main(["simulate", "--runs", "3", "--rounds", "10", "--out", str(lone),
-          "--workers", "1"])
-    main(["simulate", "--runs", "3", "--rounds", "10", "--out", str(pooled),
-          "--workers", "2"])
+    runs = [
+        (["simulate", "--runs", "3", "--rounds", "10", *policy], "regret.csv")
+        for policy in ([], ["--policy", "logrank"], ["--policy", "mmr"])
+    ] + [
+        (["replay", "--dataset", RATINGS, "--format", "generic", "--policy", name],
+         "metrics.csv")
+        for name in POLICIES
+    ]
+    for i, (argv, output) in enumerate(runs):
+        lone, pooled = tmp_path / f"{i}-w1", tmp_path / f"{i}-w2"
+        assert main([*argv, "--out", str(lone), "--workers", "1"]) == 0
+        # forked workers would inherit the slates LogRank and MMR just stored;
+        # each process must compute its own
+        cli._world_policy.cache_clear()
+        assert main([*argv, "--out", str(pooled), "--workers", "2"]) == 0
+        assert sha(lone / output) == sha(pooled / output), argv
     capsys.readouterr()
-    assert sha(lone / "regret.csv") == sha(pooled / "regret.csv")
 
 
 def test_simulate_theory_alpha_fills_bound_column(tmp_path, capsys):
@@ -439,6 +511,80 @@ def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
     train, _ = split_users(table, SplitSpec(seed=seed))
     assert train.n_users + test.n_users == table.n_users
     assert u_bar.tobytes() == per_user_mean_u_bar(train, catalog.relevance).tobytes()
+
+
+def fresh_policy_replay_task(task: tuple):
+    """`_replay_task` before LogRank and MMR were shared: a new policy per user."""
+    (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
+    _, test, catalog, u_bar = cli._replay_context(key)
+    user = ReplayUser(user_id=u, positives=frozenset(int(i) for i in test.items_of(u)))
+    policy = make_policy(
+        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
+    )
+    return run_episode(policy, ReplayEnvironment(catalog, user), rounds, k)
+
+
+def log_bytes(log) -> bytes:
+    parts = []
+    for r in log:
+        parts += [repr((r.t, r.num_candidates, r.items, r.rewards, r.true_utility,
+                        r.candidate_items, r.widths)).encode(),
+                  r.relevance_features.tobytes(), r.diversity_features.tobytes()]
+    return b"|".join(parts)
+
+
+@pytest.mark.parametrize("name", ["logrank", "mmr"])
+@pytest.mark.parametrize("source", ["sample", "random-300"])
+def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, name):
+    if source == "random-300":
+        dataset, fmt = random_tab_ratings(tmp_path / "u.data"), "ml100k-tab"
+    else:
+        dataset, fmt = RATINGS, "generic-csv"
+    seed, k, rounds = 4, 10, 30
+    key = (dataset, fmt, 3.0, None, seed, None, "slate-normalized", k)
+    _, test, catalog, _ = cli._replay_context(key)
+    tasks = [(key, name, 50.0, 1.0, 0.05, 0.8, k, rounds, seed, u)
+             for u in range(test.n_users)]
+    shared = [cli._replay_task(task) for task in tasks]
+    fresh = [fresh_policy_replay_task(task) for task in tasks]
+    assert [log_bytes(log) for log in shared] == [log_bytes(log) for log in fresh]
+    # every user walked the same candidate sets: one memo entry per round
+    policy = cli._world_policy(key, name, k, 0.8)
+    assert len(policy._selections) == max(len(log) for log in shared)
+
+    positives = [frozenset(int(i) for i in test.items_of(u)) for u in range(test.n_users)]
+    for logs, path in ((shared, tmp_path / "shared.csv"), (fresh, tmp_path / "fresh.csv")):
+        write_metrics_csv(compute_metric_series(logs, positives, catalog), path)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_a_new_world_releases_the_previous_worlds_policy():
+    world = (RATINGS, "generic-csv", 3.0, None, 7, None, "slate-normalized", 3)
+    other_world = world[:4] + (8,) + world[5:]
+    first = cli._world_policy(world, "mmr", 3, 0.9)
+    assert cli._world_policy(world, "mmr", 3, 0.9) is first
+    assert first.catalog is cli._replay_context(world)[2]
+    released = weakref.ref(first)
+    del first
+
+    second = cli._world_policy(other_world, "mmr", 3, 0.9)
+    gc.collect()
+    assert released() is None
+    assert second.catalog is cli._replay_context(other_world)[2]
+
+    # another policy of the same world evicts it too
+    released = weakref.ref(second)
+    del second
+    cli._world_policy(other_world, "logrank", 3, 0.9)
+    gc.collect()
+    assert released() is None
+
+    # and so does building another world for LMDH or epsilon-greedy users
+    released = weakref.ref(cli._world_policy(other_world, "logrank", 3, 0.9))
+    cli._replay_context(world)
+    gc.collect()
+    assert released() is None
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
     TableDistanceMetric,
+    unit_rows,
     utility,
 )
 from dispersion_bandit.environments import (
@@ -243,6 +244,62 @@ def test_metric_series_matches_per_round_oracles():
         assert series.diversity[t - 1] == pytest.approx(
             diversity_at(logs, catalog, t), abs=1e-12
         )
+
+
+def metric_series_loop(logs, positives, catalog, betas=(1.0, 2.0)):
+    """compute_metric_series as it stood before slate diversities were shared:
+    `slate_diversity` runs for every user and round."""
+    kept_logs, kept_pos, excluded = _usable(logs, positives)
+    horizon = max(len(log) for log in kept_logs)
+    rounds = np.arange(1, horizon + 1)
+    recall, diversity = np.zeros(horizon), np.zeros(horizon)
+    n_users = np.zeros(horizon, dtype=np.intp)
+    unit = unit_rows(catalog.relevance)
+    hit_fractions = [0.0 for _ in kept_logs]
+    diversity_sums = [0.0 for _ in kept_logs]
+    for t in rounds:
+        rec_vals, div_vals = [], []
+        for i, (log, pos) in enumerate(zip(kept_logs, kept_pos)):
+            if len(log) < t:
+                continue
+            entry = log.rounds[t - 1]
+            hit_fractions[i] += sum(1 for item in entry.items if item in pos) / len(pos)
+            diversity_sums[i] += slate_diversity(entry.items, catalog, unit)
+            rec_vals.append(hit_fractions[i])
+            div_vals.append(diversity_sums[i] / t)
+        n_users[t - 1] = len(rec_vals)
+        recall[t - 1] = _ordered_mean(rec_vals)
+        diversity[t - 1] = _ordered_mean(div_vals)
+    f_beta = {
+        float(b): np.array([f_beta_at(recall[i], diversity[i], b) for i in range(horizon)])
+        for b in betas
+    }
+    return MetricSeries(rounds, recall, diversity, f_beta, n_users, excluded)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shared_slate_diversities_match_the_per_user_loop(seed):
+    rng = np.random.default_rng(seed)
+    relevance = rng.uniform(-1.0, 1.0, size=(15, 4))
+    catalog = ItemCatalog(relevance, (TableDistanceMetric(np.zeros((15, 15))),))
+    # users and rounds repeat slates from a small pool; slates of one size that
+    # share items or a prefix tell a memo on the whole tuple from one on less
+    pool = [(0, 1, 2), (0, 1, 3), (2, 1, 0), (3, 4), (5, 6), (7, 8, 9, 10, 11)]
+    pool += [tuple(int(i) for i in rng.choice(15, size=rng.integers(2, 6), replace=False))
+             for _ in range(3)]
+    logs = [
+        fake_log([pool[j] for j in rng.integers(0, len(pool), rng.integers(1, 8))])
+        for _ in range(9)
+    ]
+    positives = [set(rng.choice(15, size=rng.integers(1, 5), replace=False).tolist())
+                 for _ in logs]
+    got = compute_metric_series(logs, positives, catalog)
+    want = metric_series_loop(logs, positives, catalog)
+    for name in ("rounds", "recall", "diversity", "n_users"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.f_beta.keys() == want.f_beta.keys()
+    assert all(got.f_beta[b].tobytes() == want.f_beta[b].tobytes() for b in got.f_beta)
+    assert got.n_excluded == want.n_excluded
 
 
 def regret_instance(seed=77):

@@ -604,3 +604,87 @@ def test_both_readers_match_the_dict_oracle(tmp_path_factory, case, threshold):
         assert got == expected
     else:
         assert_same_table(got, expected)
+
+
+def three_sort_table_from_columns(columns, positive_threshold, source, tag):
+    """`_table_from_columns` before its dedup took one sort: `np.unique` for the
+    dense ids, then a two-key lexsort of every positive row."""
+    raw_lines = len(columns.users)
+    positive = columns.ratings > positive_threshold
+    if not positive.any():
+        raise EmptyDatasetError(f"no interactions with rating > {positive_threshold}")
+    users, items, ratings, stamps, has_stamp = (c[positive] for c in columns)
+    user_ids, ui = np.unique(users, return_inverse=True)
+    item_ids, ii = np.unique(items, return_inverse=True)
+    pair = ui * len(item_ids) + ii
+    order = np.lexsort((-ratings, pair))
+    pair = pair[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    best = order[first]
+    return InteractionTable(
+        users=ui[best], items=ii[best], ratings=ratings[best],
+        timestamps=stamps[best] if has_stamp[best].all() else None,
+        user_ids=user_ids, item_ids=item_ids, source=source, format=tag,
+        raw_lines=raw_lines, filtered_count=raw_lines - len(users),
+        duplicate_count=len(users) - len(best),
+    )
+
+
+@st.composite
+def id_column(draw, n):
+    """n ids over a compact span (a few times n), a sparse one, or a compact
+    span with one far outlier, anywhere within +-2**62."""
+    base = draw(st.sampled_from([0, 1, 40, -(2**62), 2**62 - 200]))
+    span = draw(st.integers(1, 4 * n))
+    kind = draw(st.sampled_from(["compact", "sparse", "outlier"]))
+    if kind == "sparse":
+        ids = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))
+    else:
+        ids = [base + v for v in draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))]
+        if kind == "outlier":
+            ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-(2**62), 2**62]))
+    return np.array(ids, dtype=np.int64)
+
+
+@st.composite
+def parsed_columns(draw):
+    n = draw(st.integers(1, 40))
+    # few rating values, so repeated pairs often tie
+    ratings = draw(st.lists(st.sampled_from([1.0, 3.5, 4.0, 5.0]), min_size=n, max_size=n))
+    stamps = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))
+    has_stamp = draw(st.one_of(
+        st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)
+    ))
+    return ingest._Columns(
+        draw(id_column(n)), draw(id_column(n)), np.array(ratings),
+        np.array(stamps, dtype=np.int64), np.array(has_stamp, dtype=bool),
+    )
+
+
+def table_outcome(build, columns, threshold):
+    try:
+        return build(columns, threshold, "ratings", "ml100k-tab")
+    except EmptyDatasetError:
+        return "EmptyDatasetError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(parsed_columns(), st.sampled_from([3.0, 0.0, 4.5]))
+@example(  # one row
+    ingest._Columns(*(np.array([v]) for v in (5, 9, 5.0, 1)), np.array([True])), 3.0
+)
+@example(  # one pair three times: the highest rating, then the first of the tied
+    ingest._Columns(
+        np.array([2**62] * 3), np.array([-(2**62)] * 3), np.array([4.0, 5.0, 5.0]),
+        np.array([1, 2, 3]), np.ones(3, bool),
+    ),
+    3.0,
+)
+def test_table_from_columns_matches_the_three_sort_build(columns, threshold):
+    got = table_outcome(ingest._table_from_columns, columns, threshold)
+    expected = table_outcome(three_sort_table_from_columns, columns, threshold)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_table(got, expected)
