@@ -118,7 +118,7 @@ def mmr_select(
         sim_sum += unit @ scorer._unit[cand[pick]]
 
     picks, _, _ = greedy_fill(np.zeros(cand.size), k, score, add_similarity)
-    return Slate(tuple(cand[picks]), capacity=k)
+    return Slate(tuple(cand[picks].tolist()), capacity=k)
 
 
 def epsilon_greedy_select(

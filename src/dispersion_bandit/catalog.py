@@ -33,13 +33,41 @@ DEFAULT_TABLE_THRESHOLD = 4096
 METRIC_MODES = ("raw", "slate-normalized")
 
 
+def _check_integers(values: list | tuple, what: str) -> None:
+    """Raise InvalidItemError naming the first five values that are not integers.
+
+    Bools and floats count as bad even when whole: truncating 1.7 or True to
+    an id would pick an item nobody named.
+    """
+    bad = [v for v in values if not (type(v) is int or isinstance(v, np.integer))]
+    if bad:
+        raise InvalidItemError(
+            f"{what} must be integers, got [{', '.join(map(str, bad[:5]))}]"
+        )
+
+
+def integer_ids(ids, what: str) -> np.ndarray:
+    """`ids` as an intp array; any non-integer dtype or value raises InvalidItemError."""
+    if isinstance(ids, np.ndarray):
+        if ids.dtype.kind in "iu" or ids.size == 0:
+            return ids.astype(np.intp, copy=False)
+        values = ids.ravel().tolist()
+    else:
+        values = list(ids)
+    _check_integers(values, what)
+    return np.asarray(values, dtype=np.intp)
+
+
 def sorted_ids(ids) -> np.ndarray:
     """Distinct ids as a sorted intp array; one already in that form is returned as is."""
-    if not isinstance(ids, np.ndarray):
-        ids = list(ids)
-    elif ids.dtype == np.intp and ids.ndim == 1 and np.all(ids[1:] > ids[:-1]):
+    if (
+        isinstance(ids, np.ndarray)
+        and ids.dtype == np.intp
+        and ids.ndim == 1
+        and np.all(ids[1:] > ids[:-1])
+    ):
         return ids
-    return np.unique(np.asarray(ids, dtype=np.intp))
+    return np.unique(integer_ids(ids, "candidate ids"))
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -199,7 +227,9 @@ class Slate:
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(int(a) for a in self.items))
+        items = tuple(self.items)
+        _check_integers(items, "slate ids")
+        object.__setattr__(self, "items", tuple(map(int, items)))
         if self.capacity < 1:
             raise ValueError("slate capacity must be positive")
         if len(self.items) > self.capacity:
@@ -319,9 +349,13 @@ def slate_features(
 
     `slate` is a `Slate` or a sequence of ids.  z[p] is item a_p's relevance
     row and x[p, i] = sum_{j < p} h_i(a_p, a_j) its diversity marginal
-    against the items before it (zero at p = 0).  The ids are range-checked.
+    against the items before it (zero at p = 0).  The ids must be integers
+    (a `Slate` checked its own) and are range-checked.
     """
-    ids = np.asarray(slate.items if isinstance(slate, Slate) else slate, dtype=np.intp)
+    if isinstance(slate, Slate):
+        ids = np.asarray(slate.items, dtype=np.intp)
+    else:
+        ids = integer_ids(slate, "slate ids")
     catalog.check_ids(ids, "slate ids")
     x = np.zeros((ids.size, catalog.diversity_dim))
     for p in range(1, ids.size):
@@ -335,15 +369,24 @@ def utility(
 ) -> float:
     """F(A | eta); order-independent, 0.0 for the empty slate.
 
-    The diversity marginals of `slate_features` are summed left to right.
+    Checks eta and the ids, then evaluates `slate_features` with
+    `features_utility`.
     """
     catalog.check_eta(eta)
-    items = slate.items if isinstance(slate, Slate) else tuple(int(a) for a in slate)
-    if len(set(items)) != len(items):
-        raise DuplicateItemError(f"slate contains duplicates: {items}")
-    if not items:
+    if not isinstance(slate, Slate):
+        items = tuple(slate)  # Slate rejects non-integer and repeated ids
+        slate = Slate(items, capacity=max(len(items), 1))
+    return features_utility(*slate_features(slate, catalog), eta)
+
+
+def features_utility(z: np.ndarray, x: np.ndarray, eta: PreferenceVector) -> float:
+    """F(A | eta) from a slate's (z, x) of `slate_features`; 0.0 for no rows.
+
+    Relevance is z's column sums dotted with theta; the diversity marginals
+    are summed left to right.  No checks: `utility` makes them.
+    """
+    if z.shape[0] == 0:
         return 0.0
-    z, x = slate_features(items, catalog)
     value = float(z.sum(axis=0) @ eta.theta)
     dispersion = np.cumsum(x, axis=0)[-1]  # x[0] is zero: a fold from 0.0
     for beta_i, v_i in zip(eta.beta, dispersion):

@@ -21,6 +21,8 @@ from .catalog import (
     PreferenceVector,
     Slate,
     cosine_metric,
+    features_utility,
+    integer_ids,
     slate_features,
     utility,
 )
@@ -106,18 +108,19 @@ class TrialLog:
         return iter(self.rounds)
 
 
-def position_means(slate: Slate, instance: SimInstance) -> tuple[np.ndarray, int]:
+def position_means(
+    z: np.ndarray, x: np.ndarray, eta: PreferenceVector
+) -> tuple[np.ndarray, int]:
     """Clamped Bernoulli means per position and how many clamps fired.
 
-    Position k's raw mean is eta*.delta(a_k | a_1..a_{k-1}); diversity gains
-    can push it past 1, so values are clipped into [0, 1] and the clips
-    counted for visibility.
+    (z, x) are the slate's `slate_features`.  Position k's raw mean is
+    eta*.delta(a_k | a_1..a_{k-1}); diversity gains can push it past 1, so
+    values are clipped into [0, 1] and the clips counted for visibility.
     """
-    theta, beta = instance.eta_star.theta, instance.eta_star.beta
-    z, x = slate_features(slate, instance.catalog)
-    means = np.zeros(len(slate))
+    theta, beta = eta.theta, eta.beta
+    means = np.zeros(len(z))
     clamp_hits = 0
-    for pos in range(len(slate)):
+    for pos in range(len(z)):
         raw = float(theta @ z[pos] + beta @ x[pos])
         if raw < 0.0 or raw > 1.0:
             clamp_hits += 1
@@ -145,12 +148,17 @@ class SimulatedEnvironment:
     Candidates are not consumed across rounds here — the horizon (1000
     rounds) dwarfs the inventory (20 items) in the simulated study, so the
     same items stay recommendable and the learner revisits them.
+
+    `feedback` keeps the (z, x) it gathered for its slate, so `true_utility`
+    of that same slate gathers no distance twice; any other slate takes the
+    full `utility` path.
     """
 
     def __init__(self, instance: SimInstance):
         self.instance = instance
         self._rewards_rng = rng_from_seed(instance.seed, STREAM_REWARDS)
         self.clamp_hits = 0
+        self._last: tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
 
     def candidates(self, t: int, k: int) -> np.ndarray:
         items = self.instance.catalog.all_items()
@@ -162,13 +170,16 @@ class SimulatedEnvironment:
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Independent Bernoulli rewards, one per position, from the seeded reward stream."""
-        means, hits = position_means(selection.slate, self.instance)
+        slate = selection.slate
+        features = slate_features(slate, self.instance.catalog)
+        self._last = (slate.items, features)
+        means, hits = position_means(*features, self.instance.eta_star)
         self.clamp_hits += hits
-        return (self._rewards_rng.random(len(selection.slate)) < means).astype(
-            np.float64
-        )
+        return (self._rewards_rng.random(len(slate)) < means).astype(np.float64)
 
     def true_utility(self, slate: Slate) -> float:
+        if self._last is not None and self._last[0] == slate.items:
+            return features_utility(*self._last[1], self.instance.eta_star)
         return utility(slate, self.instance.eta_star, self.instance.catalog)
 
 
@@ -176,14 +187,15 @@ class ReplayEnvironment:
     """Offline replay world: membership rewards, consumed items leave the pool.
 
     A boolean mask over the catalog marks the items still open to the user:
-    the user's consumed items start closed (ids outside the catalog raise
-    InvalidItemError), and each accepted slate closes its items.
+    the user's consumed items start closed (non-integer ids and ids outside
+    the catalog raise InvalidItemError), and each accepted slate closes its
+    items.
     """
 
     def __init__(self, catalog: ItemCatalog, user: ReplayUser):
         self.catalog = catalog
         self.user = user
-        consumed = np.fromiter(user.consumed, dtype=np.intp, count=len(user.consumed))
+        consumed = integer_ids(user.consumed, "consumed items")
         catalog.check_ids(consumed, "consumed items")
         self._open = np.ones(catalog.item_count, dtype=bool)
         self._open[consumed] = False
@@ -211,6 +223,7 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
     occurred in.  Deterministic given the policy and environment seeds.
     """
     rounds: list[TrialRound] = []
+    simulated = hasattr(environment, "true_utility")
     for t in range(1, n + 1):
         try:
             cand = environment.candidates(t, k)
@@ -226,20 +239,19 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
             else:
                 exc.args = (f"round {t}",)
             raise
-        simulated = hasattr(environment, "true_utility")
         rounds.append(
             TrialRound(
                 t=t,
                 num_candidates=int(cand.size),
                 items=selection.slate.items,
-                rewards=tuple(float(r) for r in rewards),
+                rewards=tuple(rewards.tolist()),
                 relevance_features=selection.relevance_features,
                 diversity_features=selection.diversity_features,
                 widths=None if selection.widths is None else selection.widths.copy(),
                 true_utility=(
                     environment.true_utility(selection.slate) if simulated else None
                 ),
-                candidate_items=tuple(int(c) for c in cand) if simulated else None,
+                candidate_items=tuple(cand.tolist()) if simulated else None,
             )
         )
     return TrialLog(tuple(rounds))

@@ -12,6 +12,7 @@ suffice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     for step in range(k):
         scores = score(step, acc, taken)
         scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
+        pick = int(scores.argmax())
         taken[pick] = True
         picks[step] = pick
         rows[step] = acc[pick]
@@ -105,7 +106,7 @@ def greedy_select(
         metric_columns(catalog, cand),
     )
     return GreedyResult(
-        slate=Slate(tuple(cand[picks]), capacity=k),
+        slate=Slate(tuple(cand[picks].tolist()), capacity=k),
         gain_trace=tuple(float(g) for g in gains),
     )
 
@@ -125,6 +126,36 @@ def _pairwise_weights(
     return w
 
 
+def _subset_block(combos, count: int, k: int) -> np.ndarray:
+    """The next `count` subsets of `combos` as a (count, k) index block."""
+    flat = itertools.chain.from_iterable(itertools.islice(combos, count))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+@functools.lru_cache(maxsize=4)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) in lexicographic order, read-only, one per (n, k)."""
+    table = _subset_block(itertools.combinations(range(n), k), math.comb(n, k), k)
+    table.flags.writeable = False
+    return table
+
+
+def _subset_blocks(n: int, k: int):
+    """Lexicographic index blocks of every k-subset of range(n).
+
+    An enumeration that fits in one `_ENUM_CHUNK` block is the cached
+    `_subset_table`; a larger one streams, so the cache holds at most four
+    tables of at most one block each.
+    """
+    total = math.comb(n, k)
+    if total <= _ENUM_CHUNK:
+        yield _subset_table(n, k)
+        return
+    combos = itertools.combinations(range(n), k)
+    for start in range(0, total, _ENUM_CHUNK):
+        yield _subset_block(combos, min(_ENUM_CHUNK, total - start), k)
+
+
 def exhaustive_optimum(
     eta: PreferenceVector,
     catalog: ItemCatalog,
@@ -135,7 +166,8 @@ def exhaustive_optimum(
     """Best K-subset by brute force; returns (sorted item ids, value).
 
     Enumerates C(n, K) subsets in lexicographic order (first maximizer wins),
-    scored in vectorized blocks.  Refuses instances above `budget` subsets.
+    scored in vectorized blocks of `_subset_blocks`.  Refuses instances above
+    `budget` subsets.
     """
     catalog.check_eta(eta)
     cand = catalog.candidate_ids(candidates, k)
@@ -151,23 +183,14 @@ def exhaustive_optimum(
 
     best_value = -np.inf
     best_subset: tuple[int, ...] | None = None
-    combos = itertools.combinations(range(cand.size), k)
-    while True:
-        block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _ENUM_CHUNK)),
-            dtype=np.intp,
-        ).reshape(-1, k)
-        if block.size == 0:
-            break
+    for block in _subset_blocks(cand.size, k):
         values = per_item[block].sum(axis=1)
         for p, q in pair_pos:
             values += w[block[:, p], block[:, q]]
-        pick = int(np.argmax(values))
-        if values[pick] > best_value:
+        pick = int(values.argmax())
+        if values[pick] > best_value:  # strict: an earlier block keeps a tie
             best_value = float(values[pick])
-            best_subset = tuple(int(cand[i]) for i in block[pick])
-        if block.shape[0] < _ENUM_CHUNK:
-            break
+            best_subset = tuple(cand[block[pick]].tolist())
 
     assert best_subset is not None
     return best_subset, best_value

@@ -177,8 +177,9 @@ def select_slate(
     smallest item id.  A^{-1} is read from cache.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
-    not the width, so the score closure keeps each pass's clipped widths in
-    `passes` and the width at each pick is read from them afterwards.
+    not the width, so the score closure keeps each pass's square-rooted
+    widths in `passes` and the width at each pick is read from them
+    afterwards.  Each pass works in place on arrays it made itself.
     """
     _check_config(config, catalog)
     cand = catalog.candidate_ids(candidates, config.k)
@@ -187,14 +188,19 @@ def select_slate(
     Z = catalog.relevance[cand]  # (L, d)
     term_zz, zx2 = _z_terms(Z, stats)
     rel_scores = Z @ theta
-    passes: list[np.ndarray] = []  # clipped widths of every pass
+    passes: list[np.ndarray] = []  # sqrt of the clipped widths of every pass
 
     def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
         v = _raw_widths_batch(term_zz, zx2, X, stats)
-        stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
-        v = np.maximum(v, 0.0)
+        if (v < 0.0).any():
+            stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
+            np.maximum(v, 0.0, out=v)
+        np.sqrt(v, out=v)
         passes.append(v)
-        return rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
+        scores = np.dot(X, beta)
+        scores += rel_scores
+        scores += config.alpha * v
+        return scores
 
     picks, div_feats, scores = greedy_fill(
         np.zeros((cand.size, catalog.diversity_dim)),
@@ -203,10 +209,10 @@ def select_slate(
         metric_columns(catalog, cand),
     )
     return SlateSelection(
-        slate=Slate(tuple(cand[picks]), capacity=config.k),
+        slate=Slate(tuple(cand[picks].tolist()), capacity=config.k),
         relevance_features=Z[picks],
         diversity_features=div_feats,
-        widths=np.sqrt([v[pick] for v, pick in zip(passes, picks)]),
+        widths=np.array([root[pick] for root, pick in zip(passes, picks)]),
         scores=scores,
     )
 
@@ -237,10 +243,10 @@ def update(
             f"{Z.shape[0]} relevance rows, {X.shape[0]} diversity rows"
         )
     _check_feature_dims(Z, X, stats)
-    if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
+    if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails both
         raise InvalidFeedbackError(f"rewards must lie in [0, 1], got {w}")
 
-    zeta = np.hstack([Z, X])
+    zeta = np.concatenate([Z, X], axis=1)
     stats.A += zeta.T @ zeta
     stats.b += zeta.T @ w
     stats.inv_A = _pd_inverse(stats.A, "A")

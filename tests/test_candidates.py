@@ -22,7 +22,7 @@ from dispersion_bandit.baselines import (
     logrank_select,
     mmr_select,
 )
-from dispersion_bandit.catalog import Slate, sorted_ids
+from dispersion_bandit.catalog import Slate, slate_features, sorted_ids, utility
 from dispersion_bandit.environments import ReplayEnvironment, ReplayUser, run_episode
 from dispersion_bandit.errors import (
     ExhaustedCandidatesError,
@@ -155,6 +155,54 @@ def test_too_few_candidates_or_bad_k_raise_insufficient():
         catalog.candidate_ids(np.arange(5), 0)
     with pytest.raises(InsufficientCandidatesError):
         catalog.candidate_ids([], 1)
+
+
+NON_INTEGER_IDS = [
+    ([0.5, 1.7, 2.2, 3.9, 4.1, 5.5], r"\[0\.5, 1\.7, 2\.2, 3\.9, 4\.1\]"),
+    (np.array([0.5, 1.7, 2.2, 3.9, 4.1, 5.5]), r"\[0\.5, 1\.7, 2\.2, 3\.9, 4\.1\]"),
+    (np.array([0.0, 1.0, 2.0, 3.0]), r"\[0\.0, 1\.0, 2\.0, 3\.0\]"),
+    ([True, False, 1, 2, 3, 4], r"\[True, False\]"),
+    (np.array([True, False, True]), r"\[True, False, True\]"),
+    ([0, 1, float("nan"), 3], r"\[nan\]"),
+    (np.array([0.0, np.nan, 3.0]), r"\[0\.0, nan, 3\.0\]"),
+    ((0, np.float64(2.0), 3), r"\[2\.0\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "ids, bad",
+    NON_INTEGER_IDS,
+    ids=["float-list", "float-array", "whole-floats", "bool-list", "bool-array",
+         "nan-list", "nan-array", "numpy-float"],
+)
+def test_non_integer_ids_are_rejected_not_truncated(ids, bad):
+    catalog = random_catalog(np.random.default_rng(8), 10)
+    eta = random_eta(np.random.default_rng(9))
+    message = r"ids must be integers, got " + bad
+    with pytest.raises(InvalidItemError, match=message):
+        sorted_ids(ids)
+    with pytest.raises(InvalidItemError, match=message):
+        catalog.candidate_ids(ids, 2)
+    for select in _selectors(catalog, 2).values():
+        with pytest.raises(InvalidItemError, match=message):
+            select(ids)
+    with pytest.raises(InvalidItemError, match=message):
+        Slate(tuple(ids), capacity=len(ids))
+    with pytest.raises(InvalidItemError, match=message):
+        slate_features(ids, catalog)
+    with pytest.raises(InvalidItemError, match=message):
+        utility(tuple(ids), eta, catalog)
+
+
+def test_integer_ids_of_any_integer_type_are_accepted():
+    catalog = random_catalog(np.random.default_rng(10), 10)
+    ids = [np.int32(4), 1, np.uint8(7)]
+    assert catalog.candidate_ids(ids, 1).tolist() == [1, 4, 7]
+    slate = Slate(tuple(ids), capacity=3)
+    assert slate.items == (4, 1, 7)
+    assert all(type(a) is int for a in slate.items)
+    z, _ = slate_features(ids, catalog)
+    assert z.tobytes() == catalog.relevance[[4, 1, 7]].tobytes()
 
 
 # ---------------------------------------------------------------------------

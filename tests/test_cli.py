@@ -363,6 +363,9 @@ def test_worker_count_does_not_change_outputs(tmp_path, capsys):
         (["replay", "--dataset", RATINGS, "--format", "generic", "--policy", name],
          "metrics.csv")
         for name in POLICIES
+    ] + [
+        # forked workers inherit the subset tables the one-process run cached
+        (["approx-ratio", "--runs", "3"], "ratios.csv"),
     ]
     for i, (argv, output) in enumerate(runs):
         lone, pooled = tmp_path / f"{i}-w1", tmp_path / f"{i}-w2"

@@ -9,6 +9,7 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
     TableDistanceMetric,
+    slate_features,
     utility,
 )
 from dispersion_bandit.environments import (
@@ -17,8 +18,8 @@ from dispersion_bandit.environments import (
     SimInstance,
     SimulatedEnvironment,
     TrialLog,
-    study_instance,
     position_means,
+    study_instance,
     replay_feedback,
     run_episode,
 )
@@ -65,6 +66,11 @@ def test_sim_instance_validates_dimensions():
         SimInstance(inst.catalog, PreferenceVector(np.zeros(4), np.zeros(2)), seed=7)
 
 
+def slate_means(slate, instance):
+    """`position_means` of a slate of `instance`'s catalog under its eta*."""
+    return position_means(*slate_features(slate, instance.catalog), instance.eta_star)
+
+
 def bernoulli_feedback(slate, env):
     return env.feedback(annotate_slate(slate, env.instance.catalog))
 
@@ -83,7 +89,7 @@ def test_bernoulli_saturated_mean_gives_one_rewards():
     eta = PreferenceVector(np.full(3, 50.0), np.zeros(1))
     pumped = SimInstance(inst.catalog, eta, seed=9)
     slate = Slate((0, 1, 2), capacity=3)
-    means, hits = position_means(slate, pumped)
+    means, hits = slate_means(slate, pumped)
     assert np.array_equal(means, np.ones(3))
     assert hits == 3
     rewards = bernoulli_feedback(slate, SimulatedEnvironment(pumped))
@@ -94,7 +100,7 @@ def test_bernoulli_click_rate_matches_mean():
     # Monte Carlo against the analytic clamped means, 3 sigma tolerance
     inst = study_instance(11, n_items=8, d=10, k=3)
     slate = Slate((0, 3, 5), capacity=3)
-    means, _ = position_means(slate, inst)
+    means, _ = slate_means(slate, inst)
     draws = 100_000
     env = SimulatedEnvironment(inst)
     selection = annotate_slate(slate, inst.catalog)
@@ -108,8 +114,8 @@ def test_bernoulli_click_rate_matches_mean():
 
 def test_position_means_depend_on_prefix():
     inst = study_instance(13, n_items=6, d=3, k=3)
-    m1, _ = position_means(Slate((0, 1), capacity=2), inst)
-    m2, _ = position_means(Slate((1, 0), capacity=2), inst)
+    m1, _ = slate_means(Slate((0, 1), capacity=2), inst)
+    m2, _ = slate_means(Slate((1, 0), capacity=2), inst)
     # first positions differ (different items), later positions fold in the
     # diversity marginal against the prefix
     assert m1[0] != m2[0]
@@ -159,6 +165,14 @@ def test_replay_environment_rejects_consumed_ids_outside_the_catalog():
         ReplayEnvironment(catalog, user)
 
 
+@pytest.mark.parametrize("consumed", [{1.7}, {True}, {2.0, 3}, {float("nan")}])
+def test_replay_environment_rejects_non_integer_consumed_ids(consumed):
+    inst = study_instance(20, n_items=6, d=3, k=2)
+    user = ReplayUser(user_id=1, positives=frozenset({2}), consumed=set(consumed))
+    with pytest.raises(InvalidItemError, match=r"consumed items must be integers"):
+        ReplayEnvironment(inst.catalog, user)
+
+
 def test_simulated_environment_counts_clamps():
     inst = study_instance(21, n_items=6, d=3, k=3)
     eta = PreferenceVector(np.full(3, 50.0), np.full(1, 50.0))
@@ -167,6 +181,32 @@ def test_simulated_environment_counts_clamps():
     selection = annotate_slate(Slate((0, 1, 2), capacity=3), inst.catalog)
     env.feedback(selection)
     assert env.clamp_hits == 3
+
+
+def test_true_utility_is_utility_bit_for_bit():
+    # three cases: the slate feedback just scored (its features are reused),
+    # another slate, and no feedback at all
+    inst = study_instance(23, n_items=9, d=4, k=4)
+    eta = PreferenceVector(np.full(4, 0.6), np.full(1, 3.0))  # some means clamp
+    pumped = SimInstance(inst.catalog, eta, seed=23)
+    rng = np.random.default_rng(23)
+    fresh = SimulatedEnvironment(pumped)
+    env = SimulatedEnvironment(pumped)
+    total_hits = 0
+    for _ in range(30):
+        shown, other = (
+            Slate(tuple(rng.choice(9, size=4, replace=False).tolist()), capacity=4)
+            for _ in range(2)
+        )
+        want = {s: utility(s, eta, inst.catalog) for s in (shown, other)}
+        assert fresh.true_utility(shown).hex() == want[shown].hex()
+        env.feedback(annotate_slate(shown, inst.catalog))
+        total_hits += slate_means(shown, pumped)[1]
+        assert env.true_utility(shown).hex() == want[shown].hex()
+        assert env.true_utility(other).hex() == want[other].hex()
+        assert env.true_utility(shown).hex() == want[shown].hex()
+    assert env.clamp_hits == total_hits > 0
+    assert fresh.clamp_hits == 0
 
 
 def test_simulated_environment_presents_full_ground_set():
@@ -215,6 +255,19 @@ def test_run_episode_logs_simulation_fields():
         )
         assert entry.true_utility == pytest.approx(expected, abs=1e-12)
     assert [entry.t for entry in log] == [1, 2, 3, 4]
+
+
+def test_trial_rounds_hold_python_floats_and_ints():
+    # CSVs are written with repr, and a numpy 2 scalar's repr is np.float64(...)
+    inst = study_instance(31, n_items=8, d=3, k=3)
+    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
+    log = run_episode(policy, SimulatedEnvironment(inst), 5, 3)
+    for entry in log:
+        assert entry.rewards and all(type(r) is float for r in entry.rewards)
+        assert entry.candidate_items == tuple(range(8))
+        assert all(type(c) is int for c in entry.candidate_items)
+        assert all(type(a) is int for a in entry.items)
+        assert type(entry.true_utility) is float
 
 
 def test_run_episode_trained_lmdh_matches_greedy_oracle():

@@ -184,6 +184,9 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
     # LMDH: trained statistics; a negated A^{-1} forces negative widths so
     # the clamp count (over candidates not yet taken) is exercised
     stats = trained_stats(rng, catalog, 1, data.draw(st.integers(0, 4), label="rounds"))
+    # one-item training slates leave beta_hat at zero; a drawn b gives the
+    # X beta_hat term of the score a value
+    stats.b = draw_values(rng, d + m, tied)
     if data.draw(st.booleans(), label="negative_widths"):
         stats.inv_A = -stats.inv_A
     alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")

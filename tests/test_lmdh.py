@@ -324,13 +324,17 @@ def test_update_empty_slate_is_noop():
     assert stats.observation_count == 0
 
 
-def test_update_rejects_out_of_range_rewards():
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
+def test_update_rejects_out_of_range_rewards(bad):
     stats = HybridStatistics(d=2, m=1, lam=1.0)
-    Z = np.ones((1, 2)) * 0.2
-    X = np.zeros((1, 1))
-    for bad in (-0.1, 1.1, np.nan):
-        with pytest.raises(InvalidFeedbackError):
-            update(stats, Slate((0,), capacity=1), np.array([bad]), (Z, X))
+    Z = np.ones((2, 2)) * 0.2
+    X = np.zeros((2, 1))
+    w = np.array([0.5, bad])
+    with pytest.raises(InvalidFeedbackError) as caught:
+        update(stats, Slate((0, 1), capacity=2), w, (Z, X))
+    assert str(caught.value) == f"rewards must lie in [0, 1], got {w}"
+    assert stats.observation_count == 0
+    assert np.array_equal(stats.A, np.eye(3))
 
 
 def test_update_rejects_length_mismatch():
