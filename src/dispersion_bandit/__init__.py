@@ -30,14 +30,12 @@ from .environments import (
 )
 from .evaluation import (
     MetricSeries,
-    RegretConfig,
     RegretSeries,
     compute_metric_series,
     scaled_regret,
 )
 from .greedy import exhaustive_optimum, greedy_select
 from .ingest import (
-    SplitSpec,
     load_embeddings,
     parse_ratings,
     split_users,

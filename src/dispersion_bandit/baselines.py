@@ -1,4 +1,4 @@
-"""Comparison policies (LogRank, MMR, epsilon-greedy) and the policy interface.
+"""Comparison policies (LogRank, MMR, epsilon-greedy) and the policy protocol.
 
 Every policy, learned or static, speaks the same protocol: `select` returns a
 SlateSelection carrying the slate *plus* the marginal features as they stood
@@ -11,14 +11,12 @@ appended to; recomputing them later is forbidden for learners.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .catalog import ItemCatalog, Slate, slate_features
 from .errors import DimensionMismatchError
 from .greedy import greedy_fill
-from .seeding import as_rng
 
 
 @dataclass(frozen=True)
@@ -30,21 +28,6 @@ class SlateSelection:
     diversity_features: np.ndarray  # (k, m): x_a against the partial slate
     widths: np.ndarray | None = None  # sqrt(v_a) per position; UCB policies only
     scores: np.ndarray | None = None
-
-
-@runtime_checkable
-class PolicyInterface(Protocol):
-    """Contract shared by LMDH and all baselines.
-
-    `select` must return exactly K distinct items whenever the candidate set
-    allows it; `observe` may be a no-op for static policies.
-    """
-
-    name: str
-
-    def select(self, candidates, round_index: int) -> SlateSelection: ...
-
-    def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None: ...
 
 
 def annotate_slate(slate: Slate, catalog: ItemCatalog) -> SlateSelection:
@@ -125,13 +108,12 @@ def epsilon_greedy_select(
     scorer: StaticScorer,
     candidates,
     k: int,
-    epsilon: float = 0.05,
-    rng: np.random.Generator | int = 0,
+    epsilon: float,
+    rng: np.random.Generator,
 ) -> Slate:
     """Per slot: explore uniformly with probability epsilon, else best quality."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    rng = as_rng(rng)
     cand = scorer.catalog.candidate_ids(candidates, k)
     quality = scorer.quality[cand]  # a copy; taken entries become -inf
     taken = np.zeros(cand.size, dtype=bool)
@@ -219,12 +201,12 @@ class EpsilonGreedyPolicy(_StaticPolicy):
         scorer: StaticScorer,
         catalog: ItemCatalog,
         k: int,
-        epsilon: float = 0.05,
-        rng: np.random.Generator | int = 0,
+        epsilon: float,
+        rng: np.random.Generator,
     ):
         super().__init__(scorer, catalog, k)
         self.epsilon = epsilon
-        self.rng = as_rng(rng)
+        self.rng = rng
 
     def select(self, candidates, round_index: int) -> SlateSelection:
         slate = epsilon_greedy_select(

@@ -28,7 +28,7 @@ from .errors import (
 
 #: Ground sets up to this size get a precomputed L x L distance table;
 #: larger ones fall back to on-demand evaluation from the vectors.
-DEFAULT_TABLE_THRESHOLD = 4096
+TABLE_THRESHOLD = 4096
 
 METRIC_MODES = ("raw", "slate-normalized")
 
@@ -121,17 +121,12 @@ class CosineDistanceMetric(DistanceMetric):
     variant uses `scale = 2 / (K * (K - 1))` so that a full slate of capacity
     K accumulates the size-normalized average pair distance.
 
-    A full table is precomputed when the ground set is small enough; the
-    on-demand path evaluates the same dot products, so the two agree to
-    floating-point noise (well within 1e-12).
+    A full table is precomputed when the ground set holds at most
+    `TABLE_THRESHOLD` items; the on-demand path evaluates the same dot
+    products, so the two agree to floating-point noise (well within 1e-12).
     """
 
-    def __init__(
-        self,
-        vectors: np.ndarray,
-        scale: float = 1.0,
-        table_threshold: int = DEFAULT_TABLE_THRESHOLD,
-    ):
+    def __init__(self, vectors: np.ndarray, scale: float = 1.0):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise DimensionMismatchError("metric vectors must be 2-dimensional")
@@ -139,7 +134,7 @@ class CosineDistanceMetric(DistanceMetric):
         self._unit = unit_rows(vectors)
         self._unit.flags.writeable = False
         self._table: np.ndarray | None = None
-        if len(vectors) <= table_threshold:
+        if len(vectors) <= TABLE_THRESHOLD:
             table = self._unit @ self._unit.T
             _distances_in_place(table, self.scale)
             table.flags.writeable = False
@@ -147,15 +142,6 @@ class CosineDistanceMetric(DistanceMetric):
 
     def __len__(self) -> int:
         return len(self._unit)
-
-    def pair(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if self._table is not None:
-            return float(self._table[i, j])
-        lo, hi = (i, j) if i < j else (j, i)  # orientation-stable on demand
-        d = self.scale * (1.0 - float(np.dot(self._unit[lo], self._unit[hi])))
-        return max(d, 0.0)
 
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
         others = np.asarray(others, dtype=np.intp)
@@ -185,9 +171,6 @@ class TableDistanceMetric(DistanceMetric):
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def pair(self, i: int, j: int) -> float:
-        return float(self._table[i, j])
 
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
         others = np.asarray(others, dtype=np.intp)

@@ -22,15 +22,16 @@ import numpy as np
 from .baselines import EpsilonGreedyPolicy, LogRankPolicy, MmrPolicy, StaticScorer
 from .catalog import METRIC_MODES, ItemCatalog, cosine_metric
 from .environments import (
+    PREFERENCE_RANGE,
     ReplayEnvironment,
     ReplayUser,
     SimulatedEnvironment,
     study_instance,
     run_episode,
 )
-from .errors import DispersionBanditError, ParseError
+from .errors import DispersionBanditError
 from .evaluation import (
-    RegretConfig,
+    OPTIMUM_MODES,
     average_regret,
     compute_metric_series,
     scaled_regret,
@@ -41,7 +42,6 @@ from .greedy import exhaustive_optimum, greedy_select, ratio_to_optimum
 from .ingest import (
     FORMAT_ALIASES,
     FORMATS,
-    SplitSpec,
     canonical_format,
     filter_top_items,
     load_embeddings,
@@ -70,20 +70,6 @@ DEFAULT_RATIO_KS = (2, 3, 4, 5)
 EMB_SEED_INDEX = 977
 
 POLICIES = ("lmdh", "logrank", "mmr", "epsilon-greedy")
-OPTIMUM_MODES = ("exhaustive", "greedy-oracle")
-
-
-def resolve_seed(value: int | None) -> int:
-    """Flag value, else the LMDB_SEED environment variable, else 0."""
-    if value is not None:
-        return int(value)
-    env = os.environ.get("LMDB_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(f"LMDB_SEED must be an integer, got {env!r}")
 
 
 def resolve_workers(value: int | None, n_tasks: int) -> int:
@@ -111,6 +97,19 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """argparse type for --seed, and the rule for LMDB_SEED: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
     return value
 
 
@@ -149,15 +148,13 @@ def alpha_spec(text: str) -> str:
     return text
 
 
-def manifest_options(args: argparse.Namespace, **resolved) -> dict:
+def manifest_options(args: argparse.Namespace) -> dict:
     """Every parsed flag but --workers (it never changes outputs), by its spelling."""
-    options = {
+    return {
         ("lambda" if name == "lam" else name.replace("_", "-")): value
         for name, value in vars(args).items()
         if name not in ("command", "func", "workers")
     }
-    options.update(resolved)
-    return options
 
 
 def _write_manifest(out_dir: Path, command: str, options: dict, derived: dict, outputs: list[str]) -> None:
@@ -248,19 +245,18 @@ def _simulate_run(task: tuple):
     rng = rng_from_seed(run_seed, STREAM_POLICY)
     policy = make_policy(
         policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng, rng.uniform(0.0, 0.2, SIM_D),
+        rng, rng.uniform(*PREFERENCE_RANGE, SIM_D),
     )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)
-    return scaled_regret(log, instance, RegretConfig(optimum_mode=optimum_mode))
+    return scaled_regret(log, instance, optimum_mode)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(args.alpha, args.k, SIM_D, SIM_M, args.lam, args.rounds)
-    run_seeds = [derive_seed(seed, r) for r in range(args.runs)]
+    run_seeds = [derive_seed(args.seed, r) for r in range(args.runs)]
     tasks = [
         (
             args.policy,
@@ -293,14 +289,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     derived = {
         "alpha_value": alpha_value,
-        "delta": 1.0 / max(args.rounds * args.k, 2),
+        "delta": _sim_theory(
+            args.rounds, args.k, SIM_D, SIM_M, args.lam, args.rounds
+        ).delta,
         "run_seeds": run_seeds,
         "sim_items": SIM_ITEMS,
         "sim_d": SIM_D,
         "sim_m": SIM_M,
     }
     _write_manifest(
-        out, "simulate", manifest_options(args, seed=seed), derived, ["regret.csv"]
+        out, "simulate", manifest_options(args), derived, ["regret.csv"]
     )
 
     final = args.rounds - 1
@@ -335,11 +333,10 @@ def _ratio_task(task: tuple):
 
 
 def cmd_approx_ratio(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ks = [args.k] if args.k is not None else list(DEFAULT_RATIO_KS)
-    instance_seeds = [derive_seed(seed, i) for i in range(args.runs)]
+    instance_seeds = [derive_seed(args.seed, i) for i in range(args.runs)]
     tasks = [(s, k, args.metric_mode) for k in ks for s in instance_seeds]
     workers = resolve_workers(args.workers, len(tasks))
     results = _map_tasks(_ratio_task, tasks, workers)
@@ -364,7 +361,7 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
         "sim_d": SIM_D,
     }
     _write_manifest(
-        out, "approx-ratio", manifest_options(args, seed=seed), derived, ["ratios.csv"]
+        out, "approx-ratio", manifest_options(args), derived, ["ratios.csv"]
     )
 
     idx = 0
@@ -384,14 +381,6 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 # replay
 
 
-def _sniff_embedding_dim(path: str) -> int:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-    if len(header) < 2 or header[0] != "item":
-        raise ParseError("embeddings header must be item,e0,...,e{d-1}", line_number=1)
-    return len(header) - 1
-
-
 @lru_cache(maxsize=1)
 def _replay_context(key: tuple):
     """Rebuild the replay world from primitives (cached once per process).
@@ -403,15 +392,13 @@ def _replay_context(key: tuple):
     table = parse_ratings(dataset, fmt, threshold)
     if top_items is not None:
         table = filter_top_items(table, top_items)
-    train, test = split_users(table, SplitSpec(seed=seed))
+    train, test = split_users(table, seed)
     if embeddings is not None:
-        d = _sniff_embedding_dim(embeddings)
-        emb = load_embeddings(embeddings, d, expected_items=table.item_ids)
-        vectors = emb.matrix_for(table.item_ids)
+        vectors = load_embeddings(embeddings, table.item_ids)
     else:
         vectors = synthetic_embeddings(
-            table.n_items, SIM_D, -1.0, 1.0, derive_seed(seed, EMB_SEED_INDEX)
-        ).vectors
+            table.n_items, SIM_D, derive_seed(seed, EMB_SEED_INDEX)
+        )
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
     # Population scorer: mean over training users of their mean positive-item
@@ -466,14 +453,13 @@ def _replay_task(task: tuple):
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed)
     fmt = canonical_format(args.format)
     key = (
         args.dataset,
         fmt,
         args.threshold,
         args.top_items,
-        seed,
+        args.seed,
         args.embeddings,
         args.metric_mode,
         args.k,
@@ -483,7 +469,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(
-        args.alpha, args.k, catalog.relevance_dim, 1, args.lam, args.rounds
+        args.alpha, args.k, catalog.relevance_dim, catalog.diversity_dim, args.lam,
+        args.rounds,
     )
     tasks = [
         (
@@ -495,7 +482,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             args.mmr_alpha,
             args.k,
             args.rounds,
-            seed,
+            args.seed,
             u,
         )
         for u in range(test.n_users)
@@ -518,10 +505,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "embedding_d": catalog.relevance_dim,
         "embedding_seed": None
         if args.embeddings is not None
-        else derive_seed(seed, EMB_SEED_INDEX),
+        else derive_seed(args.seed, EMB_SEED_INDEX),
     }
     _write_manifest(
-        out, "replay", manifest_options(args, seed=seed), derived, ["metrics.csv"]
+        out, "replay", manifest_options(args), derived, ["metrics.csv"]
     )
 
     last = len(series.rounds) - 1
@@ -574,9 +561,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _add_seed_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
-        type=int,
+        type=seed_int,
         default=None,
-        help="experiment seed (default: LMDB_SEED env var, then 0)",
+        help="experiment seed, an integer >= 0 (default: LMDB_SEED, then 0)",
     )
     parser.add_argument(
         "--workers",
@@ -694,6 +681,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             "--metric-mode slate-normalized needs --k >= 2: it divides by K * (K - 1)"
         )
+    if "seed" in args and args.seed is None:
+        # the flag's fallback obeys the flag's rule
+        env = os.environ.get("LMDB_SEED", "0")
+        try:
+            args.seed = seed_int(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"LMDB_SEED {exc}")
     try:
         return args.func(args)
     except DispersionBanditError as exc:

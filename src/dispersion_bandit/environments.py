@@ -11,7 +11,7 @@ future candidate sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,12 @@ from .errors import (
 )
 from .seeding import STREAM_INSTANCE, STREAM_REWARDS, rng_from_seed
 
+#: `study_instance`'s uniform draw ranges: the item features, and the
+#: relevance and diversity preferences.  Both are non-negative, which makes
+#: the greedy guarantee's preconditions hold by construction.
+FEATURE_RANGE = (0.0, 0.5)
+PREFERENCE_RANGE = (0.0, 0.2)
+
 
 @dataclass(frozen=True)
 class SimInstance:
@@ -51,33 +57,29 @@ def study_instance(
     n_items: int = 20,
     d: int = 10,
     k: int = 5,
-    feature_low: float = 0.0,
-    feature_high: float = 0.5,
-    pref_low: float = 0.0,
-    pref_high: float = 0.2,
     metric_mode: str = "slate-normalized",
 ) -> SimInstance:
-    """Draw a simulated instance: features U[0, 0.5]^d, preferences U[0, 0.2].
+    """Draw a simulated instance with uniform features and preferences.
 
-    The non-negative ranges make the greedy guarantee's preconditions hold by
-    construction.  One diversity function (cosine dispersion), so m = 1.
+    Features come from `FEATURE_RANGE`, theta and beta from
+    `PREFERENCE_RANGE`.  One diversity function (cosine dispersion), so m = 1.
     """
     rng = rng_from_seed(seed, STREAM_INSTANCE)
-    vectors = rng.uniform(feature_low, feature_high, size=(n_items, d))
-    theta = rng.uniform(pref_low, pref_high, size=d)
-    beta = rng.uniform(pref_low, pref_high, size=1)
+    vectors = rng.uniform(*FEATURE_RANGE, size=(n_items, d))
+    theta = rng.uniform(*PREFERENCE_RANGE, size=d)
+    beta = rng.uniform(*PREFERENCE_RANGE, size=1)
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
     return SimInstance(catalog=catalog, eta_star=PreferenceVector(theta, beta), seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayUser:
-    """One held-out user: positive test items plus everything shown so far."""
+    """One held-out user: positive test items plus items consumed before replay."""
 
     user_id: int
     positives: frozenset[int]
-    consumed: set[int] = field(default_factory=set)
+    consumed: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -128,20 +130,6 @@ def position_means(
     return means, clamp_hits
 
 
-def replay_feedback(slate: Slate, user: ReplayUser) -> np.ndarray:
-    """Membership rewards against the user's positives; consumes the slate."""
-    repeats = user.consumed.intersection(slate.items)
-    if repeats:
-        raise ProtocolViolationError(
-            f"user {user.user_id} was already shown items {sorted(repeats)}"
-        )
-    rewards = np.array(
-        [1.0 if item in user.positives else 0.0 for item in slate.items]
-    )
-    user.consumed.update(slate.items)
-    return rewards
-
-
 class SimulatedEnvironment:
     """Bernoulli world; the full ground set is on offer every round.
 
@@ -186,10 +174,11 @@ class SimulatedEnvironment:
 class ReplayEnvironment:
     """Offline replay world: membership rewards, consumed items leave the pool.
 
-    A boolean mask over the catalog marks the items still open to the user:
-    the user's consumed items start closed (non-integer ids and ids outside
-    the catalog raise InvalidItemError), and each accepted slate closes its
-    items.
+    A boolean mask over the catalog marks the items still open to the user,
+    and is the one record of what the user has been shown: the user's
+    consumed items, read once here, start closed (non-integer ids and ids
+    outside the catalog raise InvalidItemError), and each accepted slate
+    closes its items.
     """
 
     def __init__(self, catalog: ItemCatalog, user: ReplayUser):
@@ -210,9 +199,22 @@ class ReplayEnvironment:
         return remaining
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
-        rewards = replay_feedback(selection.slate, self.user)
-        self._open[list(selection.slate.items)] = False
-        return rewards
+        """Membership rewards against the user's positives; closes the slate's items.
+
+        A slate holding an item that is already closed raises
+        ProtocolViolationError naming the repeats, and closes nothing.
+        """
+        items = selection.slate.items
+        ids = np.array(items, dtype=np.intp)
+        repeats = ids[~self._open[ids]]
+        if repeats.size:
+            raise ProtocolViolationError(
+                f"user {self.user.user_id} was already shown items "
+                f"{sorted(repeats.tolist())}"
+            )
+        self._open[ids] = False
+        positives = self.user.positives
+        return np.array([1.0 if item in positives else 0.0 for item in items])
 
 
 def run_episode(policy, environment, n: int, k: int) -> TrialLog:

@@ -22,28 +22,19 @@ import numpy as np
 from .catalog import ItemCatalog, PreferenceVector, unit_rows
 from .environments import SimInstance, TrialLog
 from .errors import PreconditionError, UndefinedDiversityError
-from .greedy import exhaustive_optimum, greedy_select
+from .greedy import GAMMA, exhaustive_optimum, greedy_select
 
-
-@dataclass(frozen=True)
-class RegretConfig:
-    """How to score regret: the approximation factor and the optimum oracle."""
-
-    gamma: float = 0.25
-    optimum_mode: str = "exhaustive"
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.optimum_mode not in ("exhaustive", "greedy-oracle"):
-            raise ValueError(f"unknown optimum_mode {self.optimum_mode!r}")
+#: How `scaled_regret` finds each round's optimum.
+OPTIMUM_MODES = ("exhaustive", "greedy-oracle")
+#: The F_beta weights `compute_metric_series` reports.
+F_BETAS = (1.0, 2.0)
 
 
 @dataclass(frozen=True)
 class RegretSeries:
     """Cumulative regret curves for one episode (simulation only)."""
 
-    scaled: np.ndarray  # sum_t F(A*_t) - F(A_t)/gamma   (can be negative)
+    scaled: np.ndarray  # sum_t F(A*_t) - F(A_t)/GAMMA   (can be negative)
     raw: np.ndarray  # sum_t F(A*_t) - F(A_t)
     optimum_values: np.ndarray  # F(A*_t) per round
     width_sum: np.ndarray  # cumulative selection widths (zero for baselines)
@@ -122,10 +113,11 @@ def f_beta_at(recall: float, diversity: float, beta: float) -> float:
     return (1.0 + beta * beta) * recall * diversity / denominator
 
 
-def compute_metric_series(
-    logs, positives, catalog: ItemCatalog, betas=(1.0, 2.0)
-) -> MetricSeries:
-    """Recall/Diversity/F_beta at every round up to the longest episode."""
+def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries:
+    """Recall/Diversity/F_beta at every round up to the longest episode.
+
+    F_beta is reported for each beta of `F_BETAS`.
+    """
     kept_logs, kept_pos, excluded = _usable(logs, positives)
     if not kept_logs:
         raise PreconditionError("no usable users")
@@ -165,7 +157,7 @@ def compute_metric_series(
         float(b): np.array(
             [f_beta_at(recall[i], diversity[i], b) for i in range(horizon)]
         )
-        for b in betas
+        for b in F_BETAS
     }
     return MetricSeries(
         rounds=rounds,
@@ -196,15 +188,17 @@ def _optimum_cache_lookup(
 
 
 def scaled_regret(
-    log: TrialLog, instance: SimInstance, config: RegretConfig = RegretConfig()
+    log: TrialLog, instance: SimInstance, optimum_mode: str = "exhaustive"
 ) -> RegretSeries:
-    """Cumulative F(A*_t) - F(A_t)/gamma and the unscaled companion series.
+    """Cumulative F(A*_t) - F(A_t)/GAMMA and the unscaled companion series.
 
     A*_t maximizes the true utility over that round's candidates — found by
     exhaustive search by default, or by the true-preference greedy slate in
     greedy-oracle mode (cheaper, and a lower bound on the true optimum).
     Only simulation logs qualify: the true utility must have been recorded.
     """
+    if optimum_mode not in OPTIMUM_MODES:
+        raise ValueError(f"unknown optimum_mode {optimum_mode!r}")
     n = len(log)
     scaled = np.zeros(n)
     raw = np.zeros(n)
@@ -220,10 +214,10 @@ def scaled_regret(
         k = len(entry.items)
         best = _optimum_cache_lookup(
             cache, entry.candidate_items, instance.eta_star, instance.catalog, k,
-            config.optimum_mode,
+            optimum_mode,
         )
         optima[i] = best
-        running_scaled += best - entry.true_utility / config.gamma
+        running_scaled += best - entry.true_utility / GAMMA
         running_raw += best - entry.true_utility
         if entry.widths is not None:
             running_width += float(np.sum(entry.widths))

@@ -22,8 +22,12 @@ import numpy as np
 from .catalog import ItemCatalog, PreferenceVector, Slate
 from .errors import DegenerateInstanceError, TooLargeInstanceError
 
+#: gamma, the greedy selector's approximation factor (the 1/4 above); the
+#: scaled regret and the LMDH regret bound divide by it.
+GAMMA = 0.25
+
 #: Maximum number of subsets the exhaustive oracle will enumerate.
-DEFAULT_SUBSET_BUDGET = 10_000_000
+SUBSET_BUDGET = 10_000_000
 
 _ENUM_CHUNK = 262_144  # subsets scored per vectorized block
 
@@ -161,20 +165,19 @@ def exhaustive_optimum(
     catalog: ItemCatalog,
     candidates,
     k: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> tuple[tuple[int, ...], float]:
     """Best K-subset by brute force; returns (sorted item ids, value).
 
     Enumerates C(n, K) subsets in lexicographic order (first maximizer wins),
     scored in vectorized blocks of `_subset_blocks`.  Refuses instances above
-    `budget` subsets.
+    `SUBSET_BUDGET` subsets.
     """
     catalog.check_eta(eta)
     cand = catalog.candidate_ids(candidates, k)
     n_subsets = math.comb(cand.size, k)
-    if n_subsets > budget:
+    if n_subsets > SUBSET_BUDGET:
         raise TooLargeInstanceError(
-            f"C({cand.size}, {k}) = {n_subsets} exceeds budget {budget}"
+            f"C({cand.size}, {k}) = {n_subsets} exceeds budget {SUBSET_BUDGET}"
         )
 
     per_item = catalog.relevance[cand] @ eta.theta
@@ -200,7 +203,7 @@ def ratio_to_optimum(greedy_value: float, optimal_value: float) -> float:
     """greedy / optimum; an optimum <= 0 has no meaningful ratio and raises.
 
     The ratio study divides `greedy_select(...).value` by the optimum of
-    `exhaustive_optimum`; under the guarantee's preconditions it is >= 1/4.
+    `exhaustive_optimum`; under the guarantee's preconditions it is >= GAMMA.
     """
     if optimal_value <= 0.0:
         raise DegenerateInstanceError(

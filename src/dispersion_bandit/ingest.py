@@ -30,6 +30,12 @@ FORMAT_ALIASES = {
     "generic": "generic-csv",
 }
 
+#: Share of the shuffled users that `split_users` puts in the training split.
+TRAIN_FRACTION = 0.8
+#: `synthetic_embeddings`' uniform draw range, the [-1, 1] that
+#: `normalize_embeddings` maps a file's coordinates onto.
+SYNTHETIC_RANGE = (-1.0, 1.0)
+
 
 def canonical_format(name: str) -> str:
     tag = FORMAT_ALIASES.get(name, name)
@@ -323,20 +329,6 @@ def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> Interac
     return _table_from_columns(columns, positive_threshold, str(path), tag)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded user split; the first floor(fraction * U) shuffled users train."""
-
-    seed: int
-    train_fraction: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
-
-
 def subtable(table: InteractionTable, dense_users) -> InteractionTable:
     """Records of the given users, with users re-indexed within the subset.
 
@@ -374,14 +366,14 @@ def subtable(table: InteractionTable, dense_users) -> InteractionTable:
 
 
 def split_users(
-    table: InteractionTable, spec: SplitSpec
+    table: InteractionTable, seed: int
 ) -> tuple[InteractionTable, InteractionTable]:
-    """Seeded shuffle of users; first floor(fraction * U) train, rest test."""
+    """Seeded shuffle of users; first floor(TRAIN_FRACTION * U) train, rest test."""
     if table.n_users < 2:
         raise EmptyDatasetError("need at least 2 users to split")
-    rng = rng_from_seed(spec.seed)
+    rng = rng_from_seed(seed)
     order = rng.permutation(table.n_users)
-    cut = int(table.n_users * spec.train_fraction)
+    cut = int(table.n_users * TRAIN_FRACTION)
     return subtable(table, order[:cut]), subtable(table, order[cut:])
 
 
@@ -420,31 +412,7 @@ def filter_top_items(table: InteractionTable, n: int) -> InteractionTable:
     )
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Item vectors plus the per-dimension affine map used to normalize them."""
-
-    item_ids: np.ndarray  # original ids, ascending
-    vectors: np.ndarray  # normalized rows, coordinates in [-1, 1]
-    mins: np.ndarray  # raw per-dimension minima
-    maxs: np.ndarray  # raw per-dimension maxima
-
-    @property
-    def d(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def vector(self, original_id: int) -> np.ndarray:
-        idx = np.searchsorted(self.item_ids, original_id)
-        if idx >= self.item_ids.shape[0] or self.item_ids[idx] != original_id:
-            raise KeyError(f"no embedding for item {original_id}")
-        return self.vectors[idx]
-
-    def matrix_for(self, original_ids) -> np.ndarray:
-        """Rows for the given original ids, in the given order."""
-        return np.vstack([self.vector(int(i)) for i in original_ids])
-
-
-def normalize_embeddings(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def normalize_embeddings(raw: np.ndarray) -> np.ndarray:
     """Min-max map each dimension onto [-1, 1]; constant dimensions go to 0."""
     mins = raw.min(axis=0)
     maxs = raw.max(axis=0)
@@ -452,30 +420,46 @@ def normalize_embeddings(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     safe = np.where(span == 0.0, 1.0, span)
     normalized = 2.0 * (raw - mins) / safe - 1.0
     normalized[:, span == 0.0] = 0.0
-    return normalized, mins, maxs
+    return normalized
 
 
-def load_embeddings(path, expected_d: int, expected_items=None) -> EmbeddingTable:
-    """Read `item,e0,...,e{d-1}` rows keyed by original item id; normalize."""
+def _embedding_dim(header: list[str]) -> int:
+    """The d of an `item,e0,...,e{d-1}` header, d >= 1; else ParseError on line 1."""
+    fields = [h.strip() for h in header]
+    d = len(fields) - 1
+    if d < 1 or fields != ["item"] + [f"e{i}" for i in range(d)]:
+        raise ParseError(
+            f"header must be item,e0,...,e{{d-1}} with d >= 1 — got {header!r}",
+            line_number=1,
+        )
+    return d
+
+
+def load_embeddings(path, item_ids) -> np.ndarray:
+    """Rows for `item_ids` (original ids, in that order) from an embedding CSV.
+
+    The file has header `item,e0,...,e{d-1}`, which sets d, and one row per
+    original item id.  Each dimension is min-max rescaled onto [-1, 1] over
+    every row in the file, including items that `item_ids` leaves out.  A bad
+    header, field count or value, a repeated id, an id of `item_ids` that
+    the file lacks and a file without rows raise ParseError or
+    EmptyDatasetError.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
-        expected_header = ["item"] + [f"e{i}" for i in range(expected_d)]
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"header must be {','.join(expected_header)} — got {header!r}",
-                line_number=1,
-            )
-        rows: dict[int, np.ndarray] = {}
+        d = _embedding_dim(header)
+        index: dict[int, int] = {}  # original id -> row in file order
+        rows: list[np.ndarray] = []
         for line_number, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != expected_d + 1:
+            if len(row) != d + 1:
                 raise ParseError(
-                    f"expected {expected_d + 1} fields, got {len(row)}",
+                    f"expected {d + 1} fields, got {len(row)}",
                     line_number=line_number,
                 )
             try:
@@ -485,48 +469,33 @@ def load_embeddings(path, expected_d: int, expected_items=None) -> EmbeddingTabl
                 raise ParseError(
                     f"bad embedding row {row!r}", line_number=line_number
                 ) from exc
-            if item in rows:
+            if item in index:
                 raise ParseError(
                     f"duplicate embedding for item {item}", line_number=line_number
                 )
-            rows[item] = values
+            index[item] = len(rows)
+            rows.append(values)
 
     if not rows:
         raise EmptyDatasetError(f"no embedding rows in {path}")
-    if expected_items is not None:
-        missing = sorted(set(int(i) for i in expected_items) - set(rows))
-        if missing:
-            raise ParseError(
-                f"{len(missing)} item(s) lack embeddings, first few: {missing[:5]}"
-            )
-
-    item_ids = np.array(sorted(rows), dtype=np.int64)
-    raw = np.vstack([rows[int(i)] for i in item_ids])
-    normalized, mins, maxs = normalize_embeddings(raw)
-    return EmbeddingTable(item_ids=item_ids, vectors=normalized, mins=mins, maxs=maxs)
+    missing = sorted(set(int(i) for i in item_ids) - set(index))
+    if missing:
+        raise ParseError(
+            f"{len(missing)} item(s) lack embeddings, first few: {missing[:5]}"
+        )
+    normalized = normalize_embeddings(np.vstack(rows))
+    return normalized[[index[int(i)] for i in item_ids]]
 
 
-def synthetic_embeddings(
-    n_items: int, d: int, low: float, high: float, seed: int
-) -> EmbeddingTable:
-    """I.i.d. uniform vectors, ids 0..n_items-1, deterministic per seed.
+def synthetic_embeddings(n_items: int, d: int, seed: int) -> np.ndarray:
+    """I.i.d. uniform vectors on `SYNTHETIC_RANGE` for items 0..n_items-1, per seed.
 
-    The stored affine map (mins -1, maxs 1) is the identity: the draws are
-    used as-is, and the coordinates already live in [-1, 1] whenever
-    [low, high] does.
+    The draws are used as they are: they already lie in the range a file's
+    coordinates are rescaled onto.
     """
     if n_items < 1 or d < 1:
         raise ValueError("n_items and d must be >= 1")
-    if not low < high:
-        raise ValueError(f"need low < high, got [{low}, {high}]")
-    rng = rng_from_seed(seed)
-    vectors = rng.uniform(low, high, size=(n_items, d))
-    return EmbeddingTable(
-        item_ids=np.arange(n_items, dtype=np.int64),
-        vectors=vectors,
-        mins=-np.ones(d),
-        maxs=np.ones(d),
-    )
+    return rng_from_seed(seed).uniform(*SYNTHETIC_RANGE, size=(n_items, d))
 
 
 def write_maps(table: InteractionTable, users_path, items_path) -> None:

@@ -27,7 +27,10 @@ from .errors import (
     NumericalDegeneracyError,
     PreconditionError,
 )
-from .greedy import greedy_fill, metric_columns
+from .greedy import GAMMA, greedy_fill, metric_columns
+
+#: S, the bound on the true preference's norm that the confidence radius assumes.
+ETA_NORM_BOUND = 1.0
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,6 @@ class TheoryParams:
     m: int
     lam: float
     delta: float
-    eta_norm_bound: float = 1.0
-    gamma: float = 0.25
 
     def __post_init__(self):
         if self.n < 0:
@@ -73,10 +74,6 @@ class TheoryParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eta_norm_bound < 0:
-            raise ValueError("eta_norm_bound must be non-negative")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
 def _pd_inverse(mat: np.ndarray, label: str) -> np.ndarray:
@@ -254,11 +251,14 @@ def update(
 
 
 def theoretical_alpha(params: TheoryParams) -> float:
-    """Confidence radius sqrt((d+m)log(1 + nK/((d+m)lam)) + 2log(1/delta)) + sqrt(lam)*S."""
+    """Confidence radius sqrt((d+m)log(1 + nK/((d+m)lam)) + 2log(1/delta)) + sqrt(lam)*S.
+
+    S is `ETA_NORM_BOUND`.
+    """
     dm = params.d + params.m
     log_term = dm * math.log1p(params.n * params.k / (dm * params.lam))
     log_term += 2.0 * math.log(1.0 / params.delta)
-    return math.sqrt(log_term) + math.sqrt(params.lam) * params.eta_norm_bound
+    return math.sqrt(log_term) + math.sqrt(params.lam) * ETA_NORM_BOUND
 
 
 def _width_sum_inner(params: TheoryParams) -> float:
@@ -288,7 +288,7 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
         )
     if params.n == 0:
         return 0.0
-    main = (2.0 * alpha * params.k / params.gamma) * math.sqrt(_width_sum_inner(params))
+    main = (2.0 * alpha * params.k / GAMMA) * math.sqrt(_width_sum_inner(params))
     return main + params.n * params.k * params.delta
 
 

@@ -33,10 +33,3 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     if stream:
         bits = bits.jumped(stream)
     return np.random.Generator(bits)
-
-
-def as_rng(rng_or_seed: np.random.Generator | int) -> np.random.Generator:
-    """Accept either a ready generator or an integer seed."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    return rng_from_seed(int(rng_or_seed))

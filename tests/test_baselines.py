@@ -7,7 +7,6 @@ from dispersion_bandit.baselines import (
     EpsilonGreedyPolicy,
     LogRankPolicy,
     MmrPolicy,
-    PolicyInterface,
     SlateSelection,
     StaticScorer,
     annotate_slate,
@@ -21,6 +20,7 @@ from dispersion_bandit.errors import (
     InsufficientCandidatesError,
 )
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
+from dispersion_bandit.seeding import rng_from_seed
 
 from conftest import random_catalog
 
@@ -141,7 +141,7 @@ def test_epsilon_zero_equals_logrank():
         catalog = random_catalog(rng, n_items=8, d=3, m=1)
         scorer = StaticScorer(rng.normal(size=3), catalog)
         greedy = epsilon_greedy_select(
-            scorer, catalog.all_items(), 4, epsilon=0.0, rng=trial
+            scorer, catalog.all_items(), 4, epsilon=0.0, rng=rng_from_seed(trial)
         )
         assert greedy.items == logrank_select(scorer, catalog.all_items(), 4).items
 
@@ -150,8 +150,12 @@ def test_epsilon_greedy_is_deterministic_given_seed():
     rng = np.random.default_rng(38)
     catalog = random_catalog(rng, n_items=10, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
-    a = epsilon_greedy_select(scorer, catalog.all_items(), 4, epsilon=0.7, rng=99)
-    b = epsilon_greedy_select(scorer, catalog.all_items(), 4, epsilon=0.7, rng=99)
+    a = epsilon_greedy_select(
+        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99)
+    )
+    b = epsilon_greedy_select(
+        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99)
+    )
     assert a.items == b.items
 
 
@@ -181,7 +185,9 @@ def test_epsilon_greedy_rejects_bad_epsilon():
     catalog = random_catalog(rng, n_items=4, d=2, m=1)
     scorer = StaticScorer(np.zeros(2), catalog)
     with pytest.raises(ValueError):
-        epsilon_greedy_select(scorer, catalog.all_items(), 2, epsilon=-0.1, rng=0)
+        epsilon_greedy_select(
+            scorer, catalog.all_items(), 2, epsilon=-0.1, rng=rng_from_seed(0)
+        )
 
 
 def test_annotate_slate_fills_prefix_marginals():
@@ -208,11 +214,11 @@ def test_policies_satisfy_the_interface():
     policies = [
         LogRankPolicy(scorer, catalog, k=3),
         MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.9),
-        EpsilonGreedyPolicy(scorer, catalog, k=3, epsilon=0.05, rng=7),
+        EpsilonGreedyPolicy(scorer, catalog, k=3, epsilon=0.05, rng=rng_from_seed(7)),
         LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), catalog),
     ]
+    assert [p.name for p in policies] == ["logrank", "mmr", "epsilon-greedy", "lmdh"]
     for policy in policies:
-        assert isinstance(policy, PolicyInterface)
         selection = policy.select(catalog.all_items(), 0)
         assert isinstance(selection, SlateSelection)
         assert len(selection.slate) == 3

@@ -38,7 +38,7 @@ from dispersion_bandit.lmdh import (
     select_slate,
     update,
 )
-from dispersion_bandit.seeding import as_rng
+from dispersion_bandit.seeding import rng_from_seed
 
 from conftest import random_catalog, random_eta
 
@@ -49,7 +49,6 @@ from conftest import random_catalog, random_eta
 
 def epsilon_greedy_oracle(scorer, candidates, k, epsilon, rng):
     """epsilon-greedy over a Python list of remaining positions."""
-    rng = as_rng(rng)
     cand = np.unique(np.asarray(list(candidates), dtype=np.intp))
     quality = scorer.quality[cand].copy()
     remaining = list(range(cand.size))
@@ -224,7 +223,9 @@ def _selectors(catalog, k, stats=None):
         "greedy": lambda c: greedy_select(eta, catalog, c, k),
         "logrank": lambda c: logrank_select(scorer, c, k),
         "mmr": lambda c: mmr_select(scorer, catalog, c, k),
-        "epsilon-greedy": lambda c: epsilon_greedy_select(scorer, c, k, 0.5, 0),
+        "epsilon-greedy": lambda c: epsilon_greedy_select(
+            scorer, c, k, 0.5, rng_from_seed(0)
+        ),
     }
 
 
@@ -312,14 +313,14 @@ def test_candidate_set_matches_set_difference_oracle():
         n = int(rng.integers(1, 60))
         catalog = random_catalog(rng, n)
         consumed = set(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
-        user = ReplayUser(user_id=trial, positives=frozenset(), consumed=consumed)
+        user = ReplayUser(trial, positives=frozenset(), consumed=frozenset(consumed))
         env = ReplayEnvironment(catalog, user)
         k = int(rng.integers(1, 6))
         for t in range(1, n + 2):
             outcomes = []
             for call in (
                 lambda: env.candidates(t, k),
-                lambda: candidate_set_oracle(t, range(n), user.consumed, k),
+                lambda: candidate_set_oracle(t, range(n), consumed, k),
             ):
                 try:
                     outcomes.append(call())
@@ -327,27 +328,37 @@ def test_candidate_set_matches_set_difference_oracle():
                     outcomes.append(str(exc))
             fast, slow = outcomes
             if isinstance(slow, str):
-                assert fast == f"round {t}: {n - len(user.consumed)} candidates left, need {k}"
+                assert fast == f"round {t}: {n - len(consumed)} candidates left, need {k}"
                 break
             assert fast.dtype == slow.dtype == np.intp
             assert np.array_equal(fast, slow)
             shown = rng.choice(fast, size=k, replace=False)
             env.feedback(SimpleNamespace(slate=Slate(tuple(int(i) for i in shown), k)))
+            consumed.update(int(i) for i in shown)
         else:
             raise AssertionError("candidates never ran out")
 
 
 class OracleCheckedReplay(ReplayEnvironment):
-    """Replay world that checks every candidate set against the oracle."""
+    """Replay world that checks every candidate set against the oracle.
+
+    The oracle's record of shown items is a set kept apart from the mask.
+    """
 
     def __init__(self, catalog, user):
         super().__init__(catalog, user)
         self.rounds = []
+        self.shown = set(user.consumed)
+
+    def feedback(self, selection):
+        rewards = super().feedback(selection)
+        self.shown.update(selection.slate.items)
+        return rewards
 
     def candidates(self, t, k):
         ground = range(self.catalog.item_count)
         try:
-            expected = candidate_set_oracle(t, ground, self.user.consumed, k)
+            expected = candidate_set_oracle(t, ground, self.shown, k)
         except ExhaustedCandidatesError:
             expected = None
         try:
@@ -367,14 +378,18 @@ def test_replay_candidates_match_oracle_every_round(consumed):
     rng = np.random.default_rng(10)
     catalog = random_catalog(rng, 23, d=3)
     scorer = StaticScorer(rng.normal(size=3), catalog)
-    user = ReplayUser(user_id=0, positives=frozenset({1, 2, 3}), consumed=set(consumed))
+    user = ReplayUser(0, positives=frozenset({1, 2, 3}), consumed=frozenset(consumed))
     env = OracleCheckedReplay(catalog, user)
     log = run_episode(LogRankPolicy(scorer, catalog, 4), env, 10, 4)
     # 23 - |consumed| items at 4 per round: exhaustion ends the episode
     full_rounds = (23 - len(consumed)) // 4
     assert len(log) == full_rounds
     assert env.rounds == list(range(1, full_rounds + 2))
-    assert user.consumed == set(consumed) | {i for r in log for i in r.items}
+    # the mask closed exactly the consumed and the shown items
+    still_open = ReplayEnvironment.candidates(env, full_rounds + 2, 1).tolist()
+    assert set(range(23)) - set(still_open) == set(consumed) | {
+        i for r in log for i in r.items
+    }
 
 
 # qualities drawn from a few levels, so ties are common, plus +-inf and NaN

@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersion_bandit import catalog as catalog_module
 from dispersion_bandit.catalog import (
     CosineDistanceMetric,
     ItemCatalog,
@@ -26,6 +28,18 @@ from dispersion_bandit.errors import (
 )
 
 from conftest import random_catalog, random_eta, random_table, utility_by_hand
+
+
+def on_demand_metric(vectors, **kwargs) -> CosineDistanceMetric:
+    """A cosine metric that evaluates its columns on demand, without a table."""
+    with mock.patch.object(catalog_module, "TABLE_THRESHOLD", 0):
+        return CosineDistanceMetric(vectors, **kwargs)
+
+
+def distance_matrix(metric) -> np.ndarray:
+    """Every distance of `metric`, one column per item."""
+    ids = np.arange(len(metric))
+    return np.vstack([metric.column(i, ids) for i in ids])
 
 
 class TestSlate:
@@ -209,14 +223,8 @@ class TestSlateFeatures:
         on_demand = data.draw(st.booleans(), label="on_demand")
         rng = np.random.default_rng(seed)
         n = int(rng.integers(k, 12))
-        # table_threshold=0 makes the cosine metric evaluate columns on demand
-        metrics = tuple(
-            CosineDistanceMetric(
-                rng.uniform(-1.0, 1.0, size=(n, 3)),
-                table_threshold=0 if on_demand else n,
-            )
-            for _ in range(m)
-        )
+        build = on_demand_metric if on_demand else CosineDistanceMetric
+        metrics = tuple(build(rng.uniform(-1.0, 1.0, size=(n, 3))) for _ in range(m))
         catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
         items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
         z, x = slate_features(Slate(items, capacity=k), catalog)
@@ -251,13 +259,9 @@ class TestUtility:
         as_slate = data.draw(st.booleans(), label="as_slate")
         rng = np.random.default_rng(seed)
         n = int(rng.integers(max(k, 1), 16))
-        # table_threshold=0 makes the cosine metric evaluate columns on demand
+        build = on_demand_metric if on_demand else CosineDistanceMetric
         metrics = tuple(
-            CosineDistanceMetric(
-                rng.uniform(-1.0, 1.0, size=(n, 3)),
-                scale=float(rng.uniform(0.1, 2.0)),
-                table_threshold=0 if on_demand else n,
-            )
+            build(rng.uniform(-1.0, 1.0, size=(n, 3)), scale=float(rng.uniform(0.1, 2.0)))
             for _ in range(m)
         )
         catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
@@ -376,7 +380,7 @@ class TestUtility:
 
 
 def cosine_distance(z_i, z_j):
-    return CosineDistanceMetric(np.vstack([z_i, z_j])).pair(0, 1)
+    return CosineDistanceMetric(np.vstack([z_i, z_j])).column(0, np.array([1]))[0]
 
 
 class TestCosineDistance:
@@ -399,32 +403,25 @@ class TestCosineDistance:
 class TestCosineMetricModes:
     def test_table_and_on_demand_agree(self, rng):
         vectors = rng.uniform(0.1, 1.0, size=(12, 4))
-        table_backed = CosineDistanceMetric(vectors, scale=0.1, table_threshold=64)
-        on_demand = CosineDistanceMetric(vectors, scale=0.1, table_threshold=4)
-        ids = np.arange(12)
-        for i in range(12):
-            np.testing.assert_allclose(
-                table_backed.column(i, ids), on_demand.column(i, ids), atol=1e-12
-            )
-            for j in range(12):
-                assert table_backed.pair(i, j) == pytest.approx(
-                    on_demand.pair(i, j), abs=1e-12
-                )
+        table_backed = CosineDistanceMetric(vectors, scale=0.1)
+        on_demand = on_demand_metric(vectors, scale=0.1)
+        assert table_backed._table is not None and on_demand._table is None
+        np.testing.assert_allclose(
+            distance_matrix(table_backed), distance_matrix(on_demand), atol=1e-12
+        )
 
     def test_slate_normalized_scale(self, rng):
         vectors = rng.uniform(0.1, 1.0, size=(6, 3))
         raw = cosine_metric(vectors, mode="raw")
         norm = cosine_metric(vectors, mode="slate-normalized", slate_capacity=5)
-        assert norm.pair(0, 1) == pytest.approx(raw.pair(0, 1) / 10.0)
+        np.testing.assert_allclose(distance_matrix(norm), distance_matrix(raw) / 10.0)
 
     def test_metric_axioms(self, rng):
         vectors = rng.uniform(-1.0, 1.0, size=(10, 5))
-        metric = cosine_metric(vectors, mode="raw")
-        for i in range(10):
-            assert metric.pair(i, i) == 0.0
-            for j in range(10):
-                assert metric.pair(i, j) >= 0.0
-                assert metric.pair(i, j) == metric.pair(j, i)
+        table = distance_matrix(cosine_metric(vectors, mode="raw"))
+        assert np.all(np.diagonal(table) == 0.0)
+        assert np.all(table >= 0.0)
+        assert np.array_equal(table, table.T)
 
     def test_zero_vector_rejected(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0]])

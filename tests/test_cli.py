@@ -24,7 +24,7 @@ from dispersion_bandit.baselines import (
     MmrPolicy,
 )
 from dispersion_bandit import cli
-from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy, resolve_seed
+from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy
 from dispersion_bandit.environments import (
     ReplayEnvironment,
     ReplayUser,
@@ -32,7 +32,7 @@ from dispersion_bandit.environments import (
     study_instance,
 )
 from dispersion_bandit.evaluation import compute_metric_series, write_metrics_csv
-from dispersion_bandit.ingest import SplitSpec, split_users
+from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhPolicy
 from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
 
@@ -511,7 +511,7 @@ def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
     seed = 7
     key = (dataset, fmt, 3.0, top_items, seed, embeddings, "slate-normalized", 3)
     table, test, catalog, u_bar = cli._replay_context(key)
-    train, _ = split_users(table, SplitSpec(seed=seed))
+    train, _ = split_users(table, seed)
     assert train.n_users + test.n_users == table.n_users
     assert u_bar.tobytes() == per_user_mean_u_bar(train, catalog.relevance).tobytes()
 
@@ -603,10 +603,32 @@ def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):
     assert read_manifest(out2)["options"]["seed"] == 3
 
 
-def test_bad_env_seed_rejected(monkeypatch):
-    monkeypatch.setenv("LMDB_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
-        resolve_seed(None)
+@pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
+@pytest.mark.parametrize(
+    "flag, env, rule",
+    [
+        ("-1", None, "argument --seed: must be a non-negative integer, got '-1'"),
+        (None, "-1", "LMDB_SEED must be a non-negative integer, got '-1'"),
+        (None, "abc", "LMDB_SEED must be a non-negative integer, got 'abc'"),
+    ],
+)
+def test_bad_seeds_are_usage_errors(
+    tmp_path, capsys, monkeypatch, command, flag, env, rule
+):
+    """A negative or non-integer seed exits 2 before --out exists."""
+    if env is None:
+        monkeypatch.delenv("LMDB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LMDB_SEED", env)
+    out = tmp_path / "out"
+    argv = [command, *REQUIRED[command], "--out", str(out)]
+    if flag is not None:
+        argv += ["--seed", flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_alpha_rejected(tmp_path):

@@ -20,7 +20,6 @@ from dispersion_bandit.environments import (
     TrialLog,
     position_means,
     study_instance,
-    replay_feedback,
     run_episode,
 )
 from dispersion_bandit.errors import (
@@ -121,28 +120,44 @@ def test_position_means_depend_on_prefix():
     assert m1[0] != m2[0]
 
 
+def replay_feedback(env: ReplayEnvironment, items: tuple[int, ...]) -> np.ndarray:
+    """`env`'s rewards for a slate of `items`."""
+    slate = Slate(items, capacity=len(items))
+    return env.feedback(annotate_slate(slate, env.catalog))
+
+
+def open_items(env: ReplayEnvironment) -> set[int]:
+    """The items `env` still offers (a one-item request never runs out first)."""
+    return set(env.candidates(0, 1).tolist())
+
+
 def test_replay_feedback_membership():
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
     user = ReplayUser(user_id=1, positives=frozenset({3, 7}))
-    rewards = replay_feedback(Slate((7, 1, 3), capacity=3), user)
+    env = ReplayEnvironment(catalog, user)
+    rewards = replay_feedback(env, (7, 1, 3))
     assert np.array_equal(rewards, [1.0, 0.0, 1.0])
-    assert user.consumed == {1, 3, 7}
+    assert open_items(env) == set(range(10)) - {1, 3, 7}
+    assert user.consumed == frozenset()  # read once, never written
 
 
 def test_replay_feedback_rejects_repeats():
-    user = ReplayUser(user_id=2, positives=frozenset({0}))
-    replay_feedback(Slate((0, 1), capacity=2), user)
-    with pytest.raises(ProtocolViolationError):
-        replay_feedback(Slate((1, 2), capacity=2), user)
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
+    user = ReplayUser(user_id=2, positives=frozenset({0}), consumed=frozenset({9}))
+    env = ReplayEnvironment(catalog, user)
+    replay_feedback(env, (0, 1))
+    with pytest.raises(ProtocolViolationError) as exc:
+        replay_feedback(env, (2, 9, 1))
+    assert str(exc.value) == "user 2 was already shown items [1, 9]"
+    assert open_items(env) == set(range(2, 9))  # a rejected slate closes nothing
 
 
 def test_replay_feedback_all_in_and_all_out():
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
     user = ReplayUser(user_id=3, positives=frozenset({0, 1, 2}))
-    assert np.array_equal(
-        replay_feedback(Slate((0, 1, 2), capacity=3), user), np.ones(3)
-    )
-    assert np.array_equal(
-        replay_feedback(Slate((4, 5), capacity=2), user), np.zeros(2)
-    )
+    env = ReplayEnvironment(catalog, user)
+    assert np.array_equal(replay_feedback(env, (0, 1, 2)), np.ones(3))
+    assert np.array_equal(replay_feedback(env, (4, 5)), np.zeros(2))
 
 
 def test_candidate_set_removes_consumed():
@@ -302,7 +317,7 @@ def test_replay_episode_consumes_and_terminates_gracefully():
     assert len(log) == 3
     shown = [item for entry in log for item in entry.items]
     assert len(shown) == len(set(shown))  # never repeats an item
-    assert user.consumed == set(shown)
+    assert open_items(env) == set(range(7)) - set(shown)
     sizes = [entry.num_candidates for entry in log]
     assert sizes == [7, 5, 3]
     assert all(entry.widths is None for entry in log)
@@ -314,7 +329,8 @@ def test_replay_rewards_are_policy_independent():
     outcomes = []
     for _ in range(2):
         user = ReplayUser(user_id=1, positives=frozenset({4, 7}))
-        outcome = [tuple(replay_feedback(s, user)) for s in slates]
+        env = ReplayEnvironment(inst.catalog, user)
+        outcome = [tuple(replay_feedback(env, s.items)) for s in slates]
         outcomes.append(outcome)
     assert outcomes[0] == outcomes[1] == [(0.0, 1.0), (0.0, 1.0)]
 

@@ -27,7 +27,6 @@ from dispersion_bandit.errors import (
 )
 from dispersion_bandit.evaluation import (
     MetricSeries,
-    RegretConfig,
     RegretSeries,
     average_regret,
     _ordered_mean,
@@ -322,7 +321,7 @@ def test_scaled_regret_on_optimal_play():
         )
         for t in (1, 2, 3)
     )
-    series = scaled_regret(TrialLog(rounds), inst, RegretConfig(gamma=0.25))
+    series = scaled_regret(TrialLog(rounds), inst)
     assert np.allclose(series.raw, 0.0, atol=1e-12)
     expected_step = best_value - best_value / 0.25
     assert np.allclose(series.scaled, expected_step * np.arange(1, 4), atol=1e-10)
@@ -347,10 +346,12 @@ def test_scaled_regret_greedy_oracle_mode():
     env = SimulatedEnvironment(inst)
     policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
     log = run_episode(policy, env, 6, 3)
-    exhaustive = scaled_regret(log, inst, RegretConfig(optimum_mode="exhaustive"))
-    oracle = scaled_regret(log, inst, RegretConfig(optimum_mode="greedy-oracle"))
+    exhaustive = scaled_regret(log, inst, "exhaustive")
+    oracle = scaled_regret(log, inst, "greedy-oracle")
     # greedy value never exceeds the exhaustive optimum
     assert np.all(oracle.optimum_values <= exhaustive.optimum_values + 1e-12)
+    with pytest.raises(ValueError, match="unknown optimum_mode 'best'"):
+        scaled_regret(log, inst, "best")
 
 
 def test_scaled_regret_requires_simulation_log():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dispersion_bandit import cli
+from dispersion_bandit import cli, greedy
 from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
@@ -148,12 +148,14 @@ class TestExhaustiveOptimum:
         assert value == pytest.approx(utility(best, eta, catalog), abs=1e-12)
         assert value == pytest.approx(utility(subset, eta, catalog), abs=1e-12)
 
-    def test_budget_guard(self, rng):
+    def test_budget_guard(self, rng, monkeypatch):
         catalog = random_catalog(rng, 30, d=2)
+        eta = random_eta(rng)
         with pytest.raises(TooLargeInstanceError):
-            exhaustive_optimum(
-                random_eta(rng), catalog, range(30), 15, budget=10_000
-            )
+            exhaustive_optimum(eta, catalog, range(30), 15)  # C(30, 15) > 1e7
+        monkeypatch.setattr(greedy, "SUBSET_BUDGET", 10_000)
+        with pytest.raises(TooLargeInstanceError, match="exceeds budget 10000"):
+            exhaustive_optimum(eta, catalog, range(30), 4)  # C(30, 4) = 27 405
 
 
 class TestApproximationRatio:

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from dispersion_bandit import ingest
 from dispersion_bandit.errors import EmptyDatasetError, ParseError
 from dispersion_bandit.ingest import (
-    EmbeddingTable,
     InteractionTable,
-    SplitSpec,
     canonical_format,
     filter_top_items,
     load_embeddings,
@@ -150,7 +148,7 @@ def test_dense_reindex_orders_by_original_id(tmp_path):
 def test_split_users_partition_and_determinism(tmp_path):
     lines = "".join(f"{u}\t{u % 3}\t5\t0\n" for u in range(10))
     table = parse_ratings(write(tmp_path / "u.data", lines), "ml100k-tab")
-    train, test = split_users(table, SplitSpec(seed=42))
+    train, test = split_users(table, 42)
     assert train.n_users == 8
     assert test.n_users == 2
     train_set = set(train.user_ids.tolist())
@@ -161,9 +159,9 @@ def test_split_users_partition_and_determinism(tmp_path):
     # splits keep the parent item index space
     assert np.array_equal(train.item_ids, table.item_ids)
 
-    train2, test2 = split_users(table, SplitSpec(seed=42))
+    train2, test2 = split_users(table, 42)
     assert np.array_equal(train.user_ids, train2.user_ids)
-    other_train, _ = split_users(table, SplitSpec(seed=43))
+    other_train, _ = split_users(table, 43)
     others = [
         np.array_equal(other_train.user_ids, train.user_ids)
         for _ in range(1)
@@ -172,18 +170,19 @@ def test_split_users_partition_and_determinism(tmp_path):
     # split must move at least once
     moved = any(
         not np.array_equal(
-            split_users(table, SplitSpec(seed=s))[0].user_ids, train.user_ids
+            split_users(table, s)[0].user_ids, train.user_ids
         )
         for s in (43, 44, 45)
     )
     assert moved
 
 
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(seed=1, train_fraction=1.0)
-    with pytest.raises(ValueError):
-        SplitSpec(seed=1, train_fraction=0.0)
+def test_split_users_cut_follows_train_fraction(tmp_path, monkeypatch):
+    lines = "".join(f"{u}\t{u % 3}\t5\t0\n" for u in range(10))
+    table = parse_ratings(write(tmp_path / "u.data", lines), "ml100k-tab")
+    monkeypatch.setattr(ingest, "TRAIN_FRACTION", 0.55)
+    train, test = split_users(table, 42)
+    assert (train.n_users, test.n_users) == (5, 5)  # floor(0.55 * 10)
 
 
 def test_subtable_reindexes_users(tmp_path):
@@ -204,7 +203,7 @@ def test_items_of_matches_a_full_scan(tmp_path):
         )
     )
     table = parse_ratings(write(tmp_path / "u.data", lines), "ml100k-tab")
-    train, test = split_users(table, SplitSpec(seed=5))
+    train, test = split_users(table, 5)
     top = filter_top_items(table, 20)
     for t in (table, train, test, top):
         # (user, item) order, each pair once
@@ -251,18 +250,17 @@ def test_load_embeddings_minmax_endpoints(tmp_path):
     path = write(
         tmp_path / "emb.csv", "item,e0\n1,0\n2,5\n3,10\n"
     )
-    emb = load_embeddings(path, expected_d=1)
-    assert emb.vectors[:, 0].tolist() == [-1.0, 0.0, 1.0]
-    assert emb.item_ids.tolist() == [1, 2, 3]
+    vectors = load_embeddings(path, [1, 2, 3])
+    assert vectors[:, 0].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_load_embeddings_constant_dimension(tmp_path):
     path = write(
         tmp_path / "emb.csv", "item,e0,e1\n1,2.0,0\n2,2.0,5\n3,2.0,10\n"
     )
-    emb = load_embeddings(path, expected_d=2)
-    assert np.array_equal(emb.vectors[:, 0], np.zeros(3))
-    assert emb.vectors[:, 1].tolist() == [-1.0, 0.0, 1.0]
+    vectors = load_embeddings(path, [1, 2, 3])
+    assert np.array_equal(vectors[:, 0], np.zeros(3))
+    assert vectors[:, 1].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_load_embeddings_round_trip(tmp_path):
@@ -272,62 +270,85 @@ def test_load_embeddings_round_trip(tmp_path):
     for i in range(6):
         lines.append(",".join([str(i)] + [repr(float(v)) for v in raw[i]]))
     path = write(tmp_path / "emb.csv", "\n".join(lines) + "\n")
-    emb = load_embeddings(path, expected_d=3)
-    assert np.all(emb.vectors >= -1.0) and np.all(emb.vectors <= 1.0)
-    recovered = (emb.vectors + 1.0) / 2.0 * (emb.maxs - emb.mins) + emb.mins
+    vectors = load_embeddings(path, range(6))
+    assert np.all(vectors >= -1.0) and np.all(vectors <= 1.0)
+    mins, maxs = raw.min(axis=0), raw.max(axis=0)
+    recovered = (vectors + 1.0) / 2.0 * (maxs - mins) + mins
     assert np.allclose(recovered, raw, atol=1e-9)
+
+
+def test_load_embeddings_normalizes_over_every_row_in_the_file(tmp_path):
+    # item 99 has no rating; its e0 widens that dimension's range to [0, 30]
+    ratings = write(
+        tmp_path / "ratings.csv",
+        "user,item,rating\n1,1,5\n1,2,4\n2,3,5\n2,1,1\n",
+    )
+    table = parse_ratings(ratings, "generic-csv")
+    assert table.item_ids.tolist() == [1, 2, 3]
+    path = write(
+        tmp_path / "emb.csv", "item,e0,e1\n99,30,2\n3,10,3\n1,0,1\n2,5,2\n"
+    )
+    vectors = load_embeddings(path, table.item_ids)
+    assert vectors[:, 0] == pytest.approx([-1.0, -2.0 / 3.0, -1.0 / 3.0], abs=1e-15)
+    assert vectors[:, 1].tolist() == [-1.0, 0.0, 1.0]
+    # the same rows as normalizing the whole file and then picking the items
+    whole = normalize_embeddings(np.array([[30, 2], [10, 3], [0, 1], [5, 2]], float))
+    assert vectors.tobytes() == whole[[2, 3, 1]].tobytes()
 
 
 def test_normalize_is_idempotent():
     rng = np.random.default_rng(92)
     raw = rng.uniform(-3.0, 7.0, size=(10, 4))
-    normalized, _, _ = normalize_embeddings(raw)
-    again, _, _ = normalize_embeddings(normalized)
+    normalized = normalize_embeddings(raw)
+    again = normalize_embeddings(normalized)
     assert np.allclose(again, normalized, atol=1e-12)
 
 
+@pytest.mark.parametrize("header", ["id,e0", "item", "item,e1", "item,e0,e2"])
+def test_load_embeddings_rejects_bad_headers_on_line_1(tmp_path, header):
+    path = write(tmp_path / "emb.csv", f"{header}\n1,0\n")
+    with pytest.raises(ParseError, match="^line 1: header must be item,e0"):
+        load_embeddings(path, [1])
+
+
 def test_load_embeddings_errors(tmp_path):
-    with pytest.raises(ParseError, match="header"):
-        load_embeddings(write(tmp_path / "a.csv", "id,e0\n1,0\n"), 1)
-    with pytest.raises(ParseError, match="duplicate"):
-        load_embeddings(write(tmp_path / "b.csv", "item,e0\n1,0\n1,2\n"), 1)
-    with pytest.raises(ParseError, match="line 2"):
-        load_embeddings(write(tmp_path / "c.csv", "item,e0\n1,0,9\n"), 1)
+    with pytest.raises(ParseError, match="line 3: duplicate"):
+        load_embeddings(write(tmp_path / "b.csv", "item,e0\n1,0\n1,2\n"), [1])
+    with pytest.raises(ParseError, match="line 2: expected 2 fields, got 3"):
+        load_embeddings(write(tmp_path / "c.csv", "item,e0\n1,0,9\n"), [1])
+    with pytest.raises(ParseError, match="line 2: bad embedding row"):
+        load_embeddings(write(tmp_path / "f.csv", "item,e0\n1,x\n"), [1])
     with pytest.raises(ParseError, match="lack embeddings"):
-        load_embeddings(
-            write(tmp_path / "d.csv", "item,e0\n1,0\n2,1\n"),
-            1,
-            expected_items=[1, 2, 3],
-        )
-    with pytest.raises(EmptyDatasetError):
-        load_embeddings(write(tmp_path / "e.csv", ""), 1)
+        load_embeddings(write(tmp_path / "d.csv", "item,e0\n1,0\n2,1\n"), [1, 2, 3])
+    with pytest.raises(EmptyDatasetError, match="is empty"):
+        load_embeddings(write(tmp_path / "e.csv", ""), [1])
+    with pytest.raises(EmptyDatasetError, match="no embedding rows"):
+        load_embeddings(write(tmp_path / "g.csv", "item,e0\n"), [1])
 
 
 def test_embedding_lookup(tmp_path):
     path = write(tmp_path / "emb.csv", "item,e0\n10,0\n20,5\n30,10\n")
-    emb = load_embeddings(path, expected_d=1)
-    assert emb.vector(20)[0] == 0.0
-    with pytest.raises(KeyError):
-        emb.vector(25)
-    matrix = emb.matrix_for([30, 10])
-    assert matrix[:, 0].tolist() == [1.0, -1.0]
+    assert load_embeddings(path, [20]).tolist() == [[0.0]]
+    with pytest.raises(ParseError, match=r"lack embeddings, first few: \[25\]"):
+        load_embeddings(path, [25])
+    assert load_embeddings(path, [30, 10])[:, 0].tolist() == [1.0, -1.0]
 
 
 def test_synthetic_embeddings_range_and_determinism():
-    a = synthetic_embeddings(50, 10, 0.0, 0.5, seed=7)
-    b = synthetic_embeddings(50, 10, 0.0, 0.5, seed=7)
-    assert np.array_equal(a.vectors, b.vectors)
-    assert np.all(a.vectors >= 0.0) and np.all(a.vectors <= 0.5)
-    assert a.item_ids.tolist() == list(range(50))
-    c = synthetic_embeddings(50, 10, 0.0, 0.5, seed=8)
-    assert not np.array_equal(a.vectors, c.vectors)
+    a = synthetic_embeddings(50, 10, seed=7)
+    b = synthetic_embeddings(50, 10, seed=7)
+    assert a.shape == (50, 10)
+    assert np.array_equal(a, b)
+    assert np.all(a >= -1.0) and np.all(a <= 1.0)
+    c = synthetic_embeddings(50, 10, seed=8)
+    assert not np.array_equal(a, c)
 
 
 def test_synthetic_embeddings_mean_matches_midpoint():
-    emb = synthetic_embeddings(100_000, 2, 0.0, 0.5, seed=9)
-    # Var of U[0, 0.5] is 1/48; sigma of the mean over n draws
-    sigma = np.sqrt(1.0 / 48.0 / 100_000)
-    assert np.all(np.abs(emb.vectors.mean(axis=0) - 0.25) < 3.0 * sigma)
+    vectors = synthetic_embeddings(100_000, 2, seed=9)
+    # Var of U[-1, 1] is 1/3; sigma of the mean over n draws
+    sigma = np.sqrt(1.0 / 3.0 / 100_000)
+    assert np.all(np.abs(vectors.mean(axis=0)) < 3.0 * sigma)
 
 
 def test_filter_top_items(tmp_path):

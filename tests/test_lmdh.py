@@ -29,6 +29,7 @@ from dispersion_bandit.errors import (
     NumericalDegeneracyError,
     PreconditionError,
 )
+from dispersion_bandit import lmdh
 from dispersion_bandit.greedy import greedy_select
 from dispersion_bandit.lmdh import (
     HybridStatistics,
@@ -432,7 +433,7 @@ def test_select_slate_fresh_orders_by_width():
         expected.append(best)
         cand.remove(best)
         for a in cand:
-            div[a] += catalog.metrics[0].pair(a, best)
+            div[a] += catalog.metrics[0].column(best, np.array([a]))[0]
     assert list(picked.slate.items) == expected
 
 
@@ -485,9 +486,8 @@ def test_select_slate_logs_features_and_widths():
     # position features must equal the marginals against the logged prefix
     for pos, item in enumerate(picked.slate.items):
         assert np.array_equal(picked.relevance_features[pos], catalog.relevance[item])
-        expected_x = sum(
-            catalog.metrics[0].pair(item, j) for j in picked.slate.items[:pos]
-        )
+        prefix = np.array(picked.slate.items[:pos], dtype=np.intp)
+        expected_x = sum(catalog.metrics[0].column(item, prefix).tolist())
         assert picked.diversity_features[pos, 0] == pytest.approx(
             expected_x, abs=1e-12
         )
@@ -544,10 +544,9 @@ def test_theoretical_alpha_reference_point():
     assert value == pytest.approx(10.19, abs=0.005)
 
 
-def test_theoretical_alpha_vanishes_in_the_degenerate_limit():
-    params = TheoryParams(
-        n=0, k=5, d=10, m=1, lam=1.0, delta=1.0 - 1e-12, eta_norm_bound=0.0
-    )
+def test_theoretical_alpha_vanishes_in_the_degenerate_limit(monkeypatch):
+    monkeypatch.setattr(lmdh, "ETA_NORM_BOUND", 0.0)
+    params = TheoryParams(n=0, k=5, d=10, m=1, lam=1.0, delta=1.0 - 1e-12)
     assert theoretical_alpha(params) == pytest.approx(0.0, abs=1e-5)
 
 
