@@ -26,8 +26,8 @@ from .errors import (
     UndefinedSimilarityError,
 )
 
-#: Ground sets up to this size get a precomputed L x L distance table;
-#: larger ones fall back to on-demand evaluation from the vectors.
+#: Ground sets up to this size memoise each distance row on its first read;
+#: larger ones evaluate every column on demand from the vectors.
 TABLE_THRESHOLD = 4096
 
 METRIC_MODES = ("raw", "slate-normalized")
@@ -81,49 +81,23 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-class DistanceMetric:
-    """Non-negative symmetric item distance, h(i, i) = 0, read a column at a time."""
+class CosineDistanceMetric:
+    """scale * (1 - cos_sim) over item relevance vectors, read a column at a time.
 
-    def __len__(self) -> int:
-        raise NotImplementedError
+    Non-negative and symmetric with h(i, i) = 0.  With `scale = 1` this is the
+    plain cosine distance; the slate-normalized variant uses
+    `scale = 2 / (K * (K - 1))` so that a full slate of capacity K
+    accumulates the size-normalized average pair distance.
 
-    def column(self, item: int, others: np.ndarray) -> np.ndarray:
-        """Distances h(item, j) for every j in `others`."""
-        raise NotImplementedError
-
-
-def _distances_in_place(table: np.ndarray, scale: float, block: int = 256) -> None:
-    """Turn cosine similarities into distances, symmetric with a zero diagonal.
-
-    Each band of `block` rows maps its upper part to max(scale * (1 - s), 0)
-    and takes its lower part from the bands above, so every distance is
-    computed once, from the upper triangle.  Works in place, so the only
-    temporaries are one band's worth of the table.
-    """
-    n = len(table)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        upper = table[lo:hi, lo:]
-        np.subtract(1.0, upper, out=upper)
-        upper *= scale
-        np.clip(upper, 0.0, None, out=upper)
-        table[lo:hi, :lo] = table[:lo, lo:hi].T
-        square = table[lo:hi, lo:hi]
-        below = np.tril_indices(hi - lo, k=-1)
-        square[below] = square.T[below]
-        np.fill_diagonal(square, 0.0)
-
-
-class CosineDistanceMetric(DistanceMetric):
-    """scale * (1 - cos_sim) over item relevance vectors.
-
-    With `scale = 1` this is the plain cosine distance; the slate-normalized
-    variant uses `scale = 2 / (K * (K - 1))` so that a full slate of capacity
-    K accumulates the size-normalized average pair distance.
-
-    A full table is precomputed when the ground set holds at most
-    `TABLE_THRESHOLD` items; the on-demand path evaluates the same dot
-    products, so the two agree to floating-point noise (well within 1e-12).
+    For ground sets of at most `TABLE_THRESHOLD` items, item i's distance row
+    is computed the first time a column of i is read and memoised; a run
+    computes only the rows it reads.  Each row is formed by one fixed-order
+    product per entry, so h(i, j) == h(j, i) bit for bit, and a row's bits do
+    not depend on which rows were filled before it, or in which thread or
+    forked process: `column` stays a pure, deterministic function of its
+    arguments.  Larger ground sets evaluate every column on demand from the
+    vectors, which agrees with the rows to floating-point noise (well
+    within 1e-12).
     """
 
     def __init__(self, vectors: np.ndarray, scale: float = 1.0):
@@ -133,48 +107,44 @@ class CosineDistanceMetric(DistanceMetric):
         self.scale = float(scale)
         self._unit = unit_rows(vectors)
         self._unit.flags.writeable = False
-        self._table: np.ndarray | None = None
-        if len(vectors) <= TABLE_THRESHOLD:
-            table = self._unit @ self._unit.T
-            _distances_in_place(table, self.scale)
-            table.flags.writeable = False
-            self._table = table
+        # one 1-D array per item read so far, not an L x L array with a mask:
+        # numpy advises huge pages for large arrays, so a row of one would
+        # fault a whole 2 MB page
+        self._rows: dict[int, np.ndarray] | None = (
+            {} if len(vectors) <= TABLE_THRESHOLD else None
+        )
 
     def __len__(self) -> int:
         return len(self._unit)
 
+    def _row(self, item: int) -> np.ndarray:
+        """h(item, j) for every item j, computed on first use.
+
+        Two threads that miss on the same row both compute it, with equal
+        bits, so whichever store lands last changes nothing.
+        """
+        row = self._rows.get(item)
+        if row is None:
+            # einsum sums each entry's products in one fixed order; a one-row
+            # `U @ u` is a gemv, whose rounding depends on the entry's position
+            row = np.einsum("ij,j->i", self._unit, self._unit[item])
+            np.subtract(1.0, row, out=row)
+            row *= self.scale
+            np.clip(row, 0.0, None, out=row)
+            row[item] = 0.0
+            row.flags.writeable = False
+            self._rows[item] = row
+        return row
+
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
+        """Distances h(item, j) for every j in `others`, as a new array."""
         others = np.asarray(others, dtype=np.intp)
-        if self._table is not None:
-            return self._table[item][others]
+        if self._rows is not None:
+            return self._row(item)[others]
         col = self.scale * (1.0 - self._unit[others] @ self._unit[item])
         np.clip(col, 0.0, None, out=col)
         col[others == item] = 0.0
         return col
-
-
-class TableDistanceMetric(DistanceMetric):
-    """Distance metric backed by an explicit symmetric table."""
-
-    def __init__(self, table: np.ndarray):
-        table = np.ascontiguousarray(table, dtype=np.float64)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise DimensionMismatchError("distance table must be square")
-        if not np.array_equal(table, table.T):
-            raise ValueError("distance table must be symmetric")
-        if np.any(table < 0.0):
-            raise ValueError("distances must be non-negative")
-        if np.any(np.diagonal(table) != 0.0):
-            raise ValueError("self-distance must be zero")
-        table.flags.writeable = False
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def column(self, item: int, others: np.ndarray) -> np.ndarray:
-        others = np.asarray(others, dtype=np.intp)
-        return self._table[item][others]
 
 
 def cosine_metric(
@@ -252,11 +222,13 @@ class ItemCatalog:
     """Immutable ground set: per-item relevance vectors plus m distance metrics.
 
     Item ids are the dense range 0..L-1.  Safe to share across threads and
-    processes; every operation over it is a pure function.
+    processes; every operation over it is a pure, deterministic function.
+    The one state that changes is each metric's memo of the distance rows
+    read so far, which changes no result.
     """
 
     relevance: np.ndarray
-    metrics: tuple[DistanceMetric, ...]
+    metrics: tuple[CosineDistanceMetric, ...]
 
     def __post_init__(self):
         relevance = np.ascontiguousarray(self.relevance, dtype=np.float64)

@@ -1,11 +1,32 @@
 import numpy as np
 import pytest
 
-from dispersion_bandit.catalog import (
-    ItemCatalog,
-    PreferenceVector,
-    TableDistanceMetric,
-)
+from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
+from dispersion_bandit.errors import DimensionMismatchError
+
+
+class TableDistanceMetric:
+    """Distance metric backed by an explicit symmetric table, for hand-made instances."""
+
+    def __init__(self, table: np.ndarray):
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise DimensionMismatchError("distance table must be square")
+        if not np.array_equal(table, table.T):
+            raise ValueError("distance table must be symmetric")
+        if np.any(table < 0.0):
+            raise ValueError("distances must be non-negative")
+        if np.any(np.diagonal(table) != 0.0):
+            raise ValueError("self-distance must be zero")
+        table.flags.writeable = False
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def column(self, item: int, others: np.ndarray) -> np.ndarray:
+        others = np.asarray(others, dtype=np.intp)
+        return self._table[item][others]
 
 
 def random_table(rng, n):

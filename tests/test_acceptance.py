@@ -19,21 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_table
+from conftest import TableDistanceMetric, random_table
 from dispersion_bandit.baselines import SlateSelection
 from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
     Slate,
-    TableDistanceMetric,
     cosine_metric,
     guarantee_preconditions,
 )
 from dispersion_bandit.cli import _replay_context, _replay_task, _simulate_run, main
-from dispersion_bandit.environments import SimulatedEnvironment, study_instance
+from dispersion_bandit.environments import study_instance
 from dispersion_bandit.evaluation import compute_metric_series
 from dispersion_bandit.greedy import exhaustive_optimum, greedy_select
-from dispersion_bandit.ingest import parse_ratings
 from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,

@@ -14,7 +14,7 @@ from dispersion_bandit.baselines import (
     logrank_select,
     mmr_select,
 )
-from dispersion_bandit.catalog import ItemCatalog, Slate, TableDistanceMetric
+from dispersion_bandit.catalog import ItemCatalog, Slate
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
@@ -22,7 +22,7 @@ from dispersion_bandit.errors import (
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
 from dispersion_bandit.seeding import rng_from_seed
 
-from conftest import random_catalog
+from conftest import TableDistanceMetric, random_catalog
 
 
 def sigmoid(v):

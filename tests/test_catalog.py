@@ -1,5 +1,7 @@
 import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,6 @@ from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
     Slate,
-    TableDistanceMetric,
     cosine_metric,
     guarantee_preconditions,
     slate_features,
@@ -27,7 +28,13 @@ from dispersion_bandit.errors import (
     UndefinedSimilarityError,
 )
 
-from conftest import random_catalog, random_eta, random_table, utility_by_hand
+from conftest import (
+    TableDistanceMetric,
+    random_catalog,
+    random_eta,
+    random_table,
+    utility_by_hand,
+)
 
 
 def on_demand_metric(vectors, **kwargs) -> CosineDistanceMetric:
@@ -403,11 +410,11 @@ class TestCosineDistance:
 class TestCosineMetricModes:
     def test_table_and_on_demand_agree(self, rng):
         vectors = rng.uniform(0.1, 1.0, size=(12, 4))
-        table_backed = CosineDistanceMetric(vectors, scale=0.1)
+        memoised = CosineDistanceMetric(vectors, scale=0.1)
         on_demand = on_demand_metric(vectors, scale=0.1)
-        assert table_backed._table is not None and on_demand._table is None
+        assert memoised._rows is not None and on_demand._rows is None
         np.testing.assert_allclose(
-            distance_matrix(table_backed), distance_matrix(on_demand), atol=1e-12
+            distance_matrix(memoised), distance_matrix(on_demand), atol=1e-12
         )
 
     def test_slate_normalized_scale(self, rng):
@@ -434,7 +441,7 @@ class TestCosineMetricModes:
 
 
 def four_step_table(vectors, scale):
-    """The table as built through full-size temporaries: the bit-level oracle."""
+    """The whole table through full-size temporaries, as one matrix product."""
     unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
     table = scale * (1.0 - unit @ unit.T)
     table = np.triu(table, k=1)
@@ -442,80 +449,142 @@ def four_step_table(vectors, scale):
     return np.clip(table, 0.0, None)
 
 
-def in_place_four_pass_table(vectors, scale, block=256):
-    """The in-place build before each band was transformed on its own: three
-    full-table passes (1 - s, times scale, clip) around a band-wise mirror."""
+def pair_reference_row(vectors, scale, item):
+    """Row `item` built entry by entry, one fixed-order product per pair: the
+    bit-level oracle of the memoised rows."""
     unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
-    table = unit @ unit.T
-    np.subtract(1.0, table, out=table)
-    table *= scale
-    n = len(table)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        table[lo:hi, :lo] = table[:lo, lo:hi].T
-        square = table[lo:hi, lo:hi]
-        below = np.tril_indices(hi - lo, k=-1)
-        square[below] = square.T[below]
-        np.fill_diagonal(square, 0.0)
-    np.clip(table, 0.0, None, out=table)
-    return table
+    row = np.array([scale * (1.0 - np.einsum("k,k->", u, unit[item])) for u in unit])
+    row = np.clip(row, 0.0, None)
+    row[item] = 0.0
+    return row
 
 
-class TestDistanceTable:
-    @pytest.mark.parametrize("n", [1, 2, 127, 129, 300])
+def vectors_with_ties(rng, n, d=5):
+    """Random vectors with duplicate rows (u.u can exceed 1, so their distance
+    is clipped) and a pair of anti-parallel rows (distance 2)."""
+    vectors = rng.uniform(-1.0, 1.0, size=(n, d))
+    vectors[n // 2 :] = vectors[: n - n // 2]
+    if n >= 2:
+        vectors[-1] = -3.0 * vectors[0]
+    return vectors
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("n", [1, 2, 9, 257])
     @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
-    def test_bit_equal_to_the_in_place_four_pass_build(self, rng, n, scale):
-        vectors = rng.uniform(-1.0, 1.0, size=(n, 5))
-        # duplicate rows: some unit rows have u.u > 1, whose distance is clipped
-        vectors[n // 2 :] = vectors[: n - n // 2]
-        if n >= 2:
-            vectors[-1] = -3.0 * vectors[0]  # anti-parallel rows: distance 2
+    def test_rows_bit_equal_to_the_pair_reference(self, rng, n, scale):
+        vectors = vectors_with_ties(rng, n)
+        metric = CosineDistanceMetric(vectors, scale=scale)
+        ids = np.arange(n)
+        for item in sorted({*range(0, n, 16), n - 1}):
+            want = pair_reference_row(vectors, scale, item)
+            assert metric.column(item, ids).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
+    @pytest.mark.parametrize("d", [5, 10])
+    def test_symmetric_bit_for_bit(self, rng, n, scale, d):
+        vectors = vectors_with_ties(rng, n, d)
         unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
         if n >= 100:
             assert (unit @ unit.T > 1.0).any()
+        table = distance_matrix(CosineDistanceMetric(vectors, scale=scale))
+        assert np.array_equal(table.view(np.uint64), table.T.view(np.uint64))
+        assert np.all(np.diagonal(table) == 0.0) and np.all(table >= 0.0)
+        if n >= 2:
+            assert table[0, -1] == pytest.approx(2.0 * scale, rel=1e-12)
+
+    def test_fill_order_does_not_change_the_rows(self, rng):
+        n = 300
+        vectors = vectors_with_ties(rng, n, d=10)
+        forward = CosineDistanceMetric(vectors, scale=0.1)
+        shuffled = CosineDistanceMetric(vectors, scale=0.1)
+        ids = np.arange(n)
+        for item in range(n):
+            forward.column(item, ids)
+        for item in rng.permutation(n):
+            shuffled.column(int(item), ids[: item % 7])
+        assert sorted(forward._rows) == sorted(shuffled._rows) == list(range(n))
+        for item in range(n):
+            assert forward._rows[item].tobytes() == shuffled._rows[item].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
+    def test_agrees_with_the_four_step_oracle(self, rng, n, scale):
+        vectors = vectors_with_ties(rng, n)
         metric = CosineDistanceMetric(vectors, scale=scale)
-        assert metric._table.tobytes() == in_place_four_pass_table(vectors, scale).tobytes()
+        np.testing.assert_allclose(
+            distance_matrix(metric), four_step_table(vectors, scale), rtol=0, atol=1e-12
+        )
+
+    def test_threads_sharing_a_metric_read_the_same_bits(self, rng):
+        n, threads = 400, 8
+        vectors = vectors_with_ties(rng, n, d=10)
+        shared = CosineDistanceMetric(vectors, scale=0.1)
+        want = distance_matrix(CosineDistanceMetric(vectors, scale=0.1))
+        orders = [rng.permutation(n) for _ in range(threads)]
+        ids = np.arange(n)
+
+        def read(order):
+            return [shared.column(int(item), ids).tobytes() == want[item].tobytes()
+                    for item in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = [f.result(timeout=60) for f in
+                           [pool.submit(read, order) for order in orders]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(r) for r in results)
+        assert sorted(shared._rows) == list(range(n))
+
+    def test_rows_are_filled_on_first_use(self, rng):
+        metric = CosineDistanceMetric(rng.uniform(-1.0, 1.0, size=(12, 4)))
+        assert metric._rows == {}
+        metric.column(3, np.array([0, 1, 2]))
+        assert list(metric._rows) == [3]
+        metric.column(3, np.array([5]))
+        metric.column(7, np.array([], dtype=np.intp))
+        assert list(metric._rows) == [3, 7]
 
     @pytest.mark.parametrize("others", [[], [0], [4, 1, 4, 0], list(range(9))])
     def test_columns_equal_the_copied_pair_gather(self, rng, others):
         vectors = rng.uniform(-1.0, 1.0, size=(9, 3))
-        for metric in (
-            CosineDistanceMetric(vectors, scale=0.5),
-            TableDistanceMetric(random_table(rng, 9)),
+        table = random_table(rng, 9)
+        cosine_rows = np.vstack([pair_reference_row(vectors, 0.5, i) for i in range(9)])
+        for metric, reference in (
+            (CosineDistanceMetric(vectors, scale=0.5), cosine_rows),
+            (TableDistanceMetric(table), table),
         ):
             ids = np.asarray(others, dtype=np.intp)
             for item in range(9):
                 col = metric.column(item, others)
-                want = metric._table[item, ids].astype(np.float64, copy=True)
+                want = reference[item, ids].copy()
                 assert col.dtype == np.float64 and col.tobytes() == want.tobytes()
-                assert col.flags.writeable and not np.shares_memory(col, metric._table)
+                assert col.flags.writeable
+                col[...] = -1.0  # a copy: the next read is unchanged
+                assert metric.column(item, others).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
-    @pytest.mark.parametrize("scale", [1.0, 2.0 / 90.0])
-    def test_bit_equal_to_the_four_step_oracle(self, rng, n, scale):
-        vectors = rng.uniform(-1.0, 1.0, size=(n, 5))
-        if n >= 2:
-            vectors[-1] = -3.0 * vectors[0]  # anti-parallel rows: distance 2
-        if n >= 3:
-            vectors[n // 2] = vectors[0]  # duplicate rows: distance 0
-        metric = CosineDistanceMetric(vectors, scale=scale)
-        expected = four_step_table(vectors, scale)
-        assert metric._table.dtype == np.float64
-        assert np.array_equal(
-            metric._table.view(np.uint64), expected.view(np.uint64)
-        )
-
-    def test_peak_memory_is_about_one_table(self, rng):
-        n = 1500
+    def test_memory_grows_with_the_rows_read(self, rng):
+        n, reads = 1500, 20
         vectors = rng.uniform(-1.0, 1.0, size=(n, 10))
+        ids = np.arange(n)
+        row_bytes = n * 8
         tracemalloc.start()
         try:
             metric = CosineDistanceMetric(vectors)
-            _, peak = tracemalloc.get_traced_memory()
+            built, _ = tracemalloc.get_traced_memory()
+            for item in range(reads):
+                metric.column(item, ids)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert metric._table.nbytes == n * n * 8
-        assert peak <= 1.25 * metric._table.nbytes
+        assert built <= 2 * vectors.nbytes  # the unit rows, no table
+        assert reads * row_bytes <= held - built <= reads * row_bytes + 16 * 1024
+        assert peak <= built + (reads + 2) * row_bytes + 16 * 1024
+        assert peak < n * n * 8 / 20
 
 
 class TestTableMetricValidation:

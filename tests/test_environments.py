@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 
 from dispersion_bandit.baselines import LogRankPolicy, StaticScorer, annotate_slate
-from dispersion_bandit.catalog import (
-    ItemCatalog,
-    PreferenceVector,
-    Slate,
-    TableDistanceMetric,
-    slate_features,
-    utility,
-)
+from dispersion_bandit.catalog import PreferenceVector, Slate, slate_features, utility
 from dispersion_bandit.environments import (
     ReplayEnvironment,
     ReplayUser,
     SimInstance,
     SimulatedEnvironment,
-    TrialLog,
     position_means,
     study_instance,
     run_episode,

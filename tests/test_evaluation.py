@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from dispersion_bandit.baselines import StaticScorer, LogRankPolicy
-from dispersion_bandit.catalog import (
-    ItemCatalog,
-    PreferenceVector,
-    Slate,
-    TableDistanceMetric,
-    unit_rows,
-    utility,
-)
+from dispersion_bandit.catalog import ItemCatalog, unit_rows
 from dispersion_bandit.environments import (
-    SimInstance,
     SimulatedEnvironment,
     TrialLog,
     TrialRound,
@@ -40,6 +31,8 @@ from dispersion_bandit.evaluation import (
 )
 from dispersion_bandit.greedy import exhaustive_optimum
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
+
+from conftest import TableDistanceMetric
 
 
 def fake_round(t, items, rewards=None, true_utility=None, candidates=None, widths=None):

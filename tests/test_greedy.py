@@ -8,7 +8,6 @@ from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
     Slate,
-    TableDistanceMetric,
     utility,
 )
 from dispersion_bandit.environments import SimInstance
@@ -24,7 +23,7 @@ from dispersion_bandit.greedy import (
     ratio_to_optimum,
 )
 
-from conftest import random_catalog, random_eta, random_table
+from conftest import TableDistanceMetric, random_catalog, random_eta, random_table
 
 
 def hand_instance():

@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_bandit.baselines import StaticScorer, mmr_select
-from dispersion_bandit.catalog import (
-    ItemCatalog,
-    PreferenceVector,
-    Slate,
-    TableDistanceMetric,
-)
+from dispersion_bandit.catalog import ItemCatalog, PreferenceVector, Slate
 from dispersion_bandit.greedy import _pairwise_weights, greedy_select
 from dispersion_bandit.lmdh import (
     HybridStatistics,
@@ -31,6 +26,8 @@ from dispersion_bandit.lmdh import (
     select_slate,
     update,
 )
+
+from conftest import TableDistanceMetric
 
 # ---------------------------------------------------------------------------
 # oracles: the three pass loops as they stood before the kernel

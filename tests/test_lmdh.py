@@ -19,7 +19,6 @@ from dispersion_bandit.catalog import (
     ItemCatalog,
     PreferenceVector,
     Slate,
-    TableDistanceMetric,
 )
 from dispersion_bandit.environments import SimulatedEnvironment, study_instance
 from dispersion_bandit.errors import (
@@ -45,7 +44,7 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import random_catalog
+from conftest import TableDistanceMetric, random_catalog
 
 
 class JointRidgeOracle:

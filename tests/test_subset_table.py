@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_bandit import greedy
-from dispersion_bandit.catalog import ItemCatalog, PreferenceVector, TableDistanceMetric
+from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
 from dispersion_bandit.greedy import _pairwise_weights, _subset_table, exhaustive_optimum
+
+from conftest import TableDistanceMetric
 
 
 def exhaustive_optimum_oracle(eta, catalog, candidates, k, chunk):
