@@ -24,7 +24,6 @@ from .environments import (
     ReplayEnvironment,
     ReplayUser,
     SimulatedEnvironment,
-    TrialLog,
     study_instance,
     run_episode,
 )

@@ -27,7 +27,6 @@ class SlateSelection:
     relevance_features: np.ndarray  # (k, d): z_a for each position
     diversity_features: np.ndarray  # (k, m): x_a against the partial slate
     widths: np.ndarray | None = None  # sqrt(v_a) per position; UCB policies only
-    scores: np.ndarray | None = None
 
 
 def annotate_slate(slate: Slate, catalog: ItemCatalog) -> SlateSelection:
@@ -45,7 +44,6 @@ class StaticScorer:
             raise DimensionMismatchError(
                 f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
             )
-        self.u_bar = u_bar
         self.catalog = catalog  # range-checks the candidate ids
         logits = catalog.relevance @ u_bar
         self.quality = 1.0 / (1.0 + np.exp(-logits))
@@ -69,7 +67,7 @@ def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:
     else:
         top = np.arange(cand.size)
     order = top[np.argsort(neg[top], kind="stable")][:k]
-    return Slate(tuple(int(cand[i]) for i in order), capacity=k)
+    return Slate(tuple(int(cand[i]) for i in order))
 
 
 def mmr_select(
@@ -101,7 +99,7 @@ def mmr_select(
         sim_sum += unit @ scorer._unit[cand[pick]]
 
     picks, _, _ = greedy_fill(np.zeros(cand.size), k, score, add_similarity)
-    return Slate(tuple(cand[picks].tolist()), capacity=k)
+    return Slate(tuple(cand[picks].tolist()))
 
 
 def epsilon_greedy_select(
@@ -126,7 +124,7 @@ def epsilon_greedy_select(
         taken[pick] = True
         quality[pick] = -np.inf
         chosen.append(int(cand[pick]))
-    return Slate(tuple(chosen), capacity=k)
+    return Slate(tuple(chosen))
 
 
 class _StaticPolicy:
@@ -157,7 +155,7 @@ class _FixedSlatePolicy(_StaticPolicy):
     def _slate(self, cand: np.ndarray) -> Slate:
         raise NotImplementedError
 
-    def select(self, candidates, round_index: int) -> SlateSelection:
+    def select(self, candidates) -> SlateSelection:
         cand = self.catalog.candidate_ids(candidates, self.k)
         key = cand.tobytes()
         selection = self._selections.get(key)
@@ -208,7 +206,7 @@ class EpsilonGreedyPolicy(_StaticPolicy):
         self.epsilon = epsilon
         self.rng = rng
 
-    def select(self, candidates, round_index: int) -> SlateSelection:
+    def select(self, candidates) -> SlateSelection:
         slate = epsilon_greedy_select(
             self.scorer, candidates, self.k, self.epsilon, self.rng
         )

@@ -174,21 +174,14 @@ def cosine_metric(
 
 @dataclass(frozen=True)
 class Slate:
-    """Ordered list of distinct item ids, at most `capacity` long."""
+    """Ordered list of distinct integer item ids."""
 
     items: tuple[int, ...]
-    capacity: int
 
     def __post_init__(self):
         items = tuple(self.items)
         _check_integers(items, "slate ids")
         object.__setattr__(self, "items", tuple(map(int, items)))
-        if self.capacity < 1:
-            raise ValueError("slate capacity must be positive")
-        if len(self.items) > self.capacity:
-            raise ValueError(
-                f"slate has {len(self.items)} items, capacity {self.capacity}"
-            )
         if len(set(self.items)) != len(self.items):
             raise DuplicateItemError(f"slate contains duplicates: {self.items}")
 
@@ -329,8 +322,7 @@ def utility(
     """
     catalog.check_eta(eta)
     if not isinstance(slate, Slate):
-        items = tuple(slate)  # Slate rejects non-integer and repeated ids
-        slate = Slate(items, capacity=max(len(items), 1))
+        slate = Slate(tuple(slate))  # rejects non-integer and repeated ids
     return features_utility(*slate_features(slate, catalog), eta)
 
 

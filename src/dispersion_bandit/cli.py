@@ -425,7 +425,7 @@ STATIC_POLICIES = ("logrank", "mmr")
 def _world_policy(key: tuple, policy_name: str, k: int, mmr_alpha: float):
     """The one LogRank or MMR policy of a replay world, shared by its users.
 
-    Every test user starts with nothing consumed, so the users of a world
+    Every test user starts with every item open, so the users of a world
     walk the same candidate sets and the policy's memo computes each slate
     once per process.
     """
@@ -527,9 +527,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     fmt = canonical_format(args.format)
-    table = parse_ratings(args.dataset, fmt, args.threshold)
+    parsed = parse_ratings(args.dataset, fmt, args.threshold)
+    table = parsed
     if args.top_items is not None:
-        table = filter_top_items(table, args.top_items)
+        table = filter_top_items(parsed, args.top_items)
     print(
         f"{table.n_users} users, {table.n_items} items, "
         f"{table.n_interactions} interactions"
@@ -543,9 +544,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "n_users": table.n_users,
             "n_items": table.n_items,
             "n_interactions": table.n_interactions,
-            "filtered_below_threshold": table.filtered_count,
-            "duplicates_collapsed": table.duplicate_count,
+            "filtered_below_threshold": parsed.filtered_count,
+            "duplicates_collapsed": parsed.duplicate_count,
         }
+        if args.top_items is not None:
+            derived["dropped_by_top_items"] = (
+                parsed.n_interactions - table.n_interactions
+            )
         _write_manifest(
             out, "ingest", manifest_options(args), derived,
             ["users.map.csv", "items.map.csv"],

@@ -22,7 +22,6 @@ from .catalog import (
     Slate,
     cosine_metric,
     features_utility,
-    integer_ids,
     slate_features,
     utility,
 )
@@ -75,18 +74,16 @@ def study_instance(
 
 @dataclass(frozen=True)
 class ReplayUser:
-    """One held-out user: positive test items plus items consumed before replay."""
+    """One held-out user and their positive test items."""
 
     user_id: int
     positives: frozenset[int]
-    consumed: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
 class TrialRound:
     """Everything observed in one round, in selection order."""
 
-    t: int
     num_candidates: int
     items: tuple[int, ...]
     rewards: tuple[float, ...]
@@ -95,19 +92,6 @@ class TrialRound:
     widths: np.ndarray | None
     true_utility: float | None
     candidate_items: tuple[int, ...] | None = None  # kept in simulation only
-
-
-@dataclass(frozen=True)
-class TrialLog:
-    """Ordered rounds of one (policy, user/run) episode."""
-
-    rounds: tuple[TrialRound, ...]
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    def __iter__(self):
-        return iter(self.rounds)
 
 
 def position_means(
@@ -172,22 +156,16 @@ class SimulatedEnvironment:
 
 
 class ReplayEnvironment:
-    """Offline replay world: membership rewards, consumed items leave the pool.
+    """Offline replay world: membership rewards, shown items leave the pool.
 
     A boolean mask over the catalog marks the items still open to the user,
-    and is the one record of what the user has been shown: the user's
-    consumed items, read once here, start closed (non-integer ids and ids
-    outside the catalog raise InvalidItemError), and each accepted slate
-    closes its items.
+    and is the one record of what the user has been shown: every item starts
+    open, and each accepted slate closes its items.
     """
 
     def __init__(self, catalog: ItemCatalog, user: ReplayUser):
-        self.catalog = catalog
         self.user = user
-        consumed = integer_ids(user.consumed, "consumed items")
-        catalog.check_ids(consumed, "consumed items")
         self._open = np.ones(catalog.item_count, dtype=bool)
-        self._open[consumed] = False
 
     def candidates(self, t: int, k: int) -> np.ndarray:
         """Open items, sorted by id."""
@@ -217,8 +195,8 @@ class ReplayEnvironment:
         return np.array([1.0 if item in positives else 0.0 for item in items])
 
 
-def run_episode(policy, environment, n: int, k: int) -> TrialLog:
-    """Drive `policy` against `environment` for up to n rounds.
+def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
+    """Drive `policy` against `environment` for up to n rounds; the rounds in order.
 
     Candidate exhaustion ends the episode gracefully with the rounds finished
     so far; any other library error propagates annotated with the round it
@@ -232,7 +210,7 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
         except ExhaustedCandidatesError:
             break
         try:
-            selection = policy.select(cand, t)
+            selection = policy.select(cand)
             rewards = environment.feedback(selection)
             policy.observe(selection, rewards)
         except DispersionBanditError as exc:
@@ -243,7 +221,6 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
             raise
         rounds.append(
             TrialRound(
-                t=t,
                 num_candidates=int(cand.size),
                 items=selection.slate.items,
                 rewards=tuple(rewards.tolist()),
@@ -256,5 +233,5 @@ def run_episode(policy, environment, n: int, k: int) -> TrialLog:
                 candidate_items=tuple(cand.tolist()) if simulated else None,
             )
         )
-    return TrialLog(tuple(rounds))
+    return tuple(rounds)
 

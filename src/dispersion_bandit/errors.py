@@ -46,7 +46,7 @@ class InvalidFeedbackError(DispersionBanditError):
 
 
 class ProtocolViolationError(DispersionBanditError):
-    """Replay protocol broken, e.g. an already-consumed item was recommended."""
+    """Replay protocol broken, e.g. an already-shown item was recommended."""
 
 
 class UndefinedDiversityError(DispersionBanditError):

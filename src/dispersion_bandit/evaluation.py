@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ItemCatalog, PreferenceVector, unit_rows
-from .environments import SimInstance, TrialLog
+from .environments import SimInstance, TrialRound
 from .errors import PreconditionError, UndefinedDiversityError
 from .greedy import GAMMA, exhaustive_optimum, greedy_select
 
@@ -36,7 +36,6 @@ class RegretSeries:
 
     scaled: np.ndarray  # sum_t F(A*_t) - F(A_t)/GAMMA   (can be negative)
     raw: np.ndarray  # sum_t F(A*_t) - F(A_t)
-    optimum_values: np.ndarray  # F(A*_t) per round
     width_sum: np.ndarray  # cumulative selection widths (zero for baselines)
 
 
@@ -67,7 +66,9 @@ def _ordered_mean(values: list[float]) -> float:
     return float(np.sort(np.asarray(values, dtype=np.float64)).sum() / len(values))
 
 
-def _usable(logs, positives) -> tuple[list[TrialLog], list[frozenset], int]:
+def _usable(
+    logs, positives
+) -> tuple[list[tuple[TrialRound, ...]], list[frozenset], int]:
     if len(logs) != len(positives):
         raise ValueError(
             f"{len(logs)} logs but {len(positives)} positive sets"
@@ -138,7 +139,7 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
         for i, (log, pos) in enumerate(zip(kept_logs, kept_pos)):
             if len(log) < t:
                 continue
-            entry = log.rounds[t - 1]
+            entry = log[t - 1]
             hit_fractions[i] += sum(
                 1 for item in entry.items if item in pos
             ) / len(pos)
@@ -188,7 +189,9 @@ def _optimum_cache_lookup(
 
 
 def scaled_regret(
-    log: TrialLog, instance: SimInstance, optimum_mode: str = "exhaustive"
+    log: tuple[TrialRound, ...],
+    instance: SimInstance,
+    optimum_mode: str = "exhaustive",
 ) -> RegretSeries:
     """Cumulative F(A*_t) - F(A_t)/GAMMA and the unscaled companion series.
 
@@ -202,11 +205,10 @@ def scaled_regret(
     n = len(log)
     scaled = np.zeros(n)
     raw = np.zeros(n)
-    optima = np.zeros(n)
     width_sum = np.zeros(n)
     cache: dict[tuple[int, ...], float] = {}
     running_scaled = running_raw = running_width = 0.0
-    for i, entry in enumerate(log.rounds):
+    for i, entry in enumerate(log):
         if entry.true_utility is None or entry.candidate_items is None:
             raise PreconditionError(
                 "regret needs simulation logs with recorded true utilities"
@@ -216,7 +218,6 @@ def scaled_regret(
             cache, entry.candidate_items, instance.eta_star, instance.catalog, k,
             optimum_mode,
         )
-        optima[i] = best
         running_scaled += best - entry.true_utility / GAMMA
         running_raw += best - entry.true_utility
         if entry.widths is not None:
@@ -224,9 +225,7 @@ def scaled_regret(
         scaled[i] = running_scaled
         raw[i] = running_raw
         width_sum[i] = running_width
-    return RegretSeries(
-        scaled=scaled, raw=raw, optimum_values=optima, width_sum=width_sum
-    )
+    return RegretSeries(scaled=scaled, raw=raw, width_sum=width_sum)
 
 
 def average_regret(series: list[RegretSeries]) -> RegretSeries:
@@ -240,7 +239,6 @@ def average_regret(series: list[RegretSeries]) -> RegretSeries:
     return RegretSeries(
         scaled=stack("scaled"),
         raw=stack("raw"),
-        optimum_values=stack("optimum_values"),
         width_sum=stack("width_sum"),
     )
 

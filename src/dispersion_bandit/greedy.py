@@ -110,7 +110,7 @@ def greedy_select(
         metric_columns(catalog, cand),
     )
     return GreedyResult(
-        slate=Slate(tuple(cand[picks].tolist()), capacity=k),
+        slate=Slate(tuple(cand[picks].tolist())),
         gain_trace=tuple(float(g) for g in gains),
     )
 

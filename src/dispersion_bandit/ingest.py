@@ -1,11 +1,12 @@
 """Rating-file parsing, user splitting, and item-embedding handling.
 
 Parsing keeps only strictly-positive feedback (rating > threshold), then
-deduplicates (user, item) pairs keeping the highest rating, then re-indexes
-users and items densely in ascending original-id order.  Counts of every
-dropped record are retained so `kept + filtered + duplicates` always equals
-the number of data lines read.  Every table holds its records in (user, item)
-order.
+collapses repeated (user, item) pairs to one record, then re-indexes users and
+items densely in ascending original-id order.  A table holds only which pairs
+are positive: ratings serve the threshold alone, and timestamps are checked
+but not kept.  A parsed table counts every record it dropped, so
+`kept + filtered + duplicates` equals the number of data lines read.  Every
+table holds its records in (user, item) order.
 """
 
 from __future__ import annotations
@@ -46,22 +47,18 @@ def canonical_format(name: str) -> str:
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """Thresholded, deduplicated, densely re-indexed interactions.
+    """The positive (user, item) pairs of a ratings file, densely re-indexed.
 
     Records are in (user, item) order, each pair once: every constructor
     produces that order, `__post_init__` checks it, and `items_of` relies
-    on it.
+    on it.  `filtered_count` counts the lines at or below the rating
+    threshold and `duplicate_count` the repeats of a kept pair.
     """
 
     users: np.ndarray  # dense user index per record
     items: np.ndarray  # dense item index per record
-    ratings: np.ndarray
-    timestamps: np.ndarray | None
     user_ids: np.ndarray  # dense -> original user id (ascending)
     item_ids: np.ndarray  # dense -> original item id (ascending)
-    source: str
-    format: str
-    raw_lines: int
     filtered_count: int
     duplicate_count: int
 
@@ -106,7 +103,8 @@ def _split_line(line: str, sep: str, line_number: int) -> list[str]:
     return parts
 
 
-def _parse_record(parts: list[str], line_number: int) -> tuple[int, int, float, int | None]:
+def _parse_record(parts: list[str], line_number: int) -> tuple[int, int, float]:
+    """One line's (user, item, rating); a timestamp is checked, not returned."""
     try:
         user = int(parts[0])
         item = int(parts[1])
@@ -133,7 +131,7 @@ def _parse_record(parts: list[str], line_number: int) -> tuple[int, int, float, 
             f"id or timestamp outside the int64 range in {parts[:4]!r}",
             line_number=line_number,
         )
-    return user, item, rating, ts
+    return user, item, rating
 
 
 class _Columns(NamedTuple):
@@ -142,8 +140,6 @@ class _Columns(NamedTuple):
     users: np.ndarray  # int64 original ids
     items: np.ndarray  # int64 original ids
     ratings: np.ndarray  # float64
-    timestamps: np.ndarray  # int64, 0 where the line had none
-    has_timestamp: np.ndarray  # bool
 
 
 _SEPARATORS = {"ml100k-tab": "\t", "ml1m-colons": "::"}
@@ -152,7 +148,7 @@ _COLUMNAR_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("ts", "i8"
 
 
 def _read_columnar(path, sep: str) -> _Columns | None:
-    """All four columns from one `np.loadtxt` call, or None to use the line reader.
+    """Columns from one `np.loadtxt` call, or None to use the line reader.
 
     Only a file made of unsigned decimals, `\\n` and the separator is tried,
     and for `::` only one whose colons all come in pairs, so that splitting on
@@ -179,9 +175,9 @@ def _read_columnar(path, sep: str) -> _Columns | None:
             )
     except (ValueError, DeprecationWarning):
         return None
-    return _Columns(
-        data["user"], data["item"], data["rating"], data["ts"], np.ones(len(data), bool)
-    )
+    # "ts" is read, so a timestamp loadtxt cannot parse as int64 sends the
+    # file to the line reader, which names its line
+    return _Columns(data["user"], data["item"], data["rating"])
 
 
 def _csv_rows(fh, path):
@@ -218,24 +214,20 @@ def _read_lines(path, tag: str) -> _Columns:
     users: list[int] = []
     items: list[int] = []
     ratings: list[float] = []
-    stamps: list[int | None] = []
     with open(path, newline="") as fh:
         if tag == "generic-csv":
             rows = _csv_rows(fh, path)
         else:
             rows = _separated_rows(fh, _SEPARATORS[tag])
         for line_number, parts in rows:
-            user, item, rating, ts = _parse_record(parts, line_number)
+            user, item, rating = _parse_record(parts, line_number)
             users.append(user)
             items.append(item)
             ratings.append(rating)
-            stamps.append(ts)
     return _Columns(
         np.array(users, dtype=np.int64),
         np.array(items, dtype=np.int64),
         np.array(ratings, dtype=np.float64),
-        np.array([ts or 0 for ts in stamps], dtype=np.int64),
-        np.array([ts is not None for ts in stamps], dtype=bool),
     )
 
 
@@ -258,58 +250,44 @@ def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _table_from_columns(
-    columns: _Columns, positive_threshold: float, source: str, tag: str
+    columns: _Columns, positive_threshold: float, source: str
 ) -> InteractionTable:
     """Threshold, deduplicate and densely re-index parsed columns."""
-    raw_lines = len(columns.users)
-    # line numbers of the positive rows; the other columns are gathered only
-    # for the rows that survive deduplication
-    positive = np.flatnonzero(columns.ratings > positive_threshold)
-    if not positive.size:
+    positive = columns.ratings > positive_threshold
+    n_positive = int(np.count_nonzero(positive))
+    if not n_positive:
         raise EmptyDatasetError(
             f"no interactions with rating > {positive_threshold} in {source}"
         )
 
-    # every user and item keeps a row through deduplication
     user_ids, ui = _dense_ids(columns.users[positive])
     item_ids, ii = _dense_ids(columns.items[positive])
-    # one row per (user, item); pair < rows**2, so it cannot overflow
-    pair = ui * len(item_ids) + ii
-    # while every pair is distinct, any sort gives this one order
-    order = np.argsort(pair)
-    sorted_pair = pair[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = sorted_pair[1:] != sorted_pair[:-1]
-    if not first.all():
-        # a repeated pair keeps its highest rating, the first line on ties
-        # (lexsort is stable); it orders pairs as above, so `first` holds
-        order = np.lexsort((-columns.ratings[positive], pair))
-    best = order[first]
-    lines = positive[best]
+    # one code per (user, item) in (user, item) order; code < rows**2, so it
+    # cannot overflow.  Repeats of a pair are alike, so the first of each run
+    # in sorted order is the one record kept.
+    n_items = len(item_ids)
+    pairs = np.sort(ui * n_items + ii)
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]
+    users, items = np.divmod(pairs, n_items)
 
     return InteractionTable(
-        users=ui[best],
-        items=ii[best],
-        ratings=columns.ratings[lines],
-        timestamps=(
-            columns.timestamps[lines] if columns.has_timestamp[lines].all() else None
-        ),
+        users=users,
+        items=items,
         user_ids=user_ids,
         item_ids=item_ids,
-        source=source,
-        format=tag,
-        raw_lines=raw_lines,
-        filtered_count=raw_lines - len(positive),
-        duplicate_count=len(positive) - len(best),
+        filtered_count=len(columns.ratings) - n_positive,
+        duplicate_count=n_positive - pairs.size,
     )
 
 
 def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> InteractionTable:
     """Read a ratings file, keep ratings strictly above the threshold.
 
-    Duplicate (user, item) pairs keep the highest rating, the first line
-    among equal ones.  Two readers produce the columns, and the table built
-    from them is the same in every field and bit whichever reader ran:
+    A repeated (user, item) pair collapses to one record.  Two readers
+    produce the columns, and the table built from them is the same in every
+    field and bit whichever reader ran:
 
     * columnar: a tab or `::` file whose bytes are only unsigned decimals,
       `\\n` and the separator (for `::`, with every colon in a pair) is read
@@ -326,7 +304,7 @@ def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> Interac
     columns = None if tag == "generic-csv" else _read_columnar(path, _SEPARATORS[tag])
     if columns is None:
         columns = _read_lines(path, tag)
-    return _table_from_columns(columns, positive_threshold, str(path), tag)
+    return _table_from_columns(columns, positive_threshold, str(path))
 
 
 def subtable(table: InteractionTable, dense_users) -> InteractionTable:
@@ -353,13 +331,8 @@ def subtable(table: InteractionTable, dense_users) -> InteractionTable:
     return InteractionTable(
         users=np.cumsum(starts, dtype=np.intp) - 1,
         items=table.items[mask],
-        ratings=table.ratings[mask],
-        timestamps=None if table.timestamps is None else table.timestamps[mask],
         user_ids=table.user_ids[users[starts]],
         item_ids=table.item_ids,
-        source=table.source,
-        format=table.format,
-        raw_lines=users.size,
         filtered_count=0,
         duplicate_count=0,
     )
@@ -381,7 +354,9 @@ def filter_top_items(table: InteractionTable, n: int) -> InteractionTable:
     """Keep the n most-interacted items (ties to the smaller original id).
 
     Users and items are re-indexed densely again; users whose records all
-    land on dropped items disappear from the result.
+    land on dropped items disappear from the result.  The counts of records
+    dropped at parse time carry over; the records dropped here are the
+    difference in `n_interactions`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -400,14 +375,9 @@ def filter_top_items(table: InteractionTable, n: int) -> InteractionTable:
     return InteractionTable(
         users=np.searchsorted(user_ids, users_orig),
         items=np.searchsorted(item_ids, items_orig),
-        ratings=table.ratings[mask],
-        timestamps=None if table.timestamps is None else table.timestamps[mask],
         user_ids=user_ids,
         item_ids=item_ids,
-        source=table.source,
-        format=table.format,
-        raw_lines=table.raw_lines,
-        filtered_count=table.filtered_count + int(np.sum(~mask)),
+        filtered_count=table.filtered_count,
         duplicate_count=table.duplicate_count,
     )
 

@@ -97,11 +97,9 @@ class HybridStatistics:
             raise ValueError(f"lam must be positive, got {lam}")
         self.d = d
         self.m = m
-        self.lam = float(lam)
         self.A = lam * np.eye(d + m)
         self.b = np.zeros(d + m)
         self.inv_A = np.eye(d + m) / lam
-        self.observation_count = 0
         self.clamp_count = 0  # negative width values clipped to zero
 
 
@@ -199,18 +197,17 @@ def select_slate(
         scores += config.alpha * v
         return scores
 
-    picks, div_feats, scores = greedy_fill(
+    picks, div_feats, _ = greedy_fill(
         np.zeros((cand.size, catalog.diversity_dim)),
         config.k,
         score,
         metric_columns(catalog, cand),
     )
     return SlateSelection(
-        slate=Slate(tuple(cand[picks].tolist()), capacity=config.k),
+        slate=Slate(tuple(cand[picks].tolist())),
         relevance_features=Z[picks],
         diversity_features=div_feats,
         widths=np.array([root[pick] for root, pick in zip(passes, picks)]),
-        scores=scores,
     )
 
 
@@ -247,7 +244,6 @@ def update(
     stats.A += zeta.T @ zeta
     stats.b += zeta.T @ w
     stats.inv_A = _pd_inverse(stats.A, "A")
-    stats.observation_count += w.size
 
 
 def theoretical_alpha(params: TheoryParams) -> float:
@@ -303,7 +299,7 @@ class LmdhPolicy:
         self.catalog = catalog
         self.stats = HybridStatistics(config.d, config.m, config.lam)
 
-    def select(self, candidates, round_index: int) -> SlateSelection:
+    def select(self, candidates) -> SlateSelection:
         return select_slate(self.stats, self.config, self.catalog, candidates)
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:

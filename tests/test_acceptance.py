@@ -363,7 +363,7 @@ def test_criterion_7_estimator_consistency(capsys):
             zeta = (rng.random((k, 11)) < 0.5).astype(np.float64)
             rewards = (rng.random(k) < zeta @ eta_star).astype(np.float64)
             selection = SlateSelection(
-                slate=Slate(tuple(range(k)), k),
+                slate=Slate(tuple(range(k))),
                 relevance_features=zeta[:, :10],
                 diversity_features=zeta[:, 10:],
             )
@@ -405,7 +405,7 @@ def _recall_monotone(logs, positives) -> bool:
         if not pos:
             continue
         running, previous = 0.0, -1.0
-        for entry in log.rounds:
+        for entry in log:
             running += sum(1 for item in entry.items if item in pos) / len(pos)
             if running < previous - 1e-12:
                 return False

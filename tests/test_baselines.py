@@ -199,7 +199,7 @@ def test_annotate_slate_fills_prefix_marginals():
         ]
     )
     catalog = make_catalog([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], table)
-    selection = annotate_slate(Slate((2, 0, 1), capacity=3), catalog)
+    selection = annotate_slate(Slate((2, 0, 1)), catalog)
     assert np.array_equal(selection.relevance_features[0], [0.5, 0.6])
     assert np.array_equal(selection.relevance_features[1], [0.1, 0.2])
     assert selection.diversity_features[0, 0] == 0.0
@@ -219,7 +219,7 @@ def test_policies_satisfy_the_interface():
     ]
     assert [p.name for p in policies] == ["logrank", "mmr", "epsilon-greedy", "lmdh"]
     for policy in policies:
-        selection = policy.select(catalog.all_items(), 0)
+        selection = policy.select(catalog.all_items())
         assert isinstance(selection, SlateSelection)
         assert len(selection.slate) == 3
         assert len(set(selection.slate.items)) == 3
@@ -233,9 +233,9 @@ def test_static_policies_do_not_learn():
     catalog = random_catalog(rng, n_items=8, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
     policy = LogRankPolicy(scorer, catalog, k=3)
-    first = policy.select(catalog.all_items(), 0)
+    first = policy.select(catalog.all_items())
     policy.observe(first, np.ones(3))
-    second = policy.select(catalog.all_items(), 1)
+    second = policy.select(catalog.all_items())
     assert first.slate.items == second.slate.items
 
 
@@ -256,16 +256,16 @@ def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
     slate = policy._slate
     monkeypatch.setattr(policy, "_slate", lambda cand: computed.append(1) or slate(cand))
 
-    first = policy.select(np.arange(8), 1)
+    first = policy.select(np.arange(8))
     # an equal set as a list, unsorted, or an array hits the same entry
-    assert policy.select([7, 6, 5, 4, 3, 2, 1, 0], 2) is first
-    assert policy.select(np.arange(8), 3) is first
+    assert policy.select([7, 6, 5, 4, 3, 2, 1, 0]) is first
+    assert policy.select(np.arange(8)) is first
     assert len(computed) == 1
     # different sets get their own entries
-    other = policy.select(np.arange(2, 10), 4)
-    smaller = policy.select([0, 1, 2], 5)
+    other = policy.select(np.arange(2, 10))
+    smaller = policy.select([0, 1, 2])
     assert len(computed) == 3 and len({id(first), id(other), id(smaller)}) == 3
-    assert policy.select(range(2, 10), 6) is other
+    assert policy.select(range(2, 10)) is other
     assert len(computed) == 3
     for cand, selection in ((np.arange(8), first), (np.arange(2, 10), other),
                             (np.arange(3), smaller)):
@@ -277,4 +277,4 @@ def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
         assert not selection.relevance_features.flags.writeable
         assert not selection.diversity_features.flags.writeable
     with pytest.raises(InsufficientCandidatesError):
-        policy.select([0, 1], 7)
+        policy.select([0, 1])

@@ -186,7 +186,7 @@ def test_non_integer_ids_are_rejected_not_truncated(ids, bad):
         with pytest.raises(InvalidItemError, match=message):
             select(ids)
     with pytest.raises(InvalidItemError, match=message):
-        Slate(tuple(ids), capacity=len(ids))
+        Slate(tuple(ids))
     with pytest.raises(InvalidItemError, match=message):
         slate_features(ids, catalog)
     with pytest.raises(InvalidItemError, match=message):
@@ -197,7 +197,7 @@ def test_integer_ids_of_any_integer_type_are_accepted():
     catalog = random_catalog(np.random.default_rng(10), 10)
     ids = [np.int32(4), 1, np.uint8(7)]
     assert catalog.candidate_ids(ids, 1).tolist() == [1, 4, 7]
-    slate = Slate(tuple(ids), capacity=3)
+    slate = Slate(tuple(ids))
     assert slate.items == (4, 1, 7)
     assert all(type(a) is int for a in slate.items)
     z, _ = slate_features(ids, catalog)
@@ -249,7 +249,6 @@ def _outputs(name, result, catalog):
             result.relevance_features.tobytes(),
             result.diversity_features.tobytes(),
             result.widths.tobytes(),
-            result.scores.tobytes(),
         )
     if name == "greedy":
         return result.slate.items, np.array(result.gain_trace).tobytes()
@@ -306,6 +305,12 @@ def test_epsilon_greedy_matches_list_oracle(epsilon):
         assert fast_rng.random() == slow_rng.random()  # same draws consumed
 
 
+def show(env, items) -> None:
+    """Close `items` in a replay world: one accepted slate of them, if any."""
+    if len(items):
+        env.feedback(SimpleNamespace(slate=Slate(tuple(int(i) for i in items))))
+
+
 def test_candidate_set_matches_set_difference_oracle():
     """The replay mask against the set difference, round by round to exhaustion."""
     rng = np.random.default_rng(8)
@@ -313,8 +318,8 @@ def test_candidate_set_matches_set_difference_oracle():
         n = int(rng.integers(1, 60))
         catalog = random_catalog(rng, n)
         consumed = set(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
-        user = ReplayUser(trial, positives=frozenset(), consumed=frozenset(consumed))
-        env = ReplayEnvironment(catalog, user)
+        env = ReplayEnvironment(catalog, ReplayUser(trial, positives=frozenset()))
+        show(env, consumed)  # the episode starts with these items closed
         k = int(rng.integers(1, 6))
         for t in range(1, n + 2):
             outcomes = []
@@ -333,7 +338,7 @@ def test_candidate_set_matches_set_difference_oracle():
             assert fast.dtype == slow.dtype == np.intp
             assert np.array_equal(fast, slow)
             shown = rng.choice(fast, size=k, replace=False)
-            env.feedback(SimpleNamespace(slate=Slate(tuple(int(i) for i in shown), k)))
+            show(env, shown)
             consumed.update(int(i) for i in shown)
         else:
             raise AssertionError("candidates never ran out")
@@ -347,8 +352,9 @@ class OracleCheckedReplay(ReplayEnvironment):
 
     def __init__(self, catalog, user):
         super().__init__(catalog, user)
+        self.item_count = catalog.item_count
         self.rounds = []
-        self.shown = set(user.consumed)
+        self.shown = set()
 
     def feedback(self, selection):
         rewards = super().feedback(selection)
@@ -356,7 +362,7 @@ class OracleCheckedReplay(ReplayEnvironment):
         return rewards
 
     def candidates(self, t, k):
-        ground = range(self.catalog.item_count)
+        ground = range(self.item_count)
         try:
             expected = candidate_set_oracle(t, ground, self.shown, k)
         except ExhaustedCandidatesError:
@@ -378,8 +384,9 @@ def test_replay_candidates_match_oracle_every_round(consumed):
     rng = np.random.default_rng(10)
     catalog = random_catalog(rng, 23, d=3)
     scorer = StaticScorer(rng.normal(size=3), catalog)
-    user = ReplayUser(0, positives=frozenset({1, 2, 3}), consumed=frozenset(consumed))
+    user = ReplayUser(0, positives=frozenset({1, 2, 3}))
     env = OracleCheckedReplay(catalog, user)
+    show(env, sorted(consumed))  # closed before the episode starts
     log = run_episode(LogRankPolicy(scorer, catalog, 4), env, 10, 4)
     # 23 - |consumed| items at 4 per round: exhaustion ends the episode
     full_rounds = (23 - len(consumed)) // 4

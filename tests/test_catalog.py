@@ -52,14 +52,10 @@ def distance_matrix(metric) -> np.ndarray:
 class TestSlate:
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateItemError):
-            Slate((1, 2, 1), capacity=5)
-
-    def test_rejects_over_capacity(self):
-        with pytest.raises(ValueError):
-            Slate((0, 1, 2), capacity=2)
+            Slate((1, 2, 1))
 
     def test_membership_and_len(self):
-        slate = Slate((3, 0), capacity=4)
+        slate = Slate((3, 0))
         assert len(slate) == 2
         assert 3 in slate and 1 not in slate
 
@@ -234,7 +230,7 @@ class TestSlateFeatures:
         metrics = tuple(build(rng.uniform(-1.0, 1.0, size=(n, 3))) for _ in range(m))
         catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
         items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
-        z, x = slate_features(Slate(items, capacity=k), catalog)
+        z, x = slate_features(Slate(items), catalog)
         for p, item in enumerate(items):
             prefix = items[:p]
             want_z = relevance_marginal(item, prefix, catalog)
@@ -244,15 +240,15 @@ class TestSlateFeatures:
 
     def test_empty_slate(self, rng):
         catalog = random_catalog(rng, 4, d=3, m=2)
-        z, x = slate_features(Slate((), capacity=2), catalog)
+        z, x = slate_features(Slate(()), catalog)
         assert z.shape == (0, 3) and x.shape == (0, 2)
 
     def test_out_of_range_ids_raise_naming_them(self, rng):
         catalog = random_catalog(rng, 4)
         with pytest.raises(InvalidItemError, match=r"\[7\]"):
-            slate_features(Slate((0, 7, 1), capacity=3), catalog)
+            slate_features(Slate((0, 7, 1)), catalog)
         with pytest.raises(InvalidItemError, match=r"\[-1\]"):
-            slate_features(Slate((-1,), capacity=1), catalog)
+            slate_features(Slate((-1,)), catalog)
 
 
 class TestUtility:
@@ -274,7 +270,7 @@ class TestUtility:
         catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
         eta = random_eta(rng, d=4, m=m)
         items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
-        slate = Slate(items, capacity=max(k, 1)) if as_slate else items
+        slate = Slate(items) if as_slate else items
         assert utility(slate, eta, catalog) == pair_loop_utility(slate, eta, catalog)
 
     def test_bit_equal_to_the_pair_loop_on_study_instances(self):

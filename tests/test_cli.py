@@ -90,7 +90,8 @@ def test_make_policy_builds_each_policy(name):
         assert (policy.config.d, policy.config.m) == (4, 1)
         return
     assert policy.k == 3
-    assert np.array_equal(policy.scorer.u_bar, u_bar)
+    quality = 1.0 / (1.0 + np.exp(-(catalog.relevance @ u_bar)))
+    assert np.array_equal(policy.scorer.quality, quality)
     if name == "mmr":
         assert policy.mmr_alpha == 0.6
     if name == "epsilon-greedy":
@@ -140,6 +141,26 @@ def test_ingest_writes_maps_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "ingest"
     assert manifest["derived"]["n_users"] == 19
     assert manifest["derived"]["n_interactions"] == 76
+
+
+def test_ingest_top_items_counts_its_drops_apart_from_the_threshold(tmp_path, capsys):
+    plain, top = tmp_path / "plain", tmp_path / "top"
+    common = ["ingest", "--dataset", RATINGS, "--format", "generic-csv", "--out"]
+    assert main([*common, str(plain)]) == 0
+    assert main([*common, str(top), "--top-items", "5"]) == 0
+    p, t = read_manifest(plain)["derived"], read_manifest(top)["derived"]
+    assert "dropped_by_top_items" not in p
+    assert t["filtered_below_threshold"] == p["filtered_below_threshold"] == 98
+    assert t["duplicates_collapsed"] == p["duplicates_collapsed"]
+    assert t["n_interactions"] == 24
+    assert t["dropped_by_top_items"] == p["n_interactions"] - t["n_interactions"] == 52
+    # every data line lands in exactly one count
+    data_lines = len(Path(RATINGS).read_text().splitlines()) - 1
+    dropped = sum(
+        t[key] for key in
+        ("dropped_by_top_items", "filtered_below_threshold", "duplicates_collapsed")
+    )
+    assert t["n_interactions"] + dropped == data_lines
 
 
 def test_ingest_format_alias_matches_canonical(tmp_path, capsys):
@@ -531,7 +552,7 @@ def fresh_policy_replay_task(task: tuple):
 def log_bytes(log) -> bytes:
     parts = []
     for r in log:
-        parts += [repr((r.t, r.num_candidates, r.items, r.rewards, r.true_utility,
+        parts += [repr((r.num_candidates, r.items, r.rewards, r.true_utility,
                         r.candidate_items, r.widths)).encode(),
                   r.relevance_features.tobytes(), r.diversity_features.tobytes()]
     return b"|".join(parts)

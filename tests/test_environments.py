@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from dispersion_bandit.baselines import LogRankPolicy, StaticScorer, annotate_slate
+from dispersion_bandit.baselines import (
+    LogRankPolicy,
+    SlateSelection,
+    StaticScorer,
+    annotate_slate,
+)
 from dispersion_bandit.catalog import PreferenceVector, Slate, slate_features, utility
 from dispersion_bandit.environments import (
     ReplayEnvironment,
@@ -18,7 +23,6 @@ from dispersion_bandit.errors import (
     DimensionMismatchError,
     ExhaustedCandidatesError,
     InvalidFeedbackError,
-    InvalidItemError,
     ProtocolViolationError,
 )
 from dispersion_bandit.greedy import greedy_select
@@ -68,7 +72,7 @@ def bernoulli_feedback(slate, env):
 
 def test_bernoulli_zero_eta_gives_zero_rewards():
     inst = zero_eta_instance()
-    slate = Slate((0, 1, 2), capacity=3)
+    slate = Slate((0, 1, 2))
     rewards = bernoulli_feedback(slate, SimulatedEnvironment(inst))
     assert np.array_equal(rewards, np.zeros(3))
 
@@ -79,7 +83,7 @@ def test_bernoulli_saturated_mean_gives_one_rewards():
     inst = study_instance(9, n_items=6, d=3, k=3)
     eta = PreferenceVector(np.full(3, 50.0), np.zeros(1))
     pumped = SimInstance(inst.catalog, eta, seed=9)
-    slate = Slate((0, 1, 2), capacity=3)
+    slate = Slate((0, 1, 2))
     means, hits = slate_means(slate, pumped)
     assert np.array_equal(means, np.ones(3))
     assert hits == 3
@@ -90,7 +94,7 @@ def test_bernoulli_saturated_mean_gives_one_rewards():
 def test_bernoulli_click_rate_matches_mean():
     # Monte Carlo against the analytic clamped means, 3 sigma tolerance
     inst = study_instance(11, n_items=8, d=10, k=3)
-    slate = Slate((0, 3, 5), capacity=3)
+    slate = Slate((0, 3, 5))
     means, _ = slate_means(slate, inst)
     draws = 100_000
     env = SimulatedEnvironment(inst)
@@ -105,17 +109,17 @@ def test_bernoulli_click_rate_matches_mean():
 
 def test_position_means_depend_on_prefix():
     inst = study_instance(13, n_items=6, d=3, k=3)
-    m1, _ = slate_means(Slate((0, 1), capacity=2), inst)
-    m2, _ = slate_means(Slate((1, 0), capacity=2), inst)
+    m1, _ = slate_means(Slate((0, 1)), inst)
+    m2, _ = slate_means(Slate((1, 0)), inst)
     # first positions differ (different items), later positions fold in the
     # diversity marginal against the prefix
     assert m1[0] != m2[0]
 
 
 def replay_feedback(env: ReplayEnvironment, items: tuple[int, ...]) -> np.ndarray:
-    """`env`'s rewards for a slate of `items`."""
-    slate = Slate(items, capacity=len(items))
-    return env.feedback(annotate_slate(slate, env.catalog))
+    """`env`'s rewards for a slate of `items` (replay reads no features)."""
+    empty = np.zeros((len(items), 0))
+    return env.feedback(SlateSelection(Slate(items), empty, empty))
 
 
 def open_items(env: ReplayEnvironment) -> set[int]:
@@ -130,14 +134,14 @@ def test_replay_feedback_membership():
     rewards = replay_feedback(env, (7, 1, 3))
     assert np.array_equal(rewards, [1.0, 0.0, 1.0])
     assert open_items(env) == set(range(10)) - {1, 3, 7}
-    assert user.consumed == frozenset()  # read once, never written
 
 
 def test_replay_feedback_rejects_repeats():
     catalog = study_instance(20, n_items=10, d=3, k=3).catalog
-    user = ReplayUser(user_id=2, positives=frozenset({0}), consumed=frozenset({9}))
+    user = ReplayUser(user_id=2, positives=frozenset({0}))
     env = ReplayEnvironment(catalog, user)
     replay_feedback(env, (0, 1))
+    replay_feedback(env, (9,))
     with pytest.raises(ProtocolViolationError) as exc:
         replay_feedback(env, (2, 9, 1))
     assert str(exc.value) == "user 2 was already shown items [1, 9]"
@@ -152,32 +156,17 @@ def test_replay_feedback_all_in_and_all_out():
     assert np.array_equal(replay_feedback(env, (4, 5)), np.zeros(2))
 
 
-def test_candidate_set_removes_consumed():
+def test_candidate_set_removes_shown_items():
     catalog = study_instance(20, n_items=10, d=3, k=3).catalog
-    fresh = ReplayEnvironment(catalog, ReplayUser(user_id=0, positives=frozenset()))
-    assert np.array_equal(fresh.candidates(1, 3), np.arange(10))
-    user = ReplayUser(user_id=1, positives=frozenset(), consumed={1, 4, 7})
-    remaining = ReplayEnvironment(catalog, user).candidates(2, 3)
+    env = ReplayEnvironment(catalog, ReplayUser(user_id=0, positives=frozenset()))
+    assert np.array_equal(env.candidates(1, 3), np.arange(10))
+    replay_feedback(env, (1, 4, 7))
+    remaining = env.candidates(2, 3)
     assert remaining.dtype == np.intp
     assert np.array_equal(remaining, [0, 2, 3, 5, 6, 8, 9])
-    user = ReplayUser(user_id=2, positives=frozenset(), consumed=set(range(8)))
+    replay_feedback(env, (0, 2, 3, 5, 6))
     with pytest.raises(ExhaustedCandidatesError, match="round 3: 2 candidates left, need 3"):
-        ReplayEnvironment(catalog, user).candidates(3, 3)
-
-
-def test_replay_environment_rejects_consumed_ids_outside_the_catalog():
-    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
-    user = ReplayUser(user_id=0, positives=frozenset(), consumed={3, 10, -1})
-    with pytest.raises(InvalidItemError, match=r"consumed items outside .*10"):
-        ReplayEnvironment(catalog, user)
-
-
-@pytest.mark.parametrize("consumed", [{1.7}, {True}, {2.0, 3}, {float("nan")}])
-def test_replay_environment_rejects_non_integer_consumed_ids(consumed):
-    inst = study_instance(20, n_items=6, d=3, k=2)
-    user = ReplayUser(user_id=1, positives=frozenset({2}), consumed=set(consumed))
-    with pytest.raises(InvalidItemError, match=r"consumed items must be integers"):
-        ReplayEnvironment(inst.catalog, user)
+        env.candidates(3, 3)
 
 
 def test_simulated_environment_counts_clamps():
@@ -185,7 +174,7 @@ def test_simulated_environment_counts_clamps():
     eta = PreferenceVector(np.full(3, 50.0), np.full(1, 50.0))
     pumped = SimInstance(inst.catalog, eta, seed=21)
     env = SimulatedEnvironment(pumped)
-    selection = annotate_slate(Slate((0, 1, 2), capacity=3), inst.catalog)
+    selection = annotate_slate(Slate((0, 1, 2)), inst.catalog)
     env.feedback(selection)
     assert env.clamp_hits == 3
 
@@ -202,7 +191,7 @@ def test_true_utility_is_utility_bit_for_bit():
     total_hits = 0
     for _ in range(30):
         shown, other = (
-            Slate(tuple(rng.choice(9, size=4, replace=False).tolist()), capacity=4)
+            Slate(tuple(rng.choice(9, size=4, replace=False).tolist()))
             for _ in range(2)
         )
         want = {s: utility(s, eta, inst.catalog) for s in (shown, other)}
@@ -258,10 +247,10 @@ def test_run_episode_logs_simulation_fields():
         assert all(r in (0.0, 1.0) for r in entry.rewards)
         assert entry.widths is not None and entry.widths.shape == (3,)
         expected = utility(
-            Slate(entry.items, capacity=3), inst.eta_star, inst.catalog
+            Slate(entry.items), inst.eta_star, inst.catalog
         )
         assert entry.true_utility == pytest.approx(expected, abs=1e-12)
-    assert [entry.t for entry in log] == [1, 2, 3, 4]
+    assert len(log) == 4
 
 
 def test_trial_rounds_hold_python_floats_and_ints():
@@ -288,7 +277,7 @@ def test_run_episode_trained_lmdh_matches_greedy_oracle():
         Z = rng.uniform(0.0, 1.0, size=(5, 3))
         X = rng.uniform(0.0, 2.0, size=(5, 1))
         w = np.clip(Z @ theta_star + X @ beta_star, 0.0, 1.0)
-        update(stats, Slate(tuple(range(5)), capacity=5), w, (Z, X))
+        update(stats, Slate(tuple(range(5))), w, (Z, X))
     policy = LmdhPolicy(LmdhConfig(lam=1e-6, alpha=0.0, d=3, m=1, k=4), inst.catalog)
     policy.stats = stats
     env = SimulatedEnvironment(inst)
@@ -317,7 +306,7 @@ def test_replay_episode_consumes_and_terminates_gracefully():
 
 def test_replay_rewards_are_policy_independent():
     inst = study_instance(29, n_items=9, d=3, k=2)
-    slates = [Slate((0, 4), capacity=2), Slate((2, 7), capacity=2)]
+    slates = [Slate((0, 4)), Slate((2, 7))]
     outcomes = []
     for _ in range(2):
         user = ReplayUser(user_id=1, positives=frozenset({4, 7}))
@@ -333,14 +322,14 @@ def test_run_episode_annotates_errors_with_round():
 
     class FaultyPolicy:
         name = "faulty"
+        calls = 0
 
-        def select(self, candidates, round_index):
+        def select(self, candidates):
             scorer = StaticScorer(np.zeros(3), inst.catalog)
-            if round_index == 3:
+            self.calls += 1
+            if self.calls == 3:
                 raise InvalidFeedbackError("synthetic fault")
-            return LogRankPolicy(scorer, inst.catalog, k=2).select(
-                candidates, round_index
-            )
+            return LogRankPolicy(scorer, inst.catalog, k=2).select(candidates)
 
         def observe(self, selection, rewards):
             pass

@@ -93,7 +93,7 @@ class TestGreedySelect:
 
     def test_value_is_a_left_fold(self):
         # builtin sum is compensated from Python 3.12 on and would give 1.0
-        result = GreedyResult(Slate((0, 1, 2), 3), gain_trace=(1e16, 1.0, -1e16))
+        result = GreedyResult(Slate((0, 1, 2)), gain_trace=(1e16, 1.0, -1e16))
         assert result.value == 0.0
 
     def test_deterministic(self, rng):

@@ -4,7 +4,8 @@
 the pass loop (score, mask the taken items, argmax, add a distance column)
 themselves.  Those three loops are kept here as oracles, and the selectors
 built on the kernel must match them bit for bit: slates, gains, features,
-widths, scores and the width-clamp count.
+widths and the width-clamp count.  LMDH's UCB index at each pick, which it
+no longer returns, is recomputed from its features and widths.
 """
 
 import copy
@@ -147,7 +148,7 @@ def trained_stats(rng, catalog, k, rounds):
     for _ in range(rounds):
         selection = select_slate_oracle(stats, config, catalog, catalog.all_items())
         chosen, z, x, _, _ = selection
-        update(stats, Slate(chosen, k), rng.integers(0, 2, k).astype(float), (z, x))
+        update(stats, Slate(chosen), rng.integers(0, 2, k).astype(float), (z, x))
     return stats
 
 
@@ -195,7 +196,11 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
     assert got.relevance_features.tobytes() == want[1].tobytes()
     assert got.diversity_features.tobytes() == want[2].tobytes()
     assert got.widths.tobytes() == want[3].tobytes()
-    assert got.scores.tobytes() == want[4].tobytes()
+    # the UCB index at each pick, recomputed from the logged features and widths
+    theta, beta = estimate_preferences(stats)
+    index = got.relevance_features @ theta + got.diversity_features @ beta
+    index += alpha * got.widths
+    assert np.allclose(index, want[4], rtol=1e-12, atol=1e-12)
     assert ours.clamp_count - stats.clamp_count == theirs.clamp_count - stats.clamp_count
 
     # MMR: a zero population preference ties every quality

@@ -122,7 +122,7 @@ def random_rounds(rng, n_rounds, k, d, m):
 
 def feed(stats, rounds):
     for Z, X, w in rounds:
-        slate = Slate(tuple(range(Z.shape[0])), capacity=Z.shape[0])
+        slate = Slate(tuple(range(Z.shape[0])))
         update(stats, slate, w, (Z, X))
 
 
@@ -155,7 +155,7 @@ def test_single_observation_hand_case():
     z = np.zeros(d)
     z[0] = 1.0
     x = np.zeros(m)
-    update(stats, Slate((7,), capacity=1), np.array([1.0]), (z[None, :], x[None, :]))
+    update(stats, Slate((7,)), np.array([1.0]), (z[None, :], x[None, :]))
     expected_A = np.eye(d + m)
     expected_A[0, 0] = 2.0
     assert np.array_equal(stats.A, expected_A)
@@ -226,8 +226,8 @@ def test_estimate_stays_on_the_joint_ridge_solution_over_20000_rounds():
     env = SimulatedEnvironment(instance)
     candidates = instance.catalog.all_items()
     A, b = lam * np.eye(11), np.zeros(11)
-    for t in range(1, 20_001):
-        selection = policy.select(candidates, t)
+    for _ in range(20_000):
+        selection = policy.select(candidates)
         w = env.feedback(selection)
         policy.observe(selection, w)
         zeta = np.hstack([selection.relevance_features, selection.diversity_features])
@@ -244,7 +244,7 @@ def test_non_positive_definite_A_raises_naming_it(corner):
     with pytest.raises(NumericalDegeneracyError, match=r"^A is not positive definite"):
         update(
             stats,
-            Slate((0,), capacity=1),
+            Slate((0,)),
             np.array([0.0]),
             (np.zeros((1, 2)), np.zeros((1, 1))),
         )
@@ -315,13 +315,12 @@ def test_update_empty_slate_is_noop():
     before = copy.deepcopy(stats)
     update(
         stats,
-        Slate((), capacity=2),
+        Slate(()),
         np.zeros(0),
         (np.zeros((0, 3)), np.zeros((0, 1))),
     )
     for name in ("A", "b", "inv_A"):
         assert np.array_equal(getattr(stats, name), getattr(before, name))
-    assert stats.observation_count == 0
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
@@ -331,10 +330,10 @@ def test_update_rejects_out_of_range_rewards(bad):
     X = np.zeros((2, 1))
     w = np.array([0.5, bad])
     with pytest.raises(InvalidFeedbackError) as caught:
-        update(stats, Slate((0, 1), capacity=2), w, (Z, X))
+        update(stats, Slate((0, 1)), w, (Z, X))
     assert str(caught.value) == f"rewards must lie in [0, 1], got {w}"
-    assert stats.observation_count == 0
     assert np.array_equal(stats.A, np.eye(3))
+    assert np.array_equal(stats.b, np.zeros(3))
 
 
 def test_update_rejects_length_mismatch():
@@ -342,9 +341,9 @@ def test_update_rejects_length_mismatch():
     Z = np.ones((2, 2)) * 0.2
     X = np.zeros((2, 1))
     with pytest.raises(DimensionMismatchError):
-        update(stats, Slate((0, 1), capacity=2), np.array([0.5]), (Z, X))
+        update(stats, Slate((0, 1)), np.array([0.5]), (Z, X))
     with pytest.raises(DimensionMismatchError):
-        update(stats, Slate((0,), capacity=2), np.array([0.5]), (Z, X))
+        update(stats, Slate((0,)), np.array([0.5]), (Z, X))
 
 
 def test_update_rejects_wrong_feature_dims():
@@ -352,7 +351,7 @@ def test_update_rejects_wrong_feature_dims():
     with pytest.raises(DimensionMismatchError):
         update(
             stats,
-            Slate((0,), capacity=1),
+            Slate((0,)),
             np.array([0.5]),
             (np.zeros((1, 2)), np.zeros((1, 1))),
         )
@@ -371,22 +370,30 @@ def test_reward_model_consistency_monte_carlo():
         x = rng.uniform(0.0, 0.5, size=m)
         mean = float(theta_star @ z + beta_star @ x)
         w = float(rng.random() < mean)
-        update(stats, Slate((0,), capacity=1), np.array([w]), (z[None, :], x[None, :]))
+        update(stats, Slate((0,)), np.array([w]), (z[None, :], x[None, :]))
     theta, beta = estimate_preferences(stats)
     err = np.linalg.norm(np.concatenate([theta - theta_star, beta - beta_star]))
     assert err < 0.1
 
 
 def ucb_scores(stats, z, x, alpha):
-    """select_slate's logged scores on two items with relevance z, distance x.
+    """The UCB index at each pick of select_slate on two items with relevance
+    z, distance x: theta_hat.z + beta_hat.x + alpha * width, from the logged
+    features and widths.
 
     The tie at the first pick takes item 0, whose index is taken at
     (z, 0); item 1's at the second pick is taken at (z, x).
     """
     table = np.array([[0.0, x], [x, 0.0]])
     catalog = ItemCatalog(np.vstack([z, z]), (TableDistanceMetric(table),))
-    config = LmdhConfig(lam=stats.lam, alpha=alpha, d=z.size, m=1, k=2)
-    return select_slate(stats, config, catalog, [0, 1]).scores
+    config = LmdhConfig(lam=1.0, alpha=alpha, d=z.size, m=1, k=2)
+    selection = select_slate(stats, config, catalog, [0, 1])
+    theta, beta = estimate_preferences(stats)
+    return (
+        selection.relevance_features @ theta
+        + selection.diversity_features @ beta
+        + alpha * selection.widths
+    )
 
 
 def test_ucb_score_fresh():
@@ -461,7 +468,7 @@ def test_select_slate_matches_greedy_when_trained_and_alpha_zero():
         X = rng.uniform(0.0, 2.0, size=(5, 1))
         w = np.clip(Z @ theta_star + X @ beta_star, 0.0, 1.0)
         assert np.all(w < 1.0)
-        update(stats, Slate(tuple(range(5)), capacity=5), w, (Z, X))
+        update(stats, Slate(tuple(range(5))), w, (Z, X))
     theta, beta = estimate_preferences(stats)
     assert np.allclose(theta, theta_star, atol=1e-4)
     assert np.allclose(beta, beta_star, atol=1e-4)
@@ -527,11 +534,14 @@ def test_policy_learns_through_interface():
     catalog = random_catalog(rng, n_items=8, d=2, m=1)
     config = LmdhConfig(lam=1.0, alpha=0.8, d=2, m=1, k=3)
     policy = LmdhPolicy(config, catalog)
-    for t in range(5):
-        selection = policy.select(catalog.all_items(), t)
+    gram = np.eye(3)  # lam * I plus every observed zeta zeta^T
+    for _ in range(5):
+        selection = policy.select(catalog.all_items())
         rewards = rng.uniform(0.0, 1.0, size=3)
         policy.observe(selection, rewards)
-    assert policy.stats.observation_count == 15
+        zeta = np.hstack([selection.relevance_features, selection.diversity_features])
+        gram += zeta.T @ zeta
+    assert np.allclose(policy.stats.A, gram, rtol=0.0, atol=1e-12)
     theta, beta = estimate_preferences(policy.stats)
     assert not np.allclose(theta, 0.0)
 
