@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Full-size LogRank, MMR and epsilon-greedy replays on a seeded ML-1M-shaped file, checked.
+"""Full-size replays of every policy on a seeded ML-1M-shaped file, checked.
 
 Writes the benchmark's seed-3 ML-1M-shaped ratings file (6 040 users,
 3 952 items, 1 000 209 lines) with ``perfbench/inputs.py``, then runs the
-``replay`` command at its defaults, every held-out user, under LogRank, MMR
-and epsilon-greedy at ``--workers`` 1 and 2, each run in a fresh process.
-It exits 1 unless
+``replay`` command at its defaults, every held-out user, under LMDH,
+LogRank, MMR and epsilon-greedy at ``--workers`` 1 and 2, each run in a
+fresh process.  It exits 1 unless
 
 * ``metrics.csv`` is byte-identical across the worker counts,
 * every round counts every user (``n_users`` is constant),
@@ -13,8 +13,8 @@ It exits 1 unless
 * MMR's final Diversity(30) is above LogRank's.
 
 Epsilon-greedy reads the distance rows of its slates in each forked worker,
-so its byte-identity covers the metric's row memo at full size.  LMDH is left
-out: it takes several times longer.
+so its byte-identity covers the metric's row memo at full size.  LMDH's
+covers the no-hit path that each worker fills for its own users.
 
     python3 scripts/check_static_replays.py --out results/static-replays
 """
@@ -74,7 +74,7 @@ def main() -> int:
     print(f"input {described.path} lines={described.lines} sha256={described.sha256}")
 
     problems, final_diversity = [], {}
-    for policy in ("logrank", "mmr", "epsilon-greedy"):
+    for policy in ("lmdh", "logrank", "mmr", "epsilon-greedy"):
         lone, pooled = [
             replay(described.path, policy, workers, args.out / f"{policy}-w{workers}")
             for workers in (1, 2)

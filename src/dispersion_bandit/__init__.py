@@ -44,6 +44,7 @@ from .lmdh import (
     HybridStatistics,
     LmdhConfig,
     LmdhPolicy,
+    NoHitPath,
     TheoryParams,
     confidence_width,
     estimate_preferences,

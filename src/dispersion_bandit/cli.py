@@ -53,6 +53,7 @@ from .ingest import (
 from .lmdh import (
     LmdhConfig,
     LmdhPolicy,
+    NoHitPath,
     TheoryParams,
     lemma1_width_budget,
     regret_upper_bound,
@@ -192,6 +193,12 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 # simulate
 
 
+def _lmdh_config(catalog: ItemCatalog, k: int, lam: float, alpha: float) -> LmdhConfig:
+    return LmdhConfig(
+        lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
+    )
+
+
 def make_policy(
     name: str,
     catalog: ItemCatalog,
@@ -202,17 +209,16 @@ def make_policy(
     mmr_alpha: float,
     rng: np.random.Generator,
     u_bar: np.ndarray,
+    path: NoHitPath | None = None,
 ):
     """The one place a policy is built from the command-line settings.
 
     Baselines score with the population preference `u_bar`; epsilon-greedy
-    explores with `rng`.  LMDH uses neither.
+    explores with `rng`.  LMDH uses neither, and walks `path` when one is
+    given.
     """
     if name == "lmdh":
-        config = LmdhConfig(
-            lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
-        )
-        return LmdhPolicy(config, catalog)
+        return LmdhPolicy(_lmdh_config(catalog, k, lam, alpha), catalog, path)
     if name not in POLICIES:
         raise SystemExit(f"unknown policy {name!r}")
     scorer = StaticScorer(u_bar, catalog)
@@ -385,9 +391,10 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 def _replay_context(key: tuple):
     """Rebuild the replay world from primitives (cached once per process).
 
-    A new world also drops the previous world's shared policy.
+    A new world also drops the previous world's shared policy and path.
     """
     _world_policy.cache_clear()
+    _world_path.cache_clear()
     (dataset, fmt, threshold, top_items, seed, embeddings, metric_mode, k) = key
     table = parse_ratings(dataset, fmt, threshold)
     if top_items is not None:
@@ -403,17 +410,16 @@ def _replay_context(key: tuple):
     catalog = ItemCatalog(vectors, (metric,))
     # Population scorer: mean over training users of their mean positive-item
     # vector (profile of an average user, as a trained ranker would supply).
-    # Records are in user order, so each user's rows are one slice of a single
-    # gather; add.reduce over it and a divide is what `mean` computes.
-    rows = vectors[train.items]
-    bounds = np.searchsorted(train.users, np.arange(train.n_users + 1))
-    user_means = np.vstack(
+    # bincount adds each user's rows in record order, as `mean` over the
+    # user's rows would, so a sum per dimension and a divide are its means.
+    users, n = train.users, train.n_users
+    sums = np.column_stack(
         [
-            np.add.reduce(rows[lo:hi], axis=0) / (hi - lo)
-            for lo, hi in zip(bounds, bounds[1:])
+            np.bincount(users, weights=column[train.items], minlength=n)
+            for column in np.ascontiguousarray(vectors.T)
         ]
     )
-    u_bar = user_means.mean(axis=0)
+    u_bar = (sums / np.bincount(users, minlength=n)[:, None]).mean(axis=0)
     return table, test, catalog, u_bar
 
 
@@ -436,6 +442,17 @@ def _world_policy(key: tuple, policy_name: str, k: int, mmr_alpha: float):
     )
 
 
+@lru_cache(maxsize=1)
+def _world_path(key: tuple, k: int, lam: float, alpha: float) -> NoHitPath:
+    """The one LMDH no-hit path of a replay world, walked by all its users.
+
+    Every test user starts LMDH from the same statistics with every item
+    open, so until a user's first hit the users play the same rounds.
+    """
+    catalog = _replay_context(key)[2]
+    return NoHitPath(_lmdh_config(catalog, k, lam, alpha), catalog)
+
+
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, u_bar = _replay_context(key)
@@ -444,9 +461,10 @@ def _replay_task(task: tuple):
     if policy_name in STATIC_POLICIES:
         policy = _world_policy(key, policy_name, k, mmr_alpha)
     else:
+        path = _world_path(key, k, lam, alpha_value) if policy_name == "lmdh" else None
         policy = make_policy(
             policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-            rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
+            rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar, path,
         )
     environment = ReplayEnvironment(catalog, user)
     return run_episode(policy, environment, rounds, k)

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .catalog import distinct_sorted
 from .errors import EmptyDatasetError, ParseError
 from .seeding import rng_from_seed
 
@@ -263,13 +264,9 @@ def _table_from_columns(
     user_ids, ui = _dense_ids(columns.users[positive])
     item_ids, ii = _dense_ids(columns.items[positive])
     # one code per (user, item) in (user, item) order; code < rows**2, so it
-    # cannot overflow.  Repeats of a pair are alike, so the first of each run
-    # in sorted order is the one record kept.
+    # cannot overflow.  Repeats of a pair are alike, so one record is kept.
     n_items = len(item_ids)
-    pairs = np.sort(ui * n_items + ii)
-    first = np.ones(pairs.size, dtype=bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    pairs = pairs[first]
+    pairs = distinct_sorted(ui * n_items + ii)
     users, items = np.divmod(pairs, n_items)
 
     return InteractionTable(
@@ -370,8 +367,8 @@ def filter_top_items(table: InteractionTable, n: int) -> InteractionTable:
 
     users_orig = table.user_ids[table.users[mask]]
     items_orig = table.item_ids[table.items[mask]]
-    user_ids = np.unique(users_orig)
-    item_ids = np.unique(items_orig)
+    user_ids = distinct_sorted(users_orig)
+    item_ids = distinct_sorted(items_orig)
     return InteractionTable(
         users=np.searchsorted(user_ids, users_orig),
         items=np.searchsorted(item_ids, items_orig),

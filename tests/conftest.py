@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersion_bandit import lmdh
 from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
 from dispersion_bandit.errors import DimensionMismatchError
 
@@ -27,6 +28,25 @@ class TableDistanceMetric:
     def column(self, item: int, others: np.ndarray) -> np.ndarray:
         others = np.asarray(others, dtype=np.intp)
         return self._table[item][others]
+
+
+class UnsharedLmdhPolicy:
+    """LMDH without a no-hit path: `select_slate` and `update` on statistics of its own.
+
+    The reference that every policy walking a path must match bit for bit.
+    """
+
+    name = "lmdh"
+
+    def __init__(self, config, catalog):
+        self.config, self.catalog = config, catalog
+        self.stats = lmdh.HybridStatistics(config.d, config.m, config.lam)
+
+    def select(self, candidates):
+        return lmdh.select_slate(self.stats, self.config, self.catalog, candidates)
+
+    def observe(self, selection, rewards):
+        lmdh.update(self.stats, selection.slate, rewards, selection)
 
 
 def random_table(rng, n):

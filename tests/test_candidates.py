@@ -22,7 +22,13 @@ from dispersion_bandit.baselines import (
     logrank_select,
     mmr_select,
 )
-from dispersion_bandit.catalog import Slate, slate_features, sorted_ids, utility
+from dispersion_bandit.catalog import (
+    Slate,
+    distinct_sorted,
+    slate_features,
+    sorted_ids,
+    utility,
+)
 from dispersion_bandit.environments import ReplayEnvironment, ReplayUser, run_episode
 from dispersion_bandit.errors import (
     ExhaustedCandidatesError,
@@ -130,6 +136,25 @@ def test_other_inputs_equal_np_unique(candidates):
     assert got.dtype == np.intp
     assert np.array_equal(got, expected)
     assert got is not candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.one_of(
+        st.lists(st.integers(-5, 5), max_size=30),  # short spans: many repeats
+        st.lists(st.integers(-(2**40), 2**40), max_size=30),  # wide, sparse spans
+    ),
+    dtype=st.sampled_from([np.int64, np.intp, np.int32]),
+)
+def test_distinct_sorted_equals_np_unique(ids, dtype):
+    values = np.array(ids, dtype=np.int64)
+    if dtype is np.int32:
+        values = values.clip(-(2**31), 2**31 - 1)
+    values = values.astype(dtype)
+    got = distinct_sorted(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize(

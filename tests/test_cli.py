@@ -36,6 +36,8 @@ from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhPolicy
 from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
 
+from conftest import UnsharedLmdhPolicy
+
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
 EMBEDDINGS = str(ROOT / "data" / "sample" / "embeddings.csv")
@@ -538,7 +540,7 @@ def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
 
 
 def fresh_policy_replay_task(task: tuple):
-    """`_replay_task` before LogRank and MMR were shared: a new policy per user."""
+    """`_replay_task` before policies were shared: a new policy per user."""
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, u_bar = cli._replay_context(key)
     user = ReplayUser(user_id=u, positives=frozenset(int(i) for i in test.items_of(u)))
@@ -546,6 +548,8 @@ def fresh_policy_replay_task(task: tuple):
         policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
         rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
     )
+    if policy_name == "lmdh":
+        policy = UnsharedLmdhPolicy(policy.config, catalog)
     return run_episode(policy, ReplayEnvironment(catalog, user), rounds, k)
 
 
@@ -609,6 +613,29 @@ def test_a_new_world_releases_the_previous_worlds_policy():
     cli._replay_context(world)
     gc.collect()
     assert released() is None
+
+    # which drops the previous world's LMDH path as well
+    path = cli._world_path(world, 3, 50.0, 1.0)
+    assert cli._world_path(world, 3, 50.0, 1.0) is path
+    released = weakref.ref(path)
+    del path
+    cli._replay_context(other_world)
+    gc.collect()
+    assert released() is None
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_lmdh_users_sharing_the_world_path_match_a_fresh_policy_each(tmp_path, order):
+    dataset = random_tab_ratings(tmp_path / "u.data")
+    seed, k, rounds = 4, 10, 30
+    key = (dataset, "ml100k-tab", 3.0, None, seed, None, "slate-normalized", k)
+    test = cli._replay_context(key)[1]
+    tasks = [(key, "lmdh", 50.0, 1.0, 0.05, 0.8, k, rounds, seed, u)
+             for u in range(test.n_users)][::order]
+    shared = [log_bytes(cli._replay_task(task)) for task in tasks]
+    assert shared == [log_bytes(fresh_policy_replay_task(task)) for task in tasks]
+    # some users played shared rounds
+    assert cli._world_path(key, k, 50.0, 1.0).start.next.next is not None
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

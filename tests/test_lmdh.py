@@ -8,6 +8,7 @@ four-term width.  The learner must agree with both.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,13 @@ from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
 )
-from dispersion_bandit.environments import SimulatedEnvironment, study_instance
+from dispersion_bandit.environments import (
+    ReplayEnvironment,
+    ReplayUser,
+    SimulatedEnvironment,
+    run_episode,
+    study_instance,
+)
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
@@ -34,6 +41,7 @@ from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     LmdhPolicy,
+    NoHitPath,
     TheoryParams,
     confidence_width,
     estimate_preferences,
@@ -44,7 +52,7 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import TableDistanceMetric, random_catalog
+from conftest import TableDistanceMetric, UnsharedLmdhPolicy, random_catalog
 
 
 class JointRidgeOracle:
@@ -613,3 +621,193 @@ def test_config_validation():
         TheoryParams(n=10, k=5, d=10, m=1, lam=1.0, delta=1.5)
     with pytest.raises(ValueError):
         TheoryParams(n=-1, k=5, d=10, m=1, lam=1.0, delta=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the shared no-hit path
+
+
+def log_fields(log) -> list:
+    """Every field of every round, arrays as (dtype, shape, bytes)."""
+    return [
+        tuple(
+            (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray)
+            else value
+            for value in (getattr(r, f.name) for f in dataclasses.fields(r))
+        )
+        for r in log
+    ]
+
+
+def stats_fields(stats: HybridStatistics) -> tuple:
+    arrays = (stats.A, stats.b, stats.inv_A)
+    return tuple(a.tobytes() for a in arrays) + (stats.clamp_count,)
+
+
+class WithholdingEnvironment(ReplayEnvironment):
+    """A replay world that also withholds `item` from round `t` on."""
+
+    def __init__(self, catalog, user, t, item):
+        super().__init__(catalog, user)
+        self.t, self.item = t, item
+
+    def candidates(self, t, k):
+        cand = super().candidates(t, k)
+        return cand[cand != self.item] if t >= self.t else cand
+
+
+def count_selects(monkeypatch) -> list:
+    calls = []
+    original = lmdh.select_slate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lmdh, "select_slate", counted)
+    return calls
+
+
+def force_clamps(monkeypatch) -> None:
+    """Lower every width by 0.3, so fresh statistics clip some to zero."""
+    original = lmdh._raw_widths_batch
+    monkeypatch.setattr(lmdh, "_raw_widths_batch", lambda *args: original(*args) - 0.3)
+
+
+def path_world(rounds=8, k=3):
+    """A catalog, a config and the users: a round-1 hit, a round-5 hit, no hit."""
+    rng = np.random.default_rng(41)
+    catalog = random_catalog(rng, n_items=40, d=3, m=1)
+    config = LmdhConfig(lam=2.0, alpha=1.0, d=3, m=1, k=k)
+    no_hit = run_episode(
+        UnsharedLmdhPolicy(config, catalog),
+        ReplayEnvironment(catalog, ReplayUser(0, frozenset())),
+        rounds,
+        k,
+    )
+    never_shown = set(range(40)) - {i for r in no_hit for i in r.items}
+    users = [
+        ReplayUser(1, frozenset({no_hit[0].items[2]})),
+        ReplayUser(2, frozenset({no_hit[4].items[0], min(never_shown)})),
+        ReplayUser(3, frozenset({min(never_shown)})),
+    ]
+    return catalog, config, users, rounds
+
+
+def replay_users(config, catalog, environments, rounds, path=None):
+    """One policy per environment, all on `path` or all unshared; logs and stats."""
+    runs = []
+    for environment in environments:
+        if path is None:
+            policy = UnsharedLmdhPolicy(config, catalog)
+        else:
+            policy = LmdhPolicy(config, catalog, path)
+        log = run_episode(policy, environment, rounds, config.k)
+        runs.append((log_fields(log), stats_fields(policy.stats)))
+    return runs
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_users_on_one_path_match_a_fresh_policy_each(order, monkeypatch):
+    catalog, config, users, rounds = path_world()
+    users = users[::order]
+    fresh = replay_users(
+        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds
+    )
+    calls = count_selects(monkeypatch)
+    path = NoHitPath(config, catalog)
+    shared = replay_users(
+        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds, path
+    )
+    assert shared == fresh
+    first_hits = [
+        next((t for t, r in enumerate(log, 1) if any(r[2])), None) for log, _ in fresh
+    ]
+    assert sorted(first_hits, key=str) == [1, 5, None]
+    # the no-hit user's rounds once, then each hit user's rounds after its hit
+    assert len(calls) == rounds + (rounds - 1) + (rounds - 5)
+
+
+def test_path_keeps_clamp_counts_and_leaves_on_other_candidates(monkeypatch):
+    force_clamps(monkeypatch)
+    catalog, config, users, rounds = path_world()
+    # the no-hit user's one positive is never on the path's slates
+    (withheld,) = users[2].positives
+
+    def environments():
+        return [
+            ReplayEnvironment(catalog, users[2]),  # fills the path
+            ReplayEnvironment(catalog, users[0]),
+            WithholdingEnvironment(catalog, users[2], 3, withheld),
+            ReplayEnvironment(catalog, users[1]),
+        ]
+
+    fresh = replay_users(config, catalog, environments(), rounds)
+    assert all(stats[3] > 0 for _, stats in fresh)
+    path = NoHitPath(config, catalog)
+    assert replay_users(config, catalog, environments(), rounds, path) == fresh
+
+    # the withholding user leaves at round 3's select, before the shared one
+    policy = LmdhPolicy(config, catalog, path)
+    environment = WithholdingEnvironment(catalog, users[2], 3, withheld)
+    step = path.start
+    for t in (1, 2):
+        selection = policy.select(environment.candidates(t, config.k))
+        assert selection is step.selection
+        policy.observe(selection, environment.feedback(selection))
+        step = step.next
+    before = policy.stats.clamp_count
+    assert before == step.state.clamp_count < step.clamps_after
+    selection = policy.select(environment.candidates(3, config.k))
+    assert selection is not step.selection
+    assert policy.stats.clamp_count > before
+
+
+def select_twice(policy, candidates, zeros, shown):
+    first = policy.select(candidates)
+    policy.select(candidates)
+    policy.observe(first, zeros)
+    return [stats_fields(policy.stats)]
+
+
+def read_stats_mid_round(policy, candidates, zeros, shown):
+    first = policy.select(candidates)
+    policy.observe(first, zeros)
+    second = policy.select(np.setdiff1d(candidates, first.slate.items))
+    mid_round = stats_fields(policy.stats)
+    policy.observe(second, zeros)
+    return [mid_round, stats_fields(policy.stats)]
+
+
+def observe_without_select(policy, candidates, zeros, shown):
+    policy.observe(shown, zeros)
+    return [stats_fields(policy.stats)]
+
+
+@pytest.mark.parametrize(
+    "drive", [select_twice, read_stats_mid_round, observe_without_select]
+)
+def test_policy_leaves_the_path_for_any_other_call_order(drive, monkeypatch):
+    force_clamps(monkeypatch)
+    catalog, config, users, _ = path_world()
+    candidates, zeros = catalog.all_items(), np.zeros(config.k)
+    path = NoHitPath(config, catalog)
+    walker = LmdhPolicy(config, catalog, path)
+    run_episode(walker, ReplayEnvironment(catalog, users[2]), 3, config.k)
+    shown = path.start.selection
+    fresh = drive(UnsharedLmdhPolicy(config, catalog), candidates, zeros, shown)
+    assert drive(LmdhPolicy(config, catalog, path), candidates, zeros, shown) == fresh
+
+
+def test_assigned_statistics_take_a_policy_off_the_path():
+    catalog, config, _, _ = path_world()
+    path = NoHitPath(config, catalog)
+    policy = LmdhPolicy(config, catalog, path)
+    own = HybridStatistics(3, 1, lam=2.0)
+    policy.stats = own
+    policy.observe(policy.select(catalog.all_items()), np.ones(config.k))
+    assert policy.stats is own and own.b.any()
+    assert not path.start.state.b.any() and path.start.next is None
+    with pytest.raises(ValueError, match="another config"):
+        LmdhPolicy(dataclasses.replace(config, alpha=0.5), catalog, path)
