@@ -13,10 +13,11 @@ fresh process.  It exits 1 unless
 * MMR's final Diversity(30) is above LogRank's.
 
 Epsilon-greedy reads the distance rows of its slates in each forked worker,
-so its byte-identity covers the metric's row memo at full size.  LMDH's
-covers the no-hit path that each worker fills for its own users.
+so its byte-identity covers the metric's row memo at full size.  LMDH's,
+LogRank's and MMR's cover the world's selection memo, which each worker
+fills for its own users.
 
-    python3 scripts/check_static_replays.py --out results/static-replays
+    python3 scripts/check_full_replays.py --out results/full-replays
 """
 
 import argparse

@@ -44,7 +44,6 @@ from .lmdh import (
     HybridStatistics,
     LmdhConfig,
     LmdhPolicy,
-    NoHitPath,
     TheoryParams,
     confidence_width,
     estimate_preferences,

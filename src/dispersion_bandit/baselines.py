@@ -35,6 +35,28 @@ def annotate_slate(slate: Slate, catalog: ItemCatalog) -> SlateSelection:
     return SlateSelection(slate=slate, relevance_features=z, diversity_features=x)
 
 
+def read_only(selection: SlateSelection) -> SlateSelection:
+    """`selection`, its arrays made read-only so that any number of callers can share it."""
+    for array in (
+        selection.relevance_features, selection.diversity_features, selection.widths
+    ):
+        if array is not None:
+            array.flags.writeable = False
+    return selection
+
+
+def claim_memo(memo: dict, catalog: ItemCatalog, setting) -> dict:
+    """`memo`, bound under its key "owner" to the first catalog and setting it serves.
+
+    Its keys are the bytes of what each selection read, which leave out the
+    catalog and the policy's settings, so any other owner raises ValueError.
+    """
+    owner_catalog, owner_setting = memo.setdefault("owner", (catalog, setting))
+    if owner_catalog is not catalog or owner_setting != setting:
+        raise ValueError("the memo was made for another config or catalog")
+    return memo
+
+
 class StaticScorer:
     """Fixed per-item quality r_a = sigmoid(u_bar . z_a), cached over the catalog."""
 
@@ -142,15 +164,25 @@ class _StaticPolicy:
 class _FixedSlatePolicy(_StaticPolicy):
     """A static policy whose slate is a function of the candidate set alone.
 
-    Each distinct candidate set's annotated slate is computed once and
-    returned again whenever the same set comes back, so one policy can serve
-    every user of a replay world.  The memo grows by one entry per distinct
-    set; its feature arrays are read-only because every caller shares them.
+    Each candidate set's annotated slate is stored in a memo under the set's
+    bytes and returned whenever the same set comes back.  The memo is the
+    policy's own unless one is given: in a replay world the policies of all
+    users share one, so each slate is computed once per world.  It is bound
+    to the policy's name, scorer, K and `setting` (a subclass's parameters).
     """
 
-    def __init__(self, scorer: StaticScorer, catalog: ItemCatalog, k: int):
+    def __init__(
+        self,
+        scorer: StaticScorer,
+        catalog: ItemCatalog,
+        k: int,
+        memo: dict | None = None,
+        setting: tuple = (),
+    ):
         super().__init__(scorer, catalog, k)
-        self._selections: dict[bytes, SlateSelection] = {}
+        self._memo = claim_memo(
+            {} if memo is None else memo, catalog, (self.name, scorer, k, *setting)
+        )
 
     def _slate(self, cand: np.ndarray) -> Slate:
         raise NotImplementedError
@@ -158,12 +190,10 @@ class _FixedSlatePolicy(_StaticPolicy):
     def select(self, candidates) -> SlateSelection:
         cand = self.catalog.candidate_ids(candidates, self.k)
         key = cand.tobytes()
-        selection = self._selections.get(key)
+        selection = self._memo.get(key)
         if selection is None:
-            selection = annotate_slate(self._slate(cand), self.catalog)
-            selection.relevance_features.flags.writeable = False
-            selection.diversity_features.flags.writeable = False
-            self._selections[key] = selection
+            selection = read_only(annotate_slate(self._slate(cand), self.catalog))
+            self._memo[key] = selection
         return selection
 
 
@@ -183,8 +213,9 @@ class MmrPolicy(_FixedSlatePolicy):
         catalog: ItemCatalog,
         k: int,
         mmr_alpha: float = 0.9,
+        memo: dict | None = None,
     ):
-        super().__init__(scorer, catalog, k)
+        super().__init__(scorer, catalog, k, memo, (mmr_alpha,))
         self.mmr_alpha = mmr_alpha
 
     def _slate(self, cand: np.ndarray) -> Slate:

@@ -29,7 +29,7 @@ from .environments import (
     study_instance,
     run_episode,
 )
-from .errors import DispersionBanditError
+from .errors import DispersionBanditError, InsufficientCandidatesError
 from .evaluation import (
     OPTIMUM_MODES,
     average_regret,
@@ -53,7 +53,6 @@ from .ingest import (
 from .lmdh import (
     LmdhConfig,
     LmdhPolicy,
-    NoHitPath,
     TheoryParams,
     lemma1_width_budget,
     regret_upper_bound,
@@ -193,12 +192,6 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 # simulate
 
 
-def _lmdh_config(catalog: ItemCatalog, k: int, lam: float, alpha: float) -> LmdhConfig:
-    return LmdhConfig(
-        lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
-    )
-
-
 def make_policy(
     name: str,
     catalog: ItemCatalog,
@@ -208,25 +201,35 @@ def make_policy(
     epsilon: float,
     mmr_alpha: float,
     rng: np.random.Generator,
-    u_bar: np.ndarray,
-    path: NoHitPath | None = None,
+    scorer: StaticScorer | None,
+    memo: dict | None = None,
 ):
     """The one place a policy is built from the command-line settings.
 
-    Baselines score with the population preference `u_bar`; epsilon-greedy
-    explores with `rng`.  LMDH uses neither, and walks `path` when one is
-    given.
+    Baselines score with the population `scorer`; epsilon-greedy explores
+    with `rng`.  LMDH uses neither.  LogRank, MMR and LMDH keep the
+    selections they can share in `memo` when one is given.
     """
     if name == "lmdh":
-        return LmdhPolicy(_lmdh_config(catalog, k, lam, alpha), catalog, path)
-    if name not in POLICIES:
-        raise SystemExit(f"unknown policy {name!r}")
-    scorer = StaticScorer(u_bar, catalog)
+        config = LmdhConfig(
+            lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
+        )
+        return LmdhPolicy(config, catalog, memo)
     if name == "logrank":
-        return LogRankPolicy(scorer, catalog, k)
+        return LogRankPolicy(scorer, catalog, k, memo)
     if name == "mmr":
-        return MmrPolicy(scorer, catalog, k, mmr_alpha)
-    return EpsilonGreedyPolicy(scorer, catalog, k, epsilon, rng)
+        return MmrPolicy(scorer, catalog, k, mmr_alpha, memo)
+    if name == "epsilon-greedy":
+        return EpsilonGreedyPolicy(scorer, catalog, k, epsilon, rng)
+    raise SystemExit(f"unknown policy {name!r}")
+
+
+def _check_k(k: int, n_items: int) -> None:
+    """A slate larger than the item pool is a usage error, raised before --out exists."""
+    if k > n_items:
+        raise InsufficientCandidatesError(
+            f"--k {k} exceeds the catalog's {n_items} items"
+        )
 
 
 def _simulate_run(task: tuple):
@@ -247,11 +250,14 @@ def _simulate_run(task: tuple):
     )
     # The baselines' u_bar is drawn from the true preference's prior (a
     # stand-in for a scorer trained on other users) before epsilon-greedy
-    # takes the same rng for its exploration.
+    # takes the same rng for its exploration.  LMDH reads no scorer, and
+    # building one would be its run's only np.exp (0.13 MB of peak RSS).
     rng = rng_from_seed(run_seed, STREAM_POLICY)
+    u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
+    scorer = None if policy_name == "lmdh" else StaticScorer(u_bar, instance.catalog)
     policy = make_policy(
         policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng, rng.uniform(*PREFERENCE_RANGE, SIM_D),
+        rng, scorer,
     )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)
@@ -259,6 +265,7 @@ def _simulate_run(task: tuple):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_k(args.k, SIM_ITEMS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(args.alpha, args.k, SIM_D, SIM_M, args.lam, args.rounds)
@@ -339,9 +346,10 @@ def _ratio_task(task: tuple):
 
 
 def cmd_approx_ratio(args: argparse.Namespace) -> int:
+    ks = [args.k] if args.k is not None else list(DEFAULT_RATIO_KS)
+    _check_k(max(ks), SIM_ITEMS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ks = [args.k] if args.k is not None else list(DEFAULT_RATIO_KS)
     instance_seeds = [derive_seed(args.seed, i) for i in range(args.runs)]
     tasks = [(s, k, args.metric_mode) for k in ks for s in instance_seeds]
     workers = resolve_workers(args.workers, len(tasks))
@@ -391,10 +399,9 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 def _replay_context(key: tuple):
     """Rebuild the replay world from primitives (cached once per process).
 
-    A new world also drops the previous world's shared policy and path.
+    A new world also drops the previous world's selection memo.
     """
-    _world_policy.cache_clear()
-    _world_path.cache_clear()
+    _world_memo.cache_clear()
     (dataset, fmt, threshold, top_items, seed, embeddings, metric_mode, k) = key
     table = parse_ratings(dataset, fmt, threshold)
     if top_items is not None:
@@ -420,52 +427,32 @@ def _replay_context(key: tuple):
         ]
     )
     u_bar = (sums / np.bincount(users, minlength=n)[:, None]).mean(axis=0)
-    return table, test, catalog, u_bar
-
-
-# Policies whose slate depends only on the candidate set; one serves every user
-STATIC_POLICIES = ("logrank", "mmr")
+    return table, test, catalog, StaticScorer(u_bar, catalog)
 
 
 @lru_cache(maxsize=1)
-def _world_policy(key: tuple, policy_name: str, k: int, mmr_alpha: float):
-    """The one LogRank or MMR policy of a replay world, shared by its users.
+def _world_memo(
+    key: tuple, policy_name: str, k: int, lam: float, alpha: float, mmr_alpha: float
+) -> dict:
+    """The selection memo that the policies of all users of a replay world share.
 
-    Every test user starts with every item open, so the users of a world
-    walk the same candidate sets and the policy's memo computes each slate
-    once per process.
+    Every test user starts from the same state with every item open, so the
+    users of a world select alike until LMDH's first hit, and always under
+    LogRank and MMR; the memo computes each such selection once per process.
     """
-    _, _, catalog, u_bar = _replay_context(key)
-    return make_policy(
-        policy_name, catalog, k, lam=None, alpha=None, epsilon=None,
-        mmr_alpha=mmr_alpha, rng=None, u_bar=u_bar,
-    )
-
-
-@lru_cache(maxsize=1)
-def _world_path(key: tuple, k: int, lam: float, alpha: float) -> NoHitPath:
-    """The one LMDH no-hit path of a replay world, walked by all its users.
-
-    Every test user starts LMDH from the same statistics with every item
-    open, so until a user's first hit the users play the same rounds.
-    """
-    catalog = _replay_context(key)[2]
-    return NoHitPath(_lmdh_config(catalog, k, lam, alpha), catalog)
+    return {}
 
 
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
-    _, test, catalog, u_bar = _replay_context(key)
+    _, test, catalog, scorer = _replay_context(key)
     positives = frozenset(int(i) for i in test.items_of(u))
     user = ReplayUser(user_id=u, positives=positives)
-    if policy_name in STATIC_POLICIES:
-        policy = _world_policy(key, policy_name, k, mmr_alpha)
-    else:
-        path = _world_path(key, k, lam, alpha_value) if policy_name == "lmdh" else None
-        policy = make_policy(
-            policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-            rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar, path,
-        )
+    policy = make_policy(
+        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), scorer,
+        _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
+    )
     environment = ReplayEnvironment(catalog, user)
     return run_episode(policy, environment, rounds, k)
 
@@ -483,6 +470,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         args.k,
     )
     table, test, catalog, _ = _replay_context(key)
+    _check_k(args.k, catalog.item_count)
     # created only once the ratings have parsed, so a bad file leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ from .catalog import (
 from .errors import (
     DispersionBanditError,
     ExhaustedCandidatesError,
+    InvalidItemError,
     ProtocolViolationError,
 )
 from .seeding import STREAM_INSTANCE, STREAM_REWARDS, rng_from_seed
@@ -179,10 +180,18 @@ class ReplayEnvironment:
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Membership rewards against the user's positives; closes the slate's items.
 
-        A slate holding an item that is already closed raises
-        ProtocolViolationError naming the repeats, and closes nothing.
+        A slate holding an id outside the catalog raises InvalidItemError,
+        and one holding an item that is already closed raises
+        ProtocolViolationError; each names the ids and closes nothing.
         """
         items = selection.slate.items
+        n_items = self._open.size
+        if items and not (min(items) >= 0 and max(items) < n_items):
+            raise InvalidItemError(
+                f"user {self.user.user_id} was shown items "
+                f"{sorted(i for i in items if not 0 <= i < n_items)} outside "
+                f"the catalog's {n_items} items"
+            )
         ids = np.array(items, dtype=np.intp)
         repeats = ids[~self._open[ids]]
         if repeats.size:

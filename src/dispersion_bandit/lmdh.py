@@ -11,21 +11,23 @@ buys nothing here; sums that are only ever added to do not drift from the
 joint ridge solution.  Within one selection only x changes between passes,
 so the width's z-only terms are computed once per selection (`_z_terms`).
 
-Every fresh learner starts from A = lam*I.  Until its first nonzero reward,
-two learners offered the same candidates select the same slates and make the
-same zero-reward updates, so a `NoHitPath` computes those rounds once and
-lets any number of `LmdhPolicy` objects walk them.
+Every fresh learner starts from A = lam*I, and a selection reads nothing of
+the statistics but A^{-1} and b.  Learners given one memo store each
+selection they make while b is zero under the exact bytes of A^{-1}, b and
+the candidates, and a learner that meets the same bytes takes the stored
+selection.  In a replay world every test user starts with every item open,
+so users select alike until their first hit, and the memo computes each of
+those selections once.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SlateSelection
+from .baselines import SlateSelection, claim_memo, read_only
 from .catalog import ItemCatalog, Slate
 from .errors import (
     DimensionMismatchError,
@@ -294,130 +296,41 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
     return main + params.n * params.k * params.delta
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
-
-
-def _private_copy(state: HybridStatistics, clamp_count: int) -> HybridStatistics:
-    """Writable copy of a path state, carrying `clamp_count` width clamps."""
-    private = copy.deepcopy(state)
-    private.clamp_count = clamp_count
-    return private
-
-
-class _PathStep:
-    """One round of a `NoHitPath`: the state before it and, once selected, its slate."""
-
-    def __init__(self, state: HybridStatistics):
-        _read_only(state.A, state.b, state.inv_A)
-        self.state = state
-        self.candidates: np.ndarray | None = None
-        self.selection: SlateSelection | None = None
-        self.clamps_after = state.clamp_count  # state.clamp_count after the selection
-        self.next: _PathStep | None = None
-
-
-class NoHitPath:
-    """The rounds that fresh learners play alike until their first nonzero reward.
-
-    A chain of `_PathStep`s, each filled the first time a policy reaches it:
-    the selection for the candidates that policy offered, then the state
-    after a zero-reward update of it.  States and selections hold read-only
-    arrays, because every policy on the path shares them.  A policy leaves
-    the path for a private copy of the step's state on its first nonzero
-    reward or on candidates other than the step's, so it produces bit for bit
-    what a policy built with fresh statistics would.  In a replay world every
-    test user starts with every item open, and the users of a world share one
-    path; a simulated run leaves its own path at its first hit.
-    """
-
-    def __init__(self, config: LmdhConfig, catalog: ItemCatalog):
-        _check_config(config, catalog)
-        self.config = config
-        self.catalog = catalog
-        self.start = _PathStep(HybridStatistics(config.d, config.m, config.lam))
-
-
 class LmdhPolicy:
     """Policy wrapper: greedy UCB selection plus the joint ridge update.
 
-    The policy walks a `NoHitPath`, its own unless it is given a shared one,
-    and learns in private statistics from the round it leaves the path.
+    With a `memo`, a selection made while b is zero is looked up under the
+    bytes of A^{-1}, b and the candidates; one that is not there yet is
+    computed by `select_slate` and stored with the width clamps it counted,
+    which a later hit adds to its own `stats.clamp_count`.  The memo serves
+    one config and catalog.
     """
 
     name = "lmdh"
 
     def __init__(
-        self, config: LmdhConfig, catalog: ItemCatalog, path: NoHitPath | None = None
+        self, config: LmdhConfig, catalog: ItemCatalog, memo: dict | None = None
     ):
-        if path is None:
-            path = NoHitPath(config, catalog)
-        elif path.config != config or path.catalog is not catalog:
-            raise ValueError("the path was built for another config or catalog")
+        _check_config(config, catalog)
         self.config = config
         self.catalog = catalog
-        self._step: _PathStep | None = path.start  # None once off the path
-        self._selected = False  # whether the policy has selected at _step
-        self._stats: HybridStatistics | None = None
-
-    @property
-    def stats(self) -> HybridStatistics:
-        """The learner's statistics; shared and read-only while it is on the path.
-
-        Reading them between a select and its observe, or assigning them,
-        takes the policy off the path.
-        """
-        if self._step is not None and self._selected:
-            self._leave()
-        return self._stats if self._step is None else self._step.state
-
-    @stats.setter
-    def stats(self, value: HybridStatistics) -> None:
-        self._step, self._stats = None, value
-
-    def _leave(self) -> HybridStatistics:
-        """Go on alone from a private copy of the state at the policy's place."""
-        step = self._step
-        clamps = step.clamps_after if self._selected else step.state.clamp_count
-        self.stats = _private_copy(step.state, clamps)
-        return self._stats
+        self.stats = HybridStatistics(config.d, config.m, config.lam)
+        self._memo = None if memo is None else claim_memo(memo, catalog, config)
 
     def select(self, candidates) -> SlateSelection:
-        step = self._step
-        if step is None or self._selected:
-            stats = self._stats if step is None else self._leave()
+        stats = self.stats
+        if self._memo is None or stats.b.any():
             return select_slate(stats, self.config, self.catalog, candidates)
         cand = self.catalog.candidate_ids(candidates, self.config.k)
-        if step.selection is None:
-            counter = copy.copy(step.state)  # shares the arrays; counts its own clamps
-            selection = select_slate(counter, self.config, self.catalog, cand)
-            _read_only(
-                selection.relevance_features,
-                selection.diversity_features,
-                selection.widths,
-            )
-            step.candidates = cand.copy()
-            step.selection = selection
-            step.clamps_after = counter.clamp_count
-        elif not np.array_equal(cand, step.candidates):
-            return select_slate(self._leave(), self.config, self.catalog, cand)
-        self._selected = True
-        return step.selection
+        key = stats.inv_A.tobytes() + stats.b.tobytes() + cand.tobytes()
+        entry = self._memo.get(key)
+        if entry is None:
+            clamps = stats.clamp_count
+            selection = read_only(select_slate(stats, self.config, self.catalog, cand))
+            entry = self._memo[key] = (selection, stats.clamp_count - clamps)
+        else:
+            stats.clamp_count += entry[1]
+        return entry[0]
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
-        step = self._step
-        if step is None:
-            update(self._stats, selection.slate, rewards, selection)
-        elif (
-            not self._selected
-            or selection is not step.selection
-            or np.any(np.asarray(rewards) != 0.0)
-        ):
-            update(self._leave(), selection.slate, rewards, selection)
-        else:
-            if step.next is None:
-                after = _private_copy(step.state, step.clamps_after)
-                update(after, selection.slate, rewards, selection)
-                step.next = _PathStep(after)
-            self._step, self._selected = step.next, False
+        update(self.stats, selection.slate, rewards, selection)

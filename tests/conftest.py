@@ -31,9 +31,9 @@ class TableDistanceMetric:
 
 
 class UnsharedLmdhPolicy:
-    """LMDH without a no-hit path: `select_slate` and `update` on statistics of its own.
+    """LMDH without a memo: `select_slate` and `update` on statistics of its own.
 
-    The reference that every policy walking a path must match bit for bit.
+    The reference that every policy sharing a memo must match bit for bit.
     """
 
     name = "lmdh"
@@ -47,6 +47,19 @@ class UnsharedLmdhPolicy:
 
     def observe(self, selection, rewards):
         lmdh.update(self.stats, selection.slate, rewards, selection)
+
+
+def count_selects(monkeypatch) -> list:
+    """Patch `lmdh.select_slate` to append to the returned list on every call."""
+    calls = []
+    original = lmdh.select_slate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lmdh, "select_slate", counted)
+    return calls
 
 
 def random_table(rng, n):

@@ -22,6 +22,7 @@ from dispersion_bandit.baselines import (
     EpsilonGreedyPolicy,
     LogRankPolicy,
     MmrPolicy,
+    StaticScorer,
 )
 from dispersion_bandit import cli
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy
@@ -36,7 +37,7 @@ from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhPolicy
 from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
 
-from conftest import UnsharedLmdhPolicy
+from conftest import UnsharedLmdhPolicy, count_selects
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -84,14 +85,15 @@ def test_make_policy_builds_each_policy(name):
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
     rng = rng_from_seed(5, 2)
     u_bar = np.linspace(0.0, 0.2, 4)
-    policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, u_bar)
+    scorer = StaticScorer(u_bar, catalog)
+    policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, scorer)
     assert type(policy) is POLICY_CLASSES[name]
     assert policy.name == name and policy.catalog is catalog
     if name == "lmdh":
         assert (policy.config.k, policy.config.lam, policy.config.alpha) == (3, 2.5, 0.7)
         assert (policy.config.d, policy.config.m) == (4, 1)
         return
-    assert policy.k == 3
+    assert policy.k == 3 and policy.scorer is scorer
     quality = 1.0 / (1.0 + np.exp(-(catalog.relevance @ u_bar)))
     assert np.array_equal(policy.scorer.quality, quality)
     if name == "mmr":
@@ -105,23 +107,29 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
     built = []
 
     def recording_make_policy(*args):
-        rng, u_bar = args[-2:]
-        built.append((copy.deepcopy(rng).random(3), u_bar))
+        rng, scorer = args[-2:]
+        built.append((copy.deepcopy(rng).random(3), scorer))
         return make_policy(*args)
 
     monkeypatch.setattr(cli, "make_policy", recording_make_policy)
     cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, "slate-normalized", "exhaustive"))
-    next_draws, u_bar = built[0]
+    next_draws, scorer = built[0]
     # u_bar is the stream's first draw; the rng is handed over right after it
     fresh = rng_from_seed(17, STREAM_POLICY)
-    assert np.array_equal(u_bar, fresh.uniform(0.0, 0.2, cli.SIM_D))
+    u_bar = fresh.uniform(0.0, 0.2, cli.SIM_D)
+    if name == "lmdh":
+        assert scorer is None  # LMDH reads no scorer
+    else:
+        quality = StaticScorer(u_bar, scorer.catalog).quality
+        assert scorer.quality.tobytes() == quality.tobytes()
     assert np.array_equal(next_draws, fresh.random(3))
 
 
 def test_make_policy_rejects_unknown_names():
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
     with pytest.raises(SystemExit, match="'ucb-plain'"):
-        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0), np.ones(4))
+        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0),
+                    StaticScorer(np.ones(4), catalog))
 
 
 def test_ingest_summary_line(capsys):
@@ -353,6 +361,23 @@ def test_replay_data_errors_leave_no_out(tmp_path, capsys, case):
     assert not out.exists()
 
 
+SAMPLE_ITEMS = 32  # items in data/sample/ratings.csv
+
+
+@pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
+def test_a_slate_larger_than_the_item_pool_is_a_usage_error(tmp_path, capsys, command):
+    n_items = SAMPLE_ITEMS if command == "replay" else cli.SIM_ITEMS
+    argv = [command, *REQUIRED[command], "--workers", "1", "--out"]
+    out = tmp_path / "over"
+    assert main([*argv, str(out), "--k", str(n_items + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --k {n_items + 1} exceeds the catalog's {n_items} items\n"
+    assert not out.exists()
+    # a slate of the whole pool is allowed
+    assert main([*argv, str(tmp_path / "whole"), "--k", str(n_items)]) == 0
+    capsys.readouterr()
+
+
 def test_one_process_commands_do_not_import_the_process_pool():
     code = (
         "import sys, dispersion_bandit.cli; "
@@ -393,9 +418,9 @@ def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     for i, (argv, output) in enumerate(runs):
         lone, pooled = tmp_path / f"{i}-w1", tmp_path / f"{i}-w2"
         assert main([*argv, "--out", str(lone), "--workers", "1"]) == 0
-        # forked workers would inherit the slates LogRank and MMR just stored;
-        # each process must compute its own
-        cli._world_policy.cache_clear()
+        # forked workers would inherit the selections the lone run just
+        # stored; each process must compute its own
+        cli._world_memo.cache_clear()
         assert main([*argv, "--out", str(pooled), "--workers", "2"]) == 0
         assert sha(lone / output) == sha(pooled / output), argv
     capsys.readouterr()
@@ -533,24 +558,30 @@ def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
     embeddings = EMBEDDINGS if source == "sample-embeddings" else None
     seed = 7
     key = (dataset, fmt, 3.0, top_items, seed, embeddings, "slate-normalized", 3)
-    table, test, catalog, u_bar = cli._replay_context(key)
+    table, test, catalog, scorer = cli._replay_context(key)
     train, _ = split_users(table, seed)
     assert train.n_users + test.n_users == table.n_users
-    assert u_bar.tobytes() == per_user_mean_u_bar(train, catalog.relevance).tobytes()
+    u_bar = per_user_mean_u_bar(train, catalog.relevance)
+    assert scorer.quality.tobytes() == StaticScorer(u_bar, catalog).quality.tobytes()
 
 
 def fresh_policy_replay_task(task: tuple):
-    """`_replay_task` before policies were shared: a new policy per user."""
+    """`_replay_task` without a shared memo: a new policy and memo per user."""
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
-    _, test, catalog, u_bar = cli._replay_context(key)
+    _, test, catalog, scorer = cli._replay_context(key)
     user = ReplayUser(user_id=u, positives=frozenset(int(i) for i in test.items_of(u)))
     policy = make_policy(
         policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), u_bar,
+        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), scorer,
     )
     if policy_name == "lmdh":
         policy = UnsharedLmdhPolicy(policy.config, catalog)
     return run_episode(policy, ReplayEnvironment(catalog, user), rounds, k)
+
+
+def memo_entries(memo: dict) -> list:
+    """The keys of the selections a memo stores, without its owner record."""
+    return [key for key in memo if key != "owner"]
 
 
 def log_bytes(log) -> bytes:
@@ -578,8 +609,8 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
     fresh = [fresh_policy_replay_task(task) for task in tasks]
     assert [log_bytes(log) for log in shared] == [log_bytes(log) for log in fresh]
     # every user walked the same candidate sets: one memo entry per round
-    policy = cli._world_policy(key, name, k, 0.8)
-    assert len(policy._selections) == max(len(log) for log in shared)
+    memo = cli._world_memo(key, name, k, 50.0, 1.0, 0.8)
+    assert len(memo_entries(memo)) == max(len(log) for log in shared)
 
     positives = [frozenset(int(i) for i in test.items_of(u)) for u in range(test.n_users)]
     for logs, path in ((shared, tmp_path / "shared.csv"), (fresh, tmp_path / "fresh.csv")):
@@ -587,55 +618,62 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def test_a_new_world_releases_the_previous_worlds_policy():
+class Marker:
+    """An object put in a memo, whose weak reference shows when the memo is gone."""
+
+
+def marked(memo: dict) -> weakref.ref:
+    marker = memo["marker"] = Marker()
+    return weakref.ref(marker)
+
+
+def test_a_new_world_releases_the_previous_worlds_memo():
     world = (RATINGS, "generic-csv", 3.0, None, 7, None, "slate-normalized", 3)
     other_world = world[:4] + (8,) + world[5:]
-    first = cli._world_policy(world, "mmr", 3, 0.9)
-    assert cli._world_policy(world, "mmr", 3, 0.9) is first
-    assert first.catalog is cli._replay_context(world)[2]
-    released = weakref.ref(first)
+    settings = (3, 50.0, 1.0, 0.9)
+    cli._replay_task((world, "mmr", 50.0, 1.0, 0.05, 0.9, 3, 2, 7, 0))
+    first = cli._world_memo(world, "mmr", *settings)
+    assert cli._world_memo(world, "mmr", *settings) is first
+    assert first["owner"][0] is cli._replay_context(world)[2]
+    released = marked(first)
     del first
 
-    second = cli._world_policy(other_world, "mmr", 3, 0.9)
+    second = cli._world_memo(other_world, "mmr", *settings)
     gc.collect()
     assert released() is None
-    assert second.catalog is cli._replay_context(other_world)[2]
 
     # another policy of the same world evicts it too
-    released = weakref.ref(second)
+    released = marked(second)
     del second
-    cli._world_policy(other_world, "logrank", 3, 0.9)
+    cli._world_memo(other_world, "logrank", *settings)
     gc.collect()
     assert released() is None
 
-    # and so does building another world for LMDH or epsilon-greedy users
-    released = weakref.ref(cli._world_policy(other_world, "logrank", 3, 0.9))
-    cli._replay_context(world)
-    gc.collect()
-    assert released() is None
-
-    # which drops the previous world's LMDH path as well
-    path = cli._world_path(world, 3, 50.0, 1.0)
-    assert cli._world_path(world, 3, 50.0, 1.0) is path
-    released = weakref.ref(path)
-    del path
-    cli._replay_context(other_world)
-    gc.collect()
-    assert released() is None
+    # and so does building another world, whichever the policy
+    for name in ("logrank", "lmdh"):
+        cli._replay_context(other_world)
+        released = marked(cli._world_memo(other_world, name, *settings))
+        cli._replay_context(world)
+        gc.collect()
+        assert released() is None
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-def test_lmdh_users_sharing_the_world_path_match_a_fresh_policy_each(tmp_path, order):
+def test_lmdh_users_sharing_the_world_memo_match_a_fresh_policy_each(
+    tmp_path, order, monkeypatch
+):
     dataset = random_tab_ratings(tmp_path / "u.data")
     seed, k, rounds = 4, 10, 30
     key = (dataset, "ml100k-tab", 3.0, None, seed, None, "slate-normalized", k)
     test = cli._replay_context(key)[1]
     tasks = [(key, "lmdh", 50.0, 1.0, 0.05, 0.8, k, rounds, seed, u)
              for u in range(test.n_users)][::order]
-    shared = [log_bytes(cli._replay_task(task)) for task in tasks]
-    assert shared == [log_bytes(fresh_policy_replay_task(task)) for task in tasks]
-    # some users played shared rounds
-    assert cli._world_path(key, k, 50.0, 1.0).start.next.next is not None
+    fresh = [log_bytes(fresh_policy_replay_task(task)) for task in tasks]
+    calls = count_selects(monkeypatch)
+    shared = [cli._replay_task(task) for task in tasks]
+    assert [log_bytes(log) for log in shared] == fresh
+    # some users took selections that others had made
+    assert len(calls) < sum(len(log) for log in shared)
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

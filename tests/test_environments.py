@@ -23,6 +23,7 @@ from dispersion_bandit.errors import (
     DimensionMismatchError,
     ExhaustedCandidatesError,
     InvalidFeedbackError,
+    InvalidItemError,
     ProtocolViolationError,
 )
 from dispersion_bandit.greedy import greedy_select
@@ -146,6 +147,26 @@ def test_replay_feedback_rejects_repeats():
         replay_feedback(env, (2, 9, 1))
     assert str(exc.value) == "user 2 was already shown items [1, 9]"
     assert open_items(env) == set(range(2, 9))  # a rejected slate closes nothing
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_replay_feedback_rejects_ids_outside_the_catalog(bad):
+    catalog = study_instance(20, n_items=10, d=3, k=2).catalog
+    env = ReplayEnvironment(catalog, ReplayUser(user_id=4, positives=frozenset({9})))
+
+    class OutOfRangePolicy:
+        def select(self, candidates):
+            return SlateSelection(Slate((0, bad)), np.zeros((2, 3)), np.zeros((2, 1)))
+
+        def observe(self, selection, rewards):
+            pass
+
+    with pytest.raises(InvalidItemError) as exc:
+        run_episode(OutOfRangePolicy(), env, 3, 2)
+    assert str(exc.value) == (
+        f"round 1: user 4 was shown items [{bad}] outside the catalog's 10 items"
+    )
+    assert open_items(env) == set(range(10))  # closes nothing, not even item 9
 
 
 def test_replay_feedback_all_in_and_all_out():

@@ -41,7 +41,6 @@ from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     LmdhPolicy,
-    NoHitPath,
     TheoryParams,
     confidence_width,
     estimate_preferences,
@@ -52,7 +51,12 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import TableDistanceMetric, UnsharedLmdhPolicy, random_catalog
+from conftest import (
+    TableDistanceMetric,
+    UnsharedLmdhPolicy,
+    count_selects,
+    random_catalog,
+)
 
 
 class JointRidgeOracle:
@@ -624,7 +628,7 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the shared no-hit path
+# the shared selection memo
 
 
 def log_fields(log) -> list:
@@ -645,6 +649,17 @@ def stats_fields(stats: HybridStatistics) -> tuple:
     return tuple(a.tobytes() for a in arrays) + (stats.clamp_count,)
 
 
+def memo_entries(memo: dict) -> dict:
+    """The memo's stored selections, without its owner record."""
+    return {key: entry for key, entry in memo.items() if key != "owner"}
+
+
+def key_b(key: bytes, config: LmdhConfig) -> np.ndarray:
+    """The b that an LMDH memo key was made from: the bytes after A^{-1}'s."""
+    dm = config.d + config.m
+    return np.frombuffer(key[8 * dm * dm : 8 * dm * (dm + 1)])
+
+
 class WithholdingEnvironment(ReplayEnvironment):
     """A replay world that also withholds `item` from round `t` on."""
 
@@ -657,25 +672,13 @@ class WithholdingEnvironment(ReplayEnvironment):
         return cand[cand != self.item] if t >= self.t else cand
 
 
-def count_selects(monkeypatch) -> list:
-    calls = []
-    original = lmdh.select_slate
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(lmdh, "select_slate", counted)
-    return calls
-
-
 def force_clamps(monkeypatch) -> None:
     """Lower every width by 0.3, so fresh statistics clip some to zero."""
     original = lmdh._raw_widths_batch
     monkeypatch.setattr(lmdh, "_raw_widths_batch", lambda *args: original(*args) - 0.3)
 
 
-def path_world(rounds=8, k=3):
+def memo_world(rounds=8, k=3):
     """A catalog, a config and the users: a round-1 hit, a round-5 hit, no hit."""
     rng = np.random.default_rng(41)
     catalog = random_catalog(rng, n_items=40, d=3, m=1)
@@ -695,30 +698,30 @@ def path_world(rounds=8, k=3):
     return catalog, config, users, rounds
 
 
-def replay_users(config, catalog, environments, rounds, path=None):
-    """One policy per environment, all on `path` or all unshared; logs and stats."""
+def replay_users(config, catalog, environments, rounds, memo=None):
+    """One policy per environment, all sharing `memo` or all unshared; logs and stats."""
     runs = []
     for environment in environments:
-        if path is None:
+        if memo is None:
             policy = UnsharedLmdhPolicy(config, catalog)
         else:
-            policy = LmdhPolicy(config, catalog, path)
+            policy = LmdhPolicy(config, catalog, memo)
         log = run_episode(policy, environment, rounds, config.k)
         runs.append((log_fields(log), stats_fields(policy.stats)))
     return runs
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-def test_users_on_one_path_match_a_fresh_policy_each(order, monkeypatch):
-    catalog, config, users, rounds = path_world()
+def test_users_sharing_a_memo_match_a_fresh_policy_each(order, monkeypatch):
+    catalog, config, users, rounds = memo_world()
     users = users[::order]
     fresh = replay_users(
         config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds
     )
     calls = count_selects(monkeypatch)
-    path = NoHitPath(config, catalog)
+    memo = {}
     shared = replay_users(
-        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds, path
+        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds, memo
     )
     assert shared == fresh
     first_hits = [
@@ -727,17 +730,21 @@ def test_users_on_one_path_match_a_fresh_policy_each(order, monkeypatch):
     assert sorted(first_hits, key=str) == [1, 5, None]
     # the no-hit user's rounds once, then each hit user's rounds after its hit
     assert len(calls) == rounds + (rounds - 1) + (rounds - 5)
+    # one entry per no-hit round, and none made after a hit
+    entries = memo_entries(memo)
+    assert len(entries) == rounds
+    assert all(not key_b(key, config).any() for key in entries)
 
 
-def test_path_keeps_clamp_counts_and_leaves_on_other_candidates(monkeypatch):
+def test_memo_keeps_clamp_counts_and_misses_on_other_candidates(monkeypatch):
     force_clamps(monkeypatch)
-    catalog, config, users, rounds = path_world()
-    # the no-hit user's one positive is never on the path's slates
+    catalog, config, users, rounds = memo_world()
+    # the no-hit user's one positive is never on the shared slates
     (withheld,) = users[2].positives
 
     def environments():
         return [
-            ReplayEnvironment(catalog, users[2]),  # fills the path
+            ReplayEnvironment(catalog, users[2]),  # fills the memo
             ReplayEnvironment(catalog, users[0]),
             WithholdingEnvironment(catalog, users[2], 3, withheld),
             ReplayEnvironment(catalog, users[1]),
@@ -745,23 +752,59 @@ def test_path_keeps_clamp_counts_and_leaves_on_other_candidates(monkeypatch):
 
     fresh = replay_users(config, catalog, environments(), rounds)
     assert all(stats[3] > 0 for _, stats in fresh)
-    path = NoHitPath(config, catalog)
-    assert replay_users(config, catalog, environments(), rounds, path) == fresh
+    assert replay_users(config, catalog, environments(), rounds, {}) == fresh
 
-    # the withholding user leaves at round 3's select, before the shared one
-    policy = LmdhPolicy(config, catalog, path)
+    # on the memo of the no-hit user alone, the withholding user takes stored
+    # selections for rounds 1 and 2, each adding its stored clamps, then
+    # selects for itself at round 3
+    memo = {}
+    replay_users(config, catalog, environments()[:1], rounds, memo)
+    stored = memo_entries(memo)
+    policy = LmdhPolicy(config, catalog, memo)
     environment = WithholdingEnvironment(catalog, users[2], 3, withheld)
-    step = path.start
     for t in (1, 2):
-        selection = policy.select(environment.candidates(t, config.k))
-        assert selection is step.selection
+        cand = environment.candidates(t, config.k)
+        stats = policy.stats
+        entry = stored[stats.inv_A.tobytes() + stats.b.tobytes() + cand.tobytes()]
+        before = stats.clamp_count
+        selection = policy.select(cand)
+        assert selection is entry[0] and stats.clamp_count == before + entry[1]
         policy.observe(selection, environment.feedback(selection))
-        step = step.next
-    before = policy.stats.clamp_count
-    assert before == step.state.clamp_count < step.clamps_after
+    stats = policy.stats
+    unwithheld = ReplayEnvironment.candidates(environment, 3, config.k)
+    shared = stored[stats.inv_A.tobytes() + stats.b.tobytes() + unwithheld.tobytes()]
+    assert shared[1] > 0  # the no-hit user's round-3 select clamps
+    before = stats.clamp_count
     selection = policy.select(environment.candidates(3, config.k))
-    assert selection is not step.selection
-    assert policy.stats.clamp_count > before
+    assert all(selection is not entry[0] for entry in stored.values())
+    assert stats.clamp_count > before
+
+
+def test_an_entry_is_not_reused_for_an_inverse_one_ulp_away(monkeypatch):
+    catalog, config, _, _ = memo_world()
+    calls = count_selects(monkeypatch)
+    memo = {}
+    first = LmdhPolicy(config, catalog, memo).select(catalog.all_items())
+    nudged = LmdhPolicy(config, catalog, memo)
+    nudged.stats.inv_A[0, 0] = np.nextafter(nudged.stats.inv_A[0, 0], 1.0)
+    reference = UnsharedLmdhPolicy(config, catalog)
+    reference.stats.inv_A[0, 0] = nudged.stats.inv_A[0, 0]
+    second = nudged.select(catalog.all_items())
+    assert len(calls) == 2 and second is not first
+    assert log_fields([second]) == log_fields([reference.select(catalog.all_items())])
+
+
+def test_an_entry_is_not_reused_for_candidates_one_id_apart(monkeypatch):
+    catalog, config, _, _ = memo_world()
+    calls = count_selects(monkeypatch)
+    memo = {}
+    first = LmdhPolicy(config, catalog, memo).select(catalog.all_items())
+    # drop an id the first slate did not take, so the slate could stay the same
+    fewer = np.setdiff1d(catalog.all_items(), [max(set(range(40)) - set(first.slate.items))])
+    second = LmdhPolicy(config, catalog, memo).select(fewer)
+    assert len(calls) == 2 and second is not first
+    reference = UnsharedLmdhPolicy(config, catalog).select(fewer)
+    assert log_fields([second]) == log_fields([reference])
 
 
 def select_twice(policy, candidates, zeros, shown):
@@ -788,26 +831,30 @@ def observe_without_select(policy, candidates, zeros, shown):
 @pytest.mark.parametrize(
     "drive", [select_twice, read_stats_mid_round, observe_without_select]
 )
-def test_policy_leaves_the_path_for_any_other_call_order(drive, monkeypatch):
+def test_a_memo_policy_matches_a_fresh_one_in_any_call_order(drive, monkeypatch):
     force_clamps(monkeypatch)
-    catalog, config, users, _ = path_world()
+    catalog, config, users, _ = memo_world()
     candidates, zeros = catalog.all_items(), np.zeros(config.k)
-    path = NoHitPath(config, catalog)
-    walker = LmdhPolicy(config, catalog, path)
+    memo = {}
+    walker = LmdhPolicy(config, catalog, memo)
     run_episode(walker, ReplayEnvironment(catalog, users[2]), 3, config.k)
-    shown = path.start.selection
+    shown = next(iter(memo_entries(memo).values()))[0]  # the round-1 selection
     fresh = drive(UnsharedLmdhPolicy(config, catalog), candidates, zeros, shown)
-    assert drive(LmdhPolicy(config, catalog, path), candidates, zeros, shown) == fresh
+    assert drive(LmdhPolicy(config, catalog, memo), candidates, zeros, shown) == fresh
 
 
-def test_assigned_statistics_take_a_policy_off_the_path():
-    catalog, config, _, _ = path_world()
-    path = NoHitPath(config, catalog)
-    policy = LmdhPolicy(config, catalog, path)
+def test_assigned_statistics_are_the_policys_own_and_the_memo_is_bound():
+    catalog, config, _, _ = memo_world()
+    memo = {}
+    policy = LmdhPolicy(config, catalog, memo)
     own = HybridStatistics(3, 1, lam=2.0)
     policy.stats = own
     policy.observe(policy.select(catalog.all_items()), np.ones(config.k))
     assert policy.stats is own and own.b.any()
-    assert not path.start.state.b.any() and path.start.next is None
+    (key,) = memo_entries(memo)
+    assert not key_b(key, config).any()
     with pytest.raises(ValueError, match="another config"):
-        LmdhPolicy(dataclasses.replace(config, alpha=0.5), catalog, path)
+        LmdhPolicy(dataclasses.replace(config, alpha=0.5), catalog, memo)
+    other = random_catalog(np.random.default_rng(41), n_items=40, d=3, m=1)
+    with pytest.raises(ValueError, match="another config or catalog"):
+        LmdhPolicy(config, other, memo)
