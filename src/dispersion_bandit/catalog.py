@@ -75,7 +75,7 @@ def sorted_ids(ids) -> np.ndarray:
         isinstance(ids, np.ndarray)
         and ids.dtype == np.intp
         and ids.ndim == 1
-        and np.all(ids[1:] > ids[:-1])
+        and (ids[1:] > ids[:-1]).all()
     ):
         return ids
     return distinct_sorted(integer_ids(ids, "candidate ids"))
@@ -312,14 +312,16 @@ def slate_features(
     (a `Slate` checked its own) and are range-checked.
     """
     if isinstance(slate, Slate):
-        ids = np.asarray(slate.items, dtype=np.intp)
+        items = slate.items
     else:
-        ids = integer_ids(slate, "slate ids")
-    catalog.check_ids(ids, "slate ids")
+        items = integer_ids(slate, "slate ids").tolist()
+    ids = np.asarray(items, dtype=np.intp)
+    if items and not (min(items) >= 0 and max(items) < catalog.item_count):
+        catalog.check_ids(ids, "slate ids")
     x = np.zeros((ids.size, catalog.diversity_dim))
     for p in range(1, ids.size):
         for i, metric in enumerate(catalog.metrics):
-            x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
+            x[p, i] = metric.column(items[p], ids[:p]).sum()
     return catalog.relevance[ids], x
 
 
@@ -346,9 +348,11 @@ def features_utility(z: np.ndarray, x: np.ndarray, eta: PreferenceVector) -> flo
     if z.shape[0] == 0:
         return 0.0
     value = float(z.sum(axis=0) @ eta.theta)
-    dispersion = np.cumsum(x, axis=0)[-1]  # x[0] is zero: a fold from 0.0
-    for beta_i, v_i in zip(eta.beta, dispersion):
-        value += float(beta_i) * float(v_i)
+    for beta_i, column in zip(eta.beta.tolist(), x.T.tolist()):
+        dispersion = 0.0  # a left fold, not builtin `sum` (compensated from 3.12)
+        for x_p in column:
+            dispersion += x_p
+        value += beta_i * dispersion
     return value
 
 

@@ -200,7 +200,7 @@ def make_policy(
     alpha: float,
     epsilon: float,
     mmr_alpha: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     scorer: StaticScorer | None,
     memo: dict | None = None,
 ):
@@ -448,9 +448,10 @@ def _replay_task(task: tuple):
     _, test, catalog, scorer = _replay_context(key)
     positives = frozenset(int(i) for i in test.items_of(u))
     user = ReplayUser(user_id=u, positives=positives)
+    explores = policy_name == "epsilon-greedy"  # the one policy that draws
+    rng = rng_from_seed(derive_seed(seed, u), STREAM_POLICY) if explores else None
     policy = make_policy(
-        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), scorer,
+        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer,
         _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
     )
     environment = ReplayEnvironment(catalog, user)

@@ -108,7 +108,9 @@ def position_means(
     means = np.zeros(len(z))
     clamp_hits = 0
     for pos in range(len(z)):
-        raw = float(theta @ z[pos] + beta @ x[pos])
+        # `.dot` is `@`'s ddot for less overhead, but keeps the sign of a lone
+        # -0.0 product where `@` gives +0.0; adding 0.0 makes every zero +0.0
+        raw = float(theta.dot(z[pos]) + beta.dot(x[pos])) + 0.0
         if raw < 0.0 or raw > 1.0:
             clamp_hits += 1
         means[pos] = min(max(raw, 0.0), 1.0)

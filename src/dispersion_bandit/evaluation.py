@@ -221,7 +221,7 @@ def scaled_regret(
         running_scaled += best - entry.true_utility / GAMMA
         running_raw += best - entry.true_utility
         if entry.widths is not None:
-            running_width += float(np.sum(entry.widths))
+            running_width += float(entry.widths.sum())
         scaled[i] = running_scaled
         raw[i] = running_raw
         width_sum[i] = running_width

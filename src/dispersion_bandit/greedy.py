@@ -29,7 +29,8 @@ GAMMA = 0.25
 #: Maximum number of subsets the exhaustive oracle will enumerate.
 SUBSET_BUDGET = 10_000_000
 
-_ENUM_CHUNK = 262_144  # subsets scored per vectorized block
+_ENUM_CHUNK = 262_144  # subsets enumerated per block
+_SCORE_ROWS = 4_096  # subsets scored per vectorized step, so temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -63,20 +64,21 @@ def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     the score at each pick.
     """
     taken = np.zeros(acc.shape[0], dtype=bool)
-    picks = np.empty(k, dtype=np.intp)
+    picks: list[int] = []
     rows = np.empty((k,) + acc.shape[1:])
     pick_scores = np.empty(k)
     for step in range(k):
         scores = score(step, acc, taken)
-        scores[taken] = -np.inf
+        for taken_pick in picks:  # fewer calls than a boolean mask over every score
+            scores[taken_pick] = -np.inf
         pick = int(scores.argmax())
         taken[pick] = True
-        picks[step] = pick
+        picks.append(pick)
         rows[step] = acc[pick]
         pick_scores[step] = scores[pick]
         if step + 1 < k:
             add_column(acc, pick)
-    return picks, rows, pick_scores
+    return np.array(picks, dtype=np.intp), rows, pick_scores
 
 
 def metric_columns(catalog: ItemCatalog, cand: np.ndarray):
@@ -169,8 +171,8 @@ def exhaustive_optimum(
     """Best K-subset by brute force; returns (sorted item ids, value).
 
     Enumerates C(n, K) subsets in lexicographic order (first maximizer wins),
-    scored in vectorized blocks of `_subset_blocks`.  Refuses instances above
-    `SUBSET_BUDGET` subsets.
+    from the blocks of `_subset_blocks`, scored `_SCORE_ROWS` at a time.
+    Refuses instances above `SUBSET_BUDGET` subsets.
     """
     catalog.check_eta(eta)
     cand = catalog.candidate_ids(candidates, k)
@@ -186,14 +188,16 @@ def exhaustive_optimum(
 
     best_value = -np.inf
     best_subset: tuple[int, ...] | None = None
-    for block in _subset_blocks(cand.size, k):
-        values = per_item[block].sum(axis=1)
-        for p, q in pair_pos:
-            values += w[block[:, p], block[:, q]]
-        pick = int(values.argmax())
-        if values[pick] > best_value:  # strict: an earlier block keeps a tie
-            best_value = float(values[pick])
-            best_subset = tuple(cand[block[pick]].tolist())
+    for table in _subset_blocks(cand.size, k):
+        for start in range(0, len(table), _SCORE_ROWS):
+            block = table[start : start + _SCORE_ROWS]
+            values = per_item[block].sum(axis=1)
+            for p, q in pair_pos:
+                values += w[block[:, p], block[:, q]]
+            pick = int(values.argmax())
+            if values[pick] > best_value:  # strict: an earlier block keeps a tie
+                best_value = float(values[pick])
+                best_subset = tuple(cand[block[pick]].tolist())
 
     assert best_subset is not None
     return best_subset, best_value

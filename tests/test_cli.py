@@ -676,6 +676,38 @@ def test_lmdh_users_sharing_the_world_memo_match_a_fresh_policy_each(
     assert len(calls) < sum(len(log) for log in shared)
 
 
+def test_only_epsilon_greedy_replays_build_a_policy_generator(tmp_path, monkeypatch):
+    dataset = random_tab_ratings(tmp_path / "u.data")
+    seed, k, rounds = 4, 10, 30
+    key = (dataset, "ml100k-tab", 3.0, None, seed, None, "slate-normalized", k)
+    test = cli._replay_context(key)[1]
+
+    def tasks(name):
+        return [(key, name, 50.0, 1.0, 0.3, 0.8, k, rounds, seed, u)
+                for u in range(test.n_users)]
+
+    # epsilon-greedy's logs are those of a policy built with its user's stream
+    shared = [log_bytes(cli._replay_task(task)) for task in tasks("epsilon-greedy")]
+    assert shared == [
+        log_bytes(fresh_policy_replay_task(task)) for task in tasks("epsilon-greedy")
+    ]
+
+    generators = []
+    build = cli.make_policy
+
+    def recording(name, catalog, k, lam, alpha, epsilon, mmr_alpha, rng, *rest):
+        generators.append((name, rng))
+        return build(name, catalog, k, lam, alpha, epsilon, mmr_alpha, rng, *rest)
+
+    monkeypatch.setattr(cli, "make_policy", recording)
+    for name in POLICIES:
+        for task in tasks(name)[:3]:
+            cli._replay_task(task)
+    assert len(generators) == 3 * len(POLICIES)
+    for name, rng in generators:
+        assert (rng is not None) == (name == "epsilon-greedy"), name
+
+
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LMDB_SEED", "9")
     out = tmp_path / "env"

@@ -1,0 +1,220 @@
+"""The simulated round's lean kernels against the forms they replaced.
+
+`lmdh._raw_widths_batch` once took its x terms as row-wise `einsum`s,
+`select_slate` gathered the relevance rows of every candidate set and
+`greedy_fill` masked the taken items with a boolean index; `slate_features`
+range-checked a `Slate` through numpy, `position_means` took its dots with
+`@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
+are kept here as oracles.  At m = 1, the only m any command runs, every
+row-wise dot is a single product, so slates, features, widths, clamp
+counts and reward means must match bit for bit.  At m > 1 the width sums
+its m products in another order: there the kernel must agree with the
+`einsum` form to 1e-12 of the summed magnitudes, and the other kernels,
+whose arithmetic did not change, bit for bit.
+"""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispersion_bandit.catalog import (
+    PreferenceVector,
+    Slate,
+    features_utility,
+    slate_features,
+)
+from dispersion_bandit.environments import position_means
+from dispersion_bandit.errors import InvalidItemError
+from dispersion_bandit.greedy import metric_columns
+from dispersion_bandit.lmdh import (
+    HybridStatistics,
+    LmdhConfig,
+    _raw_widths_batch,
+    _z_terms,
+    estimate_preferences,
+    select_slate,
+    update,
+)
+
+from test_greedy_kernel import draw_catalog, draw_values
+
+# ---------------------------------------------------------------------------
+# oracles: the kernels as they stood before
+
+
+def raw_widths_batch_oracle(term_zz, zx2, X, stats):
+    PX = np.dot(X, stats.inv_A[stats.d :, stats.d :])
+    return term_zz + np.einsum("ij,ij->i", zx2, X) + np.einsum("ij,ij->i", PX, X)
+
+
+def greedy_fill_oracle(acc, k, score, add_column):
+    taken = np.zeros(acc.shape[0], dtype=bool)
+    picks = np.empty(k, dtype=np.intp)
+    rows = np.empty((k,) + acc.shape[1:])
+    for step in range(k):
+        scores = score(step, acc, taken)
+        scores[taken] = -np.inf
+        pick = int(scores.argmax())
+        taken[pick] = True
+        picks[step] = pick
+        rows[step] = acc[pick]
+        if step + 1 < k:
+            add_column(acc, pick)
+    return picks, rows
+
+
+def select_slate_oracle(stats, config, catalog, candidates):
+    cand = catalog.candidate_ids(candidates, config.k)
+    theta, beta = estimate_preferences(stats)
+    Z = catalog.relevance[cand]
+    term_zz, zx2 = _z_terms(Z, stats)
+    rel_scores = Z @ theta
+    passes = []
+
+    def score(step, X, taken):
+        v = raw_widths_batch_oracle(term_zz, zx2, X, stats)
+        if (v < 0.0).any():
+            stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
+            np.maximum(v, 0.0, out=v)
+        np.sqrt(v, out=v)
+        passes.append(v)
+        scores = np.dot(X, beta)
+        scores += rel_scores
+        scores += config.alpha * v
+        return scores
+
+    picks, div_feats = greedy_fill_oracle(
+        np.zeros((cand.size, catalog.diversity_dim)),
+        config.k,
+        score,
+        metric_columns(catalog, cand),
+    )
+    widths = np.array([root[pick] for root, pick in zip(passes, picks)])
+    return tuple(cand[picks].tolist()), Z[picks], div_feats, widths
+
+
+def slate_features_oracle(slate, catalog):
+    ids = np.asarray(slate.items, dtype=np.intp)
+    catalog.check_ids(ids, "slate ids")
+    x = np.zeros((ids.size, catalog.diversity_dim))
+    for p in range(1, ids.size):
+        for i, metric in enumerate(catalog.metrics):
+            x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
+    return catalog.relevance[ids], x
+
+
+def position_means_oracle(z, x, eta):
+    means = np.zeros(len(z))
+    clamp_hits = 0
+    for pos in range(len(z)):
+        raw = float(eta.theta @ z[pos] + eta.beta @ x[pos])
+        if raw < 0.0 or raw > 1.0:
+            clamp_hits += 1
+        means[pos] = min(max(raw, 0.0), 1.0)
+    return means, clamp_hits
+
+
+def features_utility_oracle(z, x, eta):
+    if z.shape[0] == 0:
+        return 0.0
+    value = float(z.sum(axis=0) @ eta.theta)
+    dispersion = np.cumsum(x, axis=0)[-1]
+    for beta_i, v_i in zip(eta.beta, dispersion):
+        value += float(beta_i) * float(v_i)
+    return value
+
+
+# ---------------------------------------------------------------------------
+
+
+def random_stats(rng, d, m, rounds):
+    """Statistics after `rounds` updates on random (z, x) rows: every block of A^{-1} is dense."""
+    stats = HybridStatistics(d, m, lam=1.0)
+    for _ in range(rounds):
+        zeta = rng.uniform(-1.0, 1.0, size=(3, d + m))
+        w = rng.integers(0, 2, 3).astype(float)
+        update(stats, Slate((0, 1, 2)), w, (zeta[:, :d], zeta[:, d:]))
+    return stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lean_kernels_match_the_old_forms(data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.sampled_from([1, 2, 3]), label="m")
+    d = data.draw(st.integers(1, 4), label="d")
+    n_items = data.draw(st.integers(1, 12), label="n_items")
+    tied = data.draw(st.booleans(), label="tied")
+    catalog = draw_catalog(rng, n_items, d, m, tied)
+    # the whole catalog is read as a view, a subset is gathered
+    if data.draw(st.booleans(), label="whole_catalog"):
+        cand = catalog.all_items()
+    else:
+        n_cand = data.draw(st.integers(1, n_items), label="n_cand")
+        cand = np.sort(rng.choice(n_items, size=n_cand, replace=False))
+    k = data.draw(st.integers(1, cand.size), label="k")
+
+    stats = random_stats(rng, d, m, data.draw(st.integers(0, 4), label="rounds"))
+    stats.b = draw_values(rng, d + m, tied)
+    # a negated A^{-1} forces negative widths, so the clamp count is exercised
+    if data.draw(st.booleans(), label="negative_widths"):
+        stats.inv_A = -stats.inv_A
+    alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")
+    config = LmdhConfig(lam=1.0, alpha=alpha, d=d, m=m, k=k)
+
+    # the width kernel on every candidate, against an arbitrary accumulator
+    Z = catalog.relevance[cand]
+    term_zz, zx2 = _z_terms(Z, stats)
+    X = np.abs(draw_values(rng, (cand.size, m), tied))
+    got_v = _raw_widths_batch(term_zz, zx2, X, stats)
+    want_v = raw_widths_batch_oracle(term_zz, zx2, X, stats)
+    if m == 1:
+        assert got_v.tobytes() == want_v.tobytes()
+    else:
+        magnitude = (
+            np.abs(term_zz)
+            + np.abs(zx2 * X).sum(axis=1)
+            + np.abs(np.dot(X, stats.inv_A[d:, d:]) * X).sum(axis=1)
+        )
+        assert np.all(np.abs(got_v - want_v) <= 1e-12 * magnitude)
+
+    # eta with negative and large weights, so position means clamp both ways
+    eta = PreferenceVector(3.0 * draw_values(rng, d, tied), draw_values(rng, m, tied))
+    if m == 1:
+        ours, theirs = copy.deepcopy(stats), copy.deepcopy(stats)
+        got = select_slate(ours, config, catalog, cand)
+        want = select_slate_oracle(theirs, config, catalog, cand)
+        assert got.slate.items == want[0]
+        assert got.relevance_features.tobytes() == want[1].tobytes()
+        assert got.diversity_features.tobytes() == want[2].tobytes()
+        assert got.widths.tobytes() == want[3].tobytes()
+        assert ours.clamp_count == theirs.clamp_count
+        slate = got.slate
+    else:
+        slate = Slate(tuple(rng.permutation(cand)[:k].tolist()))
+
+    z, x = slate_features(slate, catalog)
+    want_z, want_x = slate_features_oracle(slate, catalog)
+    assert z.tobytes() == want_z.tobytes() and x.tobytes() == want_x.tobytes()
+    means, hits = position_means(z, x, eta)
+    want_means, want_hits = position_means_oracle(z, x, eta)
+    assert means.tobytes() == want_means.tobytes() and hits == want_hits
+    value = features_utility(z, x, eta)
+    want_value = features_utility_oracle(z, x, eta)
+    assert math.copysign(1.0, value) == math.copysign(1.0, want_value)
+    assert value == want_value
+
+
+@pytest.mark.parametrize("items", [(0, -1), (2, 5), (-3, 0, 9)])
+def test_slate_features_rejects_a_slate_outside_the_catalog_as_before(items):
+    catalog = draw_catalog(np.random.default_rng(0), 5, 2, 1, tied=False)
+    with pytest.raises(InvalidItemError) as got:
+        slate_features(Slate(items), catalog)
+    with pytest.raises(InvalidItemError) as want:
+        slate_features_oracle(Slate(items), catalog)
+    assert str(got.value) == str(want.value)

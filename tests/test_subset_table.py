@@ -81,23 +81,25 @@ def test_matches_the_fromiter_enumeration_bit_for_bit(data):
     k = data.draw(st.integers(1, n), label="k")
     tied = data.draw(st.booleans(), label="tied")
     chunk = data.draw(st.sampled_from([1, 2, 3, 7, 64, greedy._ENUM_CHUNK]), label="chunk")
+    rows = data.draw(st.sampled_from([1, 2, 5, greedy._SCORE_ROWS]), label="score_rows")
     rng = np.random.default_rng(seed)
     catalog, eta = grid_catalog(rng, n, 2, data.draw(st.integers(1, 2), label="m"), tied)
     cand = np.sort(rng.choice(n, size=data.draw(st.integers(k, n)), replace=False))
 
     want_subset, want_value = exhaustive_optimum_oracle(eta, catalog, cand, k, chunk)
-    original = greedy._ENUM_CHUNK
-    greedy._ENUM_CHUNK = chunk
+    original = greedy._ENUM_CHUNK, greedy._SCORE_ROWS
+    greedy._ENUM_CHUNK, greedy._SCORE_ROWS = chunk, rows
     try:
         got_subset, got_value = exhaustive_optimum(eta, catalog, cand, k)
     finally:
-        greedy._ENUM_CHUNK = original
+        greedy._ENUM_CHUNK, greedy._SCORE_ROWS = original
     assert got_subset == want_subset
     assert got_value.hex() == want_value.hex()
 
 
+@pytest.mark.parametrize("name", ["_ENUM_CHUNK", "_SCORE_ROWS"])
 @pytest.mark.parametrize("chunk", [5, 4, 6])
-def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chunk):
+def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chunk, name):
     # Only pairs (0, 5) and (1, 2) reach the top value.  With n=6, k=2 the
     # lexicographic order is (0,1)..(0,5), (1,2), ...: at chunk 5 the two
     # straddle the first boundary, at 4 and 6 they share a block or not.
@@ -106,7 +108,7 @@ def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chu
     table[0, 5] = table[5, 0] = table[1, 2] = table[2, 1] = 1.0
     catalog = ItemCatalog(np.ones((6, 1)), (TableDistanceMetric(table),))
     eta = PreferenceVector(np.zeros(1), np.ones(1))
-    monkeypatch.setattr(greedy, "_ENUM_CHUNK", chunk)
+    monkeypatch.setattr(greedy, name, chunk)
     assert exhaustive_optimum(eta, catalog, range(6), 2) == ((0, 5), 1.0)
     assert exhaustive_optimum_oracle(eta, catalog, range(6), 2, chunk) == ((0, 5), 1.0)
 
