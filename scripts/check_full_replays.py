@@ -12,6 +12,8 @@ fresh process.  It exits 1 unless
 * recall never decreases from one round to the next,
 * MMR's final Diversity(30) is above LogRank's.
 
+Each replay's wall time, process start-up included, is printed as it ends.
+
 Epsilon-greedy reads the distance rows of its slates in each forked worker,
 so its byte-identity covers the metric's row memo at full size.  LMDH's,
 LogRank's and MMR's cover the world's selection memo, which each worker
@@ -26,6 +28,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,12 +46,15 @@ def load_perfbench_inputs():
 
 
 def replay(dataset: Path, policy: str, workers: int, out: Path) -> Path:
+    start = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "dispersion_bandit.cli", "replay",
          "--dataset", str(dataset), "--format", "ml1m-colons", "--policy", policy,
          "--workers", str(workers), "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
     )
+    elapsed = time.perf_counter() - start
+    print(f"replay {policy} --workers {workers}: {elapsed:.1f} s", flush=True)
     return out / "metrics.csv"
 
 

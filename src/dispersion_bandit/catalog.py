@@ -128,6 +128,23 @@ class CosineDistanceMetric:
     def __len__(self) -> int:
         return len(self._unit)
 
+    @property
+    def max_distance(self) -> float:
+        """A bound on every distance `column` returns: 2 * scale, for opposite
+        vectors, plus the rounding of unit rows and of a dot product over
+        their dimension, each within a few ulps per term.
+        """
+        dim = self._unit.shape[1]
+        return 2.0 * self.scale * (1.0 + 4 * (dim + 4) * np.finfo(np.float64).eps)
+
+    @property
+    def entrywise(self) -> bool:
+        """True when an entry of `column` has the same bits whatever other ids
+        it is read with: the memoised rows are; a product over gathered rows
+        rounds by an entry's position.
+        """
+        return self._rows is not None
+
     def _row(self, item: int) -> np.ndarray:
         """h(item, j) for every item j, computed on first use.
 

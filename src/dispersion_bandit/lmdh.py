@@ -11,6 +11,13 @@ buys nothing here; sums that are only ever added to do not drift from the
 joint ridge solution.  Within one selection only x changes between passes,
 so the width's z-only terms are computed once per selection (`_z_terms`).
 
+The greedy passes score only the items that can still win.  An item's UCB
+score peaks, over a selection, at x = 0 or at the largest x a slate allows,
+since its width is convex in x; items whose bound there stays below the
+first pass's k-th best score are left out, and after the passes a check
+that no item left out could have beaten a pick makes the slate exactly the
+one passes over every candidate pick (`select_slate`).
+
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
 the statistics but A^{-1} and b.  Learners given one memo store each
 selection they make while b is zero under the exact bytes of A^{-1}, b and
@@ -96,7 +103,12 @@ def _pd_inverse(mat: np.ndarray, label: str) -> np.ndarray:
 
 
 class HybridStatistics:
-    """Joint sums A = lam*I + sum zeta zeta^T and b = sum w zeta; A^{-1} cached."""
+    """Joint sums A = lam*I + sum zeta zeta^T and b = sum w zeta; A^{-1} cached.
+
+    `clamp_count` is the number of negative widths clipped to zero among the
+    items that selections' passes scored: every candidate, or only the
+    survivors when `select_slate` prunes.  It is a diagnostic no output reads.
+    """
 
     def __init__(self, d: int, m: int, lam: float):
         if d < 1 or m < 1:
@@ -108,7 +120,7 @@ class HybridStatistics:
         self.A = lam * np.eye(d + m)
         self.b = np.zeros(d + m)
         self.inv_A = np.eye(d + m) / lam
-        self.clamp_count = 0  # negative width values clipped to zero
+        self.clamp_count = 0
 
 
 def estimate_preferences(stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +184,56 @@ def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
         )
 
 
+def _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta):
+    """(U, floor, slack): U_i bounds item i's UCB score in every pass, within slack.
+
+    Within one selection an item's diversity marginal x only grows, from 0
+    to at most x_max = (k-1) * max h.  With m = 1 the width
+    v(x) = z.P_zz z + 2 z.P_zx x + P_xx x^2 (P = A^{-1}) is convex in x when
+    P_xx >= 0, so it peaks at 0 or at x_max, and so does beta_hat * x:
+    U_i = rel_i + max(beta_hat * x_max, 0) + alpha * sqrt(max(v_i(0), v_i(x_max), 0)).
+    No A^{-1} block but P_xx needs to be positive semi-definite, and alpha may
+    be 0.  `floor` is the k-th largest score of the first pass, where x = 0.
+
+    A score and U each pass through at most k + 12 rounded operations on
+    the same z terms, so each is within gamma = 2 (k + 12) eps of its exact
+    value, relative to the largest sizes of its terms; a square root
+    stretches an absolute error e of v to at most sqrt(e).  `slack` adds
+    both sides' errors.  None when m > 1, when P_xx < 0, when a term is not
+    finite, or with at most 16k candidates (see `select_slate`).
+    """
+    if stats.m != 1 or rel_scores.size <= 16 * config.k:
+        return None
+    p_xx = float(stats.inv_A[-1, -1])
+    if not p_xx >= 0.0:
+        return None
+    x_max = (config.k - 1) * catalog.metrics[0].max_distance
+    beta_x = float(beta[0]) * x_max
+    quad = p_xx * x_max * x_max
+    gamma = 2 * (config.k + 12) * np.finfo(np.float64).eps
+    v_size = float(np.abs(term_zz).max() + np.abs(zx2).max() * x_max) + quad
+    score_size = float(np.abs(rel_scores).max()) + abs(beta_x)
+    score_size += config.alpha * math.sqrt(v_size)
+    slack = gamma * score_size + 2.0 * config.alpha * math.sqrt(gamma * v_size)
+    if not math.isfinite(slack):  # then neither is some term of U
+        return None
+
+    first = np.maximum(term_zz, 0.0)
+    bound = zx2[:, 0] * x_max
+    bound += quad
+    bound += term_zz
+    np.maximum(bound, first, out=bound)
+    np.sqrt(bound, out=bound)
+    bound *= config.alpha
+    bound += rel_scores
+    bound += max(beta_x, 0.0)
+    np.sqrt(first, out=first)
+    first *= config.alpha
+    first += rel_scores
+    floor = np.partition(first, first.size - config.k)[first.size - config.k]
+    return bound, floor, slack
+
+
 def select_slate(
     stats: HybridStatistics,
     config: LmdhConfig,
@@ -181,13 +243,28 @@ def select_slate(
     """Greedy UCB slate: k `greedy_fill` passes, each re-scoring against the prefix.
 
     Candidates are validated once by `ItemCatalog.candidate_ids`; the whole
-    catalog's relevance rows Z are read in place, a subset's gathered once.
-    They are fixed per item, so the z-only width terms and Z theta_hat are
-    computed once per call, O(L*d*(d+m)); each pass then recomputes only
-    the terms that involve the diversity marginal x, which changes as the
-    slate grows, O(L*m^2).  Negative widths of candidates not yet taken are
-    counted in `stats.clamp_count` and clipped to zero.  Ties take the
-    smallest item id.  A^{-1} is read from cache.
+    catalog's relevance rows Z are read in place, a subset's gathered once
+    with `np.take`.  They are fixed per item, so the z-only width terms and
+    Z theta_hat are computed once per call, O(L*d*(d+m)); each pass then
+    recomputes only the terms that involve the diversity marginal x, which
+    changes as the slate grows, O(L*m^2).  Ties take the smallest item id.
+    A^{-1} is read from cache.
+
+    The passes score only the survivors: the candidates whose bound U
+    (`_score_bounds`) reaches the k-th largest score of the first pass.  The
+    selection stands when every pick's score beats the largest bound left
+    out by the slack, for then no item left out can score as high in any
+    pass; otherwise the passes run again over the four times as many
+    candidates with the largest bounds.  Survivors that make up a quarter of
+    the candidates or more become every candidate.  The first pass's k best
+    always survive, so with at most 16k candidates a first set that fails
+    its check widens straight to every candidate, and a failure costs a
+    second run over all of them: there no bound is computed, nor at m > 1
+    or when the width is not convex in x.  The passes are elementwise over
+    the survivor rows, which stay in id order, so the slate, features and
+    widths are bit for bit those of passes over every candidate.  Negative
+    widths of the survivors not yet taken are counted in `stats.clamp_count`
+    and clipped to zero; a run that does not stand takes its count back.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
     not the width, so the score closure keeps each pass's square-rooted
@@ -198,34 +275,65 @@ def select_slate(
     cand = catalog.candidate_ids(candidates, config.k)
 
     theta, beta = estimate_preferences(stats)
-    Z = catalog.relevance if cand.size == catalog.item_count else catalog.relevance[cand]
+    Z = catalog.relevance
+    if cand.size < catalog.item_count:
+        Z = np.take(Z, cand, axis=0)  # the rows of Z[cand], a fraction of its cost
     term_zz, zx2 = _z_terms(Z, stats)
     rel_scores = Z @ theta
-    passes: list[np.ndarray] = []  # sqrt of the clipped widths of every pass
 
-    def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
-        v = _raw_widths_batch(term_zz, zx2, X, stats)
-        if (v < 0.0).any():
-            stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
-            np.maximum(v, 0.0, out=v)
-        np.sqrt(v, out=v)
-        passes.append(v)
-        scores = np.dot(X, beta)
-        scores += rel_scores
-        scores += config.alpha * v
-        return scores
+    def run_passes(rows):
+        """Picks (positions in cand), features, widths and scores over cand[rows]."""
+        if rows is None:
+            rel, tzz, zx = rel_scores, term_zz, zx2
+        else:
+            rel, tzz, zx = rel_scores[rows], term_zz[rows], zx2[rows]
+        passes: list[np.ndarray] = []  # sqrt of the clipped widths of every pass
 
-    picks, div_feats, _ = greedy_fill(
-        np.zeros((cand.size, catalog.diversity_dim)),
-        config.k,
-        score,
-        metric_columns(catalog, cand),
-    )
+        def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
+            v = _raw_widths_batch(tzz, zx, X, stats)
+            if (v < 0.0).any():
+                stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
+                np.maximum(v, 0.0, out=v)
+            np.sqrt(v, out=v)
+            passes.append(v)
+            scores = np.dot(X, beta)
+            scores += rel
+            scores += config.alpha * v
+            return scores
+
+        picks, div_feats, pick_scores = greedy_fill(
+            np.zeros((rel.size, catalog.diversity_dim)),
+            config.k,
+            score,
+            metric_columns(catalog, cand, rows),
+        )
+        widths = np.array([root[pick] for root, pick in zip(passes, picks)])
+        return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores
+
+    bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta)
+    rows = None
+    if bounds is not None:
+        bound, floor, slack = bounds
+        rows = np.flatnonzero(bound >= floor)
+    clamps = stats.clamp_count
+    while True:
+        if rows is not None and 4 * rows.size >= cand.size:
+            rows = None
+        picks, div_feats, widths, pick_scores = run_passes(rows)
+        if rows is None:
+            break
+        lowest = pick_scores.min() - slack  # a NaN pick score fails both tests
+        if lowest >= floor or lowest > bound[bound < floor].max():
+            break
+        stats.clamp_count = clamps
+        wider = cand.size - 4 * rows.size
+        floor = np.partition(bound, wider)[wider]  # the 4 |rows|-th largest bound
+        rows = np.flatnonzero(bound >= floor)
     return SlateSelection(
         slate=Slate(tuple(cand[picks].tolist())),
         relevance_features=Z[picks],
         diversity_features=div_feats,
-        widths=np.array([root[pick] for root, pick in zip(passes, picks)]),
+        widths=widths,
     )
 
 

@@ -21,6 +21,8 @@ class TableDistanceMetric:
             raise ValueError("self-distance must be zero")
         table.flags.writeable = False
         self._table = table
+        self.max_distance = float(table.max())
+        self.entrywise = True
 
     def __len__(self) -> int:
         return len(self._table)

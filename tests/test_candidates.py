@@ -42,11 +42,11 @@ from dispersion_bandit.lmdh import (
     _raw_widths_batch,
     _z_terms,
     select_slate,
-    update,
 )
 from dispersion_bandit.seeding import rng_from_seed
 
 from conftest import random_catalog, random_eta
+from oracles import trained_stats
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +93,6 @@ def raw_widths_oracle(Z, X, stats):
     """Per-pass widths zeta^T A^{-1} zeta, each row solved afresh against A."""
     zeta = np.hstack([Z, X])
     return np.einsum("ij,ji->i", zeta, np.linalg.solve(stats.A, zeta.T))
-
-
-def trained_stats(rng, catalog, k, rounds=4):
-    d, m = catalog.relevance_dim, catalog.diversity_dim
-    stats = HybridStatistics(d, m, lam=1.0)
-    config = LmdhConfig(lam=1.0, alpha=1.0, d=d, m=m, k=k)
-    for _ in range(rounds):
-        selection = select_slate(stats, config, catalog, catalog.all_items())
-        update(stats, selection.slate, rng.integers(0, 2, k).astype(float), selection)
-    return stats
 
 
 # ---------------------------------------------------------------------------

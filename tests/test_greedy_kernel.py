@@ -2,36 +2,29 @@
 
 `greedy_select`, `lmdh.select_slate` and `baselines.mmr_select` each wrote
 the pass loop (score, mask the taken items, argmax, add a distance column)
-themselves.  Those three loops are kept here as oracles, and the selectors
-built on the kernel must match them bit for bit: slates, gains, features,
-widths and the width-clamp count.  LMDH's UCB index at each pick, which it
-no longer returns, is recomputed from its features and widths.
+themselves.  Those loops are the oracles, kept here and, for LMDH, in
+`oracles.py`, and the selectors built on the kernel must match them bit for
+bit: slates, gains, features, widths and the width-clamp count.  LMDH's UCB
+index at each pick, which it no longer returns, is recomputed from its
+features and widths.
 """
 
 import copy
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_bandit.baselines import StaticScorer, mmr_select
-from dispersion_bandit.catalog import ItemCatalog, PreferenceVector, Slate
+from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
 from dispersion_bandit.greedy import _pairwise_weights, greedy_select
-from dispersion_bandit.lmdh import (
-    HybridStatistics,
-    LmdhConfig,
-    _raw_widths_batch,
-    _z_terms,
-    estimate_preferences,
-    select_slate,
-    update,
-)
+from dispersion_bandit.lmdh import LmdhConfig, estimate_preferences, select_slate
 
 from conftest import TableDistanceMetric
+from oracles import select_slate_oracle, trained_stats
 
 # ---------------------------------------------------------------------------
-# oracles: the three pass loops as they stood before the kernel
+# oracles: the greedy and MMR pass loops as they stood before the kernel
 
 
 def greedy_select_oracle(eta, catalog, candidates, k):
@@ -52,42 +45,6 @@ def greedy_select_oracle(eta, catalog, candidates, k):
         for i, metric in enumerate(catalog.metrics):
             div_acc[:, i] += metric.column(item, cand)
     return tuple(chosen), tuple(gains)
-
-
-def select_slate_oracle(stats, config, catalog, candidates):
-    cand = catalog.candidate_ids(candidates, config.k)
-    theta, beta = estimate_preferences(stats)
-    Z = catalog.relevance[cand]
-    term_zz, zx2 = _z_terms(Z, stats)
-    rel_scores = Z @ theta
-    X = np.zeros((cand.size, catalog.diversity_dim))
-    div_cols = np.zeros((cand.size, len(catalog.metrics)))
-    taken = np.zeros(cand.size, dtype=bool)
-    chosen = []
-    rel_feats = np.zeros((config.k, config.d))
-    div_feats = np.zeros((config.k, config.m))
-    widths = np.zeros(config.k)
-    scores_taken = np.zeros(config.k)
-    for step in range(config.k):
-        v = _raw_widths_batch(term_zz, zx2, X, stats)
-        live = ~taken
-        stats.clamp_count += int(np.count_nonzero(v[live] < 0.0))
-        v = np.maximum(v, 0.0)
-        scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
-        scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        rel_feats[step] = Z[pick]
-        div_feats[step] = X[pick]
-        widths[step] = math.sqrt(v[pick])
-        scores_taken[step] = scores[pick]
-        if step + 1 < config.k:
-            for i, metric in enumerate(catalog.metrics):
-                div_cols[:, i] += metric.column(item, cand)
-            X = div_cols
-    return tuple(chosen), rel_feats, div_feats, widths, scores_taken
 
 
 def mmr_select_oracle(scorer, catalog, candidates, k, mmr_alpha):
@@ -141,17 +98,6 @@ def draw_catalog(rng, n_items, d, m, tied):
     return ItemCatalog(relevance, tuple(metrics))
 
 
-def trained_stats(rng, catalog, k, rounds):
-    d, m = catalog.relevance_dim, catalog.diversity_dim
-    stats = HybridStatistics(d, m, lam=1.0)
-    config = LmdhConfig(lam=1.0, alpha=1.0, d=d, m=m, k=k)
-    for _ in range(rounds):
-        selection = select_slate_oracle(stats, config, catalog, catalog.all_items())
-        chosen, z, x, _, _ = selection
-        update(stats, Slate(chosen), rng.integers(0, 2, k).astype(float), (z, x))
-    return stats
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
@@ -179,11 +125,13 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
         == pairwise_weights_oracle(eta, catalog, cand).tobytes()
     )
 
-    # LMDH: trained statistics; a negated A^{-1} forces negative widths so
-    # the clamp count (over candidates not yet taken) is exercised
-    stats = trained_stats(rng, catalog, 1, data.draw(st.integers(0, 4), label="rounds"))
-    # one-item training slates leave beta_hat at zero; a drawn b gives the
-    # X beta_hat term of the score a value
+    # LMDH: statistics trained on whole-catalog slates, so A^{-1}'s z-x block
+    # is dense; a negated A^{-1} forces negative widths so the clamp count
+    # (over candidates not yet taken) is exercised
+    rounds = data.draw(st.integers(0, 4), label="rounds")
+    stats = trained_stats(rng, catalog, n_items, rounds)
+    # a drawn b gives beta_hat and the X beta_hat term of the score a value
+    # of either sign
     stats.b = draw_values(rng, d + m, tied)
     if data.draw(st.booleans(), label="negative_widths"):
         stats.inv_A = -stats.inv_A

@@ -5,7 +5,8 @@
 `greedy_fill` masked the taken items with a boolean index; `slate_features`
 range-checked a `Slate` through numpy, `position_means` took its dots with
 `@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
-are kept here as oracles.  At m = 1, the only m any command runs, every
+are kept here as oracles, and the plain select loop of `oracles.py` runs with
+the `einsum` widths.  At m = 1, the only m any command runs, every
 row-wise dot is a single product, so slates, features, widths, clamp
 counts and reward means must match bit for bit.  At m > 1 the width sums
 its m products in another order: there the kernel must agree with the
@@ -29,17 +30,16 @@ from dispersion_bandit.catalog import (
 )
 from dispersion_bandit.environments import position_means
 from dispersion_bandit.errors import InvalidItemError
-from dispersion_bandit.greedy import metric_columns
 from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     _raw_widths_batch,
     _z_terms,
-    estimate_preferences,
     select_slate,
     update,
 )
 
+from oracles import select_slate_oracle
 from test_greedy_kernel import draw_catalog, draw_values
 
 # ---------------------------------------------------------------------------
@@ -49,52 +49,6 @@ from test_greedy_kernel import draw_catalog, draw_values
 def raw_widths_batch_oracle(term_zz, zx2, X, stats):
     PX = np.dot(X, stats.inv_A[stats.d :, stats.d :])
     return term_zz + np.einsum("ij,ij->i", zx2, X) + np.einsum("ij,ij->i", PX, X)
-
-
-def greedy_fill_oracle(acc, k, score, add_column):
-    taken = np.zeros(acc.shape[0], dtype=bool)
-    picks = np.empty(k, dtype=np.intp)
-    rows = np.empty((k,) + acc.shape[1:])
-    for step in range(k):
-        scores = score(step, acc, taken)
-        scores[taken] = -np.inf
-        pick = int(scores.argmax())
-        taken[pick] = True
-        picks[step] = pick
-        rows[step] = acc[pick]
-        if step + 1 < k:
-            add_column(acc, pick)
-    return picks, rows
-
-
-def select_slate_oracle(stats, config, catalog, candidates):
-    cand = catalog.candidate_ids(candidates, config.k)
-    theta, beta = estimate_preferences(stats)
-    Z = catalog.relevance[cand]
-    term_zz, zx2 = _z_terms(Z, stats)
-    rel_scores = Z @ theta
-    passes = []
-
-    def score(step, X, taken):
-        v = raw_widths_batch_oracle(term_zz, zx2, X, stats)
-        if (v < 0.0).any():
-            stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
-            np.maximum(v, 0.0, out=v)
-        np.sqrt(v, out=v)
-        passes.append(v)
-        scores = np.dot(X, beta)
-        scores += rel_scores
-        scores += config.alpha * v
-        return scores
-
-    picks, div_feats = greedy_fill_oracle(
-        np.zeros((cand.size, catalog.diversity_dim)),
-        config.k,
-        score,
-        metric_columns(catalog, cand),
-    )
-    widths = np.array([root[pick] for root, pick in zip(passes, picks)])
-    return tuple(cand[picks].tolist()), Z[picks], div_feats, widths
 
 
 def slate_features_oracle(slate, catalog):
@@ -188,7 +142,9 @@ def test_lean_kernels_match_the_old_forms(data):
     if m == 1:
         ours, theirs = copy.deepcopy(stats), copy.deepcopy(stats)
         got = select_slate(ours, config, catalog, cand)
-        want = select_slate_oracle(theirs, config, catalog, cand)
+        want = select_slate_oracle(
+            theirs, config, catalog, cand, widths=raw_widths_batch_oracle
+        )
         assert got.slate.items == want[0]
         assert got.relevance_features.tobytes() == want[1].tobytes()
         assert got.diversity_features.tobytes() == want[2].tobytes()
