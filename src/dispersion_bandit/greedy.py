@@ -81,24 +81,13 @@ def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     return np.array(picks, dtype=np.intp), rows, pick_scores
 
 
-def metric_columns(catalog: ItemCatalog, cand: np.ndarray, rows=None):
-    """add(acc, pick): acc[:, i] += h_i(cand[pick], cand) for each metric i.
-
-    With sorted positions `rows`, acc and `pick` cover cand[rows] only.
-    `entrywise` metrics then read their columns over cand[rows]; with any
-    other metric every column is read over cand and cut down to `rows`, so
-    each entry has the bits it has in the whole column.
-    """
-    ids = cand if rows is None else cand[rows]
-    cut = rows is not None and not all(metric.entrywise for metric in catalog.metrics)
+def metric_columns(catalog: ItemCatalog, cand: np.ndarray):
+    """add(acc, pick): acc[:, i] += h_i(cand[pick], cand) for each metric i."""
 
     def add(acc: np.ndarray, pick: int) -> None:
-        item = int(ids[pick])
+        item = int(cand[pick])
         for i, metric in enumerate(catalog.metrics):
-            if cut:
-                acc[:, i] += metric.column(item, cand)[rows]
-            else:
-                acc[:, i] += metric.column(item, ids)
+            acc[:, i] += metric.column(item, cand)
 
     return add
 

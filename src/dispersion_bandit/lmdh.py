@@ -11,12 +11,8 @@ buys nothing here; sums that are only ever added to do not drift from the
 joint ridge solution.  Within one selection only x changes between passes,
 so the width's z-only terms are computed once per selection (`_z_terms`).
 
-The greedy passes score only the items that can still win.  An item's UCB
-score peaks, over a selection, at x = 0 or at the largest x a slate allows,
-since its width is convex in x; items whose bound there stays below the
-first pass's k-th best score are left out, and after the passes a check
-that no item left out could have beaten a pick makes the slate exactly the
-one passes over every candidate pick (`select_slate`).
+The greedy passes score only the items whose score bound can still reach
+a pick, with the slate unchanged bit for bit (`_score_bounds`).
 
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
 the statistics but A^{-1} and b.  Learners given one memo store each
@@ -199,10 +195,21 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta):
     the same z terms, so each is within gamma = 2 (k + 12) eps of its exact
     value, relative to the largest sizes of its terms; a square root
     stretches an absolute error e of v to at most sqrt(e).  `slack` adds
-    both sides' errors.  None when m > 1, when P_xx < 0, when a term is not
-    finite, or with at most 16k candidates (see `select_slate`).
+    both sides' errors.
+
+    The first pass's k best always survive, and `select_slate` widens a set
+    that fails four times and scores whole any set of a quarter of the
+    candidates or more; so with at most 16k candidates a failing first set
+    costs a second run over every candidate, and no bound is computed
+    there.  Nor is one at m > 1, when P_xx < 0, when a term is not finite,
+    or for a metric that is not `entrywise`, whose columns read over the
+    survivors alone may round otherwise than the whole columns.
     """
-    if stats.m != 1 or rel_scores.size <= 16 * config.k:
+    if (
+        stats.m != 1
+        or rel_scores.size <= 16 * config.k
+        or not catalog.metrics[0].entrywise
+    ):
         return None
     p_xx = float(stats.inv_A[-1, -1])
     if not p_xx >= 0.0:
@@ -250,21 +257,15 @@ def select_slate(
     changes as the slate grows, O(L*m^2).  Ties take the smallest item id.
     A^{-1} is read from cache.
 
-    The passes score only the survivors: the candidates whose bound U
-    (`_score_bounds`) reaches the k-th largest score of the first pass.  The
-    selection stands when every pick's score beats the largest bound left
-    out by the slack, for then no item left out can score as high in any
-    pass; otherwise the passes run again over the four times as many
-    candidates with the largest bounds.  Survivors that make up a quarter of
-    the candidates or more become every candidate.  The first pass's k best
-    always survive, so with at most 16k candidates a first set that fails
-    its check widens straight to every candidate, and a failure costs a
-    second run over all of them: there no bound is computed, nor at m > 1
-    or when the width is not convex in x.  The passes are elementwise over
-    the survivor rows, which stay in id order, so the slate, features and
-    widths are bit for bit those of passes over every candidate.  Negative
-    widths of the survivors not yet taken are counted in `stats.clamp_count`
-    and clipped to zero; a run that does not stand takes its count back.
+    The passes score only the survivors, the candidates whose bound
+    (`_score_bounds`) reaches the first pass's k-th best score, kept in id
+    order.  The slate stands when every pick's score beats the largest bound
+    left out by the slack; otherwise the passes run again over the four
+    times as many candidates with the largest bounds.  Survivors that make
+    up a quarter of the candidates or more become every candidate.  Negative
+    widths of the scored items not yet taken are counted in
+    `stats.clamp_count` and clipped to zero; a run that does not stand takes
+    its count back, so the count depends on which items were scored.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
     not the width, so the score closure keeps each pass's square-rooted
@@ -284,9 +285,9 @@ def select_slate(
     def run_passes(rows):
         """Picks (positions in cand), features, widths and scores over cand[rows]."""
         if rows is None:
-            rel, tzz, zx = rel_scores, term_zz, zx2
+            ids, rel, tzz, zx = cand, rel_scores, term_zz, zx2
         else:
-            rel, tzz, zx = rel_scores[rows], term_zz[rows], zx2[rows]
+            ids, rel, tzz, zx = cand[rows], rel_scores[rows], term_zz[rows], zx2[rows]
         passes: list[np.ndarray] = []  # sqrt of the clipped widths of every pass
 
         def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -305,7 +306,7 @@ def select_slate(
             np.zeros((rel.size, catalog.diversity_dim)),
             config.k,
             score,
-            metric_columns(catalog, cand, rows),
+            metric_columns(catalog, ids),
         )
         widths = np.array([root[pick] for root, pick in zip(passes, picks)])
         return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores

@@ -5,8 +5,8 @@ a pick, and reruns over more of them when an item left out might have won.
 Its slate, features and widths must be the plain loop's bit for bit.  The
 catalogs are large enough to prune, with exact and near ties, and the cases
 cover negative beta_hat, alpha = 0, a negated A^{-1} (P_xx < 0, so no
-pruning), m = 2, reruns, and distances read on demand (`TABLE_THRESHOLD` 0)
-as well as from memoised rows.
+pruning), m = 2, reruns, and distances read on demand (`TABLE_THRESHOLD` 0,
+so no pruning) as well as from memoised rows.
 """
 
 import copy
@@ -21,7 +21,6 @@ from dispersion_bandit import catalog as catalog_module
 from dispersion_bandit import lmdh
 from dispersion_bandit.catalog import ItemCatalog, cosine_metric
 from dispersion_bandit.environments import ReplayEnvironment, ReplayUser, run_episode
-from dispersion_bandit.greedy import metric_columns
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy, select_slate
 
 from oracles import select_slate_oracle, trained_stats
@@ -89,7 +88,9 @@ def test_pruned_select_matches_the_per_pass_oracle_bit_for_bit(data):
     m = data.draw(st.sampled_from([1, 1, 1, 2]), label="m")
     k = data.draw(st.integers(1, 12), label="k")
     tied = data.draw(st.booleans(), label="tied")
-    on_demand = data.draw(st.booleans(), label="on_demand")
+    on_demand = data.draw(
+        st.sampled_from([False, False, False, True]), label="on_demand"
+    )
     catalog = cosine_catalog(rng, n_items, d, m, k, tied, on_demand)
     if data.draw(st.booleans(), label="whole_catalog"):
         cand = catalog.all_items()
@@ -160,28 +161,37 @@ def test_the_bound_holds_for_every_score_of_every_pass(data):
 
 
 @pytest.mark.parametrize("on_demand", [False, True], ids=["rows", "on-demand"])
-def test_survivor_columns_have_the_bits_of_the_whole_column(on_demand):
-    # a product over gathered rows rounds by an entry's position (here, rows
-    # in a short last block of the gathered set), so columns read on demand
-    # are read whole and then cut down to the survivors; vectors near one
-    # direction keep each dot product's last bits in 1 - cos
+def test_only_columns_with_the_bits_of_the_whole_column_are_pruned(
+    monkeypatch, on_demand
+):
+    # memoised rows give each survivor the bits of the whole column; a product
+    # over gathered rows rounds by an entry's position, so a metric read on
+    # demand is not pruned.  Vectors near one direction keep each dot
+    # product's last bits in 1 - cos
     rng = np.random.default_rng(11)
-    n_items = 2000
+    n_items, k = 2000, 10
     vectors = 1.0 + 0.1 * rng.normal(size=(n_items, 64))
     threshold = 0 if on_demand else catalog_module.TABLE_THRESHOLD
     with mock.patch.object(catalog_module, "TABLE_THRESHOLD", threshold):
-        metric = cosine_metric(vectors, slate_capacity=10)
+        metric = cosine_metric(vectors, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
     assert metric.entrywise is not on_demand
     cand = np.sort(rng.choice(n_items, size=1800, replace=False))
-    rows = np.sort(rng.choice(cand.size, size=75, replace=False))
-    whole, cut = np.zeros((cand.size, 1)), np.zeros((rows.size, 1))
-    add_whole = metric_columns(catalog, cand)
-    add_cut = metric_columns(catalog, cand, rows)
-    for pick in range(rows.size):
-        add_whole(whole, rows[pick])
-        add_cut(cut, pick)
-    assert cut.tobytes() == whole[rows].tobytes()
+    if not on_demand:
+        rows = np.sort(rng.choice(cand.size, size=75, replace=False))
+        for item in cand[rows[:5]].tolist():
+            cut = metric.column(item, cand[rows])
+            assert cut.tobytes() == metric.column(item, cand)[rows].tobytes()
+
+    stats = trained_stats(rng, catalog, k, rounds=3)
+    stats.b = 10.0 * rng.uniform(-1.0, 1.0, size=65)
+    config = LmdhConfig(lam=1.0, alpha=0.3, d=64, m=1, k=k)
+    want = select_slate_oracle(copy.deepcopy(stats), config, catalog, cand)
+    runs = pass_runs(monkeypatch)
+    got = lmdh.select_slate(stats, config, catalog, cand)
+    assert_same_selection(got, want)
+    ((first, *_),) = runs
+    assert (first == cand.size) is on_demand
 
 
 def test_picks_that_score_below_items_left_out_rerun_wider(monkeypatch):
