@@ -14,8 +14,8 @@ fresh process.  It exits 1 unless
 
 Each replay's wall time, process start-up included, is printed as it ends.
 
-Epsilon-greedy reads the distance rows of its slates in each forked worker,
-so its byte-identity covers the metric's row memo at full size.  LMDH's,
+LMDH is the one policy that reads distance rows, in each forked worker, so
+its byte-identity alone covers the metric's row memo at full size.  LMDH's,
 LogRank's and MMR's cover the world's selection memo, which each worker
 fills for its own users.
 

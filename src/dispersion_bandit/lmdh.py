@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SlateSelection, claim_memo, read_only
+from .baselines import SlateSelection, claim_memo
 from .catalog import ItemCatalog, Slate
 from .errors import (
     DimensionMismatchError,
@@ -411,6 +411,15 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
         return 0.0
     main = (2.0 * alpha * params.k / GAMMA) * math.sqrt(_width_sum_inner(params))
     return main + params.n * params.k * params.delta
+
+
+def read_only(selection: SlateSelection) -> SlateSelection:
+    """`selection`, its arrays made read-only so that any number of callers can share it."""
+    for array in (
+        selection.relevance_features, selection.diversity_features, selection.widths
+    ):
+        array.flags.writeable = False
+    return selection
 
 
 class LmdhPolicy:

@@ -32,25 +32,6 @@ class TableDistanceMetric:
         return self._table[item][others]
 
 
-class UnsharedLmdhPolicy:
-    """LMDH without a memo: `select_slate` and `update` on statistics of its own.
-
-    The reference that every policy sharing a memo must match bit for bit.
-    """
-
-    name = "lmdh"
-
-    def __init__(self, config, catalog):
-        self.config, self.catalog = config, catalog
-        self.stats = lmdh.HybridStatistics(config.d, config.m, config.lam)
-
-    def select(self, candidates):
-        return lmdh.select_slate(self.stats, self.config, self.catalog, candidates)
-
-    def observe(self, selection, rewards):
-        lmdh.update(self.stats, selection.slate, rewards, selection)
-
-
 def count_selects(monkeypatch) -> list:
     """Patch `lmdh.select_slate` to append to the returned list on every call."""
     calls = []

@@ -9,12 +9,11 @@ from dispersion_bandit.baselines import (
     MmrPolicy,
     SlateSelection,
     StaticScorer,
-    annotate_slate,
     epsilon_greedy_select,
     logrank_select,
     mmr_select,
 )
-from dispersion_bandit.catalog import ItemCatalog, Slate
+from dispersion_bandit.catalog import ItemCatalog, Slate, slate_features
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
@@ -23,6 +22,7 @@ from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
 from dispersion_bandit.seeding import rng_from_seed
 
 from conftest import TableDistanceMetric, random_catalog
+from oracles import mmr_oracle
 
 
 def sigmoid(v):
@@ -75,26 +75,6 @@ def test_logrank_insufficient_candidates():
     scorer = StaticScorer(np.array([1.0, 0.0]), catalog)
     with pytest.raises(InsufficientCandidatesError):
         logrank_select(scorer, [0, 1], 3)
-
-
-def mmr_oracle(scorer, catalog, candidates, k, alpha):
-    """Direct restatement of the MMR rule, one python float at a time."""
-    norms = np.linalg.norm(catalog.relevance, axis=1)
-    unit = catalog.relevance / np.where(norms == 0, 1.0, norms)[:, None]
-    remaining = sorted(int(c) for c in candidates)
-    picked = []
-    for _ in range(k):
-        best, best_score = None, None
-        for a in remaining:
-            score = alpha * float(scorer.quality[a])
-            if picked:
-                penalty = sum(float(unit[a] @ unit[j]) for j in picked)
-                score -= (1.0 - alpha) / len(picked) * penalty
-            if best_score is None or score > best_score + 1e-15:
-                best, best_score = a, score
-        picked.append(best)
-        remaining.remove(best)
-    return tuple(picked)
 
 
 def test_mmr_matches_direct_oracle():
@@ -190,7 +170,7 @@ def test_epsilon_greedy_rejects_bad_epsilon():
         )
 
 
-def test_annotate_slate_fills_prefix_marginals():
+def test_slate_features_fills_prefix_marginals():
     table = np.array(
         [
             [0.0, 0.3, 0.7],
@@ -199,12 +179,12 @@ def test_annotate_slate_fills_prefix_marginals():
         ]
     )
     catalog = make_catalog([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], table)
-    selection = annotate_slate(Slate((2, 0, 1)), catalog)
-    assert np.array_equal(selection.relevance_features[0], [0.5, 0.6])
-    assert np.array_equal(selection.relevance_features[1], [0.1, 0.2])
-    assert selection.diversity_features[0, 0] == 0.0
-    assert selection.diversity_features[1, 0] == pytest.approx(0.7)  # h(0, 2)
-    assert selection.diversity_features[2, 0] == pytest.approx(0.3 + 0.2)
+    z, x = slate_features(Slate((2, 0, 1)), catalog)
+    assert np.array_equal(z[0], [0.5, 0.6])
+    assert np.array_equal(z[1], [0.1, 0.2])
+    assert x[0, 0] == 0.0
+    assert x[1, 0] == pytest.approx(0.7)  # h(0, 2)
+    assert x[2, 0] == pytest.approx(0.3 + 0.2)
 
 
 def test_policies_satisfy_the_interface():
@@ -223,8 +203,14 @@ def test_policies_satisfy_the_interface():
         assert isinstance(selection, SlateSelection)
         assert len(selection.slate) == 3
         assert len(set(selection.slate.items)) == 3
-        assert selection.relevance_features.shape == (3, 3)
-        assert selection.diversity_features.shape == (3, 1)
+        if policy.name == "lmdh":
+            assert selection.relevance_features.shape == (3, 3)
+            assert selection.diversity_features.shape == (3, 1)
+            assert selection.widths.shape == (3,)
+        else:  # only the learner logs features
+            assert selection.relevance_features is None
+            assert selection.diversity_features is None
+            assert selection.widths is None
         policy.observe(selection, np.zeros(3))  # must not raise
 
 
@@ -246,12 +232,10 @@ def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
     scorer = StaticScorer(rng.normal(size=3), catalog)
     if name == "logrank":
         policy = LogRankPolicy(scorer, catalog, k=3)
-        fresh = lambda cand: annotate_slate(logrank_select(scorer, cand, 3), catalog)
+        fresh = lambda cand: logrank_select(scorer, cand, 3)
     else:
         policy = MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.7)
-        fresh = lambda cand: annotate_slate(
-            mmr_select(scorer, catalog, cand, 3, 0.7), catalog
-        )
+        fresh = lambda cand: mmr_select(scorer, catalog, cand, 3, 0.7)
     computed = []
     slate = policy._slate
     monkeypatch.setattr(policy, "_slate", lambda cand: computed.append(1) or slate(cand))
@@ -269,12 +253,6 @@ def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
     assert len(computed) == 3
     for cand, selection in ((np.arange(8), first), (np.arange(2, 10), other),
                             (np.arange(3), smaller)):
-        want = fresh(cand)
-        assert selection.slate == want.slate
-        assert selection.relevance_features.tobytes() == want.relevance_features.tobytes()
-        assert selection.diversity_features.tobytes() == want.diversity_features.tobytes()
-        # every caller shares the stored arrays
-        assert not selection.relevance_features.flags.writeable
-        assert not selection.diversity_features.flags.writeable
+        assert selection == SlateSelection(fresh(cand))  # the bare slate
     with pytest.raises(InsufficientCandidatesError):
         policy.select([0, 1])

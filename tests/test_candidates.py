@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from dispersion_bandit.baselines import (
     LogRankPolicy,
     StaticScorer,
-    annotate_slate,
     epsilon_greedy_select,
     logrank_select,
     mmr_select,
@@ -46,7 +45,7 @@ from dispersion_bandit.lmdh import (
 from dispersion_bandit.seeding import rng_from_seed
 
 from conftest import random_catalog, random_eta
-from oracles import trained_stats
+from oracles import raw_widths_oracle, trained_stats
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +86,6 @@ def logrank_oracle(scorer, candidates, k):
     cand = scorer.catalog.candidate_ids(candidates, k)
     order = np.argsort(-scorer.quality[cand], kind="stable")
     return tuple(int(cand[i]) for i in order[:k])
-
-
-def raw_widths_oracle(Z, X, stats):
-    """Per-pass widths zeta^T A^{-1} zeta, each row solved afresh against A."""
-    zeta = np.hstack([Z, X])
-    return np.einsum("ij,ji->i", zeta, np.linalg.solve(stats.A, zeta.T))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +260,8 @@ def _outputs(name, result, catalog):
         )
     if name == "greedy":
         return result.slate.items, np.array(result.gain_trace).tobytes()
-    annotated = annotate_slate(result, catalog)
-    return (
-        result.items,
-        annotated.relevance_features.tobytes(),
-        annotated.diversity_features.tobytes(),
-    )
+    z, x = slate_features(result, catalog)
+    return result.items, z.tobytes(), x.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -37,7 +37,8 @@ from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhPolicy
 from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
 
-from conftest import UnsharedLmdhPolicy, count_selects
+from conftest import count_selects
+from oracles import UnsharedLmdhPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -587,10 +588,17 @@ def memo_entries(memo: dict) -> list:
 def log_bytes(log) -> bytes:
     parts = []
     for r in log:
-        parts += [repr((r.num_candidates, r.items, r.rewards, r.true_utility,
-                        r.candidate_items, r.widths)).encode(),
-                  r.relevance_features.tobytes(), r.diversity_features.tobytes()]
+        parts.append(repr((r.num_candidates, r.items, r.rewards, r.true_utility,
+                           r.candidate_items, r.widths)).encode())
+        parts += [b"None" if f is None else f.tobytes()
+                  for f in (r.relevance_features, r.diversity_features)]
     return b"|".join(parts)
+
+
+def logs_features(log) -> bool:
+    """Whether any round of `log` holds features; only the learner logs them."""
+    return any(r.relevance_features is not None or r.diversity_features is not None
+               for r in log)
 
 
 @pytest.mark.parametrize("name", ["logrank", "mmr"])
@@ -608,6 +616,7 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
     shared = [cli._replay_task(task) for task in tasks]
     fresh = [fresh_policy_replay_task(task) for task in tasks]
     assert [log_bytes(log) for log in shared] == [log_bytes(log) for log in fresh]
+    assert not any(logs_features(log) for log in shared + fresh)
     # every user walked the same candidate sets: one memo entry per round
     memo = cli._world_memo(key, name, k, 50.0, 1.0, 0.8)
     assert len(memo_entries(memo)) == max(len(log) for log in shared)
@@ -687,10 +696,11 @@ def test_only_epsilon_greedy_replays_build_a_policy_generator(tmp_path, monkeypa
                 for u in range(test.n_users)]
 
     # epsilon-greedy's logs are those of a policy built with its user's stream
-    shared = [log_bytes(cli._replay_task(task)) for task in tasks("epsilon-greedy")]
-    assert shared == [
+    logs = [cli._replay_task(task) for task in tasks("epsilon-greedy")]
+    assert [log_bytes(log) for log in logs] == [
         log_bytes(fresh_policy_replay_task(task)) for task in tasks("epsilon-greedy")
     ]
+    assert not any(logs_features(log) for log in logs)
 
     generators = []
     build = cli.make_policy
@@ -706,6 +716,29 @@ def test_only_epsilon_greedy_replays_build_a_policy_generator(tmp_path, monkeypa
     assert len(generators) == 3 * len(POLICIES)
     for name, rng in generators:
         assert (rng is not None) == (name == "epsilon-greedy"), name
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_only_lmdh_replays_fill_the_distance_row_memo(
+    tmp_path, capsys, monkeypatch, name
+):
+    # the baselines log no features, and none of them reads a distance
+    catalogs = []
+    series = cli.compute_metric_series
+
+    def recording(logs, positives, catalog):
+        catalogs.append(catalog)
+        return series(logs, positives, catalog)
+
+    monkeypatch.setattr(cli, "compute_metric_series", recording)
+    cli._replay_context.cache_clear()  # a world built afresh, its rows unread
+    assert main(["replay", "--dataset", RATINGS, "--format", "generic",
+                 "--seed", "7", "--policy", name, "--out", str(tmp_path),
+                 "--workers", "1"]) == 0
+    capsys.readouterr()
+    (metric,) = catalogs[0].metrics
+    assert metric.entrywise  # the sample's catalog memoises its rows
+    assert (len(metric._rows) > 0) == (name == "lmdh"), len(metric._rows)
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from dispersion_bandit.baselines import (
-    LogRankPolicy,
-    SlateSelection,
-    StaticScorer,
-    annotate_slate,
-)
+from dispersion_bandit.baselines import LogRankPolicy, SlateSelection, StaticScorer
 from dispersion_bandit.catalog import PreferenceVector, Slate, slate_features, utility
 from dispersion_bandit.environments import (
     ReplayEnvironment,
@@ -68,7 +63,7 @@ def slate_means(slate, instance):
 
 
 def bernoulli_feedback(slate, env):
-    return env.feedback(annotate_slate(slate, env.instance.catalog))
+    return env.feedback(SlateSelection(slate))
 
 
 def test_bernoulli_zero_eta_gives_zero_rewards():
@@ -99,7 +94,7 @@ def test_bernoulli_click_rate_matches_mean():
     means, _ = slate_means(slate, inst)
     draws = 100_000
     env = SimulatedEnvironment(inst)
-    selection = annotate_slate(slate, inst.catalog)
+    selection = SlateSelection(slate)
     total = np.zeros(3)
     for _ in range(draws):
         total += env.feedback(selection)
@@ -119,8 +114,7 @@ def test_position_means_depend_on_prefix():
 
 def replay_feedback(env: ReplayEnvironment, items: tuple[int, ...]) -> np.ndarray:
     """`env`'s rewards for a slate of `items` (replay reads no features)."""
-    empty = np.zeros((len(items), 0))
-    return env.feedback(SlateSelection(Slate(items), empty, empty))
+    return env.feedback(SlateSelection(Slate(items)))
 
 
 def open_items(env: ReplayEnvironment) -> set[int]:
@@ -156,7 +150,7 @@ def test_replay_feedback_rejects_ids_outside_the_catalog(bad):
 
     class OutOfRangePolicy:
         def select(self, candidates):
-            return SlateSelection(Slate((0, bad)), np.zeros((2, 3)), np.zeros((2, 1)))
+            return SlateSelection(Slate((0, bad)))
 
         def observe(self, selection, rewards):
             pass
@@ -195,7 +189,7 @@ def test_simulated_environment_counts_clamps():
     eta = PreferenceVector(np.full(3, 50.0), np.full(1, 50.0))
     pumped = SimInstance(inst.catalog, eta, seed=21)
     env = SimulatedEnvironment(pumped)
-    selection = annotate_slate(Slate((0, 1, 2)), inst.catalog)
+    selection = SlateSelection(Slate((0, 1, 2)))
     env.feedback(selection)
     assert env.clamp_hits == 3
 
@@ -217,7 +211,7 @@ def test_true_utility_is_utility_bit_for_bit():
         )
         want = {s: utility(s, eta, inst.catalog) for s in (shown, other)}
         assert fresh.true_utility(shown).hex() == want[shown].hex()
-        env.feedback(annotate_slate(shown, inst.catalog))
+        env.feedback(SlateSelection(shown))
         total_hits += slate_means(shown, pumped)[1]
         assert env.true_utility(shown).hex() == want[shown].hex()
         assert env.true_utility(other).hex() == want[other].hex()
@@ -322,7 +316,9 @@ def test_replay_episode_consumes_and_terminates_gracefully():
     assert open_items(env) == set(range(7)) - set(shown)
     sizes = [entry.num_candidates for entry in log]
     assert sizes == [7, 5, 3]
-    assert all(entry.widths is None for entry in log)
+    # a static policy logs no features
+    for entry in log:
+        assert entry.relevance_features is entry.diversity_features is entry.widths is None
 
 
 def test_replay_rewards_are_policy_independent():

@@ -2,8 +2,8 @@
 
 `greedy_select`, `lmdh.select_slate` and `baselines.mmr_select` each wrote
 the pass loop (score, mask the taken items, argmax, add a distance column)
-themselves.  Those loops are the oracles, kept here and, for LMDH, in
-`oracles.py`, and the selectors built on the kernel must match them bit for
+themselves.  Those loops are the oracles, kept here and, for LMDH and MMR,
+in `oracles.py`, and the selectors built on the kernel must match them bit for
 bit: slates, gains, features, widths and the width-clamp count.  LMDH's UCB
 index at each pick, which it no longer returns, is recomputed from its
 features and widths.
@@ -21,7 +21,7 @@ from dispersion_bandit.greedy import _pairwise_weights, greedy_select
 from dispersion_bandit.lmdh import LmdhConfig, estimate_preferences, select_slate
 
 from conftest import TableDistanceMetric
-from oracles import select_slate_oracle, trained_stats
+from oracles import mmr_select_oracle, select_slate_oracle, trained_stats
 
 # ---------------------------------------------------------------------------
 # oracles: the greedy and MMR pass loops as they stood before the kernel
@@ -45,26 +45,6 @@ def greedy_select_oracle(eta, catalog, candidates, k):
         for i, metric in enumerate(catalog.metrics):
             div_acc[:, i] += metric.column(item, cand)
     return tuple(chosen), tuple(gains)
-
-
-def mmr_select_oracle(scorer, catalog, candidates, k, mmr_alpha):
-    cand = catalog.candidate_ids(candidates, k)
-    quality = scorer.quality[cand]
-    unit = scorer._unit[cand]
-    sim_sum = np.zeros(cand.size)
-    taken = np.zeros(cand.size, dtype=bool)
-    chosen = []
-    for step in range(k):
-        scores = mmr_alpha * quality
-        if step > 0:
-            scores = scores - (1.0 - mmr_alpha) / step * sim_sum
-        scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        sim_sum += unit @ scorer._unit[item]
-    return tuple(chosen)
 
 
 def pairwise_weights_oracle(eta, catalog, cand):

@@ -5,7 +5,7 @@
 `greedy_fill` masked the taken items with a boolean index; `slate_features`
 range-checked a `Slate` through numpy, `position_means` took its dots with
 `@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
-are kept here as oracles, and the plain select loop of `oracles.py` runs with
+are kept as oracles, here and in `oracles.py`, whose plain select loop runs with
 the `einsum` widths.  At m = 1, the only m any command runs, every
 row-wise dot is a single product, so slates, features, widths, clamp
 counts and reward means must match bit for bit.  At m > 1 the width sums
@@ -39,7 +39,7 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from oracles import select_slate_oracle
+from oracles import select_slate_oracle, slate_features_oracle
 from test_greedy_kernel import draw_catalog, draw_values
 
 # ---------------------------------------------------------------------------
@@ -49,16 +49,6 @@ from test_greedy_kernel import draw_catalog, draw_values
 def raw_widths_batch_oracle(term_zz, zx2, X, stats):
     PX = np.dot(X, stats.inv_A[stats.d :, stats.d :])
     return term_zz + np.einsum("ij,ij->i", zx2, X) + np.einsum("ij,ij->i", PX, X)
-
-
-def slate_features_oracle(slate, catalog):
-    ids = np.asarray(slate.items, dtype=np.intp)
-    catalog.check_ids(ids, "slate ids")
-    x = np.zeros((ids.size, catalog.diversity_dim))
-    for p in range(1, ids.size):
-        for i, metric in enumerate(catalog.metrics):
-            x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
-    return catalog.relevance[ids], x
 
 
 def position_means_oracle(z, x, eta):

@@ -1,6 +1,6 @@
 """Tests for the hybrid statistics, driven by two oracles.
 
-`JointRidgeOracle` solves the full (d+m)-dimensional ridge system afresh for
+`JointRidgeOracle` (in `oracles.py`) solves the full (d+m)-dimensional ridge system afresh for
 every query.  `SchurOracle` is the Schur-complement bookkeeping of hybrid
 LinUCB (Li et al. 2010, Algorithm 2) that the plain joint sums replaced:
 blockwise sums, an update that strips and re-applies the correction, and a
@@ -51,34 +51,8 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import (
-    TableDistanceMetric,
-    UnsharedLmdhPolicy,
-    count_selects,
-    random_catalog,
-)
-
-
-class JointRidgeOracle:
-    """Plain (d+m)-dimensional ridge accumulator: Phi = lam*I + sum zeta zeta^T."""
-
-    def __init__(self, d, m, lam):
-        self.d, self.m = d, m
-        self.phi = lam * np.eye(d + m)
-        self.b = np.zeros(d + m)
-
-    def add(self, z, x, w):
-        zeta = np.concatenate([z, x])
-        self.phi += np.outer(zeta, zeta)
-        self.b += w * zeta
-
-    def eta_hat(self):
-        eta = np.linalg.solve(self.phi, self.b)
-        return eta[: self.d], eta[self.d :]
-
-    def width(self, z, x):
-        zeta = np.concatenate([z, x])
-        return float(zeta @ np.linalg.solve(self.phi, zeta))
+from conftest import TableDistanceMetric, count_selects, random_catalog
+from oracles import JointRidgeOracle, UnsharedLmdhPolicy
 
 
 class SchurOracle:
