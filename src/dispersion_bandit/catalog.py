@@ -319,19 +319,15 @@ class ItemCatalog:
 
 
 def slate_features(
-    slate: Slate | tuple[int, ...], catalog: ItemCatalog
+    slate: Slate, catalog: ItemCatalog
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position marginal features (z, x) of a slate, in slate order.
 
-    `slate` is a `Slate` or a sequence of ids.  z[p] is item a_p's relevance
-    row and x[p, i] = sum_{j < p} h_i(a_p, a_j) its diversity marginal
-    against the items before it (zero at p = 0).  The ids must be integers
-    (a `Slate` checked its own) and are range-checked.
+    z[p] is item a_p's relevance row and x[p, i] = sum_{j < p} h_i(a_p, a_j)
+    its diversity marginal against the items before it (zero at p = 0).  The
+    ids, integers by `Slate`'s own check, are range-checked.
     """
-    if isinstance(slate, Slate):
-        items = slate.items
-    else:
-        items = integer_ids(slate, "slate ids").tolist()
+    items = slate.items
     ids = np.asarray(items, dtype=np.intp)
     if items and not (min(items) >= 0 and max(items) < catalog.item_count):
         catalog.check_ids(ids, "slate ids")

@@ -5,8 +5,8 @@ Aggregation conventions:
 * A user is "alive" at round t when their episode reached t; round-t
   averages divide by the alive count, so early candidate exhaustion shrinks
   the denominator instead of injecting zeros.
-* Users with an empty positive set cannot have recall and are excluded with
-  a warning; the exclusion count is carried on the series.
+* A user with an empty positive set has no recall, and raises
+  `PreconditionError`: a replay's held-out users all have a positive.
 * Per-round contributions are sorted before summing, so every aggregate is
   invariant to permuting the user list, bit for bit.
 """
@@ -14,7 +14,6 @@ Aggregation conventions:
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ class MetricSeries:
     diversity: np.ndarray
     f_beta: dict[float, np.ndarray]
     n_users: np.ndarray  # alive count per round
-    n_excluded: int  # users dropped for empty positive sets
 
     def __post_init__(self):
         lengths = {
@@ -66,40 +64,22 @@ def _ordered_mean(values: list[float]) -> float:
     return float(np.sort(np.asarray(values, dtype=np.float64)).sum() / len(values))
 
 
-def _usable(
-    logs, positives
-) -> tuple[list[tuple[TrialRound, ...]], list[frozenset], int]:
-    if len(logs) != len(positives):
-        raise ValueError(
-            f"{len(logs)} logs but {len(positives)} positive sets"
-        )
-    kept_logs, kept_pos, excluded = [], [], 0
-    for log, pos in zip(logs, positives):
-        if len(pos) == 0:
-            excluded += 1
-            continue
-        kept_logs.append(log)
-        kept_pos.append(frozenset(pos))
-    if excluded:
-        warnings.warn(
-            f"excluded {excluded} user(s) with empty positive sets", stacklevel=3
-        )
-    return kept_logs, kept_pos, excluded
+def slate_diversity(items, unit: np.ndarray) -> float:
+    """Mean raw cosine distance over the slate's pairs: 2/(|A|(|A|-1)) * sum.
 
-
-def slate_diversity(items, catalog: ItemCatalog, unit: np.ndarray | None = None) -> float:
-    """Mean raw cosine distance over the slate's pairs: 2/(|A|(|A|-1)) * sum."""
+    `unit` holds the catalog's unit relevance rows (`unit_rows`).  A mean
+    that rounds below 0, as for a slate of parallel vectors, is 0.0, as
+    `CosineDistanceMetric` clips each distance.
+    """
     if len(items) < 2:
         raise UndefinedDiversityError(
             f"diversity needs at least 2 items, got {len(items)}"
         )
-    if unit is None:
-        unit = unit_rows(catalog.relevance)
     vecs = unit[list(items)]
     sims = vecs @ vecs.T
     n = len(items)
     upper = sims[np.triu_indices(n, k=1)]
-    return float(np.sum(1.0 - upper) * 2.0 / (n * (n - 1)))
+    return max(float(np.sum(1.0 - upper) * 2.0 / (n * (n - 1))), 0.0)
 
 
 def f_beta_at(recall: float, diversity: float, beta: float) -> float:
@@ -117,12 +97,22 @@ def f_beta_at(recall: float, diversity: float, beta: float) -> float:
 def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries:
     """Recall/Diversity/F_beta at every round up to the longest episode.
 
-    F_beta is reported for each beta of `F_BETAS`.
+    F_beta is reported for each beta of `F_BETAS`.  A user with no positive
+    items raises `PreconditionError` naming the user's index.
     """
-    kept_logs, kept_pos, excluded = _usable(logs, positives)
-    if not kept_logs:
-        raise PreconditionError("no usable users")
-    horizon = max(len(log) for log in kept_logs)
+    if len(logs) != len(positives):
+        raise ValueError(
+            f"{len(logs)} logs but {len(positives)} positive sets"
+        )
+    if not logs:
+        raise PreconditionError("no users")
+    pos_sets = [frozenset(pos) for pos in positives]
+    for user, pos in enumerate(pos_sets):
+        if not pos:
+            raise PreconditionError(
+                f"user {user} has no positive items: recall is undefined"
+            )
+    horizon = max(len(log) for log in logs)
     rounds = np.arange(1, horizon + 1)
     recall = np.zeros(horizon)
     diversity = np.zeros(horizon)
@@ -130,13 +120,13 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
     unit = unit_rows(catalog.relevance)
 
     # running per-user state so the sweep is O(total rounds), not O(t^2)
-    hit_fractions = [0.0 for _ in kept_logs]
-    diversity_sums = [0.0 for _ in kept_logs]
+    hit_fractions = [0.0 for _ in logs]
+    diversity_sums = [0.0 for _ in logs]
     # users often see the same slate (static policies); each is scored once
     slate_diversities: dict[tuple[int, ...], float] = {}
     for t in rounds:
         rec_vals, div_vals = [], []
-        for i, (log, pos) in enumerate(zip(kept_logs, kept_pos)):
+        for i, (log, pos) in enumerate(zip(logs, pos_sets)):
             if len(log) < t:
                 continue
             entry = log[t - 1]
@@ -145,7 +135,7 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
             ) / len(pos)
             slate_div = slate_diversities.get(entry.items)
             if slate_div is None:
-                slate_div = slate_diversity(entry.items, catalog, unit)
+                slate_div = slate_diversity(entry.items, unit)
                 slate_diversities[entry.items] = slate_div
             diversity_sums[i] += slate_div
             rec_vals.append(hit_fractions[i])
@@ -166,7 +156,6 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
         diversity=diversity,
         f_beta=f_beta,
         n_users=n_users,
-        n_excluded=excluded,
     )
 
 

@@ -26,10 +26,10 @@ from .errors import DegenerateInstanceError, TooLargeInstanceError
 #: scaled regret and the LMDH regret bound divide by it.
 GAMMA = 0.25
 
-#: Maximum number of subsets the exhaustive oracle will enumerate.
-SUBSET_BUDGET = 10_000_000
+#: Maximum number of subsets the exhaustive oracle will enumerate, all in one
+#: cached table; every command's instance has at most C(20, 10) = 184 756.
+SUBSET_BUDGET = 262_144
 
-_ENUM_CHUNK = 262_144  # subsets enumerated per block
 _SCORE_ROWS = 4_096  # subsets scored per vectorized step, so temporaries stay small
 
 
@@ -132,34 +132,14 @@ def _pairwise_weights(
     return w
 
 
-def _subset_block(combos, count: int, k: int) -> np.ndarray:
-    """The next `count` subsets of `combos` as a (count, k) index block."""
-    flat = itertools.chain.from_iterable(itertools.islice(combos, count))
-    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
-
-
 @functools.lru_cache(maxsize=4)
 def _subset_table(n: int, k: int) -> np.ndarray:
     """Every k-subset of range(n) in lexicographic order, read-only, one per (n, k)."""
-    table = _subset_block(itertools.combinations(range(n), k), math.comb(n, k), k)
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    table = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
     table.flags.writeable = False
     return table
-
-
-def _subset_blocks(n: int, k: int):
-    """Lexicographic index blocks of every k-subset of range(n).
-
-    An enumeration that fits in one `_ENUM_CHUNK` block is the cached
-    `_subset_table`; a larger one streams, so the cache holds at most four
-    tables of at most one block each.
-    """
-    total = math.comb(n, k)
-    if total <= _ENUM_CHUNK:
-        yield _subset_table(n, k)
-        return
-    combos = itertools.combinations(range(n), k)
-    for start in range(0, total, _ENUM_CHUNK):
-        yield _subset_block(combos, min(_ENUM_CHUNK, total - start), k)
 
 
 def exhaustive_optimum(
@@ -171,7 +151,7 @@ def exhaustive_optimum(
     """Best K-subset by brute force; returns (sorted item ids, value).
 
     Enumerates C(n, K) subsets in lexicographic order (first maximizer wins),
-    from the blocks of `_subset_blocks`, scored `_SCORE_ROWS` at a time.
+    from the cached `_subset_table`, scored `_SCORE_ROWS` at a time.
     Refuses instances above `SUBSET_BUDGET` subsets.
     """
     catalog.check_eta(eta)
@@ -188,16 +168,16 @@ def exhaustive_optimum(
 
     best_value = -np.inf
     best_subset: tuple[int, ...] | None = None
-    for table in _subset_blocks(cand.size, k):
-        for start in range(0, len(table), _SCORE_ROWS):
-            block = table[start : start + _SCORE_ROWS]
-            values = per_item[block].sum(axis=1)
-            for p, q in pair_pos:
-                values += w[block[:, p], block[:, q]]
-            pick = int(values.argmax())
-            if values[pick] > best_value:  # strict: an earlier block keeps a tie
-                best_value = float(values[pick])
-                best_subset = tuple(cand[block[pick]].tolist())
+    table = _subset_table(cand.size, k)
+    for start in range(0, len(table), _SCORE_ROWS):
+        block = table[start : start + _SCORE_ROWS]
+        values = per_item[block].sum(axis=1)
+        for p, q in pair_pos:
+            values += w[block[:, p], block[:, q]]
+        pick = int(values.argmax())
+        if values[pick] > best_value:  # strict: an earlier block keeps a tie
+            best_value = float(values[pick])
+            best_subset = tuple(cand[block[pick]].tolist())
 
     assert best_subset is not None
     return best_subset, best_value

@@ -408,9 +408,9 @@ def load_embeddings(path, item_ids) -> np.ndarray:
     The file has header `item,e0,...,e{d-1}`, which sets d, and one row per
     original item id.  Each dimension is min-max rescaled onto [-1, 1] over
     every row in the file, including items that `item_ids` leaves out.  A bad
-    header, field count or value, a repeated id, an id of `item_ids` that
-    the file lacks and a file without rows raise ParseError or
-    EmptyDatasetError.
+    header, field count or value, a value that is nan or infinite, a repeated
+    id, an id of `item_ids` that the file lacks and a file without rows raise
+    ParseError or EmptyDatasetError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -436,6 +436,10 @@ def load_embeddings(path, item_ids) -> np.ndarray:
                 raise ParseError(
                     f"bad embedding row {row!r}", line_number=line_number
                 ) from exc
+            if not np.isfinite(values).all():
+                raise ParseError(
+                    f"non-finite embedding value in {row!r}", line_number=line_number
+                )
             if item in index:
                 raise ParseError(
                     f"duplicate embedding for item {item}", line_number=line_number

@@ -339,19 +339,15 @@ def select_slate(
 
 
 def update(
-    stats: HybridStatistics,
-    slate: Slate,
-    rewards: np.ndarray,
-    features: SlateSelection | tuple[np.ndarray, np.ndarray],
+    stats: HybridStatistics, selection: SlateSelection, rewards: np.ndarray
 ) -> None:
     """Absorb one round of feedback: A += zeta^T zeta, b += zeta^T w, refresh A^{-1}.
 
-    An empty slate is a no-op.
+    zeta's rows are the features `select_slate` logged in `selection`, float64
+    (k, d) and (k, m) arrays.  An empty slate is a no-op.
     """
-    if isinstance(features, SlateSelection):  # float64 (k, d) and (k, m) already
-        Z, X = features.relevance_features, features.diversity_features
-    else:
-        Z, X = (np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features)
+    slate = selection.slate
+    Z, X = selection.relevance_features, selection.diversity_features
     w = np.asarray(rewards, dtype=np.float64).ravel()
 
     if len(slate) == 0 and w.size == 0:
@@ -459,4 +455,4 @@ class LmdhPolicy:
         return entry[0]
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
-        update(self.stats, selection.slate, rewards, selection)
+        update(self.stats, selection, rewards)

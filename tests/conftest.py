@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dispersion_bandit import lmdh
-from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
+from dispersion_bandit.baselines import SlateSelection
+from dispersion_bandit.catalog import ItemCatalog, PreferenceVector, Slate
 from dispersion_bandit.errors import DimensionMismatchError
 
 
@@ -43,6 +44,13 @@ def count_selects(monkeypatch) -> list:
 
     monkeypatch.setattr(lmdh, "select_slate", counted)
     return calls
+
+
+def logged(Z, X, slate=None):
+    """The selection that logged features (Z, X), by default for the slate 0..k-1."""
+    if slate is None:
+        slate = Slate(tuple(range(len(Z))))
+    return SlateSelection(slate, relevance_features=Z, diversity_features=X)
 
 
 def random_table(rng, n):

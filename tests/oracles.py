@@ -30,6 +30,8 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
+from conftest import logged
+
 
 def widths_oracle(term_zz, zx2, X, stats):
     """v = z.P_zz z, plus each cross term 2 z.P_zx[:, i] x_i, plus each
@@ -99,7 +101,8 @@ def trained_stats(rng, catalog, k, rounds=4, lam=1.0):
         chosen, z, x, _, _ = select_slate_oracle(
             stats, config, catalog, catalog.all_items()
         )
-        update(stats, Slate(chosen), rng.integers(0, 2, k).astype(float), (z, x))
+        w = rng.integers(0, 2, k).astype(float)
+        update(stats, logged(z, x, Slate(chosen)), w)
     return stats
 
 
@@ -147,7 +150,7 @@ class UnsharedLmdhPolicy:
         return lmdh.select_slate(self.stats, self.config, self.catalog, candidates)
 
     def observe(self, selection, rewards):
-        lmdh.update(self.stats, selection.slate, rewards, selection)
+        lmdh.update(self.stats, selection, rewards)
 
 
 def mmr_oracle(scorer, catalog, candidates, k, alpha):

@@ -233,7 +233,7 @@ def test_criterion_4_width_equals_joint_ridge(capsys):
     for _ in range(200):
         selection = select_slate(stats, config, catalog, catalog.all_items())
         rewards = rng.random(k)
-        update(stats, selection.slate, rewards, selection)
+        update(stats, selection, rewards)
         for z_row, x_row in zip(
             selection.relevance_features, selection.diversity_features
         ):
@@ -367,7 +367,7 @@ def test_criterion_7_estimator_consistency(capsys):
                 relevance_features=zeta[:, :10],
                 diversity_features=zeta[:, 10:],
             )
-            update(stats, selection.slate, rewards, selection)
+            update(stats, selection, rewards)
         theta_hat, beta_hat = estimate_preferences(stats)
         err = float(
             np.linalg.norm(np.concatenate([theta_hat, beta_hat]) - eta_star)

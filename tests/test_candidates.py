@@ -196,8 +196,6 @@ def test_non_integer_ids_are_rejected_not_truncated(ids, bad):
     with pytest.raises(InvalidItemError, match=message):
         Slate(tuple(ids))
     with pytest.raises(InvalidItemError, match=message):
-        slate_features(ids, catalog)
-    with pytest.raises(InvalidItemError, match=message):
         utility(tuple(ids), eta, catalog)
 
 
@@ -208,7 +206,7 @@ def test_integer_ids_of_any_integer_type_are_accepted():
     slate = Slate(tuple(ids))
     assert slate.items == (4, 1, 7)
     assert all(type(a) is int for a in slate.items)
-    z, _ = slate_features(ids, catalog)
+    z, _ = slate_features(slate, catalog)
     assert z.tobytes() == catalog.relevance[[4, 1, 7]].tobytes()
 
 

@@ -29,6 +29,8 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
+from conftest import logged
+
 
 def zero_eta_instance(seed=5, n_items=6, d=3):
     inst = study_instance(seed, n_items=n_items, d=d, k=3)
@@ -292,7 +294,7 @@ def test_run_episode_trained_lmdh_matches_greedy_oracle():
         Z = rng.uniform(0.0, 1.0, size=(5, 3))
         X = rng.uniform(0.0, 2.0, size=(5, 1))
         w = np.clip(Z @ theta_star + X @ beta_star, 0.0, 1.0)
-        update(stats, Slate(tuple(range(5))), w, (Z, X))
+        update(stats, logged(Z, X), w)
     policy = LmdhPolicy(LmdhConfig(lam=1e-6, alpha=0.0, d=3, m=1, k=4), inst.catalog)
     policy.stats = stats
     env = SimulatedEnvironment(inst)

@@ -20,7 +20,6 @@ from dispersion_bandit.evaluation import (
     RegretSeries,
     average_regret,
     _ordered_mean,
-    _usable,
     compute_metric_series,
     f_beta_at,
     scaled_regret,
@@ -59,9 +58,8 @@ def fake_log(round_items):
 
 def recall_at(logs, positives, t: int) -> float:
     """Mean over alive users of sum_{l<=t} |A_l intersect I| / |I|."""
-    kept_logs, kept_pos, _ = _usable(logs, positives)
     contributions = []
-    for log, pos in zip(kept_logs, kept_pos):
+    for log, pos in zip(logs, positives):
         if len(log) < t:
             continue  # user's episode ended before t
         hits = sum(
@@ -75,11 +73,12 @@ def recall_at(logs, positives, t: int) -> float:
 
 def diversity_at(logs, catalog, t: int) -> float:
     """Per user: average slate diversity over rounds 1..t; then mean over users."""
+    unit = unit_rows(catalog.relevance)
     contributions = []
     for log in logs:
         if len(log) < t:
             continue
-        per_round = [slate_diversity(entry.items, catalog) for entry in log[:t]]
+        per_round = [slate_diversity(entry.items, unit) for entry in log[:t]]
         contributions.append(float(np.sort(np.asarray(per_round)).sum() / t))
     if not contributions:
         raise PreconditionError(f"no user is alive at round {t}")
@@ -102,11 +101,10 @@ def test_recall_extremes():
     assert recall_at(logs, [{9}], 2) == 0.0
 
 
-def test_recall_excludes_empty_positive_users_with_warning():
-    logs = [fake_log([(0, 1)]), fake_log([(2, 3)])]
-    with pytest.warns(UserWarning, match="excluded 1 user"):
-        value = recall_at(logs, [{0}, set()], 1)
-    assert value == pytest.approx(1.0)
+def test_a_user_without_positives_raises_naming_the_user():
+    logs = [fake_log([(0, 1)]), fake_log([(1, 2)])]
+    with pytest.raises(PreconditionError, match="^user 1 has no positive items"):
+        compute_metric_series(logs, [{0}, set()], diversity_catalog())
 
 
 def test_recall_is_nondecreasing():
@@ -128,30 +126,44 @@ def diversity_catalog():
 
 
 def test_slate_diversity_hand_example():
-    catalog = diversity_catalog()
-    assert slate_diversity((0, 1, 2), catalog) == pytest.approx(0.4, abs=1e-12)
+    unit = unit_rows(diversity_catalog().relevance)
+    assert slate_diversity((0, 1, 2), unit) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_slate_diversity_extremes():
-    orthogonal = ItemCatalog(
-        np.eye(3), (TableDistanceMetric(np.zeros((3, 3))),)
-    )
+    orthogonal = unit_rows(np.eye(3))
     assert slate_diversity((0, 1, 2), orthogonal) == pytest.approx(1.0)
-    identical = ItemCatalog(
-        np.tile([0.5, 0.5], (3, 1)), (TableDistanceMetric(np.zeros((3, 3))),)
-    )
+    identical = unit_rows(np.tile([0.5, 0.5], (3, 1)))
     assert slate_diversity((0, 1, 2), identical) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(UndefinedDiversityError):
         slate_diversity((0,), orthogonal)
 
 
-def test_slate_diversity_rejects_zero_norm_rows():
+def test_a_slate_of_parallel_vectors_has_no_negative_diversity():
+    # u . u can round to 1 + 2^-52, which made the raw mean distance of a
+    # slate of one direction -2.2e-16, and `f_beta_at` raised on it
+    rng = np.random.default_rng(0)
+    clamped = 0
+    for _ in range(40):
+        relevance = np.tile(rng.uniform(-1.0, 1.0, 10), (3, 1))
+        unit = unit_rows(relevance)
+        sims = unit @ unit.T
+        raw = float(np.sum(1.0 - sims[np.triu_indices(3, k=1)]) * 2.0 / 6)
+        assert slate_diversity((0, 1, 2), unit) == max(raw, 0.0)
+        clamped += raw < 0.0
+        catalog = ItemCatalog(relevance, (TableDistanceMetric(np.zeros((3, 3))),))
+        series = compute_metric_series([fake_log([(0, 1, 2)])], [{0}], catalog)
+        assert series.diversity[0] >= 0.0
+    assert clamped > 0
+
+
+def test_metric_series_rejects_zero_norm_rows():
     catalog = ItemCatalog(
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         (TableDistanceMetric(np.zeros((2, 2))),),
     )
     with pytest.raises(UndefinedSimilarityError):
-        slate_diversity((0, 1), catalog)
+        compute_metric_series([fake_log([(0, 1)])], [{0}], catalog)
 
 
 def test_diversity_at_averages_rounds_then_users():
@@ -237,22 +249,21 @@ def test_metric_series_matches_per_round_oracles():
 def metric_series_loop(logs, positives, catalog, betas=(1.0, 2.0)):
     """compute_metric_series as it stood before slate diversities were shared:
     `slate_diversity` runs for every user and round."""
-    kept_logs, kept_pos, excluded = _usable(logs, positives)
-    horizon = max(len(log) for log in kept_logs)
+    horizon = max(len(log) for log in logs)
     rounds = np.arange(1, horizon + 1)
     recall, diversity = np.zeros(horizon), np.zeros(horizon)
     n_users = np.zeros(horizon, dtype=np.intp)
     unit = unit_rows(catalog.relevance)
-    hit_fractions = [0.0 for _ in kept_logs]
-    diversity_sums = [0.0 for _ in kept_logs]
+    hit_fractions = [0.0 for _ in logs]
+    diversity_sums = [0.0 for _ in logs]
     for t in rounds:
         rec_vals, div_vals = [], []
-        for i, (log, pos) in enumerate(zip(kept_logs, kept_pos)):
+        for i, (log, pos) in enumerate(zip(logs, positives)):
             if len(log) < t:
                 continue
             entry = log[t - 1]
             hit_fractions[i] += sum(1 for item in entry.items if item in pos) / len(pos)
-            diversity_sums[i] += slate_diversity(entry.items, catalog, unit)
+            diversity_sums[i] += slate_diversity(entry.items, unit)
             rec_vals.append(hit_fractions[i])
             div_vals.append(diversity_sums[i] / t)
         n_users[t - 1] = len(rec_vals)
@@ -262,7 +273,7 @@ def metric_series_loop(logs, positives, catalog, betas=(1.0, 2.0)):
         float(b): np.array([f_beta_at(recall[i], diversity[i], b) for i in range(horizon)])
         for b in betas
     }
-    return MetricSeries(rounds, recall, diversity, f_beta, n_users, excluded)
+    return MetricSeries(rounds, recall, diversity, f_beta, n_users)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -287,7 +298,6 @@ def test_shared_slate_diversities_match_the_per_user_loop(seed):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.f_beta.keys() == want.f_beta.keys()
     assert all(got.f_beta[b].tobytes() == want.f_beta[b].tobytes() for b in got.f_beta)
-    assert got.n_excluded == want.n_excluded
 
 
 def regret_instance(seed=77):

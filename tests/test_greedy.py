@@ -151,7 +151,7 @@ class TestExhaustiveOptimum:
         catalog = random_catalog(rng, 30, d=2)
         eta = random_eta(rng)
         with pytest.raises(TooLargeInstanceError):
-            exhaustive_optimum(eta, catalog, range(30), 15)  # C(30, 15) > 1e7
+            exhaustive_optimum(eta, catalog, range(30), 15)  # C(30, 15) > SUBSET_BUDGET
         monkeypatch.setattr(greedy, "SUBSET_BUDGET", 10_000)
         with pytest.raises(TooLargeInstanceError, match="exceeds budget 10000"):
             exhaustive_optimum(eta, catalog, range(30), 4)  # C(30, 4) = 27 405

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispersion_bandit import ingest
@@ -319,6 +319,13 @@ def test_load_embeddings_errors(tmp_path):
         load_embeddings(write(tmp_path / "e.csv", ""), [1])
     with pytest.raises(EmptyDatasetError, match="no embedding rows"):
         load_embeddings(write(tmp_path / "g.csv", "item,e0\n"), [1])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_embeddings_rejects_non_finite_values_naming_the_line(tmp_path, value):
+    path = write(tmp_path / "emb.csv", f"item,e0,e1\n1,0,1\n2,{value},0\n3,1,{value}\n")
+    with pytest.raises(ParseError, match="^line 3: non-finite embedding value"):
+        load_embeddings(path, [1])
 
 
 def test_embedding_lookup(tmp_path):
@@ -686,3 +693,17 @@ def test_table_from_columns_matches_the_three_sort_build(columns, threshold):
         assert got == expected
     else:
         assert_same_table(got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parsed_columns(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_every_held_out_user_has_a_positive(columns, top_items, seed):
+    # replay's recall divides by each held-out user's positives, and
+    # `compute_metric_series` raises on an empty set
+    table = table_outcome(ingest._table_from_columns, columns, 3.0)
+    assume(not isinstance(table, str))
+    for source in (table, filter_top_items(table, top_items)):
+        if source.n_users < 2:
+            continue
+        _, test = split_users(source, seed)
+        assert all(test.items_of(u).size > 0 for u in range(test.n_users))

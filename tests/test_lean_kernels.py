@@ -39,6 +39,7 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
+from conftest import logged
 from oracles import select_slate_oracle, slate_features_oracle
 from test_greedy_kernel import draw_catalog, draw_values
 
@@ -81,7 +82,7 @@ def random_stats(rng, d, m, rounds):
     for _ in range(rounds):
         zeta = rng.uniform(-1.0, 1.0, size=(3, d + m))
         w = rng.integers(0, 2, 3).astype(float)
-        update(stats, Slate((0, 1, 2)), w, (zeta[:, :d], zeta[:, d:]))
+        update(stats, logged(zeta[:, :d], zeta[:, d:]), w)
     return stats
 
 

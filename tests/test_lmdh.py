@@ -51,7 +51,7 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import TableDistanceMetric, count_selects, random_catalog
+from conftest import TableDistanceMetric, count_selects, logged, random_catalog
 from oracles import JointRidgeOracle, UnsharedLmdhPolicy
 
 
@@ -108,8 +108,7 @@ def random_rounds(rng, n_rounds, k, d, m):
 
 def feed(stats, rounds):
     for Z, X, w in rounds:
-        slate = Slate(tuple(range(Z.shape[0])))
-        update(stats, slate, w, (Z, X))
+        update(stats, logged(Z, X), w)
 
 
 def feed_oracle(oracle, rounds):
@@ -141,7 +140,7 @@ def test_single_observation_hand_case():
     z = np.zeros(d)
     z[0] = 1.0
     x = np.zeros(m)
-    update(stats, Slate((7,)), np.array([1.0]), (z[None, :], x[None, :]))
+    update(stats, logged(z[None, :], x[None, :], Slate((7,))), np.array([1.0]))
     expected_A = np.eye(d + m)
     expected_A[0, 0] = 2.0
     assert np.array_equal(stats.A, expected_A)
@@ -228,12 +227,7 @@ def test_non_positive_definite_A_raises_naming_it(corner):
     stats = HybridStatistics(d=2, m=1, lam=1.0)
     stats.A[0, 0] = corner
     with pytest.raises(NumericalDegeneracyError, match=r"^A is not positive definite"):
-        update(
-            stats,
-            Slate((0,)),
-            np.array([0.0]),
-            (np.zeros((1, 2)), np.zeros((1, 1))),
-        )
+        update(stats, logged(np.zeros((1, 2)), np.zeros((1, 1))), np.array([0.0]))
 
 
 def test_width_fresh_unit_vector():
@@ -299,12 +293,7 @@ def test_update_keeps_blocks_positive_definite():
 def test_update_empty_slate_is_noop():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
     before = copy.deepcopy(stats)
-    update(
-        stats,
-        Slate(()),
-        np.zeros(0),
-        (np.zeros((0, 3)), np.zeros((0, 1))),
-    )
+    update(stats, logged(np.zeros((0, 3)), np.zeros((0, 1))), np.zeros(0))
     for name in ("A", "b", "inv_A"):
         assert np.array_equal(getattr(stats, name), getattr(before, name))
 
@@ -316,7 +305,7 @@ def test_update_rejects_out_of_range_rewards(bad):
     X = np.zeros((2, 1))
     w = np.array([0.5, bad])
     with pytest.raises(InvalidFeedbackError) as caught:
-        update(stats, Slate((0, 1)), w, (Z, X))
+        update(stats, logged(Z, X), w)
     assert str(caught.value) == f"rewards must lie in [0, 1], got {w}"
     assert np.array_equal(stats.A, np.eye(3))
     assert np.array_equal(stats.b, np.zeros(3))
@@ -327,20 +316,15 @@ def test_update_rejects_length_mismatch():
     Z = np.ones((2, 2)) * 0.2
     X = np.zeros((2, 1))
     with pytest.raises(DimensionMismatchError):
-        update(stats, Slate((0, 1)), np.array([0.5]), (Z, X))
+        update(stats, logged(Z, X), np.array([0.5]))
     with pytest.raises(DimensionMismatchError):
-        update(stats, Slate((0,)), np.array([0.5]), (Z, X))
+        update(stats, logged(Z, X, Slate((0,))), np.array([0.5]))
 
 
 def test_update_rejects_wrong_feature_dims():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
     with pytest.raises(DimensionMismatchError):
-        update(
-            stats,
-            Slate((0,)),
-            np.array([0.5]),
-            (np.zeros((1, 2)), np.zeros((1, 1))),
-        )
+        update(stats, logged(np.zeros((1, 2)), np.zeros((1, 1))), np.array([0.5]))
 
 
 def test_reward_model_consistency_monte_carlo():
@@ -356,7 +340,7 @@ def test_reward_model_consistency_monte_carlo():
         x = rng.uniform(0.0, 0.5, size=m)
         mean = float(theta_star @ z + beta_star @ x)
         w = float(rng.random() < mean)
-        update(stats, Slate((0,)), np.array([w]), (z[None, :], x[None, :]))
+        update(stats, logged(z[None, :], x[None, :]), np.array([w]))
     theta, beta = estimate_preferences(stats)
     err = np.linalg.norm(np.concatenate([theta - theta_star, beta - beta_star]))
     assert err < 0.1
@@ -454,7 +438,7 @@ def test_select_slate_matches_greedy_when_trained_and_alpha_zero():
         X = rng.uniform(0.0, 2.0, size=(5, 1))
         w = np.clip(Z @ theta_star + X @ beta_star, 0.0, 1.0)
         assert np.all(w < 1.0)
-        update(stats, Slate(tuple(range(5))), w, (Z, X))
+        update(stats, logged(Z, X), w)
     theta, beta = estimate_preferences(stats)
     assert np.allclose(theta, theta_star, atol=1e-4)
     assert np.allclose(beta, beta_star, atol=1e-4)

@@ -2,8 +2,8 @@
 
 The oracle below is the per-call `fromiter` enumeration that stood before the
 table: it must agree with the new code on the subset and on every bit of the
-value, with blocks split mid-enumeration and with tied optima on either side
-of a block boundary.
+value, however the oracle and the scorer split the enumeration into blocks,
+and with tied optima on either side of a block boundary.
 """
 
 import itertools
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersion_bandit import greedy
+from dispersion_bandit import cli, greedy
 from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
 from dispersion_bandit.greedy import _pairwise_weights, _subset_table, exhaustive_optimum
 
@@ -80,26 +80,25 @@ def test_matches_the_fromiter_enumeration_bit_for_bit(data):
     n = data.draw(st.integers(1, 14), label="n")
     k = data.draw(st.integers(1, n), label="k")
     tied = data.draw(st.booleans(), label="tied")
-    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 64, greedy._ENUM_CHUNK]), label="chunk")
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 64, 262_144]), label="oracle_chunk")
     rows = data.draw(st.sampled_from([1, 2, 5, greedy._SCORE_ROWS]), label="score_rows")
     rng = np.random.default_rng(seed)
     catalog, eta = grid_catalog(rng, n, 2, data.draw(st.integers(1, 2), label="m"), tied)
     cand = np.sort(rng.choice(n, size=data.draw(st.integers(k, n)), replace=False))
 
     want_subset, want_value = exhaustive_optimum_oracle(eta, catalog, cand, k, chunk)
-    original = greedy._ENUM_CHUNK, greedy._SCORE_ROWS
-    greedy._ENUM_CHUNK, greedy._SCORE_ROWS = chunk, rows
+    original = greedy._SCORE_ROWS
+    greedy._SCORE_ROWS = rows
     try:
         got_subset, got_value = exhaustive_optimum(eta, catalog, cand, k)
     finally:
-        greedy._ENUM_CHUNK, greedy._SCORE_ROWS = original
+        greedy._SCORE_ROWS = original
     assert got_subset == want_subset
     assert got_value.hex() == want_value.hex()
 
 
-@pytest.mark.parametrize("name", ["_ENUM_CHUNK", "_SCORE_ROWS"])
 @pytest.mark.parametrize("chunk", [5, 4, 6])
-def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chunk, name):
+def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chunk):
     # Only pairs (0, 5) and (1, 2) reach the top value.  With n=6, k=2 the
     # lexicographic order is (0,1)..(0,5), (1,2), ...: at chunk 5 the two
     # straddle the first boundary, at 4 and 6 they share a block or not.
@@ -108,7 +107,7 @@ def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chu
     table[0, 5] = table[5, 0] = table[1, 2] = table[2, 1] = 1.0
     catalog = ItemCatalog(np.ones((6, 1)), (TableDistanceMetric(table),))
     eta = PreferenceVector(np.zeros(1), np.ones(1))
-    monkeypatch.setattr(greedy, name, chunk)
+    monkeypatch.setattr(greedy, "_SCORE_ROWS", chunk)
     assert exhaustive_optimum(eta, catalog, range(6), 2) == ((0, 5), 1.0)
     assert exhaustive_optimum_oracle(eta, catalog, range(6), 2, chunk) == ((0, 5), 1.0)
 
@@ -123,18 +122,21 @@ def test_the_subset_table_is_lexicographic_and_read_only(fresh_tables):
     assert _subset_table(6, 3) is table
 
 
-def test_one_block_enumerations_are_cached_and_larger_ones_stream(
-    monkeypatch, fresh_tables
-):
+def test_each_enumeration_is_one_cached_table(fresh_tables):
     rng = np.random.default_rng(3)
     catalog, eta = grid_catalog(rng, 9, 2, 1, tied=False)
-    monkeypatch.setattr(greedy, "_ENUM_CHUNK", math.comb(9, 3))
     exhaustive_optimum(eta, catalog, range(9), 3)
     exhaustive_optimum(eta, catalog, range(9), 3)
     info = _subset_table.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
-    monkeypatch.setattr(greedy, "_ENUM_CHUNK", math.comb(9, 4) - 1)
     exhaustive_optimum(eta, catalog, range(9), 4)
-    assert _subset_table.cache_info().currsize == 1  # C(9, 4) is over one block
+    assert _subset_table.cache_info().currsize == 2
     assert _subset_table.cache_info().maxsize <= 4
+
+
+def test_every_command_instance_fits_the_subset_budget():
+    # `simulate` and `approx-ratio` build SIM_ITEMS-item instances with any K
+    # up to SIM_ITEMS, and `exhaustive_optimum` holds every subset in one table
+    for k in range(1, cli.SIM_ITEMS + 1):
+        assert math.comb(cli.SIM_ITEMS, k) <= greedy.SUBSET_BUDGET, k
