@@ -12,6 +12,7 @@ learners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,23 +47,32 @@ def claim_memo(memo: dict, catalog: ItemCatalog, setting) -> dict:
 
 
 class StaticScorer:
-    """Fixed per-item quality r_a = sigmoid(u_bar . z_a), cached over the catalog."""
+    """Fixed per-item quality r_a = sigmoid(u_bar . z_a), computed on first read."""
 
     def __init__(self, u_bar: np.ndarray, catalog: ItemCatalog):
-        u_bar = np.ascontiguousarray(u_bar, dtype=np.float64)
+        u_bar = np.array(u_bar, dtype=np.float64)  # a copy: `quality` reads it later
         if u_bar.shape != (catalog.relevance_dim,):
             raise DimensionMismatchError(
                 f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
             )
         self.catalog = catalog  # range-checks the candidate ids
-        logits = catalog.relevance @ u_bar
-        self.quality = 1.0 / (1.0 + np.exp(-logits))
-        self.quality.flags.writeable = False
-        # unit rows for the MMR similarity penalty
-        norms = np.linalg.norm(catalog.relevance, axis=1)
+        self._u_bar = u_bar
+
+    @cached_property
+    def quality(self) -> np.ndarray:
+        logits = self.catalog.relevance @ self._u_bar
+        quality = 1.0 / (1.0 + np.exp(-logits))
+        quality.flags.writeable = False
+        return quality
+
+    @cached_property
+    def _unit(self) -> np.ndarray:
+        """Unit rows for the MMR similarity penalty."""
+        norms = np.linalg.norm(self.catalog.relevance, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)
-        self._unit = catalog.relevance / safe[:, None]
-        self._unit.flags.writeable = False
+        unit = self.catalog.relevance / safe[:, None]
+        unit.flags.writeable = False
+        return unit
 
 
 def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 #: Ground sets up to this size memoise each distance row on its first read;
-#: larger ones evaluate every column on demand from the vectors.
+#: larger ones compute every column on demand, with the same bits.
 TABLE_THRESHOLD = 4096
 
 METRIC_MODES = ("raw", "slate-normalized")
@@ -100,15 +100,14 @@ class CosineDistanceMetric:
     `scale = 2 / (K * (K - 1))` so that a full slate of capacity K
     accumulates the size-normalized average pair distance.
 
-    For ground sets of at most `TABLE_THRESHOLD` items, item i's distance row
-    is computed the first time a column of i is read and memoised; a run
-    computes only the rows it reads.  Each row is formed by one fixed-order
-    product per entry, so h(i, j) == h(j, i) bit for bit, and a row's bits do
-    not depend on which rows were filled before it, or in which thread or
-    forked process: `column` stays a pure, deterministic function of its
-    arguments.  Larger ground sets evaluate every column on demand from the
-    vectors, which agrees with the rows to floating-point noise (well
-    within 1e-12).
+    Every entry is one fixed-order `einsum` product of two unit rows (a gemv
+    would round by an entry's position), so h(i, j) == h(j, i) bit for bit,
+    and an entry's bits do not depend on which other ids it is read with, in
+    which order, or in which thread or forked process: `column` is a pure,
+    deterministic function of its arguments.  Ground sets of at most
+    `TABLE_THRESHOLD` items memoise item i's whole row the first time a
+    column of i is read, so a run computes only the rows it reads; larger
+    ones compute each column on demand, with the same bits.
     """
 
     def __init__(self, vectors: np.ndarray, scale: float = 1.0):
@@ -137,13 +136,12 @@ class CosineDistanceMetric:
         dim = self._unit.shape[1]
         return 2.0 * self.scale * (1.0 + 4 * (dim + 4) * np.finfo(np.float64).eps)
 
-    @property
-    def entrywise(self) -> bool:
-        """True when an entry of `column` has the same bits whatever other ids
-        it is read with: the memoised rows are; a product over gathered rows
-        rounds by an entry's position.
-        """
-        return self._rows is not None
+    def _distances(self, unit: np.ndarray, item: int) -> np.ndarray:
+        """h(item, j) for each row j of `unit`, self-distances not yet zeroed."""
+        dist = np.einsum("ij,j->i", unit, self._unit[item])
+        np.subtract(1.0, dist, out=dist)
+        dist *= self.scale
+        return np.clip(dist, 0.0, None, out=dist)
 
     def _row(self, item: int) -> np.ndarray:
         """h(item, j) for every item j, computed on first use.
@@ -153,12 +151,7 @@ class CosineDistanceMetric:
         """
         row = self._rows.get(item)
         if row is None:
-            # einsum sums each entry's products in one fixed order; a one-row
-            # `U @ u` is a gemv, whose rounding depends on the entry's position
-            row = np.einsum("ij,j->i", self._unit, self._unit[item])
-            np.subtract(1.0, row, out=row)
-            row *= self.scale
-            np.clip(row, 0.0, None, out=row)
+            row = self._distances(self._unit, item)
             row[item] = 0.0
             row.flags.writeable = False
             self._rows[item] = row
@@ -169,8 +162,7 @@ class CosineDistanceMetric:
         others = np.asarray(others, dtype=np.intp)
         if self._rows is not None:
             return self._row(item)[others]
-        col = self.scale * (1.0 - self._unit[others] @ self._unit[item])
-        np.clip(col, 0.0, None, out=col)
+        col = self._distances(self._unit[others], item)
         col[others == item] = 0.0
         return col
 

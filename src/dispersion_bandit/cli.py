@@ -201,7 +201,7 @@ def make_policy(
     epsilon: float,
     mmr_alpha: float,
     rng: np.random.Generator | None,
-    scorer: StaticScorer | None,
+    scorer: StaticScorer,
     memo: dict | None = None,
 ):
     """The one place a policy is built from the command-line settings.
@@ -250,14 +250,12 @@ def _simulate_run(task: tuple):
     )
     # The baselines' u_bar is drawn from the true preference's prior (a
     # stand-in for a scorer trained on other users) before epsilon-greedy
-    # takes the same rng for its exploration.  LMDH reads no scorer, and
-    # building one would be its run's only np.exp (0.13 MB of peak RSS).
+    # takes the same rng for its exploration.
     rng = rng_from_seed(run_seed, STREAM_POLICY)
     u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
-    scorer = None if policy_name == "lmdh" else StaticScorer(u_bar, instance.catalog)
     policy = make_policy(
         policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng, scorer,
+        rng, StaticScorer(u_bar, instance.catalog),
     )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)

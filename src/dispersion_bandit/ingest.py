@@ -365,13 +365,11 @@ def filter_top_items(table: InteractionTable, n: int) -> InteractionTable:
     if not np.any(mask):
         raise EmptyDatasetError("top-items filter removed every record")
 
-    users_orig = table.user_ids[table.users[mask]]
-    items_orig = table.item_ids[table.items[mask]]
-    user_ids = distinct_sorted(users_orig)
-    item_ids = distinct_sorted(items_orig)
+    user_ids, users = _dense_ids(table.user_ids[table.users[mask]])
+    item_ids, items = _dense_ids(table.item_ids[table.items[mask]])
     return InteractionTable(
-        users=np.searchsorted(user_ids, users_orig),
-        items=np.searchsorted(item_ids, items_orig),
+        users=users,
+        items=items,
         user_ids=user_ids,
         item_ids=item_ids,
         filtered_count=table.filtered_count,

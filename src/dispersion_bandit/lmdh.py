@@ -201,15 +201,12 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta):
     that fails four times and scores whole any set of a quarter of the
     candidates or more; so with at most 16k candidates a failing first set
     costs a second run over every candidate, and no bound is computed
-    there.  Nor is one at m > 1, when P_xx < 0, when a term is not finite,
-    or for a metric that is not `entrywise`, whose columns read over the
-    survivors alone may round otherwise than the whole columns.
+    there.  Nor is one at m > 1, when P_xx < 0, or when a term is not
+    finite.  The passes over the survivors read their columns alone, which
+    holds the slate's bits because a metric's entry has one value whatever
+    ids it is read with.
     """
-    if (
-        stats.m != 1
-        or rel_scores.size <= 16 * config.k
-        or not catalog.metrics[0].entrywise
-    ):
+    if stats.m != 1 or rel_scores.size <= 16 * config.k:
         return None
     p_xx = float(stats.inv_A[-1, -1])
     if not p_xx >= 0.0:

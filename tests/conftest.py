@@ -23,7 +23,6 @@ class TableDistanceMetric:
         table.flags.writeable = False
         self._table = table
         self.max_distance = float(table.max())
-        self.entrywise = True
 
     def __len__(self) -> int:
         return len(self._table)

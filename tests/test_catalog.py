@@ -409,9 +409,24 @@ class TestCosineMetricModes:
         memoised = CosineDistanceMetric(vectors, scale=0.1)
         on_demand = on_demand_metric(vectors, scale=0.1)
         assert memoised._rows is not None and on_demand._rows is None
-        np.testing.assert_allclose(
-            distance_matrix(memoised), distance_matrix(on_demand), atol=1e-12
-        )
+        assert distance_matrix(on_demand).tobytes() == distance_matrix(memoised).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_on_demand_columns_have_the_memoised_rows_bits(self, data):
+        # an entry's bits depend on neither the ids it is read with nor its
+        # position among them, whatever the parity of d
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1, 300), label="n")
+        d = data.draw(st.sampled_from([1, 2, 3, 4, 7, 10, 33, 64]), label="d")
+        vectors = rng.normal(size=(n, d))
+        scale = data.draw(st.sampled_from([1.0, 0.1]), label="scale")
+        memoised = CosineDistanceMetric(vectors, scale=scale)
+        on_demand = on_demand_metric(vectors, scale=scale)
+        for item in rng.integers(0, n, size=5).tolist():
+            others = rng.permutation(n)[: rng.integers(0, n + 1)]
+            want = memoised.column(item, others)
+            assert on_demand.column(item, others).tobytes() == want.tobytes()
 
     def test_slate_normalized_scale(self, rng):
         vectors = rng.uniform(0.1, 1.0, size=(6, 3))

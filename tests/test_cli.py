@@ -119,7 +119,7 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
     fresh = rng_from_seed(17, STREAM_POLICY)
     u_bar = fresh.uniform(0.0, 0.2, cli.SIM_D)
     if name == "lmdh":
-        assert scorer is None  # LMDH reads no scorer
+        assert "quality" not in vars(scorer)  # LMDH reads no scorer
     else:
         quality = StaticScorer(u_bar, scorer.catalog).quality
         assert scorer.quality.tobytes() == quality.tobytes()
@@ -737,8 +737,30 @@ def test_only_lmdh_replays_fill_the_distance_row_memo(
                  "--workers", "1"]) == 0
     capsys.readouterr()
     (metric,) = catalogs[0].metrics
-    assert metric.entrywise  # the sample's catalog memoises its rows
+    assert metric._rows is not None  # the sample's catalog memoises its rows
     assert (len(metric._rows) > 0) == (name == "lmdh"), len(metric._rows)
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_only_baseline_replays_compute_the_population_quality(
+    tmp_path, capsys, monkeypatch, name
+):
+    # every replay world builds the population scorer; LMDH never reads it
+    scorers = []
+
+    def recording_make_policy(*args):
+        scorers.append(args[8])
+        return make_policy(*args)
+
+    monkeypatch.setattr(cli, "make_policy", recording_make_policy)
+    cli._replay_context.cache_clear()  # a world built afresh, its scorer unread
+    assert main(["replay", "--dataset", RATINGS, "--format", "generic",
+                 "--seed", "7", "--policy", name, "--out", str(tmp_path),
+                 "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert scorers
+    for scorer in scorers:
+        assert ("quality" in vars(scorer)) == (name != "lmdh")
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):
