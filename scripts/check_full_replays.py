@@ -7,6 +7,9 @@ Writes the benchmark's seed-3 ML-1M-shaped ratings file (6 040 users,
 LogRank, MMR and epsilon-greedy at ``--workers`` 1 and 2, each run in a
 fresh process.  It exits 1 unless
 
+* the columnar reader (``ingest._read_columnar``) accepts the file, checked
+  before any replay starts: the line reader gives the same tables, about
+  five times slower, so a silent fall-back to it shows in no output,
 * ``metrics.csv`` is byte-identical across the worker counts,
 * every round counts every user (``n_users`` is constant),
 * recall never decreases from one round to the next,
@@ -79,6 +82,12 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     described = load_perfbench_inputs().write_ml1m_like(args.out, INPUT_SEED)
     print(f"input {described.path} lines={described.lines} sha256={described.sha256}")
+    sys.path.insert(0, str(ROOT / "src"))
+    from dispersion_bandit import ingest
+
+    if ingest._read_columnar(described.path, "::") is None:
+        print("FAIL the columnar reader rejects the input file", file=sys.stderr)
+        return 1
 
     problems, final_diversity = [], {}
     for policy in ("lmdh", "logrank", "mmr", "epsilon-greedy"):

@@ -162,7 +162,10 @@ class CosineDistanceMetric:
         others = np.asarray(others, dtype=np.intp)
         if self._rows is not None:
             return self._row(item)[others]
-        col = self._distances(self._unit[others], item)
+        # the whole catalog in order is read in place, with the gather's bits
+        n = len(self._unit)
+        whole = others.size == n and np.array_equal(others, np.arange(n))
+        col = self._distances(self._unit if whole else self._unit[others], item)
         col[others == item] = 0.0
         return col
 

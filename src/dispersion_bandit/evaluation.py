@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,15 @@ def _ordered_mean(values: list[float]) -> float:
     return float(np.sort(np.asarray(values, dtype=np.float64)).sum() / len(values))
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `np.triu_indices(n, k=1)`, built once per slate size."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def slate_diversity(items, unit: np.ndarray) -> float:
     """Mean raw cosine distance over the slate's pairs: 2/(|A|(|A|-1)) * sum.
 
@@ -78,7 +88,7 @@ def slate_diversity(items, unit: np.ndarray) -> float:
     vecs = unit[list(items)]
     sims = vecs @ vecs.T
     n = len(items)
-    upper = sims[np.triu_indices(n, k=1)]
+    upper = sims[_pair_indices(n)]
     return max(float(np.sum(1.0 - upper) * 2.0 / (n * (n - 1))), 0.0)
 
 

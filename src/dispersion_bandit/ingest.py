@@ -148,20 +148,43 @@ _COLUMNAR_FIELDS = {"\t": (0, 1, 2, 3), "::": (0, 2, 4, 6)}
 _COLUMNAR_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("ts", "i8")]
 
 
+#: Bytes per block of `_colon_runs_are_pairs`' pass; each block reads two more.
+_COLON_BLOCK = 1 << 20
+
+
+def _colon_runs_are_pairs(raw: bytes) -> bool:
+    """Whether every run of `:` in `raw` is exactly two long."""
+    # blocks overlap by two bytes, so a run of three or more that starts in a
+    # block is seen whole.  With none, runs are one or two long, and the
+    # colons number twice the adjacent pairs exactly when none is one long.
+    data = np.frombuffer(raw, dtype=np.uint8)
+    colons = pairs = 0
+    for start in range(0, data.size, _COLON_BLOCK):
+        colon = data[start : start + _COLON_BLOCK + 2] == ord(":")
+        pair = colon[:-1] & colon[1:]
+        if (pair[:-1] & pair[1:]).any():
+            return False
+        colons += np.count_nonzero(colon[:_COLON_BLOCK])
+        pairs += np.count_nonzero(pair[:_COLON_BLOCK])
+    return colons == 2 * pairs
+
+
 def _read_columnar(path, sep: str) -> _Columns | None:
     """Columns from one `np.loadtxt` call, or None to use the line reader.
 
     Only a file made of unsigned decimals, `\\n` and the separator is tried,
-    and for `::` only one whose colons all come in pairs, so that splitting on
-    `:` puts the fields at the even positions.  On such a file `loadtxt`
+    and for `::` only one whose every run of colons is two long, so that
+    splitting on `:` puts the fields at the even positions.  The file's bytes
+    are freed before `loadtxt` reads it again.  On such a file `loadtxt`
     either yields the values the line reader would or raises `ValueError`.
     A file with no data is left to the line reader (`loadtxt` warns on it).
     """
     raw = Path(path).read_bytes()
-    if not raw.strip() or raw.translate(None, b"0123456789.\n" + sep[:1].encode()):
+    if not raw or raw.isspace() or raw.translate(None, b"0123456789.\n" + sep[:1].encode()):
         return None
-    if sep == "::" and raw.count(b":") != 2 * raw.count(b"::"):
+    if sep == "::" and not _colon_runs_are_pairs(raw):
         return None
+    del raw
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads "1.0" into an int column with only this warning
@@ -287,8 +310,9 @@ def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> Interac
     field and bit whichever reader ran:
 
     * columnar: a tab or `::` file whose bytes are only unsigned decimals,
-      `\\n` and the separator (for `::`, with every colon in a pair) is read
-      whole by one `np.loadtxt` call;
+      `\\n` and the separator (for `::`, with every run of colons exactly two
+      long) is read whole by one `np.loadtxt` call; the bytes read for that
+      check are freed before it;
     * line by line: every generic CSV, every other tab or `::` file (CRLF,
       signs, spaces, 3-field or mixed-field lines) and any file `loadtxt`
       rejects.

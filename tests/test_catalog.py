@@ -578,6 +578,29 @@ class TestDistanceRows:
                 col[...] = -1.0  # a copy: the next read is unchanged
                 assert metric.column(item, others).tobytes() == want.tobytes()
 
+    def test_whole_catalog_columns_are_read_in_place_with_the_gathers_bits(self, rng):
+        n, d = 5000, 64
+        assert n > catalog_module.TABLE_THRESHOLD  # columns on demand
+        metric = CosineDistanceMetric(rng.normal(size=(n, d)))
+        ids = np.arange(n)
+        for item in (0, 1, 2500, n - 1):
+            tracemalloc.start()
+            try:
+                in_place = metric.column(item, ids)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * d * 8 / 4  # no gathered copy of the unit rows
+            # one id more than the catalog takes the gather
+            gathered = metric.column(item, np.append(ids, item))
+            assert in_place.tobytes() == gathered[:n].tobytes()
+            assert in_place[item] == 0.0
+        # as many ids as the catalog, one repeated: not the whole catalog
+        repeated = ids.copy()
+        repeated[1] = 0
+        want = metric.column(3, ids)[repeated]
+        assert metric.column(3, repeated).tobytes() == want.tobytes()
+
     def test_memory_grows_with_the_rows_read(self, rng):
         n, reads = 1500, 20
         vectors = rng.uniform(-1.0, 1.0, size=(n, 10))

@@ -7,6 +7,7 @@ separators themselves are under test.
 import csv
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -429,6 +430,11 @@ def test_int64_extremes_are_kept(tmp_path):
     [
         ("u.data", "ml100k-tab", "1\t10\t4\t7\n2\t10\t5\t8\n1\t10\t4.5\t9\n\n"),
         ("ratings.dat", "ml1m-colons", "1::10::4::7\n2::10::5::8\n1::10::4.5::9"),
+        (  # ML-1M's shape: 4-digit ids, 10-digit timestamps, no final newline
+            "ratings.dat",
+            "ml1m-colons",
+            "6040::3952::4::978300760\n6041::3952::5::1046454590\n6040::3952::4.5::978302109",
+        ),
     ],
 )
 def test_plain_numeric_files_take_the_columnar_reader(tmp_path, monkeypatch, name, fmt, text):
@@ -442,6 +448,48 @@ def test_plain_numeric_files_take_the_columnar_reader(tmp_path, monkeypatch, nam
     assert table.users.tolist() == [0, 1]
     assert table.items.tolist() == [0, 0]
     assert table.duplicate_count == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1::2::5::3\n1:2::5::3\n",  # a lone colon: ParseError on line 2
+        "1::2::5::3::4:5\n",  # a lone colon in a field past the timestamp
+        "1::2::5::3:::4\n",
+        "1::2::5::3::::4\n",  # a run of four, which loadtxt used to reject
+    ],
+)
+def test_colon_runs_other_than_pairs_skip_loadtxt(tmp_path, monkeypatch, text):
+    path = write(tmp_path / "ratings.dat", text)
+    expected = parse_outcome(dict_parse_ratings, path, "ml1m-colons", 3.0)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("loadtxt reached with a colon run other than a pair")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    got = parse_outcome(parse_ratings, path, "ml1m-colons", 3.0)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_same_table(got, expected)
+
+
+def colon_runs_are_pairs_oracle(raw: bytes) -> bool:
+    return all(len(run) == 2 for run in re.findall(rb":+", raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40).map(lambda b: bytes(b"01:\n"[v % 4] for v in b)))
+@example(b"")
+@example(b"::1::2")  # a run at offset 0
+@example(b"1::2:")  # a lone trailing colon
+@example(b"1::2::")
+@example(b"1::::2")
+def test_colon_check_matches_the_run_oracle_across_block_edges(raw):
+    # blocks of 1, 2, 3 and 7 bytes put runs across every kind of block edge
+    for block in (1, 2, 3, 7, ingest._COLON_BLOCK):
+        with mock.patch.object(ingest, "_COLON_BLOCK", block):
+            assert ingest._colon_runs_are_pairs(raw) == colon_runs_are_pairs_oracle(raw)
 
 
 def _oracle_split_line(line, sep, line_number):
