@@ -45,7 +45,6 @@ from .lmdh import (
     LmdhConfig,
     LmdhPolicy,
     TheoryParams,
-    confidence_width,
     estimate_preferences,
     lemma1_width_budget,
     regret_upper_bound,

@@ -109,7 +109,7 @@ def mmr_select(
     quality = scorer.quality[cand]
     unit = scorer._unit[cand]
 
-    def score(step: int, sim_sum: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    def score(step: int, sim_sum: np.ndarray) -> np.ndarray:
         scores = mmr_alpha * quality
         if step > 0:
             scores = scores - (1.0 - mmr_alpha) / step * sim_sum

@@ -31,7 +31,6 @@ from .environments import (
 )
 from .errors import DispersionBanditError, InsufficientCandidatesError
 from .evaluation import (
-    OPTIMUM_MODES,
     average_regret,
     compute_metric_series,
     scaled_regret,
@@ -243,7 +242,6 @@ def _simulate_run(task: tuple):
         rounds,
         run_seed,
         metric_mode,
-        optimum_mode,
     ) = task
     instance = study_instance(
         run_seed, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
@@ -259,7 +257,7 @@ def _simulate_run(task: tuple):
     )
     environment = SimulatedEnvironment(instance)
     log = run_episode(policy, environment, rounds, k)
-    return scaled_regret(log, instance, optimum_mode)
+    return scaled_regret(log, instance)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -279,7 +277,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.rounds,
             run_seed,
             args.metric_mode,
-            args.optimum,
         )
         for run_seed in run_seeds
     ]
@@ -641,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--runs", type=positive_int, default=20)
     sim.add_argument("--metric-mode", dest="metric_mode", choices=METRIC_MODES,
                      default="slate-normalized")
-    sim.add_argument("--optimum", choices=OPTIMUM_MODES, default="exhaustive")
     sim.add_argument("--out", required=True)
     _add_seed_workers(sim)
     sim.set_defaults(func=cmd_simulate)

@@ -19,13 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import ItemCatalog, PreferenceVector, unit_rows
+from .catalog import ItemCatalog, unit_rows
 from .environments import SimInstance, TrialRound
 from .errors import PreconditionError, UndefinedDiversityError
-from .greedy import GAMMA, exhaustive_optimum, greedy_select
+from .greedy import GAMMA, exhaustive_optimum
+from .greedy import greedy_select  # noqa: F401  perfbench/tests/test_spans.py wraps it here
 
-#: How `scaled_regret` finds each round's optimum.
-OPTIMUM_MODES = ("exhaustive", "greedy-oracle")
 #: The F_beta weights `compute_metric_series` reports.
 F_BETAS = (1.0, 2.0)
 
@@ -169,38 +168,13 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
     )
 
 
-def _optimum_cache_lookup(
-    cache: dict,
-    candidates: tuple[int, ...],
-    eta_star: PreferenceVector,
-    catalog: ItemCatalog,
-    k: int,
-    mode: str,
-) -> float:
-    value = cache.get(candidates)
-    if value is None:
-        if mode == "exhaustive":
-            _, value = exhaustive_optimum(eta_star, catalog, candidates, k)
-        else:
-            value = greedy_select(eta_star, catalog, candidates, k).value
-        cache[candidates] = value
-    return value
-
-
-def scaled_regret(
-    log: tuple[TrialRound, ...],
-    instance: SimInstance,
-    optimum_mode: str = "exhaustive",
-) -> RegretSeries:
+def scaled_regret(log: tuple[TrialRound, ...], instance: SimInstance) -> RegretSeries:
     """Cumulative F(A*_t) - F(A_t)/GAMMA and the unscaled companion series.
 
-    A*_t maximizes the true utility over that round's candidates — found by
-    exhaustive search by default, or by the true-preference greedy slate in
-    greedy-oracle mode (cheaper, and a lower bound on the true optimum).
-    Only simulation logs qualify: the true utility must have been recorded.
+    A*_t maximizes the true utility over that round's candidates, found by
+    exhaustive search once per distinct candidate set.  Only simulation logs
+    qualify: the true utility must have been recorded.
     """
-    if optimum_mode not in OPTIMUM_MODES:
-        raise ValueError(f"unknown optimum_mode {optimum_mode!r}")
     n = len(log)
     scaled = np.zeros(n)
     raw = np.zeros(n)
@@ -212,11 +186,13 @@ def scaled_regret(
             raise PreconditionError(
                 "regret needs simulation logs with recorded true utilities"
             )
-        k = len(entry.items)
-        best = _optimum_cache_lookup(
-            cache, entry.candidate_items, instance.eta_star, instance.catalog, k,
-            optimum_mode,
-        )
+        best = cache.get(entry.candidate_items)
+        if best is None:
+            _, best = exhaustive_optimum(
+                instance.eta_star, instance.catalog, entry.candidate_items,
+                len(entry.items),
+            )
+            cache[entry.candidate_items] = best
         running_scaled += best - entry.true_utility / GAMMA
         running_raw += best - entry.true_utility
         if entry.widths is not None:

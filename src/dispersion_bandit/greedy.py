@@ -55,24 +55,22 @@ class GreedyResult:
 def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     """The greedy pass loop shared by every slate selector.
 
-    Pass `step` scores all candidates with `score(step, acc, taken)`, which
-    returns a fresh array, masks the taken ones, picks the first maximum
-    (the smallest id, as candidates are sorted) and calls
+    Pass `step` scores all candidates with `score(step, acc)`, which returns
+    a fresh array, sets the taken ones' scores to -inf, picks the first
+    maximum (the smallest id, as candidates are sorted) and calls
     `add_column(acc, pick)`, which adds the pick's column to `acc` in place,
     so `acc` holds the summed columns of the picks so far.  Returns the pick
     positions, `acc`'s row at each pick (before its own column is added) and
     the score at each pick.
     """
-    taken = np.zeros(acc.shape[0], dtype=bool)
     picks: list[int] = []
     rows = np.empty((k,) + acc.shape[1:])
     pick_scores = np.empty(k)
     for step in range(k):
-        scores = score(step, acc, taken)
+        scores = score(step, acc)
         for taken_pick in picks:  # fewer calls than a boolean mask over every score
             scores[taken_pick] = -np.inf
         pick = int(scores.argmax())
-        taken[pick] = True
         picks.append(pick)
         rows[step] = acc[pick]
         pick_scores[step] = scores[pick]
@@ -108,7 +106,7 @@ def greedy_select(
     picks, _, gains = greedy_fill(
         np.zeros((cand.size, catalog.diversity_dim)),
         k,
-        lambda step, div_acc, taken: rel_scores + div_acc @ eta.beta,
+        lambda step, div_acc: rel_scores + div_acc @ eta.beta,
         metric_columns(catalog, cand),
     )
     return GreedyResult(

@@ -4,19 +4,21 @@ The learner regresses rewards w on zeta = [z; x]: the item's relevance
 vector z and its diversity marginal x against the partial slate.  There is
 one shared theta and one shared beta and no per-arm parameters, so the
 statistics are the plain joint ridge sums A = lam*I + sum zeta zeta^T and
-b = sum w zeta with A^{-1} cached: [theta_hat; beta_hat] = A^{-1} b and the
-width is v = zeta^T A^{-1} zeta.  Hybrid LinUCB's Schur-complement split
-(Li et al. 2010, Algorithm 2) exists to keep per-arm blocks apart, so it
-buys nothing here; sums that are only ever added to do not drift from the
-joint ridge solution.  Within one selection only x changes between passes,
-so the width's z-only terms are computed once per selection (`_z_terms`).
+b = sum w zeta, with the inverse Cholesky factor W = L^{-1} (A = L L^T)
+cached: [theta_hat; beta_hat] = W^T (W b) and the width is
+v = zeta^T A^{-1} zeta = |W zeta|^2, a sum of squares that cannot be
+negative.  Hybrid LinUCB's Schur-complement split (Li et al. 2010,
+Algorithm 2) exists to keep per-arm blocks apart, so it buys nothing here;
+sums that are only ever added to do not drift from the joint ridge solution.
+Within one selection only x changes between passes, so the width's z-only
+terms are computed once per selection (`_z_terms`).
 
 The greedy passes score only the items whose score bound can still reach
 a pick, with the slate unchanged bit for bit (`_score_bounds`).
 
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
-the statistics but A^{-1} and b.  Learners given one memo store each
-selection they make while b is zero under the exact bytes of A^{-1}, b and
+the statistics but W and b.  Learners given one memo store each
+selection they make while b is zero under the exact bytes of W, b and
 the candidates, and a learner that meets the same bytes takes the stored
 selection.  In a replay world every test user starts with every item open,
 so users select alike until their first hit, and the memo computes each of
@@ -87,23 +89,12 @@ class TheoryParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-def _pd_inverse(mat: np.ndarray, label: str) -> np.ndarray:
-    try:
-        np.linalg.cholesky(mat)  # raises unless positive definite
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"{label} is not positive definite") from exc
-    if not np.isfinite(inv).all():
-        raise NumericalDegeneracyError(f"inverse of {label} is not finite")
-    return (inv + inv.T) / 2.0
-
-
 class HybridStatistics:
-    """Joint sums A = lam*I + sum zeta zeta^T and b = sum w zeta; A^{-1} cached.
+    """Joint sums A = lam*I + sum zeta zeta^T and b = sum w zeta; W = L^{-1} cached.
 
-    `clamp_count` is the number of negative widths clipped to zero among the
-    items that selections' passes scored: every candidate, or only the
-    survivors when `select_slate` prunes.  It is a diagnostic no output reads.
+    W is the inverse of A's lower Cholesky factor L, so A^{-1} = W^T W.  The
+    widths read only W's blocks on and below the diagonal (`_z_terms` and
+    `_raw_widths_batch`), so they are sums of squares whatever W holds.
     """
 
     def __init__(self, d: int, m: int, lam: float):
@@ -115,13 +106,15 @@ class HybridStatistics:
         self.m = m
         self.A = lam * np.eye(d + m)
         self.b = np.zeros(d + m)
-        self.inv_A = np.eye(d + m) / lam
+        self.W = np.eye(d + m) / math.sqrt(lam)
+        # widths are sums of squares and are never clipped; the count stays 0
+        # because the benchmark harness still adds it up
         self.clamp_count = 0
 
 
 def estimate_preferences(stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
-    """Return (theta_hat, beta_hat) = A^{-1} b; all-zero on fresh statistics."""
-    eta = stats.inv_A @ stats.b
+    """Return (theta_hat, beta_hat) = W^T (W b) = A^{-1} b; all-zero on fresh statistics."""
+    eta = stats.W.T @ (stats.W @ stats.b)
     return eta[: stats.d], eta[stats.d :]
 
 
@@ -134,42 +127,30 @@ def _check_feature_dims(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -
 
 
 def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
-    """Width terms fixed within a round: row-wise z.P_zz z and 2 Z P_zx, P = A^{-1}."""
+    """Width terms fixed within a round, from one product of Z with W's first d
+    columns: row-wise |W_zz z|^2, and the (L, m) rows W_xz z."""
     d = stats.d
-    term_zz = np.einsum("ij,ij->i", Z @ stats.inv_A[:d, :d], Z)
-    return term_zz, 2.0 * (Z @ stats.inv_A[:d, d:])
+    zw = Z @ stats.W[:, :d].T
+    return np.einsum("ij,ij->i", zw[:, :d], zw[:, :d]), zw[:, d:]
 
 
 def _raw_widths_batch(
-    term_zz: np.ndarray, zx2: np.ndarray, X: np.ndarray, stats: HybridStatistics
+    term_zz: np.ndarray, term_xz: np.ndarray, X: np.ndarray, stats: HybridStatistics
 ) -> np.ndarray:
-    """Row-wise v = z.P_zz z + 2 z.P_zx x + x.P_xx x with P = A^{-1}.
+    """Row-wise v = |W_zz z|^2 + |W_xz z + W_xx x|^2, before its square root.
 
-    Given `_z_terms`' first two terms this costs O(L*m^2): the x terms are
-    elementwise products, made in place, whose m diversity columns are added
-    one at a time, which at m = 1 has the bits of a row-wise `einsum` at a
-    fraction of its per-call cost.
+    Given `_z_terms`' two terms this costs O(L*m^2): the m entries of
+    W_xz z + W_xx x are made in place, squared, and added to the z term one
+    at a time.
     """
-    quad = np.dot(X, stats.inv_A[stats.d :, stats.d :])  # np.dot: no matmul overhead
-    quad *= X
-    cross = zx2 * X
-    v = term_zz + cross[:, 0]
+    d = stats.d
+    r = np.dot(X, stats.W[d:, d:].T)  # np.dot: no matmul overhead
+    r += term_xz
+    r *= r
+    v = term_zz + r[:, 0]
     for i in range(1, X.shape[1]):
-        v += cross[:, i]
-    for i in range(X.shape[1]):
-        v += quad[:, i]
+        v += r[:, i]
     return v
-
-
-def confidence_width(
-    z: np.ndarray, x: np.ndarray, stats: HybridStatistics
-) -> float:
-    """Variance term v = zeta^T A^{-1} zeta: the learner's batch path on one row."""
-    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    _check_feature_dims(z, x, stats)
-    term_zz, zx2 = _z_terms(z, stats)
-    return max(float(_raw_widths_batch(term_zz, zx2, x, stats)[0]), 0.0)
 
 
 def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
@@ -180,51 +161,52 @@ def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
         )
 
 
-def _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta):
+def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     """(U, floor, slack): U_i bounds item i's UCB score in every pass, within slack.
 
     Within one selection an item's diversity marginal x only grows, from 0
     to at most x_max = (k-1) * max h.  With m = 1 the width
-    v(x) = z.P_zz z + 2 z.P_zx x + P_xx x^2 (P = A^{-1}) is convex in x when
-    P_xx >= 0, so it peaks at 0 or at x_max, and so does beta_hat * x:
-    U_i = rel_i + max(beta_hat * x_max, 0) + alpha * sqrt(max(v_i(0), v_i(x_max), 0)).
-    No A^{-1} block but P_xx needs to be positive semi-definite, and alpha may
-    be 0.  `floor` is the k-th largest score of the first pass, where x = 0.
+    v(x) = |W_zz z|^2 + (c + w x)^2, with c = W_xz z and w = W_xx, is convex
+    in x for every W, so it peaks at 0 or at x_max, and so does beta_hat * x:
+    U_i = rel_i + max(beta_hat * x_max, 0) + alpha * sqrt(max(v_i(0), v_i(x_max))).
+    `floor` is the k-th largest score of the first pass, where x = 0.
 
-    A score and U each pass through at most k + 12 rounded operations on
-    the same z terms, so each is within gamma = 2 (k + 12) eps of its exact
-    value, relative to the largest sizes of its terms; a square root
-    stretches an absolute error e of v to at most sqrt(e).  `slack` adds
-    both sides' errors.
+    The bound rests on the rounding of both sides, which share the floats
+    |W_zz z|^2, c, w, beta_hat and x_max.  A pass's x sums at most k - 1
+    distances, so it exceeds x_max by at most k ulps of it; either side then
+    forms v in four rounded operations (w x, + c, the square, + |W_zz z|^2)
+    and the score in four more.  So each v is within gamma = 2 (k + 12) eps
+    of its exact value relative to v_size = max |W_zz z|^2 + (max |c| +
+    |w| x_max)^2, and each score relative to the largest sizes of its terms;
+    a square root stretches an absolute error e of v to at most sqrt(e).
+    `slack` adds both sides' errors.
 
     The first pass's k best always survive, and `select_slate` widens a set
     that fails four times and scores whole any set of a quarter of the
     candidates or more; so with at most 16k candidates a failing first set
     costs a second run over every candidate, and no bound is computed
-    there.  Nor is one at m > 1, when P_xx < 0, or when a term is not
-    finite.  The passes over the survivors read their columns alone, which
-    holds the slate's bits because a metric's entry has one value whatever
-    ids it is read with.
+    there.  Nor is one at m > 1, or when a term is not finite.  The passes
+    over the survivors read their columns alone, which holds the slate's
+    bits because a metric's entry has one value whatever ids it is read with.
     """
     if stats.m != 1 or rel_scores.size <= 16 * config.k:
         return None
-    p_xx = float(stats.inv_A[-1, -1])
-    if not p_xx >= 0.0:
-        return None
+    w = float(stats.W[-1, -1])
+    c = term_xz[:, 0]
     x_max = (config.k - 1) * catalog.metrics[0].max_distance
     beta_x = float(beta[0]) * x_max
-    quad = p_xx * x_max * x_max
     gamma = 2 * (config.k + 12) * np.finfo(np.float64).eps
-    v_size = float(np.abs(term_zz).max() + np.abs(zx2).max() * x_max) + quad
+    v_size = float(term_zz.max() + (np.abs(c).max() + abs(w) * x_max) ** 2)
     score_size = float(np.abs(rel_scores).max()) + abs(beta_x)
     score_size += config.alpha * math.sqrt(v_size)
     slack = gamma * score_size + 2.0 * config.alpha * math.sqrt(gamma * v_size)
     if not math.isfinite(slack):  # then neither is some term of U
         return None
 
-    first = np.maximum(term_zz, 0.0)
-    bound = zx2[:, 0] * x_max
-    bound += quad
+    first = c * c
+    first += term_zz
+    bound = c + w * x_max
+    bound *= bound
     bound += term_zz
     np.maximum(bound, first, out=bound)
     np.sqrt(bound, out=bound)
@@ -252,17 +234,14 @@ def select_slate(
     Z theta_hat are computed once per call, O(L*d*(d+m)); each pass then
     recomputes only the terms that involve the diversity marginal x, which
     changes as the slate grows, O(L*m^2).  Ties take the smallest item id.
-    A^{-1} is read from cache.
+    W is read from cache.
 
     The passes score only the survivors, the candidates whose bound
     (`_score_bounds`) reaches the first pass's k-th best score, kept in id
     order.  The slate stands when every pick's score beats the largest bound
     left out by the slack; otherwise the passes run again over the four
     times as many candidates with the largest bounds.  Survivors that make
-    up a quarter of the candidates or more become every candidate.  Negative
-    widths of the scored items not yet taken are counted in
-    `stats.clamp_count` and clipped to zero; a run that does not stand takes
-    its count back, so the count depends on which items were scored.
+    up a quarter of the candidates or more become every candidate.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
     not the width, so the score closure keeps each pass's square-rooted
@@ -276,22 +255,19 @@ def select_slate(
     Z = catalog.relevance
     if cand.size < catalog.item_count:
         Z = np.take(Z, cand, axis=0)  # the rows of Z[cand], a fraction of its cost
-    term_zz, zx2 = _z_terms(Z, stats)
+    term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
 
     def run_passes(rows):
         """Picks (positions in cand), features, widths and scores over cand[rows]."""
         if rows is None:
-            ids, rel, tzz, zx = cand, rel_scores, term_zz, zx2
+            ids, rel, tzz, txz = cand, rel_scores, term_zz, term_xz
         else:
-            ids, rel, tzz, zx = cand[rows], rel_scores[rows], term_zz[rows], zx2[rows]
-        passes: list[np.ndarray] = []  # sqrt of the clipped widths of every pass
+            ids, rel, tzz, txz = cand[rows], rel_scores[rows], term_zz[rows], term_xz[rows]
+        passes: list[np.ndarray] = []  # sqrt of the widths of every pass
 
-        def score(step: int, X: np.ndarray, taken: np.ndarray) -> np.ndarray:
-            v = _raw_widths_batch(tzz, zx, X, stats)
-            if (v < 0.0).any():
-                stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
-                np.maximum(v, 0.0, out=v)
+        def score(step: int, X: np.ndarray) -> np.ndarray:
+            v = _raw_widths_batch(tzz, txz, X, stats)
             np.sqrt(v, out=v)
             passes.append(v)
             scores = np.dot(X, beta)
@@ -308,12 +284,11 @@ def select_slate(
         widths = np.array([root[pick] for root, pick in zip(passes, picks)])
         return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores
 
-    bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, zx2, beta)
+    bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta)
     rows = None
     if bounds is not None:
         bound, floor, slack = bounds
         rows = np.flatnonzero(bound >= floor)
-    clamps = stats.clamp_count
     while True:
         if rows is not None and 4 * rows.size >= cand.size:
             rows = None
@@ -323,7 +298,6 @@ def select_slate(
         lowest = pick_scores.min() - slack  # a NaN pick score fails both tests
         if lowest >= floor or lowest > bound[bound < floor].max():
             break
-        stats.clamp_count = clamps
         wider = cand.size - 4 * rows.size
         floor = np.partition(bound, wider)[wider]  # the 4 |rows|-th largest bound
         rows = np.flatnonzero(bound >= floor)
@@ -338,10 +312,12 @@ def select_slate(
 def update(
     stats: HybridStatistics, selection: SlateSelection, rewards: np.ndarray
 ) -> None:
-    """Absorb one round of feedback: A += zeta^T zeta, b += zeta^T w, refresh A^{-1}.
+    """Absorb one round of feedback: A += zeta^T zeta, b += zeta^T w, refresh W.
 
     zeta's rows are the features `select_slate` logged in `selection`, float64
-    (k, d) and (k, m) arrays.  An empty slate is a no-op.
+    (k, d) and (k, m) arrays.  An empty slate is a no-op.  W is the inverse
+    of A's Cholesky factor, whose failure is the test that A is positive
+    definite.
     """
     slate = selection.slate
     Z, X = selection.relevance_features, selection.diversity_features
@@ -361,7 +337,13 @@ def update(
     zeta = np.concatenate([Z, X], axis=1)
     stats.A += zeta.T @ zeta
     stats.b += zeta.T @ w
-    stats.inv_A = _pd_inverse(stats.A, "A")
+    try:
+        W = np.linalg.inv(np.linalg.cholesky(stats.A))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError("A is not positive definite") from exc
+    if not np.isfinite(W).all():
+        raise NumericalDegeneracyError("the inverse of A's Cholesky factor is not finite")
+    stats.W = W
 
 
 def theoretical_alpha(params: TheoryParams) -> float:
@@ -419,10 +401,8 @@ class LmdhPolicy:
     """Policy wrapper: greedy UCB selection plus the joint ridge update.
 
     With a `memo`, a selection made while b is zero is looked up under the
-    bytes of A^{-1}, b and the candidates; one that is not there yet is
-    computed by `select_slate` and stored with the width clamps it counted,
-    which a later hit adds to its own `stats.clamp_count`.  The memo serves
-    one config and catalog.
+    bytes of W, b and the candidates; one that is not there yet is computed
+    by `select_slate` and stored.  The memo serves one config and catalog.
     """
 
     name = "lmdh"
@@ -441,15 +421,13 @@ class LmdhPolicy:
         if self._memo is None or stats.b.any():
             return select_slate(stats, self.config, self.catalog, candidates)
         cand = self.catalog.candidate_ids(candidates, self.config.k)
-        key = stats.inv_A.tobytes() + stats.b.tobytes() + cand.tobytes()
-        entry = self._memo.get(key)
-        if entry is None:
-            clamps = stats.clamp_count
-            selection = read_only(select_slate(stats, self.config, self.catalog, cand))
-            entry = self._memo[key] = (selection, stats.clamp_count - clamps)
-        else:
-            stats.clamp_count += entry[1]
-        return entry[0]
+        key = stats.W.tobytes() + stats.b.tobytes() + cand.tobytes()
+        selection = self._memo.get(key)
+        if selection is None:
+            selection = self._memo[key] = read_only(
+                select_slate(stats, self.config, self.catalog, cand)
+            )
+        return selection
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
         update(self.stats, selection, rewards)

@@ -4,11 +4,16 @@
 loop over every candidate: no shared pass kernel and no pruning.  Its widths
 come from `widths_oracle`, written apart from the program's kernel but in
 the order the kernel documents, so the two agree bit for bit.
-`raw_widths_oracle` solves each width afresh against A instead.
+`raw_widths_oracle` solves each width afresh against A instead, and
+`confidence_width` is the program's own kernel on one (z, x) row.
 `trained_stats` gives statistics trained on its whole slates, so the logged
-diversity marginals are non-zero and every block of A^{-1} is dense.
+diversity marginals are non-zero and every block of W is dense.
 `JointRidgeOracle` solves the full ridge system for every query, and
 `UnsharedLmdhPolicy` is the learner with no memo.
+
+The whole-run reference (`ReferenceLearner`, `StaticReference`,
+`reference_episode` and the two worlds) restates every rule of an episode
+in plain form; `test_whole_run.py` runs it against the program.
 
 MMR has two oracles: `mmr_oracle` restates the rule one python float at a
 time, and `mmr_select_oracle` is the pass loop that `greedy_fill` replaced,
@@ -16,6 +21,7 @@ whose slates must match bit for bit.  `slate_features_oracle` is
 `slate_features` as it stood before its lean kernel.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -33,17 +39,22 @@ from dispersion_bandit.lmdh import (
 from conftest import logged
 
 
-def widths_oracle(term_zz, zx2, X, stats):
-    """v = z.P_zz z, plus each cross term 2 z.P_zx[:, i] x_i, plus each
-    quadratic term (x P_xx)_i x_i, added in that order; P = A^{-1}."""
-    quad = np.dot(X, stats.inv_A[stats.d :, stats.d :]) * X
-    cross = zx2 * X
+def widths_oracle(term_zz, term_xz, X, stats):
+    """v = |W_zz z|^2, plus the square of each entry i of W_xz z + W_xx x,
+    added in order of i; the entries are x W_xx^T plus W_xz z."""
+    r = np.dot(X, stats.W[stats.d :, stats.d :].T) + term_xz
+    r = r * r
     v = term_zz
     for i in range(X.shape[1]):
-        v = v + cross[:, i]
-    for i in range(X.shape[1]):
-        v = v + quad[:, i]
+        v = v + r[:, i]
     return v
+
+
+def confidence_width(z, x, stats):
+    """v = zeta^T A^{-1} zeta for one (z, x) pair: the learner's kernel on one row."""
+    z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return float(lmdh._raw_widths_batch(*lmdh._z_terms(z, stats), x, stats)[0])
 
 
 def select_slate_oracle(
@@ -51,16 +62,14 @@ def select_slate_oracle(
 ):
     """(items, relevance features, diversity features, widths, UCB index at each pick).
 
-    Every pass scores every candidate with `widths(term_zz, zx2, X, stats)`,
-    counts the negative widths of the candidates not yet taken in
-    `stats.clamp_count` and clips them, and takes the first maximum.  A
-    `passes` list receives each pass's scores of every candidate, the taken
-    ones as -inf.
+    Every pass scores every candidate with `widths(term_zz, term_xz, X,
+    stats)` and takes the first maximum.  A `passes` list receives each
+    pass's scores of every candidate, the taken ones as -inf.
     """
     cand = catalog.candidate_ids(candidates, config.k)
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance[cand]
-    term_zz, zx2 = _z_terms(Z, stats)
+    term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
     X = np.zeros((cand.size, catalog.diversity_dim))
     taken = np.zeros(cand.size, dtype=bool)
@@ -70,9 +79,7 @@ def select_slate_oracle(
     roots = np.zeros(config.k)
     scores_taken = np.zeros(config.k)
     for step in range(config.k):
-        v = widths(term_zz, zx2, X, stats)
-        stats.clamp_count += int(np.count_nonzero(v[~taken] < 0.0))
-        v = np.maximum(v, 0.0)
+        v = widths(term_zz, term_xz, X, stats)
         scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
         scores[taken] = -np.inf
         if passes is not None:
@@ -204,3 +211,174 @@ def slate_features_oracle(slate, catalog):
         for i, metric in enumerate(catalog.metrics):
             x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
     return catalog.relevance[ids], x
+
+
+# ---------------------------------------------------------------------------
+# the whole-run reference: every rule of an episode in plain form
+
+
+class ReferenceLearner:
+    """LMDH in plain form: a joint ridge over (A, b) that adds one outer
+    product per logged row, and a per-pass loop over every candidate whose
+    estimates and widths are solved against A with `np.linalg.solve`."""
+
+    def __init__(self, config, catalog):
+        self.config, self.catalog = config, catalog
+        self.ridge = JointRidgeOracle(config.d, config.m, config.lam)
+
+    def select(self, cand):
+        """(items, relevance features, diversity features, widths)."""
+        config = self.config
+        theta, beta = self.ridge.eta_hat()
+        Z = self.catalog.relevance[cand]
+        X = np.zeros((cand.size, config.m))
+        picks, div_feats, widths = [], np.zeros((config.k, config.m)), []
+        for step in range(config.k):
+            zeta = np.hstack([Z, X])
+            v = np.einsum("ij,ji->i", zeta, np.linalg.solve(self.ridge.phi, zeta.T))
+            scores = Z @ theta + X @ beta + config.alpha * np.sqrt(v)
+            scores[picks] = -np.inf
+            pick = int(np.argmax(scores))
+            picks.append(pick)
+            div_feats[step] = X[pick]
+            widths.append(math.sqrt(v[pick]))
+            for i, metric in enumerate(self.catalog.metrics):
+                X[:, i] += metric.column(int(cand[pick]), cand)
+        return tuple(cand[picks].tolist()), Z[picks], div_feats, np.array(widths)
+
+    def observe(self, picked, rewards):
+        _, Z, X, _ = picked
+        for row, w in enumerate(rewards):
+            self.ridge.add(Z[row], X[row], w)
+
+
+class StaticReference:
+    """A static policy in plain form: `rule(cand)` gives the slate, and it never learns."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def select(self, cand):
+        return (self.rule(cand),)
+
+    def observe(self, picked, rewards):
+        pass
+
+
+def reference_quality(u_bar, catalog):
+    """The population scorer's quality sigmoid(u_bar . z_a), one item at a time."""
+    return np.array(
+        [1.0 / (1.0 + math.exp(-float(z @ u_bar))) for z in catalog.relevance]
+    )
+
+
+def logrank_reference(quality, cand, k):
+    return tuple(sorted(cand.tolist(), key=lambda a: (-quality[a], a))[:k])
+
+
+def epsilon_greedy_reference(quality, cand, k, epsilon, rng):
+    """Per slot: with probability epsilon a uniform draw among the items not
+    yet picked, in id order; otherwise the best of them, ties to the smallest id."""
+    remaining = cand.tolist()
+    chosen = []
+    for _ in range(k):
+        if rng.random() < epsilon:
+            pick = remaining[int(rng.integers(len(remaining)))]
+        else:
+            pick = max(remaining, key=lambda a: (quality[a], -a))
+        remaining.remove(pick)
+        chosen.append(pick)
+    return tuple(chosen)
+
+
+def pairwise_distances(catalog):
+    """h_i(a, b) for every pair, as python floats: one table per metric."""
+    items = catalog.all_items()
+    return [
+        [metric.column(a, items).tolist() for a in items.tolist()]
+        for metric in catalog.metrics
+    ]
+
+
+def marginal(items, pos, tables):
+    """x at position `pos`: each metric's distances to the items before it, summed."""
+    return [sum(table[items[pos]][b] for b in items[:pos]) for table in tables]
+
+
+def utility_plain(items, eta, catalog, tables):
+    """F(A | eta): summed relevance plus beta-weighted pairwise distances."""
+    total = sum(float(catalog.relevance[a] @ eta.theta) for a in items)
+    for weight, table in zip(eta.beta.tolist(), tables):
+        for i, a in enumerate(items):
+            for b in items[i + 1 :]:
+                total += weight * table[a][b]
+    return total
+
+
+def optimum_plain(eta, catalog, tables, k):
+    """max F over every k-subset of the catalog."""
+    n = catalog.item_count
+    return max(
+        utility_plain(subset, eta, catalog, tables)
+        for subset in itertools.combinations(range(n), k)
+    )
+
+
+def reference_episode(policy, world, rounds, k):
+    """Up to `rounds` rounds of `policy` (`select`, `observe`) in `world`
+    (`open`, `feedback`): (candidate count, rewards) + the selection."""
+    log = []
+    for _ in range(rounds):
+        cand = world.open()
+        if cand.size < k:
+            break
+        picked = policy.select(cand)
+        rewards = world.feedback(picked[0])
+        policy.observe(picked, rewards)
+        log.append((cand.size, rewards) + picked)
+    return log
+
+
+class SimulatedReference:
+    """The Bernoulli world in plain form: every item open every round, and
+    position p's reward 1 when the next draw of the reward stream falls
+    below clamp(theta*.z + beta*.x, 0, 1), with x summed pair by pair."""
+
+    def __init__(self, instance, rewards_rng):
+        self.instance = instance
+        self.tables = pairwise_distances(instance.catalog)
+        self.rng = rewards_rng
+        self.utilities = []
+
+    def open(self):
+        return self.instance.catalog.all_items()
+
+    def feedback(self, items):
+        eta, catalog = self.instance.eta_star, self.instance.catalog
+        means = []
+        for pos, item in enumerate(items):
+            raw = float(catalog.relevance[item] @ eta.theta)
+            for weight, x in zip(eta.beta.tolist(), marginal(items, pos, self.tables)):
+                raw += weight * x
+            means.append(min(max(raw, 0.0), 1.0))
+        draws = self.rng.random(len(items))
+        self.utilities.append(utility_plain(items, eta, catalog, self.tables))
+        return tuple(1.0 if draws[p] < means[p] else 0.0 for p in range(len(items)))
+
+
+class ReplayReference:
+    """The replay membership rule: reward 1 exactly when the item is one of
+    the user's positives, and every item shown leaves the user's open set."""
+
+    def __init__(self, n_items, positives):
+        self.closed, self.positives = set(), positives
+        self.n_items = n_items
+
+    def open(self):
+        return np.array(
+            [a for a in range(self.n_items) if a not in self.closed], dtype=np.intp
+        )
+
+    def feedback(self, items):
+        self.closed.update(items)
+        return tuple(1.0 if item in self.positives else 0.0 for item in items)

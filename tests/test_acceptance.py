@@ -36,7 +36,6 @@ from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
     TheoryParams,
-    confidence_width,
     estimate_preferences,
     lemma1_width_budget,
     select_slate,
@@ -45,6 +44,7 @@ from dispersion_bandit.lmdh import (
 )
 from dispersion_bandit.seeding import derive_seed, rng_from_seed
 from conftest import utility_by_hand
+from oracles import confidence_width
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -294,7 +294,6 @@ def test_criterion_5_width_budget(simulated_curves, capsys):
                 horizon,
                 derive_seed(0, run_index),
                 "slate-normalized",
-                "exhaustive",
             )
         )
         ok = bool(np.all(series.width_sum <= budgets + 1e-9))

@@ -63,7 +63,6 @@ def test_parser_defaults():
     sim = p.parse_args(["simulate", "--out", "x"])
     assert (sim.lam, sim.alpha, sim.k, sim.rounds, sim.runs) == (1.0, "1.0", 5, 1000, 20)
     assert sim.metric_mode == "slate-normalized"
-    assert sim.optimum == "exhaustive"
     rep = p.parse_args(["replay", "--dataset", RATINGS, "--out", "x"])
     assert (rep.lam, rep.k, rep.rounds, rep.threshold) == (50.0, 10, 30, 3.0)
     assert (rep.epsilon, rep.mmr_alpha) == (0.05, 0.9)
@@ -113,7 +112,7 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
         return make_policy(*args)
 
     monkeypatch.setattr(cli, "make_policy", recording_make_policy)
-    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, "slate-normalized", "exhaustive"))
+    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, "slate-normalized"))
     next_draws, scorer = built[0]
     # u_bar is the stream's first draw; the rng is handed over right after it
     fresh = rng_from_seed(17, STREAM_POLICY)
@@ -219,8 +218,7 @@ NON_DEFAULT_FLAGS = {
     "simulate": [
         "--policy", "mmr", "--lambda", "2.0", "--alpha", "theory",
         "--epsilon", "0.1", "--mmr-alpha", "0.8", "--k", "3", "--rounds", "4",
-        "--runs", "2", "--metric-mode", "raw", "--optimum", "greedy-oracle",
-        "--seed", "7",
+        "--runs", "2", "--metric-mode", "raw", "--seed", "7",
     ],
     "approx-ratio": [
         "--k", "3", "--runs", "2", "--metric-mode", "slate-normalized", "--seed", "7",

@@ -333,21 +333,6 @@ def test_scaled_regret_raw_is_nonnegative_and_cumulative():
     assert np.all(np.diff(series.width_sum) >= 0.0)
 
 
-def test_scaled_regret_greedy_oracle_mode():
-    inst = regret_instance(seed=79)
-    env = SimulatedEnvironment(inst)
-    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
-    log = run_episode(policy, env, 6, 3)
-    exhaustive = scaled_regret(log, inst, "exhaustive")
-    oracle = scaled_regret(log, inst, "greedy-oracle")
-    # greedy value never exceeds the exhaustive optimum: both modes subtract
-    # the same played utility, so each round's raw regret is no larger
-    per_round = lambda series: np.diff(series.raw, prepend=0.0)
-    assert np.all(per_round(oracle) <= per_round(exhaustive) + 1e-12)
-    with pytest.raises(ValueError, match="unknown optimum_mode 'best'"):
-        scaled_regret(log, inst, "best")
-
-
 def test_scaled_regret_requires_simulation_log():
     inst = regret_instance(seed=80)
     log = (fake_round((0, 1, 2)),)

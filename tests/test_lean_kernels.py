@@ -1,20 +1,19 @@
 """The simulated round's lean kernels against the forms they replaced.
 
-`lmdh._raw_widths_batch` once took its x terms as row-wise `einsum`s,
-`select_slate` gathered the relevance rows of every candidate set and
+`lmdh._raw_widths_batch` adds its squared x terms one column at a time
+where its oracle takes a row-wise `einsum`, `select_slate` once gathered the relevance rows of every candidate set and
 `greedy_fill` masked the taken items with a boolean index; `slate_features`
 range-checked a `Slate` through numpy, `position_means` took its dots with
 `@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
 are kept as oracles, here and in `oracles.py`, whose plain select loop runs with
 the `einsum` widths.  At m = 1, the only m any command runs, every
-row-wise dot is a single product, so slates, features, widths, clamp
-counts and reward means must match bit for bit.  At m > 1 the width sums
+row-wise dot is a single product, so slates, features, widths and reward
+means must match bit for bit.  At m > 1 the width sums
 its m products in another order: there the kernel must agree with the
 `einsum` form to 1e-12 of the summed magnitudes, and the other kernels,
 whose arithmetic did not change, bit for bit.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -47,9 +46,9 @@ from test_greedy_kernel import draw_catalog, draw_values
 # oracles: the kernels as they stood before
 
 
-def raw_widths_batch_oracle(term_zz, zx2, X, stats):
-    PX = np.dot(X, stats.inv_A[stats.d :, stats.d :])
-    return term_zz + np.einsum("ij,ij->i", zx2, X) + np.einsum("ij,ij->i", PX, X)
+def raw_widths_batch_oracle(term_zz, term_xz, X, stats):
+    r = np.dot(X, stats.W[stats.d :, stats.d :].T) + term_xz
+    return term_zz + np.einsum("ij,ij->i", r, r)
 
 
 def position_means_oracle(z, x, eta):
@@ -77,7 +76,7 @@ def features_utility_oracle(z, x, eta):
 
 
 def random_stats(rng, d, m, rounds):
-    """Statistics after `rounds` updates on random (z, x) rows: every block of A^{-1} is dense."""
+    """Statistics after `rounds` updates on random (z, x) rows: every block of W is dense."""
     stats = HybridStatistics(d, m, lam=1.0)
     for _ in range(rounds):
         zeta = rng.uniform(-1.0, 1.0, size=(3, d + m))
@@ -106,41 +105,31 @@ def test_lean_kernels_match_the_old_forms(data):
 
     stats = random_stats(rng, d, m, data.draw(st.integers(0, 4), label="rounds"))
     stats.b = draw_values(rng, d + m, tied)
-    # a negated A^{-1} forces negative widths, so the clamp count is exercised
-    if data.draw(st.booleans(), label="negative_widths"):
-        stats.inv_A = -stats.inv_A
     alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]), label="alpha")
     config = LmdhConfig(lam=1.0, alpha=alpha, d=d, m=m, k=k)
 
     # the width kernel on every candidate, against an arbitrary accumulator
     Z = catalog.relevance[cand]
-    term_zz, zx2 = _z_terms(Z, stats)
+    term_zz, term_xz = _z_terms(Z, stats)
     X = np.abs(draw_values(rng, (cand.size, m), tied))
-    got_v = _raw_widths_batch(term_zz, zx2, X, stats)
-    want_v = raw_widths_batch_oracle(term_zz, zx2, X, stats)
+    got_v = _raw_widths_batch(term_zz, term_xz, X, stats)
+    want_v = raw_widths_batch_oracle(term_zz, term_xz, X, stats)
     if m == 1:
         assert got_v.tobytes() == want_v.tobytes()
-    else:
-        magnitude = (
-            np.abs(term_zz)
-            + np.abs(zx2 * X).sum(axis=1)
-            + np.abs(np.dot(X, stats.inv_A[d:, d:]) * X).sum(axis=1)
-        )
-        assert np.all(np.abs(got_v - want_v) <= 1e-12 * magnitude)
+    else:  # every term is a square, so the sum is its own magnitude
+        assert np.all(np.abs(got_v - want_v) <= 1e-12 * want_v)
 
     # eta with negative and large weights, so position means clamp both ways
     eta = PreferenceVector(3.0 * draw_values(rng, d, tied), draw_values(rng, m, tied))
     if m == 1:
-        ours, theirs = copy.deepcopy(stats), copy.deepcopy(stats)
-        got = select_slate(ours, config, catalog, cand)
+        got = select_slate(stats, config, catalog, cand)
         want = select_slate_oracle(
-            theirs, config, catalog, cand, widths=raw_widths_batch_oracle
+            stats, config, catalog, cand, widths=raw_widths_batch_oracle
         )
         assert got.slate.items == want[0]
         assert got.relevance_features.tobytes() == want[1].tobytes()
         assert got.diversity_features.tobytes() == want[2].tobytes()
         assert got.widths.tobytes() == want[3].tobytes()
-        assert ours.clamp_count == theirs.clamp_count
         slate = got.slate
     else:
         slate = Slate(tuple(rng.permutation(cand)[:k].tolist()))

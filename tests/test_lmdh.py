@@ -42,7 +42,6 @@ from dispersion_bandit.lmdh import (
     LmdhConfig,
     LmdhPolicy,
     TheoryParams,
-    confidence_width,
     estimate_preferences,
     lemma1_width_budget,
     regret_upper_bound,
@@ -52,7 +51,13 @@ from dispersion_bandit.lmdh import (
 )
 
 from conftest import TableDistanceMetric, count_selects, logged, random_catalog
-from oracles import JointRidgeOracle, UnsharedLmdhPolicy
+from oracles import (
+    JointRidgeOracle,
+    UnsharedLmdhPolicy,
+    confidence_width,
+    raw_widths_oracle,
+    trained_stats,
+)
 
 
 class SchurOracle:
@@ -121,7 +126,7 @@ def test_fresh_statistics_shapes_and_values():
     stats = HybridStatistics(d=4, m=2, lam=3.0)
     assert np.array_equal(stats.A, 3.0 * np.eye(6))
     assert np.array_equal(stats.b, np.zeros(6))
-    assert np.allclose(stats.inv_A @ stats.A, np.eye(6), atol=1e-12)
+    assert np.allclose(stats.W.T @ stats.W @ stats.A, np.eye(6), atol=1e-12)
 
 
 def test_fresh_estimates_are_zero():
@@ -145,7 +150,7 @@ def test_single_observation_hand_case():
     expected_A[0, 0] = 2.0
     assert np.array_equal(stats.A, expected_A)
     assert np.array_equal(stats.b, np.concatenate([z, x]))
-    assert np.allclose(stats.inv_A @ expected_A, np.eye(d + m), atol=1e-12)
+    assert np.allclose(stats.W.T @ stats.W @ expected_A, np.eye(d + m), atol=1e-12)
     theta, beta = estimate_preferences(stats)
     assert np.allclose(theta, [0.5, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(beta, np.zeros(m), atol=1e-12)
@@ -279,22 +284,41 @@ def test_width_shrinks_under_any_observations(data):
     assert after >= 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_widths_are_non_negative_and_match_the_solved_widths(data):
+    # trained statistics at every m a metric tuple can have; rows include
+    # x = 0, large marginals and z near zero, where a width rounds nearest 0
+    m = data.draw(st.sampled_from([1, 2, 3]), label="m")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    catalog = random_catalog(rng, 12, d=4, m=m)
+    k = data.draw(st.integers(min_value=1, max_value=4), label="k")
+    stats = trained_stats(rng, catalog, k, data.draw(st.integers(0, 6), label="rounds"))
+    scale = data.draw(st.sampled_from([1e-9, 1.0, 30.0]), label="scale")
+    Z = scale * rng.uniform(-1.0, 1.0, size=(50, 4))
+    X = scale * rng.uniform(0.0, 3.0, size=(50, m))
+    X[rng.random(50) < 0.3] = 0.0
+    got = lmdh._raw_widths_batch(*lmdh._z_terms(Z, stats), X, stats)
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, raw_widths_oracle(Z, X, stats), rtol=1e-12, atol=1e-12)
+
+
 def test_update_keeps_blocks_positive_definite():
     rng = np.random.default_rng(14)
     d, m = 6, 3
     stats = HybridStatistics(d, m, lam=1.0)
     feed(stats, random_rounds(rng, 80, 3, d, m))
     assert np.min(np.linalg.eigvalsh(stats.A)) > 0.0
-    assert np.linalg.norm(stats.A @ stats.inv_A - np.eye(d + m)) <= 1e-8
+    assert np.linalg.norm(stats.W @ stats.A @ stats.W.T - np.eye(d + m)) <= 1e-8
     assert np.allclose(stats.A, stats.A.T)
-    assert np.allclose(stats.inv_A, stats.inv_A.T)
 
 
 def test_update_empty_slate_is_noop():
     stats = HybridStatistics(d=3, m=1, lam=1.0)
     before = copy.deepcopy(stats)
     update(stats, logged(np.zeros((0, 3)), np.zeros((0, 1))), np.zeros(0))
-    for name in ("A", "b", "inv_A"):
+    for name in ("A", "b", "W"):
         assert np.array_equal(getattr(stats, name), getattr(before, name))
 
 
@@ -469,13 +493,13 @@ def test_select_slate_logs_features_and_widths():
         )
 
 
-def test_select_slate_does_not_touch_inverses():
+def test_select_slate_does_not_touch_the_statistics():
     rng = np.random.default_rng(20)
     catalog = random_catalog(rng, n_items=6, d=2, m=1)
     config = LmdhConfig(lam=1.0, alpha=0.5, d=2, m=1, k=3)
     stats = HybridStatistics(2, 1, lam=1.0)
     feed(stats, random_rounds(rng, 5, 2, 2, 1))
-    snap = {name: getattr(stats, name).copy() for name in ("A", "b", "inv_A")}
+    snap = {name: getattr(stats, name).copy() for name in ("A", "b", "W")}
     select_slate(stats, config, catalog, catalog.all_items())
     for name, arr in snap.items():
         assert np.array_equal(getattr(stats, name), arr)
@@ -603,8 +627,7 @@ def log_fields(log) -> list:
 
 
 def stats_fields(stats: HybridStatistics) -> tuple:
-    arrays = (stats.A, stats.b, stats.inv_A)
-    return tuple(a.tobytes() for a in arrays) + (stats.clamp_count,)
+    return tuple(a.tobytes() for a in (stats.A, stats.b, stats.W))
 
 
 def memo_entries(memo: dict) -> dict:
@@ -613,7 +636,7 @@ def memo_entries(memo: dict) -> dict:
 
 
 def key_b(key: bytes, config: LmdhConfig) -> np.ndarray:
-    """The b that an LMDH memo key was made from: the bytes after A^{-1}'s."""
+    """The b that an LMDH memo key was made from: the bytes after W's."""
     dm = config.d + config.m
     return np.frombuffer(key[8 * dm * dm : 8 * dm * (dm + 1)])
 
@@ -628,12 +651,6 @@ class WithholdingEnvironment(ReplayEnvironment):
     def candidates(self, t, k):
         cand = super().candidates(t, k)
         return cand[cand != self.item] if t >= self.t else cand
-
-
-def force_clamps(monkeypatch) -> None:
-    """Lower every width by 0.3, so fresh statistics clip some to zero."""
-    original = lmdh._raw_widths_batch
-    monkeypatch.setattr(lmdh, "_raw_widths_batch", lambda *args: original(*args) - 0.3)
 
 
 def memo_world(rounds=8, k=3):
@@ -694,8 +711,7 @@ def test_users_sharing_a_memo_match_a_fresh_policy_each(order, monkeypatch):
     assert all(not key_b(key, config).any() for key in entries)
 
 
-def test_memo_keeps_clamp_counts_and_misses_on_other_candidates(monkeypatch):
-    force_clamps(monkeypatch)
+def test_memo_misses_on_other_candidates():
     catalog, config, users, rounds = memo_world()
     # the no-hit user's one positive is never on the shared slates
     (withheld,) = users[2].positives
@@ -709,12 +725,10 @@ def test_memo_keeps_clamp_counts_and_misses_on_other_candidates(monkeypatch):
         ]
 
     fresh = replay_users(config, catalog, environments(), rounds)
-    assert all(stats[3] > 0 for _, stats in fresh)
     assert replay_users(config, catalog, environments(), rounds, {}) == fresh
 
     # on the memo of the no-hit user alone, the withholding user takes stored
-    # selections for rounds 1 and 2, each adding its stored clamps, then
-    # selects for itself at round 3
+    # selections for rounds 1 and 2, then selects for itself at round 3
     memo = {}
     replay_users(config, catalog, environments()[:1], rounds, memo)
     stored = memo_entries(memo)
@@ -723,30 +737,26 @@ def test_memo_keeps_clamp_counts_and_misses_on_other_candidates(monkeypatch):
     for t in (1, 2):
         cand = environment.candidates(t, config.k)
         stats = policy.stats
-        entry = stored[stats.inv_A.tobytes() + stats.b.tobytes() + cand.tobytes()]
-        before = stats.clamp_count
+        entry = stored[stats.W.tobytes() + stats.b.tobytes() + cand.tobytes()]
         selection = policy.select(cand)
-        assert selection is entry[0] and stats.clamp_count == before + entry[1]
+        assert selection is entry
         policy.observe(selection, environment.feedback(selection))
     stats = policy.stats
     unwithheld = ReplayEnvironment.candidates(environment, 3, config.k)
-    shared = stored[stats.inv_A.tobytes() + stats.b.tobytes() + unwithheld.tobytes()]
-    assert shared[1] > 0  # the no-hit user's round-3 select clamps
-    before = stats.clamp_count
+    assert stats.W.tobytes() + stats.b.tobytes() + unwithheld.tobytes() in stored
     selection = policy.select(environment.candidates(3, config.k))
-    assert all(selection is not entry[0] for entry in stored.values())
-    assert stats.clamp_count > before
+    assert all(selection is not entry for entry in stored.values())
 
 
-def test_an_entry_is_not_reused_for_an_inverse_one_ulp_away(monkeypatch):
+def test_an_entry_is_not_reused_for_a_factor_one_ulp_away(monkeypatch):
     catalog, config, _, _ = memo_world()
     calls = count_selects(monkeypatch)
     memo = {}
     first = LmdhPolicy(config, catalog, memo).select(catalog.all_items())
     nudged = LmdhPolicy(config, catalog, memo)
-    nudged.stats.inv_A[0, 0] = np.nextafter(nudged.stats.inv_A[0, 0], 1.0)
+    nudged.stats.W[0, 0] = np.nextafter(nudged.stats.W[0, 0], 1.0)
     reference = UnsharedLmdhPolicy(config, catalog)
-    reference.stats.inv_A[0, 0] = nudged.stats.inv_A[0, 0]
+    reference.stats.W[0, 0] = nudged.stats.W[0, 0]
     second = nudged.select(catalog.all_items())
     assert len(calls) == 2 and second is not first
     assert log_fields([second]) == log_fields([reference.select(catalog.all_items())])
@@ -789,14 +799,13 @@ def observe_without_select(policy, candidates, zeros, shown):
 @pytest.mark.parametrize(
     "drive", [select_twice, read_stats_mid_round, observe_without_select]
 )
-def test_a_memo_policy_matches_a_fresh_one_in_any_call_order(drive, monkeypatch):
-    force_clamps(monkeypatch)
+def test_a_memo_policy_matches_a_fresh_one_in_any_call_order(drive):
     catalog, config, users, _ = memo_world()
     candidates, zeros = catalog.all_items(), np.zeros(config.k)
     memo = {}
     walker = LmdhPolicy(config, catalog, memo)
     run_episode(walker, ReplayEnvironment(catalog, users[2]), 3, config.k)
-    shown = next(iter(memo_entries(memo).values()))[0]  # the round-1 selection
+    shown = next(iter(memo_entries(memo).values()))  # the round-1 selection
     fresh = drive(UnsharedLmdhPolicy(config, catalog), candidates, zeros, shown)
     assert drive(LmdhPolicy(config, catalog, memo), candidates, zeros, shown) == fresh
 
