@@ -55,7 +55,7 @@ class StaticScorer:
             raise DimensionMismatchError(
                 f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
             )
-        self.catalog = catalog  # range-checks the candidate ids
+        self.catalog = catalog  # makes the open mask of the candidates
         self._u_bar = u_bar
 
     @cached_property
@@ -77,17 +77,13 @@ class StaticScorer:
 
 def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:
     """Top-K candidates by quality, ties broken by smallest item id."""
-    cand = scorer.catalog.candidate_ids(candidates, k)
-    neg = -scorer.quality[cand]
-    if k < cand.size:
-        # a stable sort of every position not above the k-th smallest key
-        # gives the same first k as a stable sort of all of them
-        kth = np.partition(neg, k - 1)[k - 1]
-        top = np.flatnonzero(~(neg > kth))
-    else:
-        top = np.arange(cand.size)
-    order = top[np.argsort(neg[top], kind="stable")][:k]
-    return Slate(tuple(int(cand[i]) for i in order))
+    mask = scorer.catalog.open_mask(candidates, k)
+    neg = np.where(mask, -scorer.quality, np.inf)
+    # a stable sort of the open items not above the k-th smallest key (all
+    # of them if it is inf or NaN) gives the same first k as one of them all
+    kth = np.partition(neg, k - 1)[k - 1]
+    top = np.flatnonzero(mask & ~(neg > kth))
+    return Slate(tuple(top[np.argsort(neg[top], kind="stable")][:k].tolist()))
 
 
 def mmr_select(
@@ -105,21 +101,20 @@ def mmr_select(
     """
     if not 0.0 <= mmr_alpha <= 1.0:
         raise ValueError(f"mmr_alpha must lie in [0, 1], got {mmr_alpha}")
-    cand = catalog.candidate_ids(candidates, k)
-    quality = scorer.quality[cand]
-    unit = scorer._unit[cand]
+    mask = catalog.open_mask(candidates, k)
+    relevance = mmr_alpha * scorer.quality
+    relevance[~mask] = -np.inf
 
     def score(step: int, sim_sum: np.ndarray) -> np.ndarray:
-        scores = mmr_alpha * quality
-        if step > 0:
-            scores = scores - (1.0 - mmr_alpha) / step * sim_sum
-        return scores
+        if step == 0:
+            return relevance.copy()
+        return relevance - (1.0 - mmr_alpha) / step * sim_sum
 
     def add_similarity(sim_sum: np.ndarray, pick: int) -> None:
-        sim_sum += unit @ scorer._unit[cand[pick]]
+        sim_sum += scorer._unit @ scorer._unit[pick]
 
-    picks, _, _ = greedy_fill(np.zeros(cand.size), k, score, add_similarity)
-    return Slate(tuple(cand[picks].tolist()))
+    picks, _, _ = greedy_fill(np.zeros(catalog.item_count), k, score, add_similarity)
+    return Slate(tuple(picks.tolist()))
 
 
 def epsilon_greedy_select(
@@ -132,18 +127,19 @@ def epsilon_greedy_select(
     """Per slot: explore uniformly with probability epsilon, else best quality."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    cand = scorer.catalog.candidate_ids(candidates, k)
-    quality = scorer.quality[cand]  # a copy; taken entries become -inf
-    taken = np.zeros(cand.size, dtype=bool)
+    mask = scorer.catalog.open_mask(candidates, k)
+    remaining = mask.copy()
+    n_open = int(np.count_nonzero(mask))
+    quality = np.where(mask, scorer.quality, -np.inf)  # below any quality in [0, 1]
     chosen: list[int] = []
     for step in range(k):
         if rng.random() < epsilon:
-            pick = int(np.flatnonzero(~taken)[rng.integers(cand.size - step)])
+            pick = int(np.flatnonzero(remaining)[rng.integers(n_open - step)])
         else:
             pick = int(np.argmax(quality))
-        taken[pick] = True
+        remaining[pick] = False
         quality[pick] = -np.inf
-        chosen.append(int(cand[pick]))
+        chosen.append(pick)
     return Slate(tuple(chosen))
 
 
@@ -162,8 +158,8 @@ class _StaticPolicy:
 class _FixedSlatePolicy(_StaticPolicy):
     """A static policy whose slate is a function of the candidate set alone.
 
-    Each candidate set's selection is stored in a memo under the set's
-    bytes and returned whenever the same set comes back.  The memo is the
+    Each candidate set's selection is stored in a memo under its open mask's
+    packed bits and returned whenever the same set comes back.  The memo is the
     policy's own unless one is given: in a replay world the policies of all
     users share one, so each slate is computed once per world.  It is bound
     to the policy's name, scorer, K and `setting` (a subclass's parameters).
@@ -182,23 +178,23 @@ class _FixedSlatePolicy(_StaticPolicy):
             {} if memo is None else memo, catalog, (self.name, scorer, k, *setting)
         )
 
-    def _slate(self, cand: np.ndarray) -> Slate:
+    def _slate(self, mask: np.ndarray) -> Slate:
         raise NotImplementedError
 
     def select(self, candidates) -> SlateSelection:
-        cand = self.catalog.candidate_ids(candidates, self.k)
-        key = cand.tobytes()
+        mask = self.catalog.open_mask(candidates, self.k)
+        key = np.packbits(mask).tobytes()
         selection = self._memo.get(key)
         if selection is None:
-            selection = self._memo[key] = SlateSelection(self._slate(cand))
+            selection = self._memo[key] = SlateSelection(self._slate(mask))
         return selection
 
 
 class LogRankPolicy(_FixedSlatePolicy):
     name = "logrank"
 
-    def _slate(self, cand: np.ndarray) -> Slate:
-        return logrank_select(self.scorer, cand, self.k)
+    def _slate(self, mask: np.ndarray) -> Slate:
+        return logrank_select(self.scorer, mask, self.k)
 
 
 class MmrPolicy(_FixedSlatePolicy):
@@ -215,8 +211,8 @@ class MmrPolicy(_FixedSlatePolicy):
         super().__init__(scorer, catalog, k, memo, (mmr_alpha,))
         self.mmr_alpha = mmr_alpha
 
-    def _slate(self, cand: np.ndarray) -> Slate:
-        return mmr_select(self.scorer, self.catalog, cand, self.k, self.mmr_alpha)
+    def _slate(self, mask: np.ndarray) -> Slate:
+        return mmr_select(self.scorer, self.catalog, mask, self.k, self.mmr_alpha)
 
 
 class EpsilonGreedyPolicy(_StaticPolicy):

@@ -33,29 +33,19 @@ TABLE_THRESHOLD = 4096
 METRIC_MODES = ("raw", "slate-normalized")
 
 
-def _check_integers(values: list | tuple, what: str) -> None:
-    """Raise InvalidItemError naming the first five values that are not integers.
+def integer_ids(ids, what: str) -> list:
+    """`ids` as a list of integers, not cast, so errors name them as given.
 
-    Bools and floats count as bad even when whole: truncating 1.7 or True to
-    an id would pick an item nobody named.
+    Bools and floats raise InvalidItemError naming the first five, even when
+    whole: truncating 1.7 or True to an id would pick an item nobody named.
     """
+    values = ids.ravel().tolist() if isinstance(ids, np.ndarray) else list(ids)
     bad = [v for v in values if not (type(v) is int or isinstance(v, np.integer))]
     if bad:
         raise InvalidItemError(
             f"{what} must be integers, got [{', '.join(map(str, bad[:5]))}]"
         )
-
-
-def integer_ids(ids, what: str) -> np.ndarray:
-    """`ids` as an intp array; any non-integer dtype or value raises InvalidItemError."""
-    if isinstance(ids, np.ndarray):
-        if ids.dtype.kind in "iu" or ids.size == 0:
-            return ids.astype(np.intp, copy=False)
-        values = ids.ravel().tolist()
-    else:
-        values = list(ids)
-    _check_integers(values, what)
-    return np.asarray(values, dtype=np.intp)
+    return values
 
 
 def distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -67,18 +57,6 @@ def distinct_sorted(values: np.ndarray) -> np.ndarray:
     first = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return ordered[first]
-
-
-def sorted_ids(ids) -> np.ndarray:
-    """Distinct ids as a sorted intp array; one already in that form is returned as is."""
-    if (
-        isinstance(ids, np.ndarray)
-        and ids.dtype == np.intp
-        and ids.ndim == 1
-        and (ids[1:] > ids[:-1]).all()
-    ):
-        return ids
-    return distinct_sorted(integer_ids(ids, "candidate ids"))
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -144,28 +122,29 @@ class CosineDistanceMetric:
         return np.clip(dist, 0.0, None, out=dist)
 
     def _row(self, item: int) -> np.ndarray:
-        """h(item, j) for every item j, computed on first use.
+        """h(item, j) for every item j, read-only; memoised with the rows.
 
         Two threads that miss on the same row both compute it, with equal
         bits, so whichever store lands last changes nothing.
         """
-        row = self._rows.get(item)
+        row = None if self._rows is None else self._rows.get(item)
         if row is None:
             row = self._distances(self._unit, item)
             row[item] = 0.0
             row.flags.writeable = False
-            self._rows[item] = row
+            if self._rows is not None:
+                self._rows[item] = row
         return row
 
-    def column(self, item: int, others: np.ndarray) -> np.ndarray:
-        """Distances h(item, j) for every j in `others`, as a new array."""
+    def column(self, item: int, others: np.ndarray | None = None) -> np.ndarray:
+        """Distances h(item, j) for every j in `others`, as a new array; with
+        `others` None, for every item, read-only, with no gather of unit rows."""
+        if others is None:
+            return self._row(item)
         others = np.asarray(others, dtype=np.intp)
         if self._rows is not None:
             return self._row(item)[others]
-        # the whole catalog in order is read in place, with the gather's bits
-        n = len(self._unit)
-        whole = others.size == n and np.array_equal(others, np.arange(n))
-        col = self._distances(self._unit if whole else self._unit[others], item)
+        col = self._distances(self._unit[others], item)
         col[others == item] = 0.0
         return col
 
@@ -202,8 +181,7 @@ class Slate:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        items = tuple(self.items)
-        _check_integers(items, "slate ids")
+        items = integer_ids(tuple(self.items), "slate ids")
         object.__setattr__(self, "items", tuple(map(int, items)))
         if len(set(self.items)) != len(self.items):
             raise DuplicateItemError(f"slate contains duplicates: {self.items}")
@@ -277,30 +255,33 @@ class ItemCatalog:
     def all_items(self) -> np.ndarray:
         return np.arange(self.item_count)
 
-    def check_ids(self, ids: np.ndarray, what: str) -> None:
-        """Raise InvalidItemError naming the (first five) ids outside 0..L-1."""
-        bad = ids[(ids < 0) | (ids >= self.item_count)]
-        if bad.size:
+    def check_ids(self, ids: list, what: str) -> None:
+        """Raise InvalidItemError naming the (first five) ids outside 0..L-1, as given."""
+        bad = [i for i in ids if not 0 <= i < self.item_count]
+        if bad:
             raise InvalidItemError(
-                f"{what} outside ground set of size {self.item_count}: "
-                f"{bad[:5].tolist()}"
+                f"{what} outside ground set of size {self.item_count}: {bad[:5]}"
             )
 
-    def candidate_ids(self, candidates, k: int) -> np.ndarray:
-        """Candidates as a sorted, distinct, in-range intp array holding >= k ids.
+    def open_mask(self, candidates, k: int) -> np.ndarray:
+        """Candidates as a boolean mask over the catalog with >= k items open.
 
-        The one candidate format every selector works on: a strictly
-        increasing intp array passes with a range check of its end points and
-        no copy; any other iterable is sorted and deduplicated once.
+        The one candidate format every selector works on: a bool array of
+        shape (L,) is used as is; any other iterable of ids, in any order and
+        with repeats, is range-checked and scattered into a fresh mask.
         """
-        cand = sorted_ids(candidates)
-        if cand.size and (cand[0] < 0 or cand[-1] >= self.item_count):
-            self.check_ids(cand, "candidate ids")
-        if k < 1 or cand.size < k:
+        mask = candidates
+        if getattr(mask, "dtype", None) != bool or mask.shape != (self.item_count,):
+            ids = integer_ids(candidates, "candidate ids")
+            self.check_ids(ids, "candidate ids")
+            mask = np.zeros(self.item_count, dtype=bool)
+            mask[np.asarray(ids, dtype=np.intp)] = True
+        n_open = np.count_nonzero(mask)
+        if k < 1 or n_open < k:
             raise InsufficientCandidatesError(
-                f"need {k} items but only {cand.size} candidates"
+                f"need {k} items but only {n_open} candidates"
             )
-        return cand
+        return mask
 
     def check_eta(self, eta: PreferenceVector) -> None:
         if eta.theta.shape[0] != self.relevance_dim:
@@ -323,9 +304,9 @@ def slate_features(
     ids, integers by `Slate`'s own check, are range-checked.
     """
     items = slate.items
-    ids = np.asarray(items, dtype=np.intp)
     if items and not (min(items) >= 0 and max(items) < catalog.item_count):
-        catalog.check_ids(ids, "slate ids")
+        catalog.check_ids(items, "slate ids")
+    ids = np.asarray(items, dtype=np.intp)
     x = np.zeros((ids.size, catalog.diversity_dim))
     for p in range(1, ids.size):
         for i, metric in enumerate(catalog.metrics):

@@ -2,11 +2,11 @@
 
 Both worlds expose the same two calls — ``candidates(t, k)`` and
 ``feedback(selection)`` — so `run_episode` can drive any policy against
-either.  The simulated world knows the hidden preference vector eta* and
-draws position rewards from Bernoulli(clamp(eta*.delta, 0, 1)); the replay
-world scores a recommendation 1 exactly when the item sits in the user's
-held-out positive set, and removes everything already recommended from
-future candidate sets.
+either; candidates are a read-only boolean mask of the open items.  The
+simulated world knows the hidden preference vector eta* and draws position
+rewards from Bernoulli(clamp(eta*.delta, 0, 1)); the replay world scores a
+recommendation 1 exactly when the item sits in the user's held-out positive
+set, and closes everything already recommended.
 """
 
 from __future__ import annotations
@@ -134,14 +134,15 @@ class SimulatedEnvironment:
         self._rewards_rng = rng_from_seed(instance.seed, STREAM_REWARDS)
         self.clamp_hits = 0
         self._last: tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
+        self._all = np.ones(instance.catalog.item_count, dtype=bool)
+        self._all.flags.writeable = False
 
     def candidates(self, t: int, k: int) -> np.ndarray:
-        items = self.instance.catalog.all_items()
-        if items.size < k:
+        if self._all.size < k:
             raise ExhaustedCandidatesError(
-                f"round {t}: catalog holds {items.size} items, need {k}"
+                f"round {t}: catalog holds {self._all.size} items, need {k}"
             )
-        return items
+        return self._all
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Independent Bernoulli rewards, one per position, from the seeded reward stream."""
@@ -163,21 +164,23 @@ class ReplayEnvironment:
 
     A boolean mask over the catalog marks the items still open to the user,
     and is the one record of what the user has been shown: every item starts
-    open, and each accepted slate closes its items.
+    open, and each accepted slate closes its items in a new mask, so a mask
+    handed out by `candidates` never changes.
     """
 
     def __init__(self, catalog: ItemCatalog, user: ReplayUser):
         self.user = user
         self._open = np.ones(catalog.item_count, dtype=bool)
+        self._open.flags.writeable = False
 
     def candidates(self, t: int, k: int) -> np.ndarray:
-        """Open items, sorted by id."""
-        remaining = np.flatnonzero(self._open)
-        if remaining.size < k:
+        """The open mask itself, read-only."""
+        remaining = np.count_nonzero(self._open)
+        if remaining < k:
             raise ExhaustedCandidatesError(
-                f"round {t}: {remaining.size} candidates left, need {k}"
+                f"round {t}: {remaining} candidates left, need {k}"
             )
-        return remaining
+        return self._open
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Membership rewards against the user's positives; closes the slate's items.
@@ -201,7 +204,9 @@ class ReplayEnvironment:
                 f"user {self.user.user_id} was already shown items "
                 f"{sorted(repeats.tolist())}"
             )
+        self._open = self._open.copy()  # a handed-out mask stays as it was
         self._open[ids] = False
+        self._open.flags.writeable = False
         positives = self.user.positives
         return np.array([1.0 if item in positives else 0.0 for item in items])
 
@@ -232,7 +237,7 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
             raise
         rounds.append(
             TrialRound(
-                num_candidates=int(cand.size),
+                num_candidates=int(np.count_nonzero(cand)),
                 items=selection.slate.items,
                 rewards=tuple(rewards.tolist()),
                 relevance_features=selection.relevance_features,
@@ -243,7 +248,9 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
                 true_utility=(
                     environment.true_utility(selection.slate) if simulated else None
                 ),
-                candidate_items=tuple(cand.tolist()) if simulated else None,
+                candidate_items=(
+                    tuple(np.flatnonzero(cand).tolist()) if simulated else None
+                ),
             )
         )
     return tuple(rounds)

@@ -55,9 +55,9 @@ class GreedyResult:
 def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     """The greedy pass loop shared by every slate selector.
 
-    Pass `step` scores all candidates with `score(step, acc)`, which returns
-    a fresh array, sets the taken ones' scores to -inf, picks the first
-    maximum (the smallest id, as candidates are sorted) and calls
+    Pass `step` scores all rows with `score(step, acc)`, which returns a
+    fresh array, sets the taken ones' scores to -inf, picks the first
+    maximum (the smallest id, as rows are items in id order) and calls
     `add_column(acc, pick)`, which adds the pick's column to `acc` in place,
     so `acc` holds the summed columns of the picks so far.  Returns the pick
     positions, `acc`'s row at each pick (before its own column is added) and
@@ -79,13 +79,14 @@ def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     return np.array(picks, dtype=np.intp), rows, pick_scores
 
 
-def metric_columns(catalog: ItemCatalog, cand: np.ndarray):
-    """add(acc, pick): acc[:, i] += h_i(cand[pick], cand) for each metric i."""
+def metric_columns(catalog: ItemCatalog, ids: np.ndarray | None = None):
+    """add(acc, pick): acc[:, i] += h_i(ids[pick], ids) for each metric i, or
+    with `ids` None the pick's whole row, read in place."""
 
     def add(acc: np.ndarray, pick: int) -> None:
-        item = int(cand[pick])
+        item = pick if ids is None else int(ids[pick])
         for i, metric in enumerate(catalog.metrics):
-            acc[:, i] += metric.column(item, cand)
+            acc[:, i] += metric.column(item, ids)
 
     return add
 
@@ -101,16 +102,17 @@ def greedy_select(
     Always fills all K slots even if late marginal gains are negative.
     """
     catalog.check_eta(eta)
-    cand = catalog.candidate_ids(candidates, k)
-    rel_scores = catalog.relevance[cand] @ eta.theta
+    mask = catalog.open_mask(candidates, k)
+    rel_scores = catalog.relevance @ eta.theta
+    rel_scores[~mask] = -np.inf
     picks, _, gains = greedy_fill(
-        np.zeros((cand.size, catalog.diversity_dim)),
+        np.zeros((catalog.item_count, catalog.diversity_dim)),
         k,
         lambda step, div_acc: rel_scores + div_acc @ eta.beta,
-        metric_columns(catalog, cand),
+        metric_columns(catalog),
     )
     return GreedyResult(
-        slate=Slate(tuple(cand[picks].tolist())),
+        slate=Slate(tuple(picks.tolist())),
         gain_trace=tuple(float(g) for g in gains),
     )
 
@@ -153,7 +155,7 @@ def exhaustive_optimum(
     Refuses instances above `SUBSET_BUDGET` subsets.
     """
     catalog.check_eta(eta)
-    cand = catalog.candidate_ids(candidates, k)
+    cand = np.flatnonzero(catalog.open_mask(candidates, k))
     n_subsets = math.comb(cand.size, k)
     if n_subsets > SUBSET_BUDGET:
         raise TooLargeInstanceError(

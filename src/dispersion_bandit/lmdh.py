@@ -170,6 +170,7 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     in x for every W, so it peaks at 0 or at x_max, and so does beta_hat * x:
     U_i = rel_i + max(beta_hat * x_max, 0) + alpha * sqrt(max(v_i(0), v_i(x_max))).
     `floor` is the k-th largest score of the first pass, where x = 0.
+    Closed items have rel_i = U_i = -inf and count in no size below.
 
     The bound rests on the rounding of both sides, which share the floats
     |W_zz z|^2, c, w, beta_hat and x_max.  A pass's x sums at most k - 1
@@ -189,15 +190,17 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     over the survivors read their columns alone, which holds the slate's
     bits because a metric's entry has one value whatever ids it is read with.
     """
-    if stats.m != 1 or rel_scores.size <= 16 * config.k:
+    open_ = rel_scores != -np.inf  # a NaN stays in: slack is NaN
+    if stats.m != 1 or np.count_nonzero(open_) <= 16 * config.k:
         return None
     w = float(stats.W[-1, -1])
     c = term_xz[:, 0]
     x_max = (config.k - 1) * catalog.metrics[0].max_distance
     beta_x = float(beta[0]) * x_max
     gamma = 2 * (config.k + 12) * np.finfo(np.float64).eps
-    v_size = float(term_zz.max() + (np.abs(c).max() + abs(w) * x_max) ** 2)
-    score_size = float(np.abs(rel_scores).max()) + abs(beta_x)
+    c_size = np.abs(c).max(where=open_, initial=0.0)
+    v_size = float(term_zz.max(where=open_, initial=0.0) + (c_size + abs(w) * x_max) ** 2)
+    score_size = float(np.abs(rel_scores).max(where=open_, initial=0.0)) + abs(beta_x)
     score_size += config.alpha * math.sqrt(v_size)
     slack = gamma * score_size + 2.0 * config.alpha * math.sqrt(gamma * v_size)
     if not math.isfinite(slack):  # then neither is some term of U
@@ -228,16 +231,16 @@ def select_slate(
 ) -> SlateSelection:
     """Greedy UCB slate: k `greedy_fill` passes, each re-scoring against the prefix.
 
-    Candidates are validated once by `ItemCatalog.candidate_ids`; the whole
-    catalog's relevance rows Z are read in place, a subset's gathered once
-    with `np.take`.  They are fixed per item, so the z-only width terms and
+    Candidates become the open mask (`ItemCatalog.open_mask`); the whole
+    catalog's relevance rows Z are read in place, closed items scoring
+    -inf.  They are fixed per item, so the z-only width terms and
     Z theta_hat are computed once per call, O(L*d*(d+m)); each pass then
     recomputes only the terms that involve the diversity marginal x, which
     changes as the slate grows, O(L*m^2).  Ties take the smallest item id.
     W is read from cache.
 
     The passes score only the survivors, the candidates whose bound
-    (`_score_bounds`) reaches the first pass's k-th best score, kept in id
+    (`_score_bounds`) reaches the first pass's k-th best score, as ids in
     order.  The slate stands when every pick's score beats the largest bound
     left out by the slack; otherwise the passes run again over the four
     times as many candidates with the largest bounds.  Survivors that make
@@ -249,21 +252,21 @@ def select_slate(
     afterwards.  Each pass works in place on arrays it made itself.
     """
     _check_config(config, catalog)
-    cand = catalog.candidate_ids(candidates, config.k)
+    mask = catalog.open_mask(candidates, config.k)
+    n_open = np.count_nonzero(mask)
 
     theta, beta = estimate_preferences(stats)
     Z = catalog.relevance
-    if cand.size < catalog.item_count:
-        Z = np.take(Z, cand, axis=0)  # the rows of Z[cand], a fraction of its cost
     term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
+    rel_scores[~mask] = -np.inf
 
     def run_passes(rows):
-        """Picks (positions in cand), features, widths and scores over cand[rows]."""
+        """Picks (item ids), features, widths and scores over `rows`, or all items."""
         if rows is None:
-            ids, rel, tzz, txz = cand, rel_scores, term_zz, term_xz
+            rel, tzz, txz = rel_scores, term_zz, term_xz
         else:
-            ids, rel, tzz, txz = cand[rows], rel_scores[rows], term_zz[rows], term_xz[rows]
+            rel, tzz, txz = rel_scores[rows], term_zz[rows], term_xz[rows]
         passes: list[np.ndarray] = []  # sqrt of the widths of every pass
 
         def score(step: int, X: np.ndarray) -> np.ndarray:
@@ -279,7 +282,7 @@ def select_slate(
             np.zeros((rel.size, catalog.diversity_dim)),
             config.k,
             score,
-            metric_columns(catalog, ids),
+            metric_columns(catalog, rows),
         )
         widths = np.array([root[pick] for root, pick in zip(passes, picks)])
         return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores
@@ -290,7 +293,7 @@ def select_slate(
         bound, floor, slack = bounds
         rows = np.flatnonzero(bound >= floor)
     while True:
-        if rows is not None and 4 * rows.size >= cand.size:
+        if rows is not None and 4 * rows.size >= n_open:
             rows = None
         picks, div_feats, widths, pick_scores = run_passes(rows)
         if rows is None:
@@ -298,11 +301,11 @@ def select_slate(
         lowest = pick_scores.min() - slack  # a NaN pick score fails both tests
         if lowest >= floor or lowest > bound[bound < floor].max():
             break
-        wider = cand.size - 4 * rows.size
+        wider = bound.size - 4 * rows.size
         floor = np.partition(bound, wider)[wider]  # the 4 |rows|-th largest bound
         rows = np.flatnonzero(bound >= floor)
     return SlateSelection(
-        slate=Slate(tuple(cand[picks].tolist())),
+        slate=Slate(tuple(picks.tolist())),
         relevance_features=Z[picks],
         diversity_features=div_feats,
         widths=widths,
@@ -420,12 +423,12 @@ class LmdhPolicy:
         stats = self.stats
         if self._memo is None or stats.b.any():
             return select_slate(stats, self.config, self.catalog, candidates)
-        cand = self.catalog.candidate_ids(candidates, self.config.k)
-        key = stats.W.tobytes() + stats.b.tobytes() + cand.tobytes()
+        mask = self.catalog.open_mask(candidates, self.config.k)
+        key = stats.W.tobytes() + stats.b.tobytes() + np.packbits(mask).tobytes()
         selection = self._memo.get(key)
         if selection is None:
             selection = self._memo[key] = read_only(
-                select_slate(stats, self.config, self.catalog, cand)
+                select_slate(stats, self.config, self.catalog, mask)
             )
         return selection
 

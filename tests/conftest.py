@@ -27,7 +27,9 @@ class TableDistanceMetric:
     def __len__(self) -> int:
         return len(self._table)
 
-    def column(self, item: int, others: np.ndarray) -> np.ndarray:
+    def column(self, item: int, others: np.ndarray | None = None) -> np.ndarray:
+        if others is None:  # the whole row, in place
+            return self._table[item]
         others = np.asarray(others, dtype=np.intp)
         return self._table[item][others]
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the program against.
 
 `select_slate_oracle` is LMDH's greedy UCB selection as a plain per-pass
-loop over every candidate: no shared pass kernel and no pruning.  Its widths
+loop over the whole catalog, closed items at -inf: no shared pass kernel
+and no pruning.  Its widths
 come from `widths_oracle`, written apart from the program's kernel but in
 the order the kernel documents, so the two agree bit for bit.
 `raw_widths_oracle` solves each width afresh against A instead, and
@@ -28,6 +29,7 @@ import numpy as np
 
 from dispersion_bandit import lmdh
 from dispersion_bandit.catalog import Slate
+from dispersion_bandit.errors import InvalidItemError
 from dispersion_bandit.lmdh import (
     HybridStatistics,
     LmdhConfig,
@@ -62,17 +64,17 @@ def select_slate_oracle(
 ):
     """(items, relevance features, diversity features, widths, UCB index at each pick).
 
-    Every pass scores every candidate with `widths(term_zz, term_xz, X,
-    stats)` and takes the first maximum.  A `passes` list receives each
-    pass's scores of every candidate, the taken ones as -inf.
+    Every pass scores every item of the catalog with `widths(term_zz,
+    term_xz, X, stats)`, sets the closed and the taken ones to -inf and takes
+    the first maximum.  A `passes` list receives each pass's scores.
     """
-    cand = catalog.candidate_ids(candidates, config.k)
+    unavailable = ~catalog.open_mask(candidates, config.k)  # closed or taken
+    items = catalog.all_items()
     theta, beta = estimate_preferences(stats)
-    Z = catalog.relevance[cand]
+    Z = catalog.relevance
     term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
-    X = np.zeros((cand.size, catalog.diversity_dim))
-    taken = np.zeros(cand.size, dtype=bool)
+    X = np.zeros((items.size, catalog.diversity_dim))
     chosen = []
     rel_feats = np.zeros((config.k, config.d))
     div_feats = np.zeros((config.k, config.m))
@@ -81,20 +83,19 @@ def select_slate_oracle(
     for step in range(config.k):
         v = widths(term_zz, term_xz, X, stats)
         scores = rel_scores + np.dot(X, beta) + config.alpha * np.sqrt(v)
-        scores[taken] = -np.inf
+        scores[unavailable] = -np.inf
         if passes is not None:
             passes.append(scores.copy())
         pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
+        unavailable[pick] = True
+        chosen.append(pick)
         rel_feats[step] = Z[pick]
         div_feats[step] = X[pick]
         roots[step] = math.sqrt(v[pick])
         scores_taken[step] = scores[pick]
         if step + 1 < config.k:
             for i, metric in enumerate(catalog.metrics):
-                X[:, i] += metric.column(item, cand)
+                X[:, i] += metric.column(pick, items)
     return tuple(chosen), rel_feats, div_feats, roots, scores_taken
 
 
@@ -181,23 +182,20 @@ def mmr_oracle(scorer, catalog, candidates, k, alpha):
 
 
 def mmr_select_oracle(scorer, catalog, candidates, k, mmr_alpha):
-    """MMR's own pass loop, as it stood before `greedy_fill`."""
-    cand = catalog.candidate_ids(candidates, k)
-    quality = scorer.quality[cand]
-    unit = scorer._unit[cand]
-    sim_sum = np.zeros(cand.size)
-    taken = np.zeros(cand.size, dtype=bool)
+    """MMR's own pass loop, as it stood before `greedy_fill`, over the whole
+    catalog with the closed items at -inf."""
+    unavailable = ~catalog.open_mask(candidates, k)  # closed or taken
+    sim_sum = np.zeros(catalog.item_count)
     chosen = []
     for step in range(k):
-        scores = mmr_alpha * quality
+        scores = mmr_alpha * scorer.quality
         if step > 0:
             scores = scores - (1.0 - mmr_alpha) / step * sim_sum
-        scores[taken] = -np.inf
+        scores[unavailable] = -np.inf
         pick = int(np.argmax(scores))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
-        sim_sum += unit @ scorer._unit[item]
+        unavailable[pick] = True
+        chosen.append(pick)
+        sim_sum += scorer._unit @ scorer._unit[pick]
     return tuple(chosen)
 
 
@@ -205,7 +203,12 @@ def slate_features_oracle(slate, catalog):
     """Per-position (z, x), the ids range-checked through numpy and each x
     entry one column sum."""
     ids = np.asarray(slate.items, dtype=np.intp)
-    catalog.check_ids(ids, "slate ids")
+    bad = ids[(ids < 0) | (ids >= catalog.item_count)]
+    if bad.size:
+        raise InvalidItemError(
+            f"slate ids outside ground set of size {catalog.item_count}: "
+            f"{bad[:5].tolist()}"
+        )
     x = np.zeros((ids.size, catalog.diversity_dim))
     for p in range(1, ids.size):
         for i, metric in enumerate(catalog.metrics):

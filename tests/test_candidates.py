@@ -1,8 +1,8 @@
-"""The one candidate format: `ItemCatalog.candidate_ids` and its callers.
+"""The one candidate format: `ItemCatalog.open_mask` and its callers.
 
-Every selector takes its candidates through `candidate_ids`, so the form in
-which candidates arrive (sorted array, list, shuffled list with duplicates)
-must not change a single output bit.  The rewritten loops are checked
+Every selector takes its candidates through `open_mask`, so the form in
+which candidates arrive (open mask, sorted array, list, shuffled list with
+duplicates) must not change a single output bit.  The rewritten loops are checked
 against the list-based versions they replaced, kept here as oracles.
 """
 
@@ -25,7 +25,6 @@ from dispersion_bandit.catalog import (
     Slate,
     distinct_sorted,
     slate_features,
-    sorted_ids,
     utility,
 )
 from dispersion_bandit.environments import ReplayEnvironment, ReplayUser, run_episode
@@ -83,20 +82,19 @@ def candidate_set_oracle(t, ground, consumed, k):
 
 def logrank_oracle(scorer, candidates, k):
     """LogRank by a full stable argsort of every candidate's quality."""
-    cand = scorer.catalog.candidate_ids(candidates, k)
+    cand = np.flatnonzero(scorer.catalog.open_mask(candidates, k))
     order = np.argsort(-scorer.quality[cand], kind="stable")
     return tuple(int(cand[i]) for i in order[:k])
 
 
 # ---------------------------------------------------------------------------
-# candidate_ids
+# open_mask
 
 
-def test_sorted_intp_array_is_returned_as_is():
+def test_a_mask_is_returned_as_is():
     catalog = random_catalog(np.random.default_rng(1), 10)
-    cand = np.array([0, 3, 4, 9], dtype=np.intp)
-    assert catalog.candidate_ids(cand, 2) is cand
-    assert sorted_ids(cand) is cand
+    mask = np.isin(np.arange(10), [0, 3, 4, 9])
+    assert catalog.open_mask(mask, 2) is mask
 
 
 @pytest.mark.parametrize(
@@ -114,10 +112,10 @@ def test_sorted_intp_array_is_returned_as_is():
 )
 def test_other_inputs_equal_np_unique(candidates):
     catalog = random_catalog(np.random.default_rng(2), 10)
-    got = catalog.candidate_ids(candidates, 1)
+    got = catalog.open_mask(candidates, 1)
     expected = np.unique(np.asarray(candidates))
-    assert got.dtype == np.intp
-    assert np.array_equal(got, expected)
+    assert got.dtype == bool and got.shape == (10,)
+    assert np.array_equal(np.flatnonzero(got), expected)
     assert got is not candidates
 
 
@@ -146,22 +144,28 @@ def test_distinct_sorted_equals_np_unique(ids, dtype):
         ([-1, 0, 1], r"\[-1\]"),
         ([0, 1, 10], r"\[10\]"),
         (np.array([-3, 2, 12]), r"\[-3, 12\]"),
+        # beyond int64: named as given, not wrapped by a cast
+        (np.array([2**64 - 1, 2], dtype=np.uint64), rf"\[{2**64 - 1}\]"),
+        ([2**64 - 1, 2], rf"\[{2**64 - 1}\]"),
+        ((1, 2**63), rf"\[{2**63}\]"),
     ],
 )
 def test_out_of_range_ids_raise_invalid_item(candidates, bad):
     catalog = random_catalog(np.random.default_rng(3), 10)
     with pytest.raises(InvalidItemError, match=bad):
-        catalog.candidate_ids(candidates, 2)
+        catalog.open_mask(candidates, 2)
 
 
 def test_too_few_candidates_or_bad_k_raise_insufficient():
     catalog = random_catalog(np.random.default_rng(4), 10)
     with pytest.raises(InsufficientCandidatesError):
-        catalog.candidate_ids([0, 1, 1], 3)
+        catalog.open_mask([0, 1, 1], 3)
     with pytest.raises(InsufficientCandidatesError):
-        catalog.candidate_ids(np.arange(5), 0)
+        catalog.open_mask(np.arange(5), 0)
     with pytest.raises(InsufficientCandidatesError):
-        catalog.candidate_ids([], 1)
+        catalog.open_mask([], 1)
+    with pytest.raises(InsufficientCandidatesError, match="only 2 candidates"):
+        catalog.open_mask(np.isin(np.arange(10), [3, 7]), 3)
 
 
 NON_INTEGER_IDS = [
@@ -187,9 +191,7 @@ def test_non_integer_ids_are_rejected_not_truncated(ids, bad):
     eta = random_eta(np.random.default_rng(9))
     message = r"ids must be integers, got " + bad
     with pytest.raises(InvalidItemError, match=message):
-        sorted_ids(ids)
-    with pytest.raises(InvalidItemError, match=message):
-        catalog.candidate_ids(ids, 2)
+        catalog.open_mask(ids, 2)
     for select in _selectors(catalog, 2).values():
         with pytest.raises(InvalidItemError, match=message):
             select(ids)
@@ -202,7 +204,7 @@ def test_non_integer_ids_are_rejected_not_truncated(ids, bad):
 def test_integer_ids_of_any_integer_type_are_accepted():
     catalog = random_catalog(np.random.default_rng(10), 10)
     ids = [np.int32(4), 1, np.uint8(7)]
-    assert catalog.candidate_ids(ids, 1).tolist() == [1, 4, 7]
+    assert np.flatnonzero(catalog.open_mask(ids, 1)).tolist() == [1, 4, 7]
     slate = Slate(tuple(ids))
     assert slate.items == (4, 1, 7)
     assert all(type(a) is int for a in slate.items)
@@ -211,7 +213,7 @@ def test_integer_ids_of_any_integer_type_are_accepted():
 
 
 # ---------------------------------------------------------------------------
-# every selector goes through candidate_ids
+# every selector goes through open_mask
 
 
 def _selectors(catalog, k, stats=None):
@@ -276,14 +278,16 @@ def test_candidate_form_does_not_change_any_output_bit(data):
     as_list = [int(i) for i in chosen]
     shuffled = as_list + as_list[: rng.integers(0, len(as_list) + 1)]
     rng.shuffle(shuffled)
+    as_mask = np.zeros(n_items, dtype=bool)
+    as_mask[chosen] = True
     stats = trained_stats(rng, catalog, k)
     for name in ("lmdh", "greedy", "logrank", "mmr", "epsilon-greedy"):
         results = []
-        for form in (as_array, as_list, shuffled):
+        for form in (as_array, as_list, shuffled, as_mask):
             # fresh selectors per form: equal learner state and rng stream
             select = _selectors(catalog, k, stats)[name]
             results.append(_outputs(name, select(form), catalog))
-        assert results[0] == results[1] == results[2], name
+        assert results[0] == results[1] == results[2] == results[3], name
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +341,9 @@ def test_candidate_set_matches_set_difference_oracle():
             if isinstance(slow, str):
                 assert fast == f"round {t}: {n - len(consumed)} candidates left, need {k}"
                 break
-            assert fast.dtype == slow.dtype == np.intp
-            assert np.array_equal(fast, slow)
-            shown = rng.choice(fast, size=k, replace=False)
+            assert fast.dtype == bool and slow.dtype == np.intp
+            assert np.array_equal(np.flatnonzero(fast), slow)
+            shown = rng.choice(np.flatnonzero(fast), size=k, replace=False)
             show(env, shown)
             consumed.update(int(i) for i in shown)
         else:
@@ -376,7 +380,7 @@ class OracleCheckedReplay(ReplayEnvironment):
             self.rounds.append(t)
             raise
         assert expected is not None, f"round {t}: not exhausted"
-        assert np.array_equal(got, expected)
+        assert np.array_equal(np.flatnonzero(got), expected)
         self.rounds.append(t)
         return got
 
@@ -395,8 +399,8 @@ def test_replay_candidates_match_oracle_every_round(consumed):
     assert len(log) == full_rounds
     assert env.rounds == list(range(1, full_rounds + 2))
     # the mask closed exactly the consumed and the shown items
-    still_open = ReplayEnvironment.candidates(env, full_rounds + 2, 1).tolist()
-    assert set(range(23)) - set(still_open) == set(consumed) | {
+    still_open = np.flatnonzero(ReplayEnvironment.candidates(env, full_rounds + 2, 1))
+    assert set(range(23)) - set(still_open.tolist()) == set(consumed) | {
         i for r in log for i in r.items
     }
 

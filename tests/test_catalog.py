@@ -249,6 +249,8 @@ class TestSlateFeatures:
             slate_features(Slate((0, 7, 1)), catalog)
         with pytest.raises(InvalidItemError, match=r"\[-1\]"):
             slate_features(Slate((-1,)), catalog)
+        with pytest.raises(InvalidItemError, match=rf"\[{2**63}\]"):
+            slate_features(Slate((1, 2**63)), catalog)  # beyond int64
 
 
 class TestUtility:
@@ -306,6 +308,8 @@ class TestUtility:
         catalog = random_catalog(rng, 4)
         with pytest.raises(InvalidItemError, match=r"slate ids .*: \[7, 9\]"):
             utility((0, 7, 1, 9), random_eta(rng), catalog)
+        with pytest.raises(InvalidItemError, match=rf"\[{2**64}\]"):
+            utility((1, 2**64), random_eta(rng), catalog)  # beyond int64
 
     def test_empty_slate(self, rng):
         catalog = random_catalog(rng, 3)
@@ -586,19 +590,20 @@ class TestDistanceRows:
         for item in (0, 1, 2500, n - 1):
             tracemalloc.start()
             try:
-                in_place = metric.column(item, ids)
+                in_place = metric.column(item)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < n * d * 8 / 4  # no gathered copy of the unit rows
-            # one id more than the catalog takes the gather
+            assert not in_place.flags.writeable
+            # the same ids given explicitly take the gather
             gathered = metric.column(item, np.append(ids, item))
             assert in_place.tobytes() == gathered[:n].tobytes()
             assert in_place[item] == 0.0
-        # as many ids as the catalog, one repeated: not the whole catalog
+        # as many ids as the catalog, one repeated
         repeated = ids.copy()
         repeated[1] = 0
-        want = metric.column(3, ids)[repeated]
+        want = metric.column(3)[repeated]
         assert metric.column(3, repeated).tobytes() == want.tobytes()
 
     def test_memory_grows_with_the_rows_read(self, rng):

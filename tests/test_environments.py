@@ -121,7 +121,7 @@ def replay_feedback(env: ReplayEnvironment, items: tuple[int, ...]) -> np.ndarra
 
 def open_items(env: ReplayEnvironment) -> set[int]:
     """The items `env` still offers (a one-item request never runs out first)."""
-    return set(env.candidates(0, 1).tolist())
+    return set(np.flatnonzero(env.candidates(0, 1)).tolist())
 
 
 def test_replay_feedback_membership():
@@ -176,11 +176,11 @@ def test_replay_feedback_all_in_and_all_out():
 def test_candidate_set_removes_shown_items():
     catalog = study_instance(20, n_items=10, d=3, k=3).catalog
     env = ReplayEnvironment(catalog, ReplayUser(user_id=0, positives=frozenset()))
-    assert np.array_equal(env.candidates(1, 3), np.arange(10))
+    assert np.array_equal(np.flatnonzero(env.candidates(1, 3)), np.arange(10))
     replay_feedback(env, (1, 4, 7))
     remaining = env.candidates(2, 3)
-    assert remaining.dtype == np.intp
-    assert np.array_equal(remaining, [0, 2, 3, 5, 6, 8, 9])
+    assert remaining.dtype == bool and remaining.shape == (10,)
+    assert np.array_equal(np.flatnonzero(remaining), [0, 2, 3, 5, 6, 8, 9])
     replay_feedback(env, (0, 2, 3, 5, 6))
     with pytest.raises(ExhaustedCandidatesError, match="round 3: 2 candidates left, need 3"):
         env.candidates(3, 3)
@@ -226,7 +226,23 @@ def test_simulated_environment_presents_full_ground_set():
     inst = study_instance(22, n_items=7, d=3, k=3)
     env = SimulatedEnvironment(inst)
     for t in (1, 5, 100):
-        assert np.array_equal(env.candidates(t, 3), np.arange(7))
+        assert np.array_equal(np.flatnonzero(env.candidates(t, 3)), np.arange(7))
+
+
+def test_a_handed_out_mask_never_changes_and_refuses_writes():
+    catalog = study_instance(20, n_items=10, d=3, k=3).catalog
+    env = ReplayEnvironment(catalog, ReplayUser(user_id=0, positives=frozenset()))
+    first = env.candidates(1, 3)
+    held = first.copy()
+    replay_feedback(env, (2, 5, 8))
+    second = env.candidates(2, 3)
+    replay_feedback(env, (0, 1, 3))
+    assert np.array_equal(first, held) and first.all()
+    assert np.flatnonzero(~second).tolist() == [2, 5, 8]
+    sim = SimulatedEnvironment(study_instance(22, n_items=7, d=3, k=3))
+    for mask in (first, second, sim.candidates(1, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = False
 
 
 def test_run_episode_zero_rounds():

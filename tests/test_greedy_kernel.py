@@ -26,21 +26,20 @@ from oracles import mmr_select_oracle, select_slate_oracle, trained_stats
 
 def greedy_select_oracle(eta, catalog, candidates, k):
     catalog.check_eta(eta)
-    cand = catalog.candidate_ids(candidates, k)
-    rel_scores = catalog.relevance[cand] @ eta.theta
-    div_acc = np.zeros((cand.size, catalog.diversity_dim))
-    taken = np.zeros(cand.size, dtype=bool)
+    unavailable = ~catalog.open_mask(candidates, k)  # closed or taken
+    items = catalog.all_items()
+    rel_scores = catalog.relevance @ eta.theta
+    div_acc = np.zeros((items.size, catalog.diversity_dim))
     chosen, gains = [], []
     for _ in range(k):
         scores = rel_scores + div_acc @ eta.beta
-        scores[taken] = -np.inf
+        scores[unavailable] = -np.inf
         pick = int(np.argmax(scores))
         gains.append(float(scores[pick]))
-        taken[pick] = True
-        item = int(cand[pick])
-        chosen.append(item)
+        unavailable[pick] = True
+        chosen.append(pick)
         for i, metric in enumerate(catalog.metrics):
-            div_acc[:, i] += metric.column(item, cand)
+            div_acc[:, i] += metric.column(pick, items)
     return tuple(chosen), tuple(gains)
 
 

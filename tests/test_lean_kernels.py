@@ -1,8 +1,8 @@
 """The simulated round's lean kernels against the forms they replaced.
 
 `lmdh._raw_widths_batch` adds its squared x terms one column at a time
-where its oracle takes a row-wise `einsum`, `select_slate` once gathered the relevance rows of every candidate set and
-`greedy_fill` masked the taken items with a boolean index; `slate_features`
+where its oracle takes a row-wise `einsum`, and `greedy_fill` masked the
+taken items with a boolean index; `slate_features`
 range-checked a `Slate` through numpy, `position_means` took its dots with
 `@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
 are kept as oracles, here and in `oracles.py`, whose plain select loop runs with
@@ -95,7 +95,6 @@ def test_lean_kernels_match_the_old_forms(data):
     n_items = data.draw(st.integers(1, 12), label="n_items")
     tied = data.draw(st.booleans(), label="tied")
     catalog = draw_catalog(rng, n_items, d, m, tied)
-    # the whole catalog is read as a view, a subset is gathered
     if data.draw(st.booleans(), label="whole_catalog"):
         cand = catalog.all_items()
     else:

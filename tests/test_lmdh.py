@@ -649,8 +649,12 @@ class WithholdingEnvironment(ReplayEnvironment):
         self.t, self.item = t, item
 
     def candidates(self, t, k):
-        cand = super().candidates(t, k)
-        return cand[cand != self.item] if t >= self.t else cand
+        mask = super().candidates(t, k)
+        if t < self.t:
+            return mask
+        withheld = mask.copy()
+        withheld[self.item] = False
+        return withheld
 
 
 def memo_world(rounds=8, k=3):
@@ -737,13 +741,13 @@ def test_memo_misses_on_other_candidates():
     for t in (1, 2):
         cand = environment.candidates(t, config.k)
         stats = policy.stats
-        entry = stored[stats.W.tobytes() + stats.b.tobytes() + cand.tobytes()]
+        entry = stored[stats.W.tobytes() + stats.b.tobytes() + np.packbits(cand).tobytes()]
         selection = policy.select(cand)
         assert selection is entry
         policy.observe(selection, environment.feedback(selection))
     stats = policy.stats
     unwithheld = ReplayEnvironment.candidates(environment, 3, config.k)
-    assert stats.W.tobytes() + stats.b.tobytes() + unwithheld.tobytes() in stored
+    assert stats.W.tobytes() + stats.b.tobytes() + np.packbits(unwithheld).tobytes() in stored
     selection = policy.select(environment.candidates(3, config.k))
     assert all(selection is not entry for entry in stored.values())
 

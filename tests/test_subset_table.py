@@ -24,7 +24,7 @@ from conftest import TableDistanceMetric
 def exhaustive_optimum_oracle(eta, catalog, candidates, k, chunk):
     """The exhaustive oracle as it stood: a fresh `fromiter` block per chunk."""
     catalog.check_eta(eta)
-    cand = catalog.candidate_ids(candidates, k)
+    cand = np.flatnonzero(catalog.open_mask(candidates, k))
     per_item = catalog.relevance[cand] @ eta.theta
     w = _pairwise_weights(eta, catalog, cand)
     pair_pos = list(itertools.combinations(range(k), 2))
