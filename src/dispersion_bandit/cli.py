@@ -57,16 +57,13 @@ from .lmdh import (
     regret_upper_bound,
     theoretical_alpha,
 )
-from .seeding import STREAM_POLICY, derive_seed, rng_from_seed
+from .seeding import POLICY, rng_from_seed
 
 # Simulated-study constants: 20 items with 10-d features, one dispersion term.
 SIM_ITEMS = 20
 SIM_D = 10
 SIM_M = 1
 DEFAULT_RATIO_KS = (2, 3, 4, 5)
-# Index offset reserved for the synthetic-embedding draw so it never collides
-# with per-run or per-user seed indices.
-EMB_SEED_INDEX = 977
 
 POLICIES = ("lmdh", "logrank", "mmr", "epsilon-greedy")
 
@@ -240,16 +237,17 @@ def _simulate_run(task: tuple):
         mmr_alpha,
         k,
         rounds,
-        run_seed,
+        seed,
+        run,
         metric_mode,
     ) = task
     instance = study_instance(
-        run_seed, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
+        seed, run, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
     )
     # The baselines' u_bar is drawn from the true preference's prior (a
     # stand-in for a scorer trained on other users) before epsilon-greedy
     # takes the same rng for its exploration.
-    rng = rng_from_seed(run_seed, STREAM_POLICY)
+    rng = rng_from_seed(seed, POLICY, run)
     u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
     policy = make_policy(
         policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
@@ -265,7 +263,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(args.alpha, args.k, SIM_D, SIM_M, args.lam, args.rounds)
-    run_seeds = [derive_seed(args.seed, r) for r in range(args.runs)]
     tasks = [
         (
             args.policy,
@@ -275,10 +272,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.mmr_alpha,
             args.k,
             args.rounds,
-            run_seed,
+            args.seed,
+            run,
             args.metric_mode,
         )
-        for run_seed in run_seeds
+        for run in range(args.runs)
     ]
     workers = resolve_workers(args.workers, len(tasks))
     series = average_regret(_map_tasks(_simulate_run, tasks, workers))
@@ -300,7 +298,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "delta": _sim_theory(
             args.rounds, args.k, SIM_D, SIM_M, args.lam, args.rounds
         ).delta,
-        "run_seeds": run_seeds,
         "sim_items": SIM_ITEMS,
         "sim_d": SIM_D,
         "sim_m": SIM_M,
@@ -328,9 +325,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _ratio_task(task: tuple):
-    instance_seed, k, metric_mode = task
+    seed, index, k, metric_mode = task
     instance = study_instance(
-        instance_seed, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
+        seed, index, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
     )
     candidates = instance.catalog.all_items()
     result = greedy_select(instance.eta_star, instance.catalog, candidates, k)
@@ -345,8 +342,7 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
     _check_k(max(ks), SIM_ITEMS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instance_seeds = [derive_seed(args.seed, i) for i in range(args.runs)]
-    tasks = [(s, k, args.metric_mode) for k in ks for s in instance_seeds]
+    tasks = [(args.seed, i, k, args.metric_mode) for k in ks for i in range(args.runs)]
     workers = resolve_workers(args.workers, len(tasks))
     results = _map_tasks(_ratio_task, tasks, workers)
 
@@ -365,7 +361,6 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 
     derived = {
         "ks": ks,
-        "instance_seeds": instance_seeds,
         "sim_items": SIM_ITEMS,
         "sim_d": SIM_D,
     }
@@ -405,9 +400,7 @@ def _replay_context(key: tuple):
     if embeddings is not None:
         vectors = load_embeddings(embeddings, table.item_ids)
     else:
-        vectors = synthetic_embeddings(
-            table.n_items, SIM_D, derive_seed(seed, EMB_SEED_INDEX)
-        )
+        vectors = synthetic_embeddings(table.n_items, SIM_D, seed)
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
     # Population scorer: mean over training users of their mean positive-item
@@ -444,7 +437,7 @@ def _replay_task(task: tuple):
     positives = frozenset(int(i) for i in test.items_of(u))
     user = ReplayUser(user_id=u, positives=positives)
     explores = policy_name == "epsilon-greedy"  # the one policy that draws
-    rng = rng_from_seed(derive_seed(seed, u), STREAM_POLICY) if explores else None
+    rng = rng_from_seed(seed, POLICY, u) if explores else None
     policy = make_policy(
         policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer,
         _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
@@ -505,9 +498,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "n_interactions": table.n_interactions,
         "n_test_users": test.n_users,
         "embedding_d": catalog.relevance_dim,
-        "embedding_seed": None
-        if args.embeddings is not None
-        else derive_seed(args.seed, EMB_SEED_INDEX),
     }
     _write_manifest(
         out, "replay", manifest_options(args), derived, ["metrics.csv"]

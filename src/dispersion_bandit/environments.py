@@ -31,7 +31,7 @@ from .errors import (
     InvalidItemError,
     ProtocolViolationError,
 )
-from .seeding import STREAM_INSTANCE, STREAM_REWARDS, rng_from_seed
+from .seeding import INSTANCE, REWARDS, rng_from_seed
 
 #: `study_instance`'s uniform draw ranges: the item features, and the
 #: relevance and diversity preferences.  Both are non-negative, which makes
@@ -42,11 +42,15 @@ PREFERENCE_RANGE = (0.0, 0.2)
 
 @dataclass(frozen=True)
 class SimInstance:
-    """A simulated world: catalog plus the hidden truth eta*."""
+    """A simulated world: catalog plus the hidden truth eta*.
+
+    (seed, index) keys the instance's streams, the rewards' among them.
+    """
 
     catalog: ItemCatalog
     eta_star: PreferenceVector
     seed: int
+    index: int = 0
 
     def __post_init__(self):
         self.catalog.check_eta(self.eta_star)
@@ -54,6 +58,7 @@ class SimInstance:
 
 def study_instance(
     seed: int,
+    index: int = 0,
     n_items: int = 20,
     d: int = 10,
     k: int = 5,
@@ -62,15 +67,16 @@ def study_instance(
     """Draw a simulated instance with uniform features and preferences.
 
     Features come from `FEATURE_RANGE`, theta and beta from
-    `PREFERENCE_RANGE`.  One diversity function (cosine dispersion), so m = 1.
+    `PREFERENCE_RANGE`, on instance stream `index` under `seed`.  One
+    diversity function (cosine dispersion), so m = 1.
     """
-    rng = rng_from_seed(seed, STREAM_INSTANCE)
+    rng = rng_from_seed(seed, INSTANCE, index)
     vectors = rng.uniform(*FEATURE_RANGE, size=(n_items, d))
     theta = rng.uniform(*PREFERENCE_RANGE, size=d)
     beta = rng.uniform(*PREFERENCE_RANGE, size=1)
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
-    return SimInstance(catalog=catalog, eta_star=PreferenceVector(theta, beta), seed=seed)
+    return SimInstance(catalog, PreferenceVector(theta, beta), seed, index)
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,7 @@ class SimulatedEnvironment:
 
     def __init__(self, instance: SimInstance):
         self.instance = instance
-        self._rewards_rng = rng_from_seed(instance.seed, STREAM_REWARDS)
+        self._rewards_rng = rng_from_seed(instance.seed, REWARDS, instance.index)
         self.clamp_hits = 0
         self._last: tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
         self._all = np.ones(instance.catalog.item_count, dtype=bool)

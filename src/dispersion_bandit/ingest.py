@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import distinct_sorted
 from .errors import EmptyDatasetError, ParseError
-from .seeding import rng_from_seed
+from .seeding import EMBEDDINGS, SPLIT, rng_from_seed
 
 FORMATS = ("ml100k-tab", "ml1m-colons", "generic-csv")
 
@@ -365,8 +365,7 @@ def split_users(
     """Seeded shuffle of users; first floor(TRAIN_FRACTION * U) train, rest test."""
     if table.n_users < 2:
         raise EmptyDatasetError("need at least 2 users to split")
-    rng = rng_from_seed(seed)
-    order = rng.permutation(table.n_users)
+    order = rng_from_seed(seed, SPLIT).permutation(table.n_users)
     cut = int(table.n_users * TRAIN_FRACTION)
     return subtable(table, order[:cut]), subtable(table, order[cut:])
 
@@ -488,7 +487,7 @@ def synthetic_embeddings(n_items: int, d: int, seed: int) -> np.ndarray:
     """
     if n_items < 1 or d < 1:
         raise ValueError("n_items and d must be >= 1")
-    return rng_from_seed(seed).uniform(*SYNTHETIC_RANGE, size=(n_items, d))
+    return rng_from_seed(seed, EMBEDDINGS).uniform(*SYNTHETIC_RANGE, size=(n_items, d))
 
 
 def write_maps(table: InteractionTable, users_path, items_path) -> None:

@@ -42,7 +42,7 @@ from dispersion_bandit.lmdh import (
     theoretical_alpha,
     update,
 )
-from dispersion_bandit.seeding import derive_seed, rng_from_seed
+from dispersion_bandit.seeding import INSTANCE, rng_from_seed
 from conftest import utility_by_hand
 from oracles import confidence_width
 
@@ -144,10 +144,10 @@ def test_criterion_2_approximation_ratios(tmp_path, capsys):
     ratios: dict[int, list[float]] = {}
     for row in rows:
         ratios.setdefault(int(row["K"]), []).append(float(row["ratio"]))
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    options = json.loads((tmp_path / "manifest.json").read_text())["options"]
     instances = [
-        study_instance(s, k=5, metric_mode="raw")
-        for s in manifest["derived"]["instance_seeds"]
+        study_instance(options["seed"], i, k=5, metric_mode="raw")
+        for i in range(options["runs"])
     ]
     preconditions = all(
         guarantee_preconditions(inst.eta_star, inst.catalog) for inst in instances
@@ -222,7 +222,7 @@ def test_criterion_3_regret_behavior(simulated_curves, capsys):
 
 
 def test_criterion_4_width_equals_joint_ridge(capsys):
-    rng = rng_from_seed(777)
+    rng = rng_from_seed(777, INSTANCE)
     d, m, k, lam = 10, 1, 5, 1.0
     vectors = rng.uniform(-1.0, 1.0, size=(30, d))
     catalog = ItemCatalog(vectors, (cosine_metric(vectors, mode="raw"),))
@@ -292,7 +292,8 @@ def test_criterion_5_width_budget(simulated_curves, capsys):
                 0.9,
                 k,
                 horizon,
-                derive_seed(0, run_index),
+                0,
+                run_index,
                 "slate-normalized",
             )
         )
@@ -308,7 +309,7 @@ def test_criterion_5_width_budget(simulated_curves, capsys):
 
 
 def test_criterion_6_telescoping_and_modular_exactness(capsys):
-    rng = rng_from_seed(606)
+    rng = rng_from_seed(606, INSTANCE)
     worst_gap = 0.0
     worst_modular = 0.0
     for i in range(1000):
@@ -356,7 +357,7 @@ def test_criterion_7_estimator_consistency(capsys):
     k = 5
     checks = []
     for seed in (11, 12, 13):
-        rng = rng_from_seed(seed)
+        rng = rng_from_seed(seed, INSTANCE)
         stats = HybridStatistics(10, 1, 1.0)
         for _ in range(10_000 // k):
             zeta = (rng.random((k, 11)) < 0.5).astype(np.float64)

@@ -19,7 +19,7 @@ from dispersion_bandit.errors import (
     InsufficientCandidatesError,
 )
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
-from dispersion_bandit.seeding import rng_from_seed
+from dispersion_bandit.seeding import POLICY, rng_from_seed
 
 from conftest import TableDistanceMetric, random_catalog
 from oracles import mmr_oracle
@@ -120,8 +120,9 @@ def test_epsilon_zero_equals_logrank():
     for trial in range(20):
         catalog = random_catalog(rng, n_items=8, d=3, m=1)
         scorer = StaticScorer(rng.normal(size=3), catalog)
+        rng_trial = rng_from_seed(trial, POLICY)
         greedy = epsilon_greedy_select(
-            scorer, catalog.all_items(), 4, epsilon=0.0, rng=rng_from_seed(trial)
+            scorer, catalog.all_items(), 4, epsilon=0.0, rng=rng_trial
         )
         assert greedy.items == logrank_select(scorer, catalog.all_items(), 4).items
 
@@ -131,10 +132,10 @@ def test_epsilon_greedy_is_deterministic_given_seed():
     catalog = random_catalog(rng, n_items=10, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
     a = epsilon_greedy_select(
-        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99)
+        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99, POLICY)
     )
     b = epsilon_greedy_select(
-        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99)
+        scorer, catalog.all_items(), 4, epsilon=0.7, rng=rng_from_seed(99, POLICY)
     )
     assert a.items == b.items
 
@@ -166,7 +167,7 @@ def test_epsilon_greedy_rejects_bad_epsilon():
     scorer = StaticScorer(np.zeros(2), catalog)
     with pytest.raises(ValueError):
         epsilon_greedy_select(
-            scorer, catalog.all_items(), 2, epsilon=-0.1, rng=rng_from_seed(0)
+            scorer, catalog.all_items(), 2, epsilon=-0.1, rng=rng_from_seed(0, POLICY)
         )
 
 
@@ -194,7 +195,9 @@ def test_policies_satisfy_the_interface():
     policies = [
         LogRankPolicy(scorer, catalog, k=3),
         MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.9),
-        EpsilonGreedyPolicy(scorer, catalog, k=3, epsilon=0.05, rng=rng_from_seed(7)),
+        EpsilonGreedyPolicy(
+            scorer, catalog, k=3, epsilon=0.05, rng=rng_from_seed(7, POLICY)
+        ),
         LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), catalog),
     ]
     assert [p.name for p in policies] == ["logrank", "mmr", "epsilon-greedy", "lmdh"]

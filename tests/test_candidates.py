@@ -41,7 +41,7 @@ from dispersion_bandit.lmdh import (
     _z_terms,
     select_slate,
 )
-from dispersion_bandit.seeding import rng_from_seed
+from dispersion_bandit.seeding import POLICY, rng_from_seed
 
 from conftest import random_catalog, random_eta
 from oracles import raw_widths_oracle, trained_stats
@@ -232,7 +232,7 @@ def _selectors(catalog, k, stats=None):
         "logrank": lambda c: logrank_select(scorer, c, k),
         "mmr": lambda c: mmr_select(scorer, catalog, c, k),
         "epsilon-greedy": lambda c: epsilon_greedy_select(
-            scorer, c, k, 0.5, rng_from_seed(0)
+            scorer, c, k, 0.5, rng_from_seed(0, POLICY)
         ),
     }
 

@@ -35,7 +35,7 @@ from dispersion_bandit.environments import (
 from dispersion_bandit.evaluation import compute_metric_series, write_metrics_csv
 from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhPolicy
-from dispersion_bandit.seeding import STREAM_POLICY, derive_seed, rng_from_seed
+from dispersion_bandit.seeding import POLICY, rng_from_seed
 
 from conftest import count_selects
 from oracles import UnsharedLmdhPolicy
@@ -83,7 +83,7 @@ POLICY_CLASSES = {
 def test_make_policy_builds_each_policy(name):
     assert set(POLICY_CLASSES) == set(POLICIES)
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
-    rng = rng_from_seed(5, 2)
+    rng = rng_from_seed(5, POLICY)
     u_bar = np.linspace(0.0, 0.2, 4)
     scorer = StaticScorer(u_bar, catalog)
     policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, scorer)
@@ -112,10 +112,10 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
         return make_policy(*args)
 
     monkeypatch.setattr(cli, "make_policy", recording_make_policy)
-    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, "slate-normalized"))
+    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, 1, "slate-normalized"))
     next_draws, scorer = built[0]
     # u_bar is the stream's first draw; the rng is handed over right after it
-    fresh = rng_from_seed(17, STREAM_POLICY)
+    fresh = rng_from_seed(17, POLICY, 1)
     u_bar = fresh.uniform(0.0, 0.2, cli.SIM_D)
     if name == "lmdh":
         assert "quality" not in vars(scorer)  # LMDH reads no scorer
@@ -128,8 +128,8 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
 def test_make_policy_rejects_unknown_names():
     catalog = study_instance(3, n_items=9, d=4, k=3).catalog
     with pytest.raises(SystemExit, match="'ucb-plain'"):
-        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9, rng_from_seed(0),
-                    StaticScorer(np.ones(4), catalog))
+        make_policy("ucb-plain", catalog, 3, 1.0, 1.0, 0.05, 0.9,
+                    rng_from_seed(0, POLICY), StaticScorer(np.ones(4), catalog))
 
 
 def test_ingest_summary_line(capsys):
@@ -522,7 +522,6 @@ def test_replay_synthetic_embeddings_when_omitted(tmp_path, capsys):
                  "--workers", "1"]) == 0
     capsys.readouterr()
     manifest = read_manifest(out)
-    assert manifest["derived"]["embedding_seed"] is not None
     assert manifest["derived"]["embedding_d"] == 10
 
 
@@ -571,7 +570,7 @@ def fresh_policy_replay_task(task: tuple):
     user = ReplayUser(user_id=u, positives=frozenset(int(i) for i in test.items_of(u)))
     policy = make_policy(
         policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng_from_seed(derive_seed(seed, u), STREAM_POLICY), scorer,
+        rng_from_seed(seed, POLICY, u), scorer,
     )
     if policy_name == "lmdh":
         policy = UnsharedLmdhPolicy(policy.config, catalog)

@@ -193,7 +193,7 @@ class TestApproximationRatio:
             if caller == "library":
                 command_ratio(eta, catalog, (0, 1, 2), 2)
             else:
-                cli._ratio_task((0, 2, "raw"))
+                cli._ratio_task((0, 0, 2, "raw"))
 
     def test_guarantee_floor_on_random_instances(self):
         # >= 1000 random instances with L <= 12, K <= 4 under the guarantee's

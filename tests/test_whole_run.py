@@ -31,12 +31,7 @@ from dispersion_bandit.environments import (
 from dispersion_bandit.greedy import GAMMA
 from dispersion_bandit.ingest import split_users
 from dispersion_bandit.lmdh import LmdhConfig
-from dispersion_bandit.seeding import (
-    STREAM_POLICY,
-    STREAM_REWARDS,
-    derive_seed,
-    rng_from_seed,
-)
+from dispersion_bandit.seeding import POLICY, REWARDS, rng_from_seed
 
 from oracles import (
     ReferenceLearner,
@@ -122,15 +117,14 @@ SIM_SEED, SIM_ROUNDS, SIM_K = 6, 40, 5
 
 @pytest.mark.parametrize("name", POLICIES)
 def test_a_simulated_episode_follows_the_plain_rules(name, tmp_path, monkeypatch, capsys):
-    run_seed = derive_seed(SIM_SEED, 0)
-    instance = study_instance(run_seed, n_items=cli.SIM_ITEMS, d=cli.SIM_D, k=SIM_K)
+    instance = study_instance(SIM_SEED, 0, n_items=cli.SIM_ITEMS, d=cli.SIM_D, k=SIM_K)
     catalog = instance.catalog
 
     # the reference: u_bar is the policy stream's first draw, and
     # epsilon-greedy explores with the rest of that stream
-    rng = rng_from_seed(run_seed, STREAM_POLICY)
+    rng = rng_from_seed(SIM_SEED, POLICY, 0)
     u_bar = rng.uniform(*PREFERENCE_RANGE, cli.SIM_D)
-    world = SimulatedReference(instance, rng_from_seed(run_seed, STREAM_REWARDS))
+    world = SimulatedReference(instance, rng_from_seed(SIM_SEED, REWARDS, 0))
     policy = reference_policy(
         name, catalog, SIM_K, LAM["sim"], reference_quality(u_bar, catalog), rng
     )
@@ -138,7 +132,7 @@ def test_a_simulated_episode_follows_the_plain_rules(name, tmp_path, monkeypatch
 
     # the program, composed as `simulate` composes it
     checked = checked_selects(monkeypatch)
-    rng = rng_from_seed(run_seed, STREAM_POLICY)
+    rng = rng_from_seed(SIM_SEED, POLICY, 0)
     scorer = StaticScorer(rng.uniform(*PREFERENCE_RANGE, cli.SIM_D), catalog)
     program = cli.make_policy(
         name, catalog, SIM_K, LAM["sim"], ALPHA, EPSILON, MMR_ALPHA, rng, scorer
@@ -195,7 +189,7 @@ def test_a_replay_user_follows_the_plain_rules(name, tmp_path, monkeypatch):
 
     train, _ = split_users(table, REPLAY_SEED)
     quality = reference_quality(plain_u_bar(train, catalog.relevance), catalog)
-    rng = rng_from_seed(derive_seed(REPLAY_SEED, user), STREAM_POLICY)
+    rng = rng_from_seed(REPLAY_SEED, POLICY, user)
     policy = reference_policy(name, catalog, REPLAY_K, LAM["replay"], quality, rng)
     world = ReplayReference(catalog.item_count, positives)
     want = reference_episode(policy, world, REPLAY_ROUNDS, REPLAY_K)
