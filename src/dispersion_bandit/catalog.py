@@ -6,10 +6,13 @@ The utility of an ordered item set A under preferences eta = [theta; beta] is
 
 where each R_i is modular (sums per-item relevance values) and each V_i is a
 dispersion function (sums a pairwise distance over all unordered item pairs
-in A).  Both marginal gains are locally linear in eta, which is what the
-greedy selector and the bandit learner exploit:
+in A).  Both are linear in eta, and so is the gain of appending an item:
 
-    F(A + a | eta) - F(A | eta) = eta . [rel_marginal(a); div_marginal(a | A)]
+    F(A + a | eta) - F(A | eta) = eta . [z_a; x(a | A)]
+
+where z_a is a's relevance row and x_i(a | A) sums h_i(a, b) over b in A.
+`marginal_gains` gives this gain at each position of a slate, and F(A) is
+their left-to-right sum.
 """
 
 from __future__ import annotations
@@ -314,35 +317,27 @@ def slate_features(
     return catalog.relevance[ids], x
 
 
+def marginal_gains(z: np.ndarray, x: np.ndarray, eta: PreferenceVector) -> np.ndarray:
+    """Each position's gain eta . [z_p; x_p] from a slate's `slate_features`."""
+    return np.array([eta.theta.dot(z_p) + eta.beta.dot(x_p) for z_p, x_p in zip(z, x)])
+
+
+def left_sum(values) -> float:
+    """Sum of python floats left to right; builtin `sum` is compensated from 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def utility(
     slate: Slate | tuple[int, ...], eta: PreferenceVector, catalog: ItemCatalog
 ) -> float:
-    """F(A | eta); order-independent, 0.0 for the empty slate.
-
-    Checks eta and the ids, then evaluates `slate_features` with
-    `features_utility`.
-    """
+    """F(A | eta), the left sum of the slate's `marginal_gains`; 0.0 when empty."""
     catalog.check_eta(eta)
     if not isinstance(slate, Slate):
         slate = Slate(tuple(slate))  # rejects non-integer and repeated ids
-    return features_utility(*slate_features(slate, catalog), eta)
-
-
-def features_utility(z: np.ndarray, x: np.ndarray, eta: PreferenceVector) -> float:
-    """F(A | eta) from a slate's (z, x) of `slate_features`; 0.0 for no rows.
-
-    Relevance is z's column sums dotted with theta; the diversity marginals
-    are summed left to right.  No checks: `utility` makes them.
-    """
-    if z.shape[0] == 0:
-        return 0.0
-    value = float(z.sum(axis=0) @ eta.theta)
-    for beta_i, column in zip(eta.beta.tolist(), x.T.tolist()):
-        dispersion = 0.0  # a left fold, not builtin `sum` (compensated from 3.12)
-        for x_p in column:
-            dispersion += x_p
-        value += beta_i * dispersion
-    return value
+    return left_sum(marginal_gains(*slate_features(slate, catalog), eta).tolist())
 
 
 def guarantee_preconditions(eta: PreferenceVector, catalog: ItemCatalog) -> bool:

@@ -21,7 +21,8 @@ from .catalog import (
     PreferenceVector,
     Slate,
     cosine_metric,
-    features_utility,
+    left_sum,
+    marginal_gains,
     slate_features,
     utility,
 )
@@ -101,28 +102,6 @@ class TrialRound:
     candidate_items: tuple[int, ...] | None = None  # kept in simulation only
 
 
-def position_means(
-    z: np.ndarray, x: np.ndarray, eta: PreferenceVector
-) -> tuple[np.ndarray, int]:
-    """Clamped Bernoulli means per position and how many clamps fired.
-
-    (z, x) are the slate's `slate_features`.  Position k's raw mean is
-    eta*.delta(a_k | a_1..a_{k-1}); diversity gains can push it past 1, so
-    values are clipped into [0, 1] and the clips counted for visibility.
-    """
-    theta, beta = eta.theta, eta.beta
-    means = np.zeros(len(z))
-    clamp_hits = 0
-    for pos in range(len(z)):
-        # `.dot` is `@`'s ddot for less overhead, but keeps the sign of a lone
-        # -0.0 product where `@` gives +0.0; adding 0.0 makes every zero +0.0
-        raw = float(theta.dot(z[pos]) + beta.dot(x[pos])) + 0.0
-        if raw < 0.0 or raw > 1.0:
-            clamp_hits += 1
-        means[pos] = min(max(raw, 0.0), 1.0)
-    return means, clamp_hits
-
-
 class SimulatedEnvironment:
     """Bernoulli world; the full ground set is on offer every round.
 
@@ -130,16 +109,17 @@ class SimulatedEnvironment:
     rounds) dwarfs the inventory (20 items) in the simulated study, so the
     same items stay recommendable and the learner revisits them.
 
-    `feedback` keeps the (z, x) it gathered for its slate, so `true_utility`
-    of that same slate gathers no distance twice; any other slate takes the
-    full `utility` path.
+    `feedback` computes its slate's marginal gains once: the clamped gains
+    are the Bernoulli means, the gains outside [0, 1] count as `clamp_hits`,
+    and their left sum is the F(A) that `true_utility` of that same slate
+    returns; any other slate takes the full `utility` path.
     """
 
     def __init__(self, instance: SimInstance):
         self.instance = instance
         self._rewards_rng = rng_from_seed(instance.seed, REWARDS, instance.index)
         self.clamp_hits = 0
-        self._last: tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
+        self._last: tuple[tuple[int, ...], float] | None = None
         self._all = np.ones(instance.catalog.item_count, dtype=bool)
         self._all.flags.writeable = False
 
@@ -153,15 +133,17 @@ class SimulatedEnvironment:
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Independent Bernoulli rewards, one per position, from the seeded reward stream."""
         slate = selection.slate
-        features = slate_features(slate, self.instance.catalog)
-        self._last = (slate.items, features)
-        means, hits = position_means(*features, self.instance.eta_star)
-        self.clamp_hits += hits
+        gains = marginal_gains(
+            *slate_features(slate, self.instance.catalog), self.instance.eta_star
+        )
+        self._last = (slate.items, left_sum(gains.tolist()))
+        self.clamp_hits += int(np.count_nonzero((gains < 0.0) | (gains > 1.0)))
+        means = np.clip(gains, 0.0, 1.0)
         return (self._rewards_rng.random(len(slate)) < means).astype(np.float64)
 
     def true_utility(self, slate: Slate) -> float:
         if self._last is not None and self._last[0] == slate.items:
-            return features_utility(*self._last[1], self.instance.eta_star)
+            return self._last[1]
         return utility(slate, self.instance.eta_star, self.instance.catalog)
 
 

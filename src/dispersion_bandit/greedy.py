@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, PreferenceVector, Slate
+from .catalog import ItemCatalog, PreferenceVector, Slate, left_sum
 from .errors import DegenerateInstanceError, TooLargeInstanceError
 
 #: gamma, the greedy selector's approximation factor (the 1/4 above); the
@@ -42,14 +42,8 @@ class GreedyResult:
 
     @property
     def value(self) -> float:
-        """Telescoped utility of the full slate, summed left to right.
-
-        Not builtin `sum`: it is compensated from Python 3.12 on.
-        """
-        total = 0.0
-        for gain in self.gain_trace:
-            total += gain
-        return total
+        """Telescoped utility of the full slate: the gains' `left_sum`."""
+        return left_sum(self.gain_trace)
 
 
 def greedy_fill(acc: np.ndarray, k: int, score, add_column):

@@ -19,7 +19,9 @@ in plain form; `test_whole_run.py` runs it against the program.
 MMR has two oracles: `mmr_oracle` restates the rule one python float at a
 time, and `mmr_select_oracle` is the pass loop that `greedy_fill` replaced,
 whose slates must match bit for bit.  `slate_features_oracle` is
-`slate_features` as it stood before its lean kernel.
+`slate_features` as it stood before its lean kernel, and `utility_oracle`
+adds the `gains_oracle` of its positions left to right, in the order the
+program documents.
 """
 
 import itertools
@@ -215,6 +217,27 @@ def slate_features_oracle(slate, catalog):
             x[p, i] = metric.column(int(ids[p]), ids[:p]).sum()
     return catalog.relevance[ids], x
 
+
+
+def gains_oracle(z, x, eta):
+    """Each position's marginal gain as a python float: theta . z_p plus
+    beta . x_p, each a dot of one row."""
+    return [
+        float(eta.theta.dot(z_p)) + float(eta.beta.dot(x_p)) for z_p, x_p in zip(z, x)
+    ]
+
+
+def utility_oracle(slate, eta, catalog):
+    """F(A | eta) as the slate's `gains_oracle` added left to right."""
+    total = 0.0
+    for gain in gains_oracle(*slate_features_oracle(slate, catalog), eta):
+        total += gain
+    return total
+
+
+def gain_sizes(z, x, eta):
+    """The magnitudes each position's gain is made of: |theta|.|z_p| + |beta|.|x_p|."""
+    return np.abs(z) @ np.abs(eta.theta) + np.abs(x) @ np.abs(eta.beta)
 
 # ---------------------------------------------------------------------------
 # the whole-run reference: every rule of an episode in plain form

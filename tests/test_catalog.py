@@ -35,6 +35,7 @@ from conftest import (
     random_table,
     utility_by_hand,
 )
+from oracles import gain_sizes, gains_oracle, utility_oracle
 
 
 def on_demand_metric(vectors, **kwargs) -> CosineDistanceMetric:
@@ -62,7 +63,8 @@ class TestSlate:
 
 # ---------------------------------------------------------------------------
 # oracles: the per-item marginals `slate_features` replaced, and the pair loop
-# `utility` ran before it read `slate_features`
+# `utility` ran before it read `slate_features`, which adds each metric's
+# distances apart from the relevance
 
 
 def check_item(item, catalog):
@@ -253,10 +255,21 @@ class TestSlateFeatures:
             slate_features(Slate((1, 2**63)), catalog)  # beyond int64
 
 
+def assert_utility_is_the_left_sum(slate, eta, catalog):
+    """`utility` has `utility_oracle`'s bits, and is within 1e-12 of the sizes
+    it sums of the pair loop, which adds the same terms in another order."""
+    items = slate.items if isinstance(slate, Slate) else slate
+    value = utility(slate, eta, catalog)
+    want = utility_oracle(Slate(items), eta, catalog)
+    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+    size = gain_sizes(*slate_features(Slate(items), catalog), eta).sum()
+    assert abs(value - pair_loop_utility(slate, eta, catalog)) <= 1e-12 * size
+
+
 class TestUtility:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_the_pair_loop(self, data):
+    def test_bit_equal_to_the_left_sum_and_near_the_pair_loop(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         m = data.draw(st.integers(1, 3), label="m")
         k = data.draw(st.integers(0, 10), label="k")
@@ -272,17 +285,29 @@ class TestUtility:
         catalog = ItemCatalog(rng.uniform(-1.0, 1.0, size=(n, 4)), metrics)
         eta = random_eta(rng, d=4, m=m)
         items = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
-        slate = Slate(items) if as_slate else items
-        assert utility(slate, eta, catalog) == pair_loop_utility(slate, eta, catalog)
+        assert_utility_is_the_left_sum(Slate(items) if as_slate else items, eta, catalog)
 
-    def test_bit_equal_to_the_pair_loop_on_study_instances(self):
+    def test_bit_equal_to_the_left_sum_and_near_the_pair_loop_on_study_instances(self):
         for seed in range(20):
             instance = study_instance(seed, k=5)
-            args = (instance.eta_star, instance.catalog)
             rng = np.random.default_rng(seed)
             for k in range(11):
                 items = tuple(rng.choice(20, size=k, replace=False).tolist())
-                assert utility(items, *args) == pair_loop_utility(items, *args)
+                assert_utility_is_the_left_sum(items, instance.eta_star, instance.catalog)
+
+    @pytest.mark.parametrize("k", [0, 1, 9, 12, 20])
+    def test_a_left_sum_at_every_slate_size(self, k):
+        """From 9 terms numpy's `sum` adds pairwise, which rounds otherwise
+        than a left sum for some seed; `utility` keeps the left sum's bits."""
+        pairwise_differs = False
+        for seed in range(20):
+            instance = study_instance(seed, n_items=20, k=5)
+            args = (instance.eta_star, instance.catalog)
+            items = tuple(np.random.default_rng(seed).permutation(20)[:k].tolist())
+            assert_utility_is_the_left_sum(items, *args)
+            gains = gains_oracle(*slate_features(Slate(items), instance.catalog), args[0])
+            pairwise_differs |= float(np.sum(gains)) != utility(items, *args)
+        assert pairwise_differs or k < 9
 
     @pytest.mark.parametrize(
         "items, eta_dims, error",

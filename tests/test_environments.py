@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from dispersion_bandit.baselines import LogRankPolicy, SlateSelection, StaticScorer
-from dispersion_bandit.catalog import PreferenceVector, Slate, slate_features, utility
+from dispersion_bandit.catalog import (
+    ItemCatalog,
+    PreferenceVector,
+    Slate,
+    slate_features,
+    utility,
+)
 from dispersion_bandit.environments import (
     ReplayEnvironment,
     ReplayUser,
     SimInstance,
     SimulatedEnvironment,
-    position_means,
     study_instance,
     run_episode,
 )
@@ -29,7 +34,8 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import logged
+from conftest import TableDistanceMetric, logged
+from oracles import gains_oracle
 
 
 def zero_eta_instance(seed=5, n_items=6, d=3):
@@ -60,8 +66,11 @@ def test_sim_instance_validates_dimensions():
 
 
 def slate_means(slate, instance):
-    """`position_means` of a slate of `instance`'s catalog under its eta*."""
-    return position_means(*slate_features(slate, instance.catalog), instance.eta_star)
+    """(Bernoulli means, clamps) of a slate of `instance`'s catalog under its
+    eta*: each position's `gains_oracle` gain clamped into [0, 1], and how
+    many gains lay outside it."""
+    gains = gains_oracle(*slate_features(slate, instance.catalog), instance.eta_star)
+    return np.clip(gains, 0.0, 1.0), sum(g < 0.0 or g > 1.0 for g in gains)
 
 
 def bernoulli_feedback(slate, env):
@@ -87,6 +96,23 @@ def test_bernoulli_saturated_mean_gives_one_rewards():
     assert hits == 3
     rewards = bernoulli_feedback(slate, SimulatedEnvironment(pumped))
     assert np.array_equal(rewards, np.ones(3))
+
+
+def test_clamp_hits_and_rewards_match_a_hand_count():
+    # gains 1.5, -0.25, 0.0, 1.0, NaN and 0.5 + 0.75: positions 0, 1 and 5
+    # clamp; 0.0 and 1.0 lie in [0, 1], and NaN is neither below 0 nor above 1.
+    # A mean of 0 (or NaN) never beats a draw in [0, 1), and a mean of 1 always
+    # does, so every reward is known whatever the stream draws.
+    relevance = np.array([[1.5], [-0.25], [0.0], [1.0], [np.nan], [0.5]])
+    table = np.zeros((6, 6))
+    table[0, 5] = table[5, 0] = 0.75
+    catalog = ItemCatalog(relevance, (TableDistanceMetric(table),))
+    eta = PreferenceVector(np.array([1.0]), np.array([1.0]))
+    env = SimulatedEnvironment(SimInstance(catalog, eta, seed=0))
+    for rounds in (1, 2):
+        rewards = bernoulli_feedback(Slate((0, 1, 2, 3, 4, 5)), env)
+        assert rewards.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+        assert env.clamp_hits == 3 * rounds
 
 
 def test_bernoulli_click_rate_matches_mean():

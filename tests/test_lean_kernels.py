@@ -2,16 +2,21 @@
 
 `lmdh._raw_widths_batch` adds its squared x terms one column at a time
 where its oracle takes a row-wise `einsum`, and `greedy_fill` masked the
-taken items with a boolean index; `slate_features`
-range-checked a `Slate` through numpy, `position_means` took its dots with
-`@` and `features_utility` folded the marginals with `np.cumsum`.  Those forms
-are kept as oracles, here and in `oracles.py`, whose plain select loop runs with
-the `einsum` widths.  At m = 1, the only m any command runs, every
-row-wise dot is a single product, so slates, features, widths and reward
-means must match bit for bit.  At m > 1 the width sums
-its m products in another order: there the kernel must agree with the
-`einsum` form to 1e-12 of the summed magnitudes, and the other kernels,
-whose arithmetic did not change, bit for bit.
+taken items with a boolean index; `slate_features` range-checked a `Slate`
+through numpy.  The world's reward means took their dots with `@` per
+position, and its F(A) added the relevance in one product and each metric's
+marginals with `np.cumsum`; it now computes each position's marginal gain
+once and adds the gains left to right.  Those forms are kept as oracles,
+here and in `oracles.py`, whose plain select loop runs with the `einsum`
+widths.  At m = 1, the only m any command runs, every row-wise dot is a
+single product, so slates, features and widths must match bit for bit.  At
+m > 1 the width sums its m products in another order: there the kernel must
+agree with the `einsum` form to 1e-12 of the summed magnitudes, and the
+other kernels, whose arithmetic did not change, bit for bit.  The gains and
+F(A) must have the bits of `oracles.py`'s `gains_oracle` and
+`utility_oracle`, and agree with the old per-position and `cumsum` forms,
+which add in another order, to 1e-12 of the magnitudes summed; the clamps
+and rewards, exactly.
 """
 
 import math
@@ -21,13 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersion_bandit.baselines import SlateSelection
 from dispersion_bandit.catalog import (
     PreferenceVector,
     Slate,
-    features_utility,
+    marginal_gains,
     slate_features,
 )
-from dispersion_bandit.environments import position_means
+from dispersion_bandit.environments import SimInstance, SimulatedEnvironment
 from dispersion_bandit.errors import InvalidItemError
 from dispersion_bandit.lmdh import (
     HybridStatistics,
@@ -39,7 +45,14 @@ from dispersion_bandit.lmdh import (
 )
 
 from conftest import logged
-from oracles import select_slate_oracle, slate_features_oracle
+from dispersion_bandit.seeding import REWARDS, rng_from_seed
+from oracles import (
+    gain_sizes,
+    gains_oracle,
+    select_slate_oracle,
+    slate_features_oracle,
+    utility_oracle,
+)
 from test_greedy_kernel import draw_catalog, draw_values
 
 # ---------------------------------------------------------------------------
@@ -136,13 +149,22 @@ def test_lean_kernels_match_the_old_forms(data):
     z, x = slate_features(slate, catalog)
     want_z, want_x = slate_features_oracle(slate, catalog)
     assert z.tobytes() == want_z.tobytes() and x.tobytes() == want_x.tobytes()
-    means, hits = position_means(z, x, eta)
+    # one feedback: its gains, clamps, rewards and F(A)
+    env = SimulatedEnvironment(SimInstance(catalog, eta, seed))
+    rewards = env.feedback(SlateSelection(slate))
+    gains = marginal_gains(z, x, eta)
+    assert gains.tobytes() == np.array(gains_oracle(z, x, eta)).tobytes()
+    sizes = gain_sizes(z, x, eta)
     want_means, want_hits = position_means_oracle(z, x, eta)
-    assert means.tobytes() == want_means.tobytes() and hits == want_hits
-    value = features_utility(z, x, eta)
-    want_value = features_utility_oracle(z, x, eta)
+    assert np.all(np.abs(np.clip(gains, 0.0, 1.0) - want_means) <= 1e-12 * sizes)
+    draws = rng_from_seed(seed, REWARDS).random(len(slate))
+    assert rewards.tolist() == [float(u < mean) for u, mean in zip(draws, want_means)]
+    assert env.clamp_hits == want_hits
+    value = env.true_utility(slate)
+    want_value = utility_oracle(slate, eta, catalog)
     assert math.copysign(1.0, value) == math.copysign(1.0, want_value)
     assert value == want_value
+    assert abs(value - features_utility_oracle(z, x, eta)) <= 1e-12 * sizes.sum()
 
 
 @pytest.mark.parametrize("items", [(0, -1), (2, 5), (-3, 0, 9)])
