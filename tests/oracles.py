@@ -221,9 +221,10 @@ def slate_features_oracle(slate, catalog):
 
 def gains_oracle(z, x, eta):
     """Each position's marginal gain as a python float: theta . z_p plus
-    beta . x_p, each a dot of one row."""
+    beta . x_p, each an `einsum` of one row alone."""
     return [
-        float(eta.theta.dot(z_p)) + float(eta.beta.dot(x_p)) for z_p, x_p in zip(z, x)
+        float(np.einsum("j,j->", z_p, eta.theta)) + float(np.einsum("j,j->", x_p, eta.beta))
+        for z_p, x_p in zip(z, x)
     ]
 
 
