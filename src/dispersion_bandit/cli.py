@@ -29,7 +29,7 @@ from .environments import (
     study_instance,
     run_episode,
 )
-from .errors import DispersionBanditError, InsufficientCandidatesError
+from .errors import DispersionBanditError, InsufficientCandidatesError, prefix_message
 from .evaluation import (
     average_regret,
     compute_metric_series,
@@ -241,21 +241,25 @@ def _simulate_run(task: tuple):
         run,
         metric_mode,
     ) = task
-    instance = study_instance(
-        seed, run, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
-    )
-    # The baselines' u_bar is drawn from the true preference's prior (a
-    # stand-in for a scorer trained on other users) before epsilon-greedy
-    # takes the same rng for its exploration.
-    rng = rng_from_seed(seed, POLICY, run)
-    u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
-    policy = make_policy(
-        policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-        rng, StaticScorer(u_bar, instance.catalog),
-    )
-    environment = SimulatedEnvironment(instance)
-    log = run_episode(policy, environment, rounds, k)
-    return scaled_regret(log, instance)
+    try:
+        instance = study_instance(
+            seed, run, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
+        )
+        # The baselines' u_bar is drawn from the true preference's prior (a
+        # stand-in for a scorer trained on other users) before epsilon-greedy
+        # takes the same rng for its exploration.
+        rng = rng_from_seed(seed, POLICY, run)
+        u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
+        policy = make_policy(
+            policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
+            rng, StaticScorer(u_bar, instance.catalog),
+        )
+        environment = SimulatedEnvironment(instance)
+        log = run_episode(policy, environment, rounds, k)
+        return scaled_regret(log, instance)
+    except DispersionBanditError as exc:
+        prefix_message(exc, f"run {run}")
+        raise
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -434,16 +438,20 @@ def _world_memo(
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, scorer = _replay_context(key)
-    positives = frozenset(int(i) for i in test.items_of(u))
-    user = ReplayUser(user_id=u, positives=positives)
-    explores = policy_name == "epsilon-greedy"  # the one policy that draws
-    rng = rng_from_seed(seed, POLICY, u) if explores else None
-    policy = make_policy(
-        policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer,
-        _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
-    )
-    environment = ReplayEnvironment(catalog, user)
-    return run_episode(policy, environment, rounds, k)
+    try:
+        positives = frozenset(int(i) for i in test.items_of(u))
+        user = ReplayUser(user_id=u, positives=positives)
+        explores = policy_name == "epsilon-greedy"  # the one policy that draws
+        rng = rng_from_seed(seed, POLICY, u) if explores else None
+        policy = make_policy(
+            policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer,
+            _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
+        )
+        environment = ReplayEnvironment(catalog, user)
+        return run_episode(policy, environment, rounds, k)
+    except DispersionBanditError as exc:
+        prefix_message(exc, f"user {u}")
+        raise
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

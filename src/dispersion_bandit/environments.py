@@ -31,6 +31,7 @@ from .errors import (
     ExhaustedCandidatesError,
     InvalidItemError,
     ProtocolViolationError,
+    prefix_message,
 )
 from .seeding import INSTANCE, REWARDS, rng_from_seed
 
@@ -218,10 +219,7 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
             rewards = environment.feedback(selection)
             policy.observe(selection, rewards)
         except DispersionBanditError as exc:
-            if exc.args:
-                exc.args = (f"round {t}: {exc.args[0]}",) + exc.args[1:]
-            else:
-                exc.args = (f"round {t}",)
+            prefix_message(exc, f"round {t}")
             raise
         rounds.append(
             TrialRound(

@@ -9,6 +9,11 @@ class DispersionBanditError(ValueError):
     """Base class for all package errors."""
 
 
+def prefix_message(exc: DispersionBanditError, prefix: str) -> None:
+    """Put `prefix: ` before `exc`'s message, naming where it was raised."""
+    exc.args = (f"{prefix}: {exc.args[0]}",) + exc.args[1:] if exc.args else (prefix,)
+
+
 class InvalidItemError(DispersionBanditError):
     """Item id is not part of the catalog."""
 

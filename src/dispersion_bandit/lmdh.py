@@ -340,12 +340,15 @@ def update(
     zeta = np.concatenate([Z, X], axis=1)
     stats.A += zeta.T @ zeta
     stats.b += zeta.T @ w
+    n = len(stats.A)
     try:
         W = np.linalg.inv(np.linalg.cholesky(stats.A))
     except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("A is not positive definite") from exc
+        raise NumericalDegeneracyError(f"A is not positive definite ({n} x {n})") from exc
     if not np.isfinite(W).all():
-        raise NumericalDegeneracyError("the inverse of A's Cholesky factor is not finite")
+        raise NumericalDegeneracyError(
+            f"the inverse of A's Cholesky factor is not finite ({n} x {n})"
+        )
     stats.W = W
 
 

@@ -814,3 +814,52 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines()[0] == "19 users, 32 items, 76 interactions"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_factorisation_names_the_user_the_round_and_a(
+    tmp_path, capsys, monkeypatch, workers
+):
+    """Round 2's update of replay user 1 cannot factorise A: the command
+    exits 2 naming the user, the round and A's shape, from any worker."""
+    state = {"user": None, "updates": 0}
+    cholesky = np.linalg.cholesky
+
+    class Recording(cli.ReplayEnvironment):
+        def __init__(self, catalog, user):
+            super().__init__(catalog, user)
+            state.update(user=user.user_id, updates=0)
+
+    def failing(a):
+        state["updates"] += 1
+        if state["user"] == 1 and state["updates"] == 2:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(cli, "ReplayEnvironment", Recording)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    argv = ["replay", "--dataset", RATINGS, "--format", "generic", "--policy", "lmdh",
+            "--k", "4", "--rounds", "3", "--workers", workers, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: user 1: round 2: A is not positive definite (11 x 11)\n"
+    )
+
+
+def test_a_failed_factorisation_names_the_simulated_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def failing(a):
+        calls.append(None)
+        if len(calls) == 5:  # run 1's second round, after run 0's three
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    argv = ["simulate", "--runs", "2", "--rounds", "3", "--workers", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: run 1: round 2: A is not positive definite (11 x 11)\n"
+    )
