@@ -43,9 +43,9 @@ from dispersion_bandit.lmdh import (
     select_slate,
     update,
 )
+from dispersion_bandit.seeding import REWARDS, rng_from_seed
 
 from conftest import logged
-from dispersion_bandit.seeding import REWARDS, rng_from_seed
 from oracles import (
     gain_sizes,
     gains_oracle,
