@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +171,7 @@ def _write_manifest(out_dir: Path, command: str, options: dict, derived: dict, o
     (out_dir / "manifest.json").write_text(text)
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
+def _map_tasks(fn, tasks, workers: int) -> list:
     """Order-preserving map, forking a pool only when it can actually help."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
@@ -228,34 +228,23 @@ def _check_k(k: int, n_items: int) -> None:
         )
 
 
-def _simulate_run(task: tuple):
-    (
-        policy_name,
-        lam,
-        alpha_value,
-        epsilon,
-        mmr_alpha,
-        k,
-        rounds,
-        seed,
-        run,
-        metric_mode,
-    ) = task
+def _simulate_run(args: argparse.Namespace, alpha_value: float, run: int):
     try:
         instance = study_instance(
-            seed, run, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
+            args.seed, run, n_items=SIM_ITEMS, d=SIM_D, k=args.k,
+            metric_mode=args.metric_mode,
         )
         # The baselines' u_bar is drawn from the true preference's prior (a
         # stand-in for a scorer trained on other users) before epsilon-greedy
         # takes the same rng for its exploration.
-        rng = rng_from_seed(seed, POLICY, run)
+        rng = rng_from_seed(args.seed, POLICY, run)
         u_bar = rng.uniform(*PREFERENCE_RANGE, SIM_D)
         policy = make_policy(
-            policy_name, instance.catalog, k, lam, alpha_value, epsilon, mmr_alpha,
-            rng, StaticScorer(u_bar, instance.catalog),
+            args.policy, instance.catalog, args.k, args.lam, alpha_value, args.epsilon,
+            args.mmr_alpha, rng, StaticScorer(u_bar, instance.catalog),
         )
         environment = SimulatedEnvironment(instance)
-        log = run_episode(policy, environment, rounds, k)
+        log = run_episode(policy, environment, args.rounds, args.k)
         return scaled_regret(log, instance)
     except DispersionBanditError as exc:
         prefix_message(exc, f"run {run}")
@@ -267,23 +256,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(args.alpha, args.k, SIM_D, SIM_M, args.lam, args.rounds)
-    tasks = [
-        (
-            args.policy,
-            args.lam,
-            alpha_value,
-            args.epsilon,
-            args.mmr_alpha,
-            args.k,
-            args.rounds,
-            args.seed,
-            run,
-            args.metric_mode,
-        )
-        for run in range(args.runs)
-    ]
-    workers = resolve_workers(args.workers, len(tasks))
-    series = average_regret(_map_tasks(_simulate_run, tasks, workers))
+    workers = resolve_workers(args.workers, args.runs)
+    one_run = partial(_simulate_run, args, alpha_value)
+    series = average_regret(_map_tasks(one_run, range(args.runs), workers))
 
     bounds = budgets = None
     if args.policy == "lmdh":
@@ -328,10 +303,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # approx-ratio
 
 
-def _ratio_task(task: tuple):
-    seed, index, k, metric_mode = task
+def _ratio_task(args: argparse.Namespace, task: tuple[int, int]):
+    k, index = task
     instance = study_instance(
-        seed, index, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=metric_mode
+        args.seed, index, n_items=SIM_ITEMS, d=SIM_D, k=k, metric_mode=args.metric_mode
     )
     candidates = instance.catalog.all_items()
     result = greedy_select(instance.eta_star, instance.catalog, candidates, k)
@@ -346,22 +321,18 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
     _check_k(max(ks), SIM_ITEMS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(args.seed, i, k, args.metric_mode) for k in ks for i in range(args.runs)]
+    tasks = [(k, i) for k in ks for i in range(args.runs)]
     workers = resolve_workers(args.workers, len(tasks))
-    results = _map_tasks(_ratio_task, tasks, workers)
+    results = list(zip(tasks, _map_tasks(partial(_ratio_task, args), tasks, workers)))
 
     path = out / "ratios.csv"
     with open(path, "w", newline="") as fh:
         fh.write("K,user,greedy_value,optimal_value,ratio\n")
-        idx = 0
-        for k in ks:
-            for user in range(args.runs):
-                greedy_value, optimal_value, ratio = results[idx]
-                idx += 1
-                fh.write(
-                    f"{k},{user},{repr(float(greedy_value))},"
-                    f"{repr(float(optimal_value))},{repr(float(ratio))}\n"
-                )
+        for (k, user), (greedy_value, optimal_value, ratio) in results:
+            fh.write(
+                f"{k},{user},{repr(float(greedy_value))},"
+                f"{repr(float(optimal_value))},{repr(float(ratio))}\n"
+            )
 
     derived = {
         "ks": ks,
@@ -372,11 +343,8 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
         out, "approx-ratio", manifest_options(args), derived, ["ratios.csv"]
     )
 
-    idx = 0
     for k in ks:
-        block = results[idx : idx + args.runs]
-        idx += args.runs
-        ratios = [r[2] for r in block]
+        ratios = [ratio for (task_k, _), (_, _, ratio) in results if task_k == k]
         print(
             f"K={k}: mean ratio {np.mean(ratios):.4f} "
             f"min {np.min(ratios):.4f} over {args.runs} instances"
@@ -438,9 +406,11 @@ def _world_memo(
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, scorer = _replay_context(key)
+    # messages name the user by the file's id; streams and order use the index u
+    user_id = int(test.user_ids[u])
     try:
         positives = frozenset(int(i) for i in test.items_of(u))
-        user = ReplayUser(user_id=u, positives=positives)
+        user = ReplayUser(user_id=user_id, positives=positives)
         explores = policy_name == "epsilon-greedy"  # the one policy that draws
         rng = rng_from_seed(seed, POLICY, u) if explores else None
         policy = make_policy(
@@ -450,7 +420,7 @@ def _replay_task(task: tuple):
         environment = ReplayEnvironment(catalog, user)
         return run_episode(policy, environment, rounds, k)
     except DispersionBanditError as exc:
-        prefix_message(exc, f"user {u}")
+        prefix_message(exc, f"user {user_id}")
         raise
 
 
@@ -685,6 +655,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             "--metric-mode slate-normalized needs --k >= 2: it divides by K * (K - 1)"
         )
+    if args.command == "replay" and args.k == 1:
+        parser.error("replay needs --k >= 2: Diversity is a mean over a slate's pairs")
     if "seed" in args and args.seed is None:
         # the flag's fallback obeys the flag's rule
         env = os.environ.get("LMDB_SEED", "0")

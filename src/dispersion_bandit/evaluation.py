@@ -175,32 +175,26 @@ def scaled_regret(log: tuple[TrialRound, ...], instance: SimInstance) -> RegretS
     exhaustive search once per distinct candidate set.  Only simulation logs
     qualify: the true utility must have been recorded.
     """
-    n = len(log)
-    scaled = np.zeros(n)
-    raw = np.zeros(n)
-    width_sum = np.zeros(n)
     cache: dict[tuple[int, ...], float] = {}
-    running_scaled = running_raw = running_width = 0.0
-    for i, entry in enumerate(log):
+    for entry in log:
         if entry.true_utility is None or entry.candidate_items is None:
             raise PreconditionError(
                 "regret needs simulation logs with recorded true utilities"
             )
-        best = cache.get(entry.candidate_items)
-        if best is None:
-            _, best = exhaustive_optimum(
+        if entry.candidate_items not in cache:
+            _, cache[entry.candidate_items] = exhaustive_optimum(
                 instance.eta_star, instance.catalog, entry.candidate_items,
                 len(entry.items),
             )
-            cache[entry.candidate_items] = best
-        running_scaled += best - entry.true_utility / GAMMA
-        running_raw += best - entry.true_utility
-        if entry.widths is not None:
-            running_width += float(entry.widths.sum())
-        scaled[i] = running_scaled
-        raw[i] = running_raw
-        width_sum[i] = running_width
-    return RegretSeries(scaled=scaled, raw=raw, width_sum=width_sum)
+    best = np.array([cache[entry.candidate_items] for entry in log])
+    utility = np.array([entry.true_utility for entry in log])
+    widths = np.array([0.0 if entry.widths is None else entry.widths.sum() for entry in log])
+    # cumsum adds left to right, as the running sums of one episode do
+    return RegretSeries(
+        scaled=np.cumsum(best - utility / GAMMA),
+        raw=np.cumsum(best - utility),
+        width_sum=np.cumsum(widths),
+    )
 
 
 def average_regret(series: list[RegretSeries]) -> RegretSeries:

@@ -28,7 +28,13 @@ from dispersion_bandit.catalog import (
     cosine_metric,
     guarantee_preconditions,
 )
-from dispersion_bandit.cli import _replay_context, _replay_task, _simulate_run, main
+from dispersion_bandit.cli import (
+    _replay_context,
+    _replay_task,
+    _simulate_run,
+    build_parser,
+    main,
+)
 from dispersion_bandit.environments import study_instance
 from dispersion_bandit.evaluation import compute_metric_series
 from dispersion_bandit.greedy import exhaustive_optimum, greedy_select
@@ -282,21 +288,12 @@ def test_criterion_5_width_budget(simulated_curves, capsys):
             f"mean curve: {mean_widths[-1]:.1f} <= {budgets[-1]:.1f} at n=1000",
         )
     ]
+    args = build_parser().parse_args(
+        ["simulate", "--lambda", repr(lam), "--k", str(k), "--rounds", str(horizon),
+         "--seed", "0", "--out", "unused"]
+    )
     for run_index in range(3):
-        series = _simulate_run(
-            (
-                "lmdh",
-                lam,
-                alpha,
-                0.05,
-                0.9,
-                k,
-                horizon,
-                0,
-                run_index,
-                "slate-normalized",
-            )
-        )
+        series = _simulate_run(args, alpha, run_index)
         ok = bool(np.all(series.width_sum <= budgets + 1e-9))
         checks.append(
             (ok, f"run {run_index}: {series.width_sum[-1]:.1f} within budget")

@@ -112,7 +112,11 @@ def test_simulate_run_draws_u_bar_first_from_the_policy_stream(name, monkeypatch
         return make_policy(*args)
 
     monkeypatch.setattr(cli, "make_policy", recording_make_policy)
-    cli._simulate_run((name, 1.0, 1.0, 0.05, 0.9, 3, 2, 17, 1, "slate-normalized"))
+    args = build_parser().parse_args(
+        ["simulate", "--policy", name, "--k", "3", "--rounds", "2", "--seed", "17",
+         "--out", "unused"]
+    )
+    cli._simulate_run(args, 1.0, 1)
     next_draws, scorer = built[0]
     # u_bar is the stream's first draw; the rng is handed over right after it
     fresh = rng_from_seed(17, POLICY, 1)
@@ -400,6 +404,73 @@ def test_slate_normalized_needs_two_slots(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "slate-normalized needs --k >= 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_replay_needs_two_slots_in_any_metric_mode(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["replay", *REQUIRED["replay"], "--k", "1", "--metric-mode", "raw",
+            "--out", str(out), "--workers", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "replay needs --k >= 2: Diversity is a mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "approx-ratio"])
+def test_simulated_studies_run_one_slot_in_raw_mode(tmp_path, capsys, command):
+    argv = [command, *REQUIRED[command], "--k", "1", "--metric-mode", "raw",
+            "--out", str(tmp_path), "--workers", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+# Flags each policy reads besides --k, --metric-mode and --seed, which all read.
+POLICY_FLAGS = {
+    "lmdh": [["--lambda", "2"], ["--alpha", "0.5"]],
+    "logrank": [],
+    "mmr": [["--mmr-alpha", "0.5"]],
+    "epsilon-greedy": [["--epsilon", "0.5"]],
+}
+
+
+def changed_outputs(tmp_path, argv, output, columns, changes):
+    """The flag lists of `changes` whose run writes other `columns` than `argv`'s.
+
+    Only columns the runs compute count: `simulate`'s bound and budget columns
+    read the flags in the command itself.
+    """
+    def written(i, flags):
+        out = tmp_path / str(i)
+        assert main([*argv, *flags, "--out", str(out), "--workers", "1"]) == 0
+        with open(out / output, newline="") as fh:
+            return [[row[c] for c in columns] for row in csv.DictReader(fh)]
+
+    default = written("default", [])
+    return [flags for i, flags in enumerate(changes) if written(i, flags) != default]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_flag_a_policy_reads_reaches_the_simulated_run(
+    tmp_path, capsys, monkeypatch, policy
+):
+    monkeypatch.delenv("LMDB_SEED", raising=False)
+    changes = [*POLICY_FLAGS[policy], ["--k", "3"], ["--metric-mode", "raw"],
+               ["--seed", "1"]]
+    argv = ["simulate", "--policy", policy, "--runs", "1", "--rounds", "20"]
+    columns = ["scaled_regret", "raw_regret", "width_sum"]
+    assert changed_outputs(tmp_path, argv, "regret.csv", columns, changes) == changes
+    capsys.readouterr()
+
+
+def test_every_flag_reaches_the_ratio_instances(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LMDB_SEED", raising=False)
+    changes = [["--k", "3"], ["--metric-mode", "slate-normalized"], ["--seed", "1"]]
+    # at K = 2 slate-normalized distances equal raw ones
+    argv = ["approx-ratio", "--runs", "2", "--k", "4"]
+    columns = ["greedy_value", "optimal_value", "ratio"]
+    assert changed_outputs(tmp_path, argv, "ratios.csv", columns, changes) == changes
+    capsys.readouterr()
 
 
 def test_worker_count_does_not_change_outputs(tmp_path, capsys):
@@ -820,8 +891,9 @@ def test_module_entry_point_subprocess():
 def test_a_failed_factorisation_names_the_user_the_round_and_a(
     tmp_path, capsys, monkeypatch, workers
 ):
-    """Round 2's update of replay user 1 cannot factorise A: the command
-    exits 2 naming the user, the round and A's shape, from any worker."""
+    """Round 2's update of held-out user 1 (file id 8) cannot factorise A: the
+    command exits 2 naming the user's id, the round and A's shape, from any
+    worker."""
     state = {"user": None, "updates": 0}
     cholesky = np.linalg.cholesky
 
@@ -832,7 +904,7 @@ def test_a_failed_factorisation_names_the_user_the_round_and_a(
 
     def failing(a):
         state["updates"] += 1
-        if state["user"] == 1 and state["updates"] == 2:
+        if state["user"] == 8 and state["updates"] == 2:
             raise np.linalg.LinAlgError("forced")
         return cholesky(a)
 
@@ -842,7 +914,7 @@ def test_a_failed_factorisation_names_the_user_the_round_and_a(
             "--k", "4", "--rounds", "3", "--workers", workers, "--out", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: user 1: round 2: A is not positive definite (11 x 11)\n"
+        "error: user 8: round 2: A is not positive definite (11 x 11)\n"
     )
 
 

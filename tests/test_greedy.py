@@ -193,7 +193,10 @@ class TestApproximationRatio:
             if caller == "library":
                 command_ratio(eta, catalog, (0, 1, 2), 2)
             else:
-                cli._ratio_task((0, 0, 2, "raw"))
+                args = cli.build_parser().parse_args(
+                    ["approx-ratio", "--seed", "0", "--out", "unused"]
+                )
+                cli._ratio_task(args, (2, 0))
 
     def test_guarantee_floor_on_random_instances(self):
         # >= 1000 random instances with L <= 12, K <= 4 under the guarantee's
