@@ -47,20 +47,26 @@ def claim_memo(memo: dict, catalog: ItemCatalog, setting) -> dict:
 
 
 class StaticScorer:
-    """Fixed per-item quality r_a = sigmoid(u_bar . z_a), computed on first read."""
+    """Fixed per-item quality r_a = sigmoid(u_bar . z_a), computed on first read.
 
-    def __init__(self, u_bar: np.ndarray, catalog: ItemCatalog):
-        u_bar = np.array(u_bar, dtype=np.float64)  # a copy: `quality` reads it later
-        if u_bar.shape != (catalog.relevance_dim,):
-            raise DimensionMismatchError(
-                f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
-            )
+    `u_bar` may also be a function that returns it, called on that first read.
+    """
+
+    def __init__(self, u_bar, catalog: ItemCatalog):
+        if not callable(u_bar):
+            u_bar = np.array(u_bar, dtype=np.float64)  # a copy: `quality` reads it later
+            if u_bar.shape != (catalog.relevance_dim,):
+                raise DimensionMismatchError(
+                    f"u_bar has shape {u_bar.shape}, expected ({catalog.relevance_dim},)"
+                )
         self.catalog = catalog  # makes the open mask of the candidates
         self._u_bar = u_bar
 
     @cached_property
     def quality(self) -> np.ndarray:
-        logits = self.catalog.relevance @ self._u_bar
+        logits = self.catalog.relevance @ (
+            self._u_bar() if callable(self._u_bar) else self._u_bar
+        )
         quality = 1.0 / (1.0 + np.exp(-logits))
         quality.flags.writeable = False
         return quality

@@ -375,10 +375,17 @@ def _replay_context(key: tuple):
         vectors = synthetic_embeddings(table.n_items, SIM_D, seed)
     metric = cosine_metric(vectors, mode=metric_mode, slate_capacity=k)
     catalog = ItemCatalog(vectors, (metric,))
-    # Population scorer: mean over training users of their mean positive-item
-    # vector (profile of an average user, as a trained ranker would supply).
-    # bincount adds each user's rows in record order, as `mean` over the
-    # user's rows would, so a sum per dimension and a divide are its means.
+    # built on a baseline's first read of `quality`; LMDH never reads it
+    u_bar = partial(_population_u_bar, train, vectors)
+    return table, test, catalog, StaticScorer(u_bar, catalog)
+
+
+def _population_u_bar(train, vectors: np.ndarray) -> np.ndarray:
+    """The population scorer's u_bar: the mean over training users of their
+    mean positive-item vector (an average user's profile, as a trained
+    ranker would supply).  bincount adds each user's rows in record order, as
+    `mean` over the user's rows would, so a sum per dimension and a divide
+    are its means."""
     users, n = train.users, train.n_users
     sums = np.column_stack(
         [
@@ -386,8 +393,7 @@ def _replay_context(key: tuple):
             for column in np.ascontiguousarray(vectors.T)
         ]
     )
-    u_bar = (sums / np.bincount(users, minlength=n)[:, None]).mean(axis=0)
-    return table, test, catalog, StaticScorer(u_bar, catalog)
+    return (sums / np.bincount(users, minlength=n)[:, None]).mean(axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -426,16 +432,8 @@ def _replay_task(task: tuple):
 
 def cmd_replay(args: argparse.Namespace) -> int:
     fmt = canonical_format(args.format)
-    key = (
-        args.dataset,
-        fmt,
-        args.threshold,
-        args.top_items,
-        args.seed,
-        args.embeddings,
-        args.metric_mode,
-        args.k,
-    )
+    key = (args.dataset, fmt, args.threshold, args.top_items, args.seed,
+           args.embeddings, args.metric_mode, args.k)
     table, test, catalog, _ = _replay_context(key)
     _check_k(args.k, catalog.item_count)
     # created only once the ratings have parsed, so a bad file leaves no directory
@@ -446,18 +444,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         args.rounds,
     )
     tasks = [
-        (
-            key,
-            args.policy,
-            args.lam,
-            alpha_value,
-            args.epsilon,
-            args.mmr_alpha,
-            args.k,
-            args.rounds,
-            args.seed,
-            u,
-        )
+        (key, args.policy, args.lam, alpha_value, args.epsilon, args.mmr_alpha, args.k,
+         args.rounds, args.seed, u)
         for u in range(test.n_users)
     ]
     workers = resolve_workers(args.workers, len(tasks))

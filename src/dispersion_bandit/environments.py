@@ -110,17 +110,18 @@ class SimulatedEnvironment:
     rounds) dwarfs the inventory (20 items) in the simulated study, so the
     same items stay recommendable and the learner revisits them.
 
-    `feedback` computes its slate's marginal gains once: the clamped gains
-    are the Bernoulli means, the gains outside [0, 1] count as `clamp_hits`,
-    and their left sum is the F(A) that `true_utility` of that same slate
-    returns; any other slate takes the full `utility` path.
+    `feedback` computes each distinct ordered slate's marginal gains once per
+    run and keeps their truth under the slate's items: the clamped gains are
+    the Bernoulli means, the gains outside [0, 1] count towards `clamp_hits`
+    at every feedback, and their left sum is the F(A) that `true_utility`
+    returns; a slate never fed back takes the full `utility` path.
     """
 
     def __init__(self, instance: SimInstance):
         self.instance = instance
         self._rewards_rng = rng_from_seed(instance.seed, REWARDS, instance.index)
         self.clamp_hits = 0
-        self._last: tuple[tuple[int, ...], float] | None = None
+        self._truth: dict = {}  # items -> (clamped means, F(A), clamp count)
         self._all = np.ones(instance.catalog.item_count, dtype=bool)
         self._all.flags.writeable = False
 
@@ -133,19 +134,20 @@ class SimulatedEnvironment:
 
     def feedback(self, selection: SlateSelection) -> np.ndarray:
         """Independent Bernoulli rewards, one per position, from the seeded reward stream."""
-        slate = selection.slate
-        gains = marginal_gains(
-            *slate_features(slate, self.instance.catalog), self.instance.eta_star
-        )
-        self._last = (slate.items, left_sum(gains.tolist()))
-        self.clamp_hits += int(np.count_nonzero((gains < 0.0) | (gains > 1.0)))
-        means = np.clip(gains, 0.0, 1.0)
-        return (self._rewards_rng.random(len(slate)) < means).astype(np.float64)
+        items, inst = selection.slate.items, self.instance
+        if items not in self._truth:
+            gains = marginal_gains(*slate_features(selection.slate, inst.catalog), inst.eta_star)
+            clamps = int(np.count_nonzero((gains < 0.0) | (gains > 1.0)))
+            self._truth[items] = (np.clip(gains, 0.0, 1.0), left_sum(gains.tolist()), clamps)
+        means, _, clamps = self._truth[items]
+        self.clamp_hits += clamps
+        return (self._rewards_rng.random(len(items)) < means).astype(np.float64)
 
     def true_utility(self, slate: Slate) -> float:
-        if self._last is not None and self._last[0] == slate.items:
-            return self._last[1]
-        return utility(slate, self.instance.eta_star, self.instance.catalog)
+        truth = self._truth.get(slate.items)
+        if truth is None:
+            return utility(slate, self.instance.eta_star, self.instance.catalog)
+        return truth[1]
 
 
 class ReplayEnvironment:
@@ -206,14 +208,20 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
     Candidate exhaustion ends the episode gracefully with the rounds finished
     so far; any other library error propagates annotated with the round it
     occurred in.  Deterministic given the policy and environment seeds.
+    A handed-out mask never changes, so its count and (simulated) id tuple are
+    made once per mask object: once per run in the simulated world.
     """
     rounds: list[TrialRound] = []
     simulated = hasattr(environment, "true_utility")
+    counted = None
     for t in range(1, n + 1):
         try:
             cand = environment.candidates(t, k)
         except ExhaustedCandidatesError:
             break
+        if cand is not counted:
+            counted, num_candidates = cand, int(np.count_nonzero(cand))
+            candidate_items = tuple(np.flatnonzero(cand).tolist()) if simulated else None
         try:
             selection = policy.select(cand)
             rewards = environment.feedback(selection)
@@ -223,7 +231,7 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
             raise
         rounds.append(
             TrialRound(
-                num_candidates=int(np.count_nonzero(cand)),
+                num_candidates=num_candidates,
                 items=selection.slate.items,
                 rewards=tuple(rewards.tolist()),
                 relevance_features=selection.relevance_features,
@@ -234,9 +242,7 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
                 true_utility=(
                     environment.true_utility(selection.slate) if simulated else None
                 ),
-                candidate_items=(
-                    tuple(np.flatnonzero(cand).tolist()) if simulated else None
-                ),
+                candidate_items=candidate_items,
             )
         )
     return tuple(rounds)

@@ -135,16 +135,15 @@ def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.nda
 
 
 def _raw_widths_batch(
-    term_zz: np.ndarray, term_xz: np.ndarray, X: np.ndarray, stats: HybridStatistics
+    term_zz: np.ndarray, term_xz: np.ndarray, X: np.ndarray, w_xx_t: np.ndarray
 ) -> np.ndarray:
     """Row-wise v = |W_zz z|^2 + |W_xz z + W_xx x|^2, before its square root.
 
-    Given `_z_terms`' two terms this costs O(L*m^2): the m entries of
-    W_xz z + W_xx x are made in place, squared, and added to the z term one
-    at a time.
+    Given `_z_terms`' two terms and `w_xx_t` = W_xx^T, `W[d:, d:].T`, this
+    costs O(L*m^2): the m entries of W_xz z + W_xx x are made in place,
+    squared, and added to the z term one at a time.
     """
-    d = stats.d
-    r = np.dot(X, stats.W[d:, d:].T)  # np.dot: no matmul overhead
+    r = np.dot(X, w_xx_t)  # np.dot: no matmul overhead
     r += term_xz
     r *= r
     v = term_zz + r[:, 0]
@@ -185,14 +184,13 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     The first pass's k best always survive, and `select_slate` widens a set
     that fails four times and scores whole any set of a quarter of the
     candidates or more; so with at most 16k candidates a failing first set
-    costs a second run over every candidate, and no bound is computed
-    there.  Nor is one at m > 1, or when a term is not finite.  The passes
-    over the survivors read their columns alone, which holds the slate's
-    bits because a metric's entry has one value whatever ids it is read with.
+    costs a second run over every candidate, and `select_slate` asks for no
+    bound there, nor at m > 1; none is returned when a term is not finite.
+    The passes over the survivors read their columns alone, which holds the
+    slate's bits because a metric's entry has one value whatever ids it is
+    read with.
     """
     open_ = rel_scores != -np.inf  # a NaN stays in: slack is NaN
-    if stats.m != 1 or np.count_nonzero(open_) <= 16 * config.k:
-        return None
     w = float(stats.W[-1, -1])
     c = term_xz[:, 0]
     x_max = (config.k - 1) * catalog.metrics[0].max_distance
@@ -256,10 +254,11 @@ def select_slate(
     n_open = np.count_nonzero(mask)
 
     theta, beta = estimate_preferences(stats)
-    Z = catalog.relevance
+    Z, alpha, w_xx_t = catalog.relevance, config.alpha, stats.W[stats.d :, stats.d :].T
     term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
-    rel_scores[~mask] = -np.inf
+    if n_open < mask.size:
+        rel_scores[~mask] = -np.inf
 
     def run_passes(rows):
         """Picks (item ids), features, widths and scores over `rows`, or all items."""
@@ -270,12 +269,12 @@ def select_slate(
         passes: list[np.ndarray] = []  # sqrt of the widths of every pass
 
         def score(step: int, X: np.ndarray) -> np.ndarray:
-            v = _raw_widths_batch(tzz, txz, X, stats)
+            v = _raw_widths_batch(tzz, txz, X, w_xx_t)
             np.sqrt(v, out=v)
             passes.append(v)
             scores = np.dot(X, beta)
             scores += rel
-            scores += config.alpha * v
+            scores += alpha * v
             return scores
 
         picks, div_feats, pick_scores = greedy_fill(
@@ -287,8 +286,9 @@ def select_slate(
         widths = np.array([root[pick] for root, pick in zip(passes, picks)])
         return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores
 
-    bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta)
-    rows = None
+    rows = bounds = None
+    if stats.m == 1 and n_open > 16 * config.k:
+        bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta)
     if bounds is not None:
         bound, floor, slack = bounds
         rows = np.flatnonzero(bound >= floor)

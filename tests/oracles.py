@@ -43,6 +43,11 @@ from dispersion_bandit.lmdh import (
 from conftest import logged
 
 
+def w_xx_t(stats):
+    """W_xx^T, the block of W that `_raw_widths_batch` takes."""
+    return stats.W[stats.d :, stats.d :].T
+
+
 def widths_oracle(term_zz, term_xz, X, stats):
     """v = |W_zz z|^2, plus the square of each entry i of W_xz z + W_xx x,
     added in order of i; the entries are x W_xx^T plus W_xz z."""
@@ -58,7 +63,7 @@ def confidence_width(z, x, stats):
     """v = zeta^T A^{-1} zeta for one (z, x) pair: the learner's kernel on one row."""
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(lmdh._raw_widths_batch(*lmdh._z_terms(z, stats), x, stats)[0])
+    return float(lmdh._raw_widths_batch(*lmdh._z_terms(z, stats), x, w_xx_t(stats))[0])
 
 
 def select_slate_oracle(

@@ -44,7 +44,7 @@ from dispersion_bandit.lmdh import (
 from dispersion_bandit.seeding import POLICY, rng_from_seed
 
 from conftest import random_catalog, random_eta
-from oracles import raw_widths_oracle, trained_stats
+from oracles import raw_widths_oracle, trained_stats, w_xx_t
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +435,6 @@ def test_hoisted_width_terms_match_per_pass_oracle(m):
         Z = rng.uniform(-1.0, 1.0, size=(rows, 4))
         X = rng.uniform(0.0, 2.0, size=(rows, m))
         X[rng.random(rows) < 0.3] = 0.0
-        got = _raw_widths_batch(*_z_terms(Z, stats), X, stats)
+        got = _raw_widths_batch(*_z_terms(Z, stats), X, w_xx_t(stats))
         want = raw_widths_oracle(Z, X, stats)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -813,14 +813,21 @@ def test_only_lmdh_replays_fill_the_distance_row_memo(
 def test_only_baseline_replays_compute_the_population_quality(
     tmp_path, capsys, monkeypatch, name
 ):
-    # every replay world builds the population scorer; LMDH never reads it
-    scorers = []
+    # every replay world makes the population scorer, whose u_bar is built on
+    # a baseline's first read of its quality; LMDH never reads it
+    scorers, builds = [], []
+    population_u_bar = cli._population_u_bar
 
     def recording_make_policy(*args):
         scorers.append(args[8])
         return make_policy(*args)
 
+    def recording_u_bar(*args):
+        builds.append(args)
+        return population_u_bar(*args)
+
     monkeypatch.setattr(cli, "make_policy", recording_make_policy)
+    monkeypatch.setattr(cli, "_population_u_bar", recording_u_bar)
     cli._replay_context.cache_clear()  # a world built afresh, its scorer unread
     assert main(["replay", "--dataset", RATINGS, "--format", "generic",
                  "--seed", "7", "--policy", name, "--out", str(tmp_path),
@@ -829,6 +836,28 @@ def test_only_baseline_replays_compute_the_population_quality(
     assert scorers
     for scorer in scorers:
         assert ("quality" in vars(scorer)) == (name != "lmdh")
+    assert len(builds) == (name != "lmdh")
+
+
+@pytest.mark.parametrize("name", ["logrank", "mmr", "epsilon-greedy"])
+def test_baseline_replays_write_the_bytes_of_an_eager_population_scorer(
+    tmp_path, capsys, monkeypatch, name
+):
+    # the lazy u_bar against one built with the world, before any selection
+    def replay(out):
+        cli._replay_context.cache_clear()
+        assert main(["replay", "--dataset", RATINGS, "--format", "generic",
+                     "--seed", "7", "--policy", name, "--out", str(out),
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        return (out / "metrics.csv").read_bytes()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            cli, "StaticScorer", lambda u_bar, catalog: StaticScorer(u_bar(), catalog)
+        )
+        eager = replay(tmp_path / "eager")
+    assert replay(tmp_path / "lazy") == eager
 
 
 def test_seed_env_fallback_and_flag_override(tmp_path, capsys, monkeypatch):

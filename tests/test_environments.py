@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dispersion_bandit import environments
 from dispersion_bandit.baselines import LogRankPolicy, SlateSelection, StaticScorer
 from dispersion_bandit.catalog import (
     ItemCatalog,
@@ -33,9 +34,10 @@ from dispersion_bandit.lmdh import (
     LmdhPolicy,
     update,
 )
+from dispersion_bandit.seeding import REWARDS, rng_from_seed
 
 from conftest import TableDistanceMetric, logged
-from oracles import gains_oracle
+from oracles import gains_oracle, slate_features_oracle, utility_oracle
 
 
 def zero_eta_instance(seed=5, n_items=6, d=3):
@@ -248,6 +250,40 @@ def test_true_utility_is_utility_bit_for_bit():
     assert fresh.clamp_hits == 0
 
 
+def test_feedback_scores_each_distinct_ordered_slate_once(monkeypatch):
+    # a slate and its reverse are two keys with different gains; every repeat
+    # is served from the world's truth of that slate, yet its rewards, clamps
+    # and F(A) keep the bits of a fresh per-call computation
+    inst = study_instance(29, n_items=9, d=4, k=4)
+    eta = PreferenceVector(np.full(4, 0.6), np.full(1, 3.0))  # some means clamp
+    pumped = SimInstance(inst.catalog, eta, seed=29, index=2)
+    scored = []
+
+    def counting(slate, catalog):
+        scored.append(slate.items)
+        return slate_features(slate, catalog)
+
+    monkeypatch.setattr(environments, "slate_features", counting)
+    slates = [Slate((0, 3, 5, 8)), Slate((8, 5, 3, 0)), Slate((1, 2, 4, 6))]
+    gains = {
+        s: gains_oracle(*slate_features_oracle(s, inst.catalog), eta) for s in slates
+    }
+    assert gains[slates[0]] != gains[slates[1]]
+    env = SimulatedEnvironment(pumped)
+    draws = rng_from_seed(29, REWARDS, 2)
+    order = np.random.default_rng(29).integers(len(slates), size=60).tolist()
+    hits = 0
+    for slate in (slates[i] for i in order):
+        means = [min(max(g, 0.0), 1.0) for g in gains[slate]]
+        want = [1.0 if draw < mean else 0.0 for draw, mean in zip(draws.random(4), means)]
+        hits += sum(g < 0.0 or g > 1.0 for g in gains[slate])
+        assert env.feedback(SlateSelection(slate)).tolist() == want
+        assert env.clamp_hits == hits
+        assert env.true_utility(slate).hex() == utility_oracle(slate, eta, inst.catalog).hex()
+    assert sorted(scored) == sorted(s.items for s in slates)
+    assert hits > 0 and len(order) > 2 * len(slates)
+
+
 def test_simulated_environment_presents_full_ground_set():
     inst = study_instance(22, n_items=7, d=3, k=3)
     env = SimulatedEnvironment(inst)
@@ -309,6 +345,7 @@ def test_run_episode_logs_simulation_fields():
             Slate(entry.items), inst.eta_star, inst.catalog
         )
         assert entry.true_utility == pytest.approx(expected, abs=1e-12)
+        assert entry.candidate_items is log[0].candidate_items  # one tuple per run
     assert len(log) == 4
 
 

@@ -52,6 +52,7 @@ from oracles import (
     select_slate_oracle,
     slate_features_oracle,
     utility_oracle,
+    w_xx_t,
 )
 from test_greedy_kernel import draw_catalog, draw_values
 
@@ -124,7 +125,7 @@ def test_lean_kernels_match_the_old_forms(data):
     Z = catalog.relevance[cand]
     term_zz, term_xz = _z_terms(Z, stats)
     X = np.abs(draw_values(rng, (cand.size, m), tied))
-    got_v = _raw_widths_batch(term_zz, term_xz, X, stats)
+    got_v = _raw_widths_batch(term_zz, term_xz, X, w_xx_t(stats))
     want_v = raw_widths_batch_oracle(term_zz, term_xz, X, stats)
     if m == 1:
         assert got_v.tobytes() == want_v.tobytes()

@@ -57,6 +57,7 @@ from oracles import (
     confidence_width,
     raw_widths_oracle,
     trained_stats,
+    w_xx_t,
 )
 
 
@@ -299,7 +300,7 @@ def test_widths_are_non_negative_and_match_the_solved_widths(data):
     Z = scale * rng.uniform(-1.0, 1.0, size=(50, 4))
     X = scale * rng.uniform(0.0, 3.0, size=(50, m))
     X[rng.random(50) < 0.3] = 0.0
-    got = lmdh._raw_widths_batch(*lmdh._z_terms(Z, stats), X, stats)
+    got = lmdh._raw_widths_batch(*lmdh._z_terms(Z, stats), X, w_xx_t(stats))
     assert np.all(got >= 0.0)
     np.testing.assert_allclose(got, raw_widths_oracle(Z, X, stats), rtol=1e-12, atol=1e-12)
 
