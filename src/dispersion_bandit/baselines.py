@@ -94,7 +94,6 @@ def logrank_select(scorer: StaticScorer, candidates, k: int) -> Slate:
 
 def mmr_select(
     scorer: StaticScorer,
-    catalog: ItemCatalog,
     candidates,
     k: int,
     mmr_alpha: float = 0.9,
@@ -107,7 +106,7 @@ def mmr_select(
     """
     if not 0.0 <= mmr_alpha <= 1.0:
         raise ValueError(f"mmr_alpha must lie in [0, 1], got {mmr_alpha}")
-    mask = catalog.open_mask(candidates, k)
+    mask = scorer.catalog.open_mask(candidates, k)
     relevance = mmr_alpha * scorer.quality
     relevance[~mask] = -np.inf
 
@@ -119,7 +118,7 @@ def mmr_select(
     def add_similarity(sim_sum: np.ndarray, pick: int) -> None:
         sim_sum += scorer._unit @ scorer._unit[pick]
 
-    picks, _, _ = greedy_fill(np.zeros(catalog.item_count), k, score, add_similarity)
+    picks, _, _ = greedy_fill(np.zeros(mask.size), k, score, add_similarity)
     return Slate(tuple(picks.tolist()))
 
 
@@ -150,11 +149,11 @@ def epsilon_greedy_select(
 
 
 class _StaticPolicy:
-    """Shared plumbing: static policies never learn."""
+    """Shared plumbing: static policies never learn, and select from their
+    scorer's catalog."""
 
-    def __init__(self, scorer: StaticScorer, catalog: ItemCatalog, k: int):
+    def __init__(self, scorer: StaticScorer, k: int):
         self.scorer = scorer
-        self.catalog = catalog
         self.k = k
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
@@ -174,21 +173,20 @@ class _FixedSlatePolicy(_StaticPolicy):
     def __init__(
         self,
         scorer: StaticScorer,
-        catalog: ItemCatalog,
         k: int,
         memo: dict | None = None,
         setting: tuple = (),
     ):
-        super().__init__(scorer, catalog, k)
+        super().__init__(scorer, k)
         self._memo = claim_memo(
-            {} if memo is None else memo, catalog, (self.name, scorer, k, *setting)
+            {} if memo is None else memo, scorer.catalog, (self.name, scorer, k, *setting)
         )
 
     def _slate(self, mask: np.ndarray) -> Slate:
         raise NotImplementedError
 
     def select(self, candidates) -> SlateSelection:
-        mask = self.catalog.open_mask(candidates, self.k)
+        mask = self.scorer.catalog.open_mask(candidates, self.k)
         key = np.packbits(mask).tobytes()
         selection = self._memo.get(key)
         if selection is None:
@@ -209,16 +207,15 @@ class MmrPolicy(_FixedSlatePolicy):
     def __init__(
         self,
         scorer: StaticScorer,
-        catalog: ItemCatalog,
         k: int,
         mmr_alpha: float = 0.9,
         memo: dict | None = None,
     ):
-        super().__init__(scorer, catalog, k, memo, (mmr_alpha,))
+        super().__init__(scorer, k, memo, (mmr_alpha,))
         self.mmr_alpha = mmr_alpha
 
     def _slate(self, mask: np.ndarray) -> Slate:
-        return mmr_select(self.scorer, self.catalog, mask, self.k, self.mmr_alpha)
+        return mmr_select(self.scorer, mask, self.k, self.mmr_alpha)
 
 
 class EpsilonGreedyPolicy(_StaticPolicy):
@@ -227,12 +224,11 @@ class EpsilonGreedyPolicy(_StaticPolicy):
     def __init__(
         self,
         scorer: StaticScorer,
-        catalog: ItemCatalog,
         k: int,
         epsilon: float,
         rng: np.random.Generator,
     ):
-        super().__init__(scorer, catalog, k)
+        super().__init__(scorer, k)
         self.epsilon = epsilon
         self.rng = rng
 

@@ -212,11 +212,11 @@ def make_policy(
         )
         return LmdhPolicy(config, catalog, memo)
     if name == "logrank":
-        return LogRankPolicy(scorer, catalog, k, memo)
+        return LogRankPolicy(scorer, k, memo)
     if name == "mmr":
-        return MmrPolicy(scorer, catalog, k, mmr_alpha, memo)
+        return MmrPolicy(scorer, k, mmr_alpha, memo)
     if name == "epsilon-greedy":
-        return EpsilonGreedyPolicy(scorer, catalog, k, epsilon, rng)
+        return EpsilonGreedyPolicy(scorer, k, epsilon, rng)
     raise SystemExit(f"unknown policy {name!r}")
 
 
@@ -245,7 +245,7 @@ def _simulate_run(args: argparse.Namespace, alpha_value: float, run: int):
         )
         environment = SimulatedEnvironment(instance)
         log = run_episode(policy, environment, args.rounds, args.k)
-        return scaled_regret(log, instance)
+        return scaled_regret(log, environment)
     except DispersionBanditError as exc:
         prefix_message(exc, f"run {run}")
         raise

@@ -2,9 +2,10 @@
 
 Both worlds expose the same two calls — ``candidates(t, k)`` and
 ``feedback(selection)`` — so `run_episode` can drive any policy against
-either; candidates are a read-only boolean mask of the open items.  The
-simulated world knows the hidden preference vector eta* and draws position
-rewards from Bernoulli(clamp(eta*.delta, 0, 1)); the replay world scores a
+either without knowing which; candidates are a read-only boolean mask of the
+open items.  The simulated world knows the hidden preference vector eta*,
+draws position rewards from Bernoulli(clamp(eta*.delta, 0, 1)) and keeps the
+true F(A) of what it showed for `scaled_regret`; the replay world scores a
 recommendation 1 exactly when the item sits in the user's held-out positive
 set, and closes everything already recommended.
 """
@@ -19,7 +20,6 @@ from .baselines import SlateSelection
 from .catalog import (
     ItemCatalog,
     PreferenceVector,
-    Slate,
     cosine_metric,
     left_sum,
     marginal_gains,
@@ -99,8 +99,9 @@ class TrialRound:
     relevance_features: np.ndarray | None  # learner only, as in SlateSelection
     diversity_features: np.ndarray | None
     widths: np.ndarray | None
-    true_utility: float | None
-    candidate_items: tuple[int, ...] | None = None  # kept in simulation only
+    # no round sets it; it remains only because perfbench/worker.py reads it,
+    # and goes with ROADMAP item 1's change to perfbench
+    candidate_items: tuple[int, ...] | None = None
 
 
 class SimulatedEnvironment:
@@ -114,7 +115,8 @@ class SimulatedEnvironment:
     run and keeps their truth under the slate's items: the clamped gains are
     the Bernoulli means, the gains outside [0, 1] count towards `clamp_hits`
     at every feedback, and their left sum is the F(A) that `true_utility`
-    returns; a slate never fed back takes the full `utility` path.
+    returns to `scaled_regret`; a slate never fed back takes the full
+    `utility` path.
     """
 
     def __init__(self, instance: SimInstance):
@@ -143,10 +145,11 @@ class SimulatedEnvironment:
         self.clamp_hits += clamps
         return (self._rewards_rng.random(len(items)) < means).astype(np.float64)
 
-    def true_utility(self, slate: Slate) -> float:
-        truth = self._truth.get(slate.items)
+    def true_utility(self, items: tuple[int, ...]) -> float:
+        """F(A) under eta* of the slate with these ordered items."""
+        truth = self._truth.get(items)
         if truth is None:
-            return utility(slate, self.instance.eta_star, self.instance.catalog)
+            return utility(items, self.instance.eta_star, self.instance.catalog)
         return truth[1]
 
 
@@ -208,11 +211,10 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
     Candidate exhaustion ends the episode gracefully with the rounds finished
     so far; any other library error propagates annotated with the round it
     occurred in.  Deterministic given the policy and environment seeds.
-    A handed-out mask never changes, so its count and (simulated) id tuple are
-    made once per mask object: once per run in the simulated world.
+    A handed-out mask never changes, so its count is made once per mask
+    object: once per run in the simulated world.
     """
     rounds: list[TrialRound] = []
-    simulated = hasattr(environment, "true_utility")
     counted = None
     for t in range(1, n + 1):
         try:
@@ -221,7 +223,6 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
             break
         if cand is not counted:
             counted, num_candidates = cand, int(np.count_nonzero(cand))
-            candidate_items = tuple(np.flatnonzero(cand).tolist()) if simulated else None
         try:
             selection = policy.select(cand)
             rewards = environment.feedback(selection)
@@ -239,10 +240,6 @@ def run_episode(policy, environment, n: int, k: int) -> tuple[TrialRound, ...]:
                 # copied: storing the select's own array measured 0.18 MB more
                 # peak RSS on perfbench's sim-ratio, likely allocator fragmentation
                 widths=None if selection.widths is None else selection.widths.copy(),
-                true_utility=(
-                    environment.true_utility(selection.slate) if simulated else None
-                ),
-                candidate_items=candidate_items,
             )
         )
     return tuple(rounds)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import ItemCatalog, unit_rows
-from .environments import SimInstance, TrialRound
+from .environments import SimulatedEnvironment, TrialRound
 from .errors import PreconditionError, UndefinedDiversityError
 from .greedy import GAMMA, exhaustive_optimum
 from .greedy import greedy_select  # noqa: F401  perfbench/tests/test_spans.py wraps it here
@@ -33,8 +33,8 @@ F_BETAS = (1.0, 2.0)
 class RegretSeries:
     """Cumulative regret curves for one episode (simulation only)."""
 
-    scaled: np.ndarray  # sum_t F(A*_t) - F(A_t)/GAMMA   (can be negative)
-    raw: np.ndarray  # sum_t F(A*_t) - F(A_t)
+    scaled: np.ndarray  # sum_t F(A*) - F(A_t)/GAMMA   (can be negative)
+    raw: np.ndarray  # sum_t F(A*) - F(A_t)
     width_sum: np.ndarray  # cumulative selection widths (zero for baselines)
 
 
@@ -168,26 +168,23 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
     )
 
 
-def scaled_regret(log: tuple[TrialRound, ...], instance: SimInstance) -> RegretSeries:
-    """Cumulative F(A*_t) - F(A_t)/GAMMA and the unscaled companion series.
+def scaled_regret(
+    log: tuple[TrialRound, ...], environment: SimulatedEnvironment
+) -> RegretSeries:
+    """Cumulative F(A*) - F(A_t)/GAMMA and the unscaled companion series.
 
-    A*_t maximizes the true utility over that round's candidates, found by
-    exhaustive search once per distinct candidate set.  Only simulation logs
-    qualify: the true utility must have been recorded.
+    The simulated world offers its whole catalog every round, so A* is one
+    exhaustive search per run at the log's K.  Each round's F(A_t) is the
+    world's truth of the slate it showed.
     """
-    cache: dict[tuple[int, ...], float] = {}
-    for entry in log:
-        if entry.true_utility is None or entry.candidate_items is None:
-            raise PreconditionError(
-                "regret needs simulation logs with recorded true utilities"
-            )
-        if entry.candidate_items not in cache:
-            _, cache[entry.candidate_items] = exhaustive_optimum(
-                instance.eta_star, instance.catalog, entry.candidate_items,
-                len(entry.items),
-            )
-    best = np.array([cache[entry.candidate_items] for entry in log])
-    utility = np.array([entry.true_utility for entry in log])
+    instance = environment.instance
+    best = 0.0  # a zero-round log has no K, and three empty series
+    if log:
+        _, best = exhaustive_optimum(
+            instance.eta_star, instance.catalog, instance.catalog.all_items(),
+            len(log[0].items),
+        )
+    utility = np.array([environment.true_utility(entry.items) for entry in log])
     widths = np.array([0.0 if entry.widths is None else entry.widths.sum() for entry in log])
     # cumsum adds left to right, as the running sums of one episode do
     return RegretSeries(

@@ -83,7 +83,7 @@ def test_mmr_matches_direct_oracle():
         catalog = random_catalog(rng, n_items=7, d=3, m=1)
         scorer = StaticScorer(rng.normal(size=3), catalog)
         alpha = float(rng.uniform(0.1, 0.95))
-        slate = mmr_select(scorer, catalog, catalog.all_items(), 4, alpha)
+        slate = mmr_select(scorer, catalog.all_items(), 4, alpha)
         assert slate.items == mmr_oracle(scorer, catalog, catalog.all_items(), 4, alpha)
 
 
@@ -93,7 +93,7 @@ def test_mmr_first_pick_ignores_alpha():
     scorer = StaticScorer(rng.normal(size=3), catalog)
     top = int(np.argmax(scorer.quality))
     for alpha in (0.1, 0.5, 0.9):
-        slate = mmr_select(scorer, catalog, catalog.all_items(), 2, alpha)
+        slate = mmr_select(scorer, catalog.all_items(), 2, alpha)
         assert slate.items[0] == top
 
 
@@ -102,7 +102,7 @@ def test_mmr_with_alpha_one_equals_logrank():
     for _ in range(50):
         catalog = random_catalog(rng, n_items=8, d=3, m=1)
         scorer = StaticScorer(rng.normal(size=3), catalog)
-        via_mmr = mmr_select(scorer, catalog, catalog.all_items(), 4, 1.0)
+        via_mmr = mmr_select(scorer, catalog.all_items(), 4, 1.0)
         via_rank = logrank_select(scorer, catalog.all_items(), 4)
         assert via_mmr.items == via_rank.items
 
@@ -112,7 +112,7 @@ def test_mmr_rejects_bad_alpha():
     catalog = random_catalog(rng, n_items=4, d=2, m=1)
     scorer = StaticScorer(np.zeros(2), catalog)
     with pytest.raises(ValueError):
-        mmr_select(scorer, catalog, catalog.all_items(), 2, 1.5)
+        mmr_select(scorer, catalog.all_items(), 2, 1.5)
 
 
 def test_epsilon_zero_equals_logrank():
@@ -193,10 +193,10 @@ def test_policies_satisfy_the_interface():
     catalog = random_catalog(rng, n_items=8, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
     policies = [
-        LogRankPolicy(scorer, catalog, k=3),
-        MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.9),
+        LogRankPolicy(scorer, k=3),
+        MmrPolicy(scorer, k=3, mmr_alpha=0.9),
         EpsilonGreedyPolicy(
-            scorer, catalog, k=3, epsilon=0.05, rng=rng_from_seed(7, POLICY)
+            scorer, k=3, epsilon=0.05, rng=rng_from_seed(7, POLICY)
         ),
         LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), catalog),
     ]
@@ -221,7 +221,7 @@ def test_static_policies_do_not_learn():
     rng = np.random.default_rng(43)
     catalog = random_catalog(rng, n_items=8, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
-    policy = LogRankPolicy(scorer, catalog, k=3)
+    policy = LogRankPolicy(scorer, k=3)
     first = policy.select(catalog.all_items())
     policy.observe(first, np.ones(3))
     second = policy.select(catalog.all_items())
@@ -234,11 +234,11 @@ def test_static_policies_compute_each_candidate_set_once(name, monkeypatch):
     catalog = random_catalog(rng, n_items=10, d=3, m=1)
     scorer = StaticScorer(rng.normal(size=3), catalog)
     if name == "logrank":
-        policy = LogRankPolicy(scorer, catalog, k=3)
+        policy = LogRankPolicy(scorer, k=3)
         fresh = lambda cand: logrank_select(scorer, cand, 3)
     else:
-        policy = MmrPolicy(scorer, catalog, k=3, mmr_alpha=0.7)
-        fresh = lambda cand: mmr_select(scorer, catalog, cand, 3, 0.7)
+        policy = MmrPolicy(scorer, k=3, mmr_alpha=0.7)
+        fresh = lambda cand: mmr_select(scorer, cand, 3, 0.7)
     computed = []
     slate = policy._slate
     monkeypatch.setattr(policy, "_slate", lambda cand: computed.append(1) or slate(cand))

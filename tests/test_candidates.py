@@ -230,7 +230,7 @@ def _selectors(catalog, k, stats=None):
         "lmdh": lambda c: select_slate(copy.deepcopy(stats), config, catalog, c),
         "greedy": lambda c: greedy_select(eta, catalog, c, k),
         "logrank": lambda c: logrank_select(scorer, c, k),
-        "mmr": lambda c: mmr_select(scorer, catalog, c, k),
+        "mmr": lambda c: mmr_select(scorer, c, k),
         "epsilon-greedy": lambda c: epsilon_greedy_select(
             scorer, c, k, 0.5, rng_from_seed(0, POLICY)
         ),
@@ -393,7 +393,7 @@ def test_replay_candidates_match_oracle_every_round(consumed):
     user = ReplayUser(0, positives=frozenset({1, 2, 3}))
     env = OracleCheckedReplay(catalog, user)
     show(env, sorted(consumed))  # closed before the episode starts
-    log = run_episode(LogRankPolicy(scorer, catalog, 4), env, 10, 4)
+    log = run_episode(LogRankPolicy(scorer, 4), env, 10, 4)
     # 23 - |consumed| items at 4 per round: exhaustion ends the episode
     full_rounds = (23 - len(consumed)) // 4
     assert len(log) == full_rounds

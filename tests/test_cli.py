@@ -88,8 +88,9 @@ def test_make_policy_builds_each_policy(name):
     scorer = StaticScorer(u_bar, catalog)
     policy = make_policy(name, catalog, 3, 2.5, 0.7, 0.25, 0.6, rng, scorer)
     assert type(policy) is POLICY_CLASSES[name]
-    assert policy.name == name and policy.catalog is catalog
+    assert policy.name == name
     if name == "lmdh":
+        assert policy.catalog is catalog
         assert (policy.config.k, policy.config.lam, policy.config.alpha) == (3, 2.5, 0.7)
         assert (policy.config.d, policy.config.m) == (4, 1)
         return
@@ -476,7 +477,9 @@ def test_every_flag_reaches_the_ratio_instances(tmp_path, capsys, monkeypatch):
 def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     runs = [
         (["simulate", "--runs", "3", "--rounds", "10", *policy], "regret.csv")
-        for policy in ([], ["--policy", "logrank"], ["--policy", "mmr"])
+        for policy in (
+            [], ["--policy", "logrank"], ["--policy", "mmr"], ["--policy", "epsilon-greedy"]
+        )
     ] + [
         (["replay", "--dataset", RATINGS, "--format", "generic", "--policy", name],
          "metrics.csv")
@@ -656,8 +659,7 @@ def memo_entries(memo: dict) -> list:
 def log_bytes(log) -> bytes:
     parts = []
     for r in log:
-        parts.append(repr((r.num_candidates, r.items, r.rewards, r.true_utility,
-                           r.candidate_items, r.widths)).encode())
+        parts.append(repr((r.num_candidates, r.items, r.rewards, r.widths)).encode())
         parts += [b"None" if f is None else f.tobytes()
                   for f in (r.relevance_features, r.diversity_features)]
     return b"|".join(parts)

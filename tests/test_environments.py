@@ -240,12 +240,12 @@ def test_true_utility_is_utility_bit_for_bit():
             for _ in range(2)
         )
         want = {s: utility(s, eta, inst.catalog) for s in (shown, other)}
-        assert fresh.true_utility(shown).hex() == want[shown].hex()
+        assert fresh.true_utility(shown.items).hex() == want[shown].hex()
         env.feedback(SlateSelection(shown))
         total_hits += slate_means(shown, pumped)[1]
-        assert env.true_utility(shown).hex() == want[shown].hex()
-        assert env.true_utility(other).hex() == want[other].hex()
-        assert env.true_utility(shown).hex() == want[shown].hex()
+        assert env.true_utility(shown.items).hex() == want[shown].hex()
+        assert env.true_utility(other.items).hex() == want[other].hex()
+        assert env.true_utility(shown.items).hex() == want[shown].hex()
     assert env.clamp_hits == total_hits > 0
     assert fresh.clamp_hits == 0
 
@@ -279,7 +279,8 @@ def test_feedback_scores_each_distinct_ordered_slate_once(monkeypatch):
         hits += sum(g < 0.0 or g > 1.0 for g in gains[slate])
         assert env.feedback(SlateSelection(slate)).tolist() == want
         assert env.clamp_hits == hits
-        assert env.true_utility(slate).hex() == utility_oracle(slate, eta, inst.catalog).hex()
+        want_value = utility_oracle(slate, eta, inst.catalog)
+        assert env.true_utility(slate.items).hex() == want_value.hex()
     assert sorted(scored) == sorted(s.items for s in slates)
     assert hits > 0 and len(order) > 2 * len(slates)
 
@@ -311,7 +312,7 @@ def test_run_episode_zero_rounds():
     inst = study_instance(24, n_items=6, d=3, k=2)
     env = SimulatedEnvironment(inst)
     scorer = StaticScorer(np.zeros(3), inst.catalog)
-    log = run_episode(LogRankPolicy(scorer, inst.catalog, k=2), env, 0, 2)
+    log = run_episode(LogRankPolicy(scorer, k=2), env, 0, 2)
     assert len(log) == 0
 
 
@@ -327,7 +328,6 @@ def test_run_episode_is_deterministic():
     for ra, rb in zip(log_a, log_b):
         assert ra.items == rb.items
         assert ra.rewards == rb.rewards
-        assert ra.true_utility == rb.true_utility
         assert np.array_equal(ra.widths, rb.widths)
 
 
@@ -341,11 +341,11 @@ def test_run_episode_logs_simulation_fields():
         assert len(entry.items) == 3
         assert all(r in (0.0, 1.0) for r in entry.rewards)
         assert entry.widths is not None and entry.widths.shape == (3,)
+        # the world keeps the F(A) of every slate it showed
         expected = utility(
             Slate(entry.items), inst.eta_star, inst.catalog
         )
-        assert entry.true_utility == pytest.approx(expected, abs=1e-12)
-        assert entry.candidate_items is log[0].candidate_items  # one tuple per run
+        assert env.true_utility(entry.items) == pytest.approx(expected, abs=1e-12)
     assert len(log) == 4
 
 
@@ -353,13 +353,12 @@ def test_trial_rounds_hold_python_floats_and_ints():
     # CSVs are written with repr, and a numpy 2 scalar's repr is np.float64(...)
     inst = study_instance(31, n_items=8, d=3, k=3)
     policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
-    log = run_episode(policy, SimulatedEnvironment(inst), 5, 3)
+    env = SimulatedEnvironment(inst)
+    log = run_episode(policy, env, 5, 3)
     for entry in log:
         assert entry.rewards and all(type(r) is float for r in entry.rewards)
-        assert entry.candidate_items == tuple(range(8))
-        assert all(type(c) is int for c in entry.candidate_items)
         assert all(type(a) is int for a in entry.items)
-        assert type(entry.true_utility) is float
+        assert type(env.true_utility(entry.items)) is float
 
 
 def test_run_episode_trained_lmdh_matches_greedy_oracle():
@@ -389,7 +388,7 @@ def test_replay_episode_consumes_and_terminates_gracefully():
     user = ReplayUser(user_id=5, positives=frozenset({2, 4}))
     env = ReplayEnvironment(inst.catalog, user)
     scorer = StaticScorer(np.ones(3), inst.catalog)
-    policy = LogRankPolicy(scorer, inst.catalog, k=2)
+    policy = LogRankPolicy(scorer, k=2)
     log = run_episode(policy, env, 10, 2)
     assert len(log) == 3
     shown = [item for entry in log for item in entry.items]
@@ -427,7 +426,7 @@ def test_run_episode_annotates_errors_with_round():
             self.calls += 1
             if self.calls == 3:
                 raise InvalidFeedbackError("synthetic fault")
-            return LogRankPolicy(scorer, inst.catalog, k=2).select(candidates)
+            return LogRankPolicy(scorer, k=2).select(candidates)
 
         def observe(self, selection, rewards):
             pass

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dispersion_bandit.catalog import ItemCatalog, unit_rows
+from dispersion_bandit import evaluation
+from dispersion_bandit.catalog import ItemCatalog, unit_rows, utility
 from dispersion_bandit.environments import (
     SimulatedEnvironment,
     TrialRound,
@@ -27,23 +28,21 @@ from dispersion_bandit.evaluation import (
     write_metrics_csv,
     write_regret_csv,
 )
-from dispersion_bandit.greedy import exhaustive_optimum
+from dispersion_bandit.greedy import GAMMA, exhaustive_optimum
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
 
 from conftest import TableDistanceMetric
 
 
-def fake_round(items, rewards=None, true_utility=None, candidates=None, widths=None):
+def fake_round(items, rewards=None, widths=None):
     k = len(items)
     return TrialRound(
-        num_candidates=len(candidates) if candidates else 20,
+        num_candidates=20,
         items=tuple(items),
         rewards=tuple(rewards) if rewards else tuple(0.0 for _ in items),
         relevance_features=np.zeros((k, 2)),
         diversity_features=np.zeros((k, 1)),
         widths=None if widths is None else np.asarray(widths, dtype=np.float64),
-        true_utility=true_utility,
-        candidate_items=tuple(candidates) if candidates else None,
     )
 
 
@@ -307,14 +306,11 @@ def regret_instance(seed=77):
 def test_scaled_regret_on_optimal_play():
     # a log that always plays A*: raw regret 0, scaled per-step -3 F(A*)
     inst = regret_instance()
-    candidates = tuple(range(8))
     best_items, best_value = exhaustive_optimum(
-        inst.eta_star, inst.catalog, candidates, 3
+        inst.eta_star, inst.catalog, tuple(range(8)), 3
     )
-    rounds = 3 * (
-        fake_round(best_items, true_utility=best_value, candidates=candidates),
-    )
-    series = scaled_regret(rounds, inst)
+    rounds = 3 * (fake_round(best_items),)
+    series = scaled_regret(rounds, SimulatedEnvironment(inst))
     assert np.allclose(series.raw, 0.0, atol=1e-12)
     expected_step = best_value - best_value / 0.25
     assert np.allclose(series.scaled, expected_step * np.arange(1, 4), atol=1e-10)
@@ -326,18 +322,43 @@ def test_scaled_regret_raw_is_nonnegative_and_cumulative():
     env = SimulatedEnvironment(inst)
     policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
     log = run_episode(policy, env, 15, 3)
-    series = scaled_regret(log, inst)
+    series = scaled_regret(log, env)
     diffs = np.diff(np.concatenate([[0.0], series.raw]))
     assert np.all(diffs >= -1e-10)
     assert series.width_sum[-1] > 0.0
     assert np.all(np.diff(series.width_sum) >= 0.0)
 
 
-def test_scaled_regret_requires_simulation_log():
+def test_scaled_regret_searches_once_and_reads_the_worlds_truth(monkeypatch):
+    # one exhaustive search over the whole catalog at the log's K, and each
+    # round's F(A_t) is the truth the world kept for the slate it showed
     inst = regret_instance(seed=80)
-    log = (fake_round((0, 1, 2)),)
-    with pytest.raises(PreconditionError):
-        scaled_regret(log, inst)
+    env = SimulatedEnvironment(inst)
+    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
+    log = run_episode(policy, env, 12, 3)
+    searches = []
+
+    def counting(eta, catalog, candidates, k):
+        searches.append((list(candidates), k))
+        return exhaustive_optimum(eta, catalog, candidates, k)
+
+    monkeypatch.setattr(evaluation, "exhaustive_optimum", counting)
+    series = scaled_regret(log, env)
+    assert searches == [(list(range(8)), 3)]
+    _, best = exhaustive_optimum(inst.eta_star, inst.catalog, range(8), 3)
+    values = np.array([utility(entry.items, inst.eta_star, inst.catalog) for entry in log])
+    assert series.raw.tobytes() == np.cumsum(best - values).tobytes()
+    assert series.scaled.tobytes() == np.cumsum(best - values / GAMMA).tobytes()
+
+
+def test_zero_round_regret_is_three_empty_series(monkeypatch):
+    inst = regret_instance(seed=81)
+    env = SimulatedEnvironment(inst)
+    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
+    monkeypatch.setattr(evaluation, "exhaustive_optimum", None)  # no K, no search
+    series = scaled_regret(run_episode(policy, env, 0, 3), env)
+    for curve in (series.scaled, series.raw, series.width_sum):
+        assert curve.shape == (0,) and curve.dtype == np.float64
 
 
 def test_average_regret():

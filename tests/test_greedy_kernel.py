@@ -127,6 +127,6 @@ def test_kernel_selectors_match_the_old_loops_bit_for_bit(data):
     scorer = StaticScorer(u_bar, catalog)
     mmr_alpha = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="mmr_alpha")
     assert (
-        mmr_select(scorer, catalog, cand, k, mmr_alpha).items
+        mmr_select(scorer, cand, k, mmr_alpha).items
         == mmr_select_oracle(scorer, catalog, cand, k, mmr_alpha)
     )

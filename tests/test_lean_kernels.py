@@ -161,7 +161,7 @@ def test_lean_kernels_match_the_old_forms(data):
     draws = rng_from_seed(seed, REWARDS).random(len(slate))
     assert rewards.tolist() == [float(u < mean) for u, mean in zip(draws, want_means)]
     assert env.clamp_hits == want_hits
-    value = env.true_utility(slate)
+    value = env.true_utility(slate.items)
     want_value = utility_oracle(slate, eta, catalog)
     assert math.copysign(1.0, value) == math.copysign(1.0, want_value)
     assert value == want_value
