@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .baselines import SlateSelection, claim_memo
 from .catalog import ItemCatalog, Slate
@@ -130,7 +131,7 @@ def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.nda
     """Width terms fixed within a round, from one product of Z with W's first d
     columns: row-wise |W_zz z|^2, and the (L, m) rows W_xz z."""
     d = stats.d
-    zw = Z @ stats.W[:, :d].T
+    zw = Z @ np.ascontiguousarray(stats.W[:, :d].T)
     return np.einsum("ij,ij->i", zw[:, :d], zw[:, :d]), zw[:, d:]
 
 
@@ -169,7 +170,10 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     in x for every W, so it peaks at 0 or at x_max, and so does beta_hat * x:
     U_i = rel_i + max(beta_hat * x_max, 0) + alpha * sqrt(max(v_i(0), v_i(x_max))).
     `floor` is the k-th largest score of the first pass, where x = 0.
-    Closed items have rel_i = U_i = -inf and count in no size below.
+    Closed items have rel_i = U_i = -inf and count in no size of rel_i.  The
+    sizes of |W_zz z|^2 and c are taken over every item, open or closed: a
+    superset only raises them, which widens the slack, and plain maxima cost
+    less than masked ones.
 
     The bound rests on the rounding of both sides, which share the floats
     |W_zz z|^2, c, w, beta_hat and x_max.  A pass's x sums at most k - 1
@@ -196,8 +200,7 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     x_max = (config.k - 1) * catalog.metrics[0].max_distance
     beta_x = float(beta[0]) * x_max
     gamma = 2 * (config.k + 12) * np.finfo(np.float64).eps
-    c_size = np.abs(c).max(where=open_, initial=0.0)
-    v_size = float(term_zz.max(where=open_, initial=0.0) + (c_size + abs(w) * x_max) ** 2)
+    v_size = float(term_zz.max() + (np.abs(c).max() + abs(w) * x_max) ** 2)
     score_size = float(np.abs(rel_scores).max(where=open_, initial=0.0)) + abs(beta_x)
     score_size += config.alpha * math.sqrt(v_size)
     slack = gamma * score_size + 2.0 * config.alpha * math.sqrt(gamma * v_size)
@@ -312,6 +315,27 @@ def select_slate(
     )
 
 
+def _inverse_factor(A: np.ndarray) -> np.ndarray:
+    """W = L^{-1}, A = L L^T, for A or each (n, n) matrix of an (..., n, n) stack.
+
+    It calls the LAPACK gufuncs that `np.linalg.cholesky` and `np.linalg.inv`
+    call, so W has their bits, without their per-call Python checks.  A
+    failed factorisation sets the invalid flag, which raises here.
+    """
+    n = A.shape[-1]
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            L = _umath_linalg.cholesky_lo(A, signature="d->d")
+            W = _umath_linalg.inv(L, signature="d->d")
+    except FloatingPointError as exc:
+        raise NumericalDegeneracyError(f"A is not positive definite ({n} x {n})") from exc
+    if not np.isfinite(W).all():
+        raise NumericalDegeneracyError(
+            f"the inverse of A's Cholesky factor is not finite ({n} x {n})"
+        )
+    return W
+
+
 def update(
     stats: HybridStatistics, selection: SlateSelection, rewards: np.ndarray
 ) -> None:
@@ -320,7 +344,7 @@ def update(
     zeta's rows are the features `select_slate` logged in `selection`, float64
     (k, d) and (k, m) arrays.  An empty slate is a no-op.  W is the inverse
     of A's Cholesky factor, whose failure is the test that A is positive
-    definite.
+    definite; `_inverse_factor` computes it.
     """
     slate = selection.slate
     Z, X = selection.relevance_features, selection.diversity_features
@@ -340,16 +364,7 @@ def update(
     zeta = np.concatenate([Z, X], axis=1)
     stats.A += zeta.T @ zeta
     stats.b += zeta.T @ w
-    n = len(stats.A)
-    try:
-        W = np.linalg.inv(np.linalg.cholesky(stats.A))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"A is not positive definite ({n} x {n})") from exc
-    if not np.isfinite(W).all():
-        raise NumericalDegeneracyError(
-            f"the inverse of A's Cholesky factor is not finite ({n} x {n})"
-        )
-    stats.W = W
+    stats.W = _inverse_factor(stats.A)
 
 
 def theoretical_alpha(params: TheoryParams) -> float:

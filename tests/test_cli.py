@@ -24,7 +24,7 @@ from dispersion_bandit.baselines import (
     MmrPolicy,
     StaticScorer,
 )
-from dispersion_bandit import cli
+from dispersion_bandit import cli, lmdh
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy
 from dispersion_bandit.environments import (
     ReplayEnvironment,
@@ -926,21 +926,21 @@ def test_a_failed_factorisation_names_the_user_the_round_and_a(
     command exits 2 naming the user's id, the round and A's shape, from any
     worker."""
     state = {"user": None, "updates": 0}
-    cholesky = np.linalg.cholesky
+    cholesky = lmdh._umath_linalg.cholesky_lo
 
     class Recording(cli.ReplayEnvironment):
         def __init__(self, catalog, user):
             super().__init__(catalog, user)
             state.update(user=user.user_id, updates=0)
 
-    def failing(a):
+    def failing(a, signature):
         state["updates"] += 1
         if state["user"] == 8 and state["updates"] == 2:
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a)
+            a = -a  # negative definite: LAPACK's factorisation fails
+        return cholesky(a, signature=signature)
 
     monkeypatch.setattr(cli, "ReplayEnvironment", Recording)
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(lmdh._umath_linalg, "cholesky_lo", failing)
     argv = ["replay", "--dataset", RATINGS, "--format", "generic", "--policy", "lmdh",
             "--k", "4", "--rounds", "3", "--workers", workers, "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -951,15 +951,15 @@ def test_a_failed_factorisation_names_the_user_the_round_and_a(
 
 def test_a_failed_factorisation_names_the_simulated_run(tmp_path, capsys, monkeypatch):
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky = lmdh._umath_linalg.cholesky_lo
 
-    def failing(a):
+    def failing(a, signature):
         calls.append(None)
         if len(calls) == 5:  # run 1's second round, after run 0's three
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a)
+            a = -a
+        return cholesky(a, signature=signature)
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(lmdh._umath_linalg, "cholesky_lo", failing)
     argv = ["simulate", "--runs", "2", "--rounds", "3", "--workers", "1",
             "--out", str(tmp_path)]
     assert main(argv) == 2

@@ -10,6 +10,7 @@ four-term width.  The learner must agree with both.
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,35 @@ def test_non_positive_definite_A_raises_naming_it(corner):
     stats.A[0, 0] = corner
     with pytest.raises(NumericalDegeneracyError, match=r"^A is not positive definite"):
         update(stats, logged(np.zeros((1, 2)), np.zeros((1, 1))), np.array([0.0]))
+
+
+def spd_stack(rng, n, count):
+    """`count` seeded symmetric positive definite n x n matrices."""
+    M = rng.normal(size=(count, n, n))
+    return M @ M.transpose(0, 2, 1) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 11, 65])
+def test_inverse_factor_has_the_bits_of_numpys_cholesky_and_inv(n):
+    stack = spd_stack(np.random.default_rng(n), n, 3)
+    want = np.stack([np.linalg.inv(np.linalg.cholesky(A)) for A in stack])
+    for A, W in zip(stack, want):
+        assert lmdh._inverse_factor(A).tobytes() == W.tobytes()
+    assert lmdh._inverse_factor(stack).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 11, 65])
+def test_inverse_factor_of_a_non_positive_definite_A_names_its_shape(n):
+    stack = spd_stack(np.random.default_rng(n), n, 3)
+    stack[1, -1, -1] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (stack[1], stack):
+            with pytest.raises(
+                NumericalDegeneracyError,
+                match=rf"^A is not positive definite \({n} x {n}\)$",
+            ):
+                lmdh._inverse_factor(A)
 
 
 def test_width_fresh_unit_vector():

@@ -5,8 +5,8 @@ a pick, and reruns over more of them when an item left out might have won.
 Its slate, features and widths must be the plain loop's bit for bit.  The
 catalogs are large enough to prune, with exact and near ties, and the cases
 cover negative beta_hat, alpha = 0, any stored factor W, m = 2, reruns,
-and distances read on demand (`TABLE_THRESHOLD` 0) as well as from
-memoised rows, both pruned.
+closed items that hold the largest width terms, and distances read on
+demand (`TABLE_THRESHOLD` 0) as well as from memoised rows, both pruned.
 """
 
 import copy
@@ -253,3 +253,31 @@ def test_every_selection_of_a_shared_memo_replay_matches_the_oracle(monkeypatch)
     assert len(checked) > len(runs)  # some selections were memo hits
     assert sum(sizes[0] * 4 < n_items for sizes in runs) > len(runs) // 2
     assert any(len(sizes) > 1 for sizes in runs)
+
+
+def test_closed_items_with_the_largest_width_terms_keep_the_slate(monkeypatch):
+    # the bound sizes |W_zz z|^2 and |c| over every item; here closed items,
+    # their rows ten times the open ones, hold both maxima
+    rng = np.random.default_rng(7)
+    n_items, d, k = 400, 4, 5
+    relevance = rng.uniform(-1.0, 1.0, size=(n_items, d))
+    closed = rng.choice(n_items, size=40, replace=False)
+    relevance[closed] *= 10.0
+    catalog = ItemCatalog(relevance, (cosine_metric(relevance, slate_capacity=k),))
+    cand = np.setdiff1d(catalog.all_items(), closed)
+    stats = trained_stats(rng, catalog, k, rounds=3)
+    stats.b = stats.A @ np.append(3.0 * rng.uniform(-1.0, 1.0, size=d), -0.5)
+    config = LmdhConfig(lam=1.0, alpha=0.3, d=d, m=1, k=k)
+    term_zz, term_xz = lmdh._z_terms(relevance, stats)
+    for term in (term_zz, np.abs(term_xz[:, 0])):
+        assert term[closed].max() > term[cand].max()
+
+    want = select_slate_oracle(copy.deepcopy(stats), config, catalog, cand)
+    runs = pass_runs(monkeypatch)
+    got = lmdh.select_slate(stats, config, catalog, cand)
+    assert_same_selection(got, want)
+    assert runs[0][0] < cand.size // 4  # pruned
+    monkeypatch.setattr(lmdh, "_score_bounds", lambda *args: None)
+    plain = lmdh.select_slate(stats, config, catalog, cand)
+    assert runs[1] == [n_items]  # not pruned
+    assert_same_selection(plain, want)
