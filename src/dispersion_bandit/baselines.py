@@ -34,18 +34,6 @@ class SlateSelection:
     widths: np.ndarray | None = None  # sqrt(v_a) per position; UCB policies only
 
 
-def claim_memo(memo: dict, catalog: ItemCatalog, setting) -> dict:
-    """`memo`, bound under its key "owner" to the first catalog and setting it serves.
-
-    Its keys are the bytes of what each selection read, which leave out the
-    catalog and the policy's settings, so any other owner raises ValueError.
-    """
-    owner_catalog, owner_setting = memo.setdefault("owner", (catalog, setting))
-    if owner_catalog is not catalog or owner_setting != setting:
-        raise ValueError("the memo was made for another config or catalog")
-    return memo
-
-
 class StaticScorer:
     """Fixed per-item quality r_a = sigmoid(u_bar . z_a), computed on first read.
 
@@ -164,22 +152,21 @@ class _FixedSlatePolicy(_StaticPolicy):
     """A static policy whose slate is a function of the candidate set alone.
 
     Each candidate set's selection is stored in a memo under its open mask's
-    packed bits and returned whenever the same set comes back.  The memo is the
-    policy's own unless one is given: in a replay world the policies of all
-    users share one, so each slate is computed once per world.  It is bound
-    to the policy's name, scorer, K and `setting` (a subclass's parameters).
+    packed bits and returned whenever the same set comes back.  The memo is
+    the catalog's, under the policy's name, scorer, K and `setting` (a
+    subclass's parameters): in a replay world the policies of all users
+    share it, so each slate is computed once per world.
     """
 
     def __init__(
         self,
         scorer: StaticScorer,
         k: int,
-        memo: dict | None = None,
         setting: tuple = (),
     ):
         super().__init__(scorer, k)
-        self._memo = claim_memo(
-            {} if memo is None else memo, scorer.catalog, (self.name, scorer, k, *setting)
+        self._memo = scorer.catalog.selections.setdefault(
+            (self.name, scorer, k, *setting), {}
         )
 
     def _slate(self, mask: np.ndarray) -> Slate:
@@ -209,9 +196,8 @@ class MmrPolicy(_FixedSlatePolicy):
         scorer: StaticScorer,
         k: int,
         mmr_alpha: float = 0.9,
-        memo: dict | None = None,
     ):
-        super().__init__(scorer, k, memo, (mmr_alpha,))
+        super().__init__(scorer, k, (mmr_alpha,))
         self.mmr_alpha = mmr_alpha
 
     def _slate(self, mask: np.ndarray) -> Slate:

@@ -17,7 +17,7 @@ their left-to-right sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,12 +220,14 @@ class ItemCatalog:
 
     Item ids are the dense range 0..L-1.  Safe to share across threads and
     processes; every operation over it is a pure, deterministic function.
-    The one state that changes is each metric's memo of the distance rows
-    read so far, which changes no result.
+    Two states change, neither changing a result: each metric's memo of the
+    distance rows read so far, and `selections`, which maps a policy's
+    settings to the selections that all its policies on this catalog share.
     """
 
     relevance: np.ndarray
     metrics: tuple[CosineDistanceMetric, ...]
+    selections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         relevance = np.ascontiguousarray(self.relevance, dtype=np.float64)

@@ -198,23 +198,22 @@ def make_policy(
     mmr_alpha: float,
     rng: np.random.Generator | None,
     scorer: StaticScorer,
-    memo: dict | None = None,
 ):
     """The one place a policy is built from the command-line settings.
 
     Baselines score with the population `scorer`; epsilon-greedy explores
-    with `rng`.  LMDH uses neither.  LogRank, MMR and LMDH keep the
-    selections they can share in `memo` when one is given.
+    with `rng`.  LMDH uses neither.  LogRank, MMR and LMDH share the
+    selections they can in `catalog.selections`.
     """
     if name == "lmdh":
         config = LmdhConfig(
             lam=lam, alpha=alpha, d=catalog.relevance_dim, m=catalog.diversity_dim, k=k
         )
-        return LmdhPolicy(config, catalog, memo)
+        return LmdhPolicy(config, catalog)
     if name == "logrank":
-        return LogRankPolicy(scorer, k, memo)
+        return LogRankPolicy(scorer, k)
     if name == "mmr":
-        return MmrPolicy(scorer, k, mmr_alpha, memo)
+        return MmrPolicy(scorer, k, mmr_alpha)
     if name == "epsilon-greedy":
         return EpsilonGreedyPolicy(scorer, k, epsilon, rng)
     raise SystemExit(f"unknown policy {name!r}")
@@ -361,9 +360,8 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 def _replay_context(key: tuple):
     """Rebuild the replay world from primitives (cached once per process).
 
-    A new world also drops the previous world's selection memo.
+    Its users' policies share selections in the catalog's `selections`.
     """
-    _world_memo.cache_clear()
     (dataset, fmt, threshold, top_items, seed, embeddings, metric_mode, k) = key
     table = parse_ratings(dataset, fmt, threshold)
     if top_items is not None:
@@ -396,19 +394,6 @@ def _population_u_bar(train, vectors: np.ndarray) -> np.ndarray:
     return (sums / np.bincount(users, minlength=n)[:, None]).mean(axis=0)
 
 
-@lru_cache(maxsize=1)
-def _world_memo(
-    key: tuple, policy_name: str, k: int, lam: float, alpha: float, mmr_alpha: float
-) -> dict:
-    """The selection memo that the policies of all users of a replay world share.
-
-    Every test user starts from the same state with every item open, so the
-    users of a world select alike until LMDH's first hit, and always under
-    LogRank and MMR; the memo computes each such selection once per process.
-    """
-    return {}
-
-
 def _replay_task(task: tuple):
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, scorer = _replay_context(key)
@@ -420,8 +405,7 @@ def _replay_task(task: tuple):
         explores = policy_name == "epsilon-greedy"  # the one policy that draws
         rng = rng_from_seed(seed, POLICY, u) if explores else None
         policy = make_policy(
-            policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer,
-            _world_memo(key, policy_name, k, lam, alpha_value, mmr_alpha),
+            policy_name, catalog, k, lam, alpha_value, epsilon, mmr_alpha, rng, scorer
         )
         environment = ReplayEnvironment(catalog, user)
         return run_episode(policy, environment, rounds, k)

@@ -17,12 +17,12 @@ The greedy passes score only the items whose score bound can still reach
 a pick, with the slate unchanged bit for bit (`_score_bounds`).
 
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
-the statistics but W and b.  Learners given one memo store each
-selection they make while b is zero under the exact bytes of W, b and
-the candidates, and a learner that meets the same bytes takes the stored
-selection.  In a replay world every test user starts with every item open,
-so users select alike until their first hit, and the memo computes each of
-those selections once.
+the statistics but W and b.  The learners of one config on one catalog
+share a memo, `catalog.selections[config]`: each selection they make while
+b is zero is stored under the exact bytes of W, b and the candidates, and a
+learner that meets the same bytes takes it.  In a replay world every test
+user starts with every item open, so users select alike until their first
+hit, and the memo computes each of those selections once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .baselines import SlateSelection, claim_memo
+from .baselines import SlateSelection
 from .catalog import ItemCatalog, Slate
 from .errors import (
     DimensionMismatchError,
@@ -421,25 +421,23 @@ def read_only(selection: SlateSelection) -> SlateSelection:
 class LmdhPolicy:
     """Policy wrapper: greedy UCB selection plus the joint ridge update.
 
-    With a `memo`, a selection made while b is zero is looked up under the
-    bytes of W, b and the candidates; one that is not there yet is computed
-    by `select_slate` and stored.  The memo serves one config and catalog.
+    A selection made while b is zero is looked up in the catalog's memo for
+    this config under the bytes of W, b and the candidates; one that is not
+    there yet is computed by `select_slate` and stored.
     """
 
     name = "lmdh"
 
-    def __init__(
-        self, config: LmdhConfig, catalog: ItemCatalog, memo: dict | None = None
-    ):
+    def __init__(self, config: LmdhConfig, catalog: ItemCatalog):
         _check_config(config, catalog)
         self.config = config
         self.catalog = catalog
         self.stats = HybridStatistics(config.d, config.m, config.lam)
-        self._memo = None if memo is None else claim_memo(memo, catalog, config)
+        self._memo = catalog.selections.setdefault(config, {})
 
     def select(self, candidates) -> SlateSelection:
         stats = self.stats
-        if self._memo is None or stats.b.any():
+        if stats.b.any():
             return select_slate(stats, self.config, self.catalog, candidates)
         mask = self.catalog.open_mask(candidates, self.config.k)
         key = stats.W.tobytes() + stats.b.tobytes() + np.packbits(mask).tobytes()

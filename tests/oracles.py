@@ -10,7 +10,8 @@ the order the kernel documents, so the two agree bit for bit.
 `trained_stats` gives statistics trained on its whole slates, so the logged
 diversity marginals are non-zero and every block of W is dense.
 `JointRidgeOracle` solves the full ridge system for every query, and
-`UnsharedLmdhPolicy` is the learner with no memo.
+`UnsharedLmdhPolicy` is the learner with no memo; `UnsharedStaticPolicy`
+is LogRank or MMR with none.
 
 The whole-run reference (`ReferenceLearner`, `StaticReference`,
 `reference_episode` and the two worlds) restates every rule of an episode
@@ -30,6 +31,7 @@ import math
 import numpy as np
 
 from dispersion_bandit import lmdh
+from dispersion_bandit.baselines import SlateSelection
 from dispersion_bandit.catalog import Slate
 from dispersion_bandit.errors import InvalidItemError
 from dispersion_bandit.lmdh import (
@@ -166,6 +168,22 @@ class UnsharedLmdhPolicy:
 
     def observe(self, selection, rewards):
         lmdh.update(self.stats, selection, rewards)
+
+
+class UnsharedStaticPolicy:
+    """A static policy without a memo: `rule(candidates)` gives every slate afresh.
+
+    The reference that LogRank and MMR sharing a memo must match.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def select(self, candidates):
+        return SlateSelection(self.rule(candidates))
+
+    def observe(self, selection, rewards):
+        pass
 
 
 def mmr_oracle(scorer, catalog, candidates, k, alpha):

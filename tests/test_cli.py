@@ -6,6 +6,7 @@ module entry point works from a cold interpreter.
 
 import copy
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -23,6 +24,8 @@ from dispersion_bandit.baselines import (
     LogRankPolicy,
     MmrPolicy,
     StaticScorer,
+    logrank_select,
+    mmr_select,
 )
 from dispersion_bandit import cli, lmdh
 from dispersion_bandit.cli import POLICIES, build_parser, main, make_policy
@@ -34,11 +37,11 @@ from dispersion_bandit.environments import (
 )
 from dispersion_bandit.evaluation import compute_metric_series, write_metrics_csv
 from dispersion_bandit.ingest import split_users
-from dispersion_bandit.lmdh import LmdhPolicy
+from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
 from dispersion_bandit.seeding import POLICY, rng_from_seed
 
 from conftest import count_selects
-from oracles import UnsharedLmdhPolicy
+from oracles import UnsharedLmdhPolicy, UnsharedStaticPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 RATINGS = str(ROOT / "data" / "sample" / "ratings.csv")
@@ -491,9 +494,9 @@ def test_worker_count_does_not_change_outputs(tmp_path, capsys):
     for i, (argv, output) in enumerate(runs):
         lone, pooled = tmp_path / f"{i}-w1", tmp_path / f"{i}-w2"
         assert main([*argv, "--out", str(lone), "--workers", "1"]) == 0
-        # forked workers would inherit the selections the lone run just
-        # stored; each process must compute its own
-        cli._world_memo.cache_clear()
+        # forked workers would inherit the world, selections included, that
+        # the lone run just built; each process must compute its own
+        cli._replay_context.cache_clear()
         assert main([*argv, "--out", str(pooled), "--workers", "2"]) == 0
         assert sha(lone / output) == sha(pooled / output), argv
     capsys.readouterr()
@@ -638,7 +641,7 @@ def test_u_bar_matches_per_user_mean_loop(tmp_path, source, top_items):
 
 
 def fresh_policy_replay_task(task: tuple):
-    """`_replay_task` without a shared memo: a new policy and memo per user."""
+    """`_replay_task` without a shared memo: every selection made afresh."""
     (key, policy_name, lam, alpha_value, epsilon, mmr_alpha, k, rounds, seed, u) = task
     _, test, catalog, scorer = cli._replay_context(key)
     user = ReplayUser(user_id=u, positives=frozenset(int(i) for i in test.items_of(u)))
@@ -648,12 +651,13 @@ def fresh_policy_replay_task(task: tuple):
     )
     if policy_name == "lmdh":
         policy = UnsharedLmdhPolicy(policy.config, catalog)
+    elif policy_name == "logrank":
+        policy = UnsharedStaticPolicy(lambda cand: logrank_select(scorer, cand, k))
+    elif policy_name == "mmr":
+        policy = UnsharedStaticPolicy(
+            lambda cand: mmr_select(scorer, cand, k, mmr_alpha)
+        )
     return run_episode(policy, ReplayEnvironment(catalog, user), rounds, k)
-
-
-def memo_entries(memo: dict) -> list:
-    """The keys of the selections a memo stores, without its owner record."""
-    return [key for key in memo if key != "owner"]
 
 
 def log_bytes(log) -> bytes:
@@ -680,7 +684,7 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
         dataset, fmt = RATINGS, "generic-csv"
     seed, k, rounds = 4, 10, 30
     key = (dataset, fmt, 3.0, None, seed, None, "slate-normalized", k)
-    _, test, catalog, _ = cli._replay_context(key)
+    _, test, catalog, scorer = cli._replay_context(key)
     tasks = [(key, name, 50.0, 1.0, 0.05, 0.8, k, rounds, seed, u)
              for u in range(test.n_users)]
     shared = [cli._replay_task(task) for task in tasks]
@@ -688,8 +692,8 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
     assert [log_bytes(log) for log in shared] == [log_bytes(log) for log in fresh]
     assert not any(logs_features(log) for log in shared + fresh)
     # every user walked the same candidate sets: one memo entry per round
-    memo = cli._world_memo(key, name, k, 50.0, 1.0, 0.8)
-    assert len(memo_entries(memo)) == max(len(log) for log in shared)
+    memo = catalog.selections[(name, scorer, k, *((0.8,) if name == "mmr" else ()))]
+    assert len(memo) == max(len(log) for log in shared)
 
     positives = [frozenset(int(i) for i in test.items_of(u)) for u in range(test.n_users)]
     for logs, path in ((shared, tmp_path / "shared.csv"), (fresh, tmp_path / "fresh.csv")):
@@ -709,36 +713,38 @@ def marked(memo: dict) -> weakref.ref:
 def test_a_new_world_releases_the_previous_worlds_memo():
     world = (RATINGS, "generic-csv", 3.0, None, 7, None, "slate-normalized", 3)
     other_world = world[:4] + (8,) + world[5:]
-    settings = (3, 50.0, 1.0, 0.9)
-    cli._replay_task((world, "mmr", 50.0, 1.0, 0.05, 0.9, 3, 2, 7, 0))
-    first = cli._world_memo(world, "mmr", *settings)
-    assert cli._world_memo(world, "mmr", *settings) is first
-    assert first["owner"][0] is cli._replay_context(world)[2]
+
+    def task(key, name):
+        return (key, name, 50.0, 1.0, 0.05, 0.9, 3, 2, 7, 0)
+
+    cli._replay_context.cache_clear()  # a world built afresh, its selections empty
+    cli._replay_task(task(world, "mmr"))
+    _, _, catalog, scorer = cli._replay_context(world)
+    (first,) = catalog.selections.values()
+    assert catalog.selections[("mmr", scorer, 3, 0.9)] is first
+    cli._replay_task(task(world, "mmr"))  # the world's next user takes the same memo
+    assert list(catalog.selections.values()) == [first]
     released = marked(first)
-    del first
+    del first, catalog, scorer
 
-    second = cli._world_memo(other_world, "mmr", *settings)
-    gc.collect()
-    assert released() is None
-
-    # another policy of the same world evicts it too
-    released = marked(second)
-    del second
-    cli._world_memo(other_world, "logrank", *settings)
+    cli._replay_context(other_world)
     gc.collect()
     assert released() is None
 
     # and so does building another world, whichever the policy
     for name in ("logrank", "lmdh"):
         cli._replay_context(other_world)
-        released = marked(cli._world_memo(other_world, name, *settings))
+        cli._replay_task(task(other_world, name))
+        (memo,) = cli._replay_context(other_world)[2].selections.values()
+        released = marked(memo)
+        del memo
         cli._replay_context(world)
         gc.collect()
         assert released() is None
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-def test_lmdh_users_sharing_the_world_memo_match_a_fresh_policy_each(
+def test_lmdh_users_sharing_the_worlds_selections_match_a_fresh_policy_each(
     tmp_path, order, monkeypatch
 ):
     dataset = random_tab_ratings(tmp_path / "u.data")
@@ -753,6 +759,46 @@ def test_lmdh_users_sharing_the_world_memo_match_a_fresh_policy_each(
     assert [log_bytes(log) for log in shared] == fresh
     # some users took selections that others had made
     assert len(calls) < sum(len(log) for log in shared)
+
+
+def world_metrics(key: tuple, setting: tuple, path: Path) -> bytes:
+    """metrics.csv of one (policy, alpha, mmr_alpha) replayed over every test
+    user of `key`'s world, one `_replay_task` each, as perfbench runs them."""
+    name, alpha, mmr_alpha = setting
+    seed, k = key[4], key[7]
+    _, test, catalog, _ = cli._replay_context(key)
+    users = range(test.n_users)
+    logs = [cli._replay_task((key, name, 50.0, alpha, 0.05, mmr_alpha, k, 30, seed, u))
+            for u in users]
+    positives = [frozenset(int(i) for i in test.items_of(u)) for u in users]
+    write_metrics_csv(compute_metric_series(logs, positives, catalog), path)
+    return path.read_bytes()
+
+
+def test_memos_of_many_settings_coexist_on_one_world(tmp_path):
+    key = (RATINGS, "generic-csv", 3.0, None, 7, None, "slate-normalized", 10)
+    settings = [(name, 1.0, 0.9) for name in POLICIES]
+    settings += settings[::-1] + [("lmdh", 0.5, 0.9), ("mmr", 1.0, 0.5)]
+    alone = {}
+    for i, setting in enumerate(dict.fromkeys(settings)):
+        cli._replay_context.cache_clear()  # a freshly built world
+        alone[setting] = world_metrics(key, setting, tmp_path / f"alone-{i}.csv")
+
+    cli._replay_context.cache_clear()
+    _, _, catalog, scorer = cli._replay_context(key)
+    for i, setting in enumerate(settings):
+        shared = world_metrics(key, setting, tmp_path / f"shared-{i}.csv")
+        assert shared == alone[setting], (i, setting)
+    assert cli._replay_context(key)[2] is catalog  # one world throughout
+    config = LmdhConfig(lam=50.0, alpha=1.0, d=catalog.relevance_dim, m=1, k=10)
+    assert set(catalog.selections) == {
+        config,
+        dataclasses.replace(config, alpha=0.5),
+        ("logrank", scorer, 10),
+        ("mmr", scorer, 10, 0.9),
+        ("mmr", scorer, 10, 0.5),
+    }
+    assert all(catalog.selections.values())
 
 
 def test_only_epsilon_greedy_replays_build_a_policy_generator(tmp_path, monkeypatch):

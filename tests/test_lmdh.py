@@ -661,11 +661,6 @@ def stats_fields(stats: HybridStatistics) -> tuple:
     return tuple(a.tobytes() for a in (stats.A, stats.b, stats.W))
 
 
-def memo_entries(memo: dict) -> dict:
-    """The memo's stored selections, without its owner record."""
-    return {key: entry for key, entry in memo.items() if key != "owner"}
-
-
 def key_b(key: bytes, config: LmdhConfig) -> np.ndarray:
     """The b that an LMDH memo key was made from: the bytes after W's."""
     dm = config.d + config.m
@@ -708,14 +703,15 @@ def memo_world(rounds=8, k=3):
     return catalog, config, users, rounds
 
 
-def replay_users(config, catalog, environments, rounds, memo=None):
-    """One policy per environment, all sharing `memo` or all unshared; logs and stats."""
+def replay_users(config, catalog, environments, rounds, shared=False):
+    """One policy per environment, all sharing the catalog's memo or all
+    unshared; logs and stats."""
     runs = []
     for environment in environments:
-        if memo is None:
-            policy = UnsharedLmdhPolicy(config, catalog)
+        if shared:
+            policy = LmdhPolicy(config, catalog)
         else:
-            policy = LmdhPolicy(config, catalog, memo)
+            policy = UnsharedLmdhPolicy(config, catalog)
         log = run_episode(policy, environment, rounds, config.k)
         runs.append((log_fields(log), stats_fields(policy.stats)))
     return runs
@@ -729,9 +725,9 @@ def test_users_sharing_a_memo_match_a_fresh_policy_each(order, monkeypatch):
         config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds
     )
     calls = count_selects(monkeypatch)
-    memo = {}
     shared = replay_users(
-        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds, memo
+        config, catalog, [ReplayEnvironment(catalog, u) for u in users], rounds,
+        shared=True,
     )
     assert shared == fresh
     first_hits = [
@@ -741,7 +737,7 @@ def test_users_sharing_a_memo_match_a_fresh_policy_each(order, monkeypatch):
     # the no-hit user's rounds once, then each hit user's rounds after its hit
     assert len(calls) == rounds + (rounds - 1) + (rounds - 5)
     # one entry per no-hit round, and none made after a hit
-    entries = memo_entries(memo)
+    entries = catalog.selections[config]
     assert len(entries) == rounds
     assert all(not key_b(key, config).any() for key in entries)
 
@@ -751,7 +747,7 @@ def test_memo_misses_on_other_candidates():
     # the no-hit user's one positive is never on the shared slates
     (withheld,) = users[2].positives
 
-    def environments():
+    def environments(catalog):
         return [
             ReplayEnvironment(catalog, users[2]),  # fills the memo
             ReplayEnvironment(catalog, users[0]),
@@ -759,15 +755,17 @@ def test_memo_misses_on_other_candidates():
             ReplayEnvironment(catalog, users[1]),
         ]
 
-    fresh = replay_users(config, catalog, environments(), rounds)
-    assert replay_users(config, catalog, environments(), rounds, {}) == fresh
+    fresh = replay_users(config, catalog, environments(catalog), rounds)
+    shared = replay_users(config, catalog, environments(catalog), rounds, shared=True)
+    assert shared == fresh
 
-    # on the memo of the no-hit user alone, the withholding user takes stored
-    # selections for rounds 1 and 2, then selects for itself at round 3
-    memo = {}
-    replay_users(config, catalog, environments()[:1], rounds, memo)
-    stored = memo_entries(memo)
-    policy = LmdhPolicy(config, catalog, memo)
+    # on the memo of the no-hit user alone (a fresh world's, so it starts
+    # empty), the withholding user takes stored selections for rounds 1 and
+    # 2, then selects for itself at round 3
+    catalog = memo_world()[0]
+    replay_users(config, catalog, environments(catalog)[:1], rounds, shared=True)
+    stored = dict(catalog.selections[config])
+    policy = LmdhPolicy(config, catalog)
     environment = WithholdingEnvironment(catalog, users[2], 3, withheld)
     for t in (1, 2):
         cand = environment.candidates(t, config.k)
@@ -786,9 +784,8 @@ def test_memo_misses_on_other_candidates():
 def test_an_entry_is_not_reused_for_a_factor_one_ulp_away(monkeypatch):
     catalog, config, _, _ = memo_world()
     calls = count_selects(monkeypatch)
-    memo = {}
-    first = LmdhPolicy(config, catalog, memo).select(catalog.all_items())
-    nudged = LmdhPolicy(config, catalog, memo)
+    first = LmdhPolicy(config, catalog).select(catalog.all_items())
+    nudged = LmdhPolicy(config, catalog)
     nudged.stats.W[0, 0] = np.nextafter(nudged.stats.W[0, 0], 1.0)
     reference = UnsharedLmdhPolicy(config, catalog)
     reference.stats.W[0, 0] = nudged.stats.W[0, 0]
@@ -800,11 +797,10 @@ def test_an_entry_is_not_reused_for_a_factor_one_ulp_away(monkeypatch):
 def test_an_entry_is_not_reused_for_candidates_one_id_apart(monkeypatch):
     catalog, config, _, _ = memo_world()
     calls = count_selects(monkeypatch)
-    memo = {}
-    first = LmdhPolicy(config, catalog, memo).select(catalog.all_items())
+    first = LmdhPolicy(config, catalog).select(catalog.all_items())
     # drop an id the first slate did not take, so the slate could stay the same
     fewer = np.setdiff1d(catalog.all_items(), [max(set(range(40)) - set(first.slate.items))])
-    second = LmdhPolicy(config, catalog, memo).select(fewer)
+    second = LmdhPolicy(config, catalog).select(fewer)
     assert len(calls) == 2 and second is not first
     reference = UnsharedLmdhPolicy(config, catalog).select(fewer)
     assert log_fields([second]) == log_fields([reference])
@@ -837,26 +833,34 @@ def observe_without_select(policy, candidates, zeros, shown):
 def test_a_memo_policy_matches_a_fresh_one_in_any_call_order(drive):
     catalog, config, users, _ = memo_world()
     candidates, zeros = catalog.all_items(), np.zeros(config.k)
-    memo = {}
-    walker = LmdhPolicy(config, catalog, memo)
+    walker = LmdhPolicy(config, catalog)
     run_episode(walker, ReplayEnvironment(catalog, users[2]), 3, config.k)
-    shown = next(iter(memo_entries(memo).values()))  # the round-1 selection
+    shown = next(iter(catalog.selections[config].values()))  # the round-1 selection
     fresh = drive(UnsharedLmdhPolicy(config, catalog), candidates, zeros, shown)
-    assert drive(LmdhPolicy(config, catalog, memo), candidates, zeros, shown) == fresh
+    assert drive(LmdhPolicy(config, catalog), candidates, zeros, shown) == fresh
 
 
 def test_assigned_statistics_are_the_policys_own_and_the_memo_is_bound():
     catalog, config, _, _ = memo_world()
-    memo = {}
-    policy = LmdhPolicy(config, catalog, memo)
+    policy = LmdhPolicy(config, catalog)
     own = HybridStatistics(3, 1, lam=2.0)
     policy.stats = own
-    policy.observe(policy.select(catalog.all_items()), np.ones(config.k))
+    stored = policy.select(catalog.all_items())
+    policy.observe(stored, np.ones(config.k))
     assert policy.stats is own and own.b.any()
-    (key,) = memo_entries(memo)
+    (key,) = catalog.selections[config]
     assert not key_b(key, config).any()
-    with pytest.raises(ValueError, match="another config"):
-        LmdhPolicy(dataclasses.replace(config, alpha=0.5), catalog, memo)
+    # another config, and another catalog of the same values, each select
+    # from the same bytes under their own memo; no entry crosses
     other = random_catalog(np.random.default_rng(41), n_items=40, d=3, m=1)
-    with pytest.raises(ValueError, match="another config or catalog"):
-        LmdhPolicy(config, other, memo)
+    assert other.relevance.tobytes() == catalog.relevance.tobytes()
+    for other_config, world in (
+        (dataclasses.replace(config, alpha=0.5), catalog), (config, other)
+    ):
+        selection = LmdhPolicy(other_config, world).select(world.all_items())
+        assert selection is not stored
+        assert world.selections[other_config] == {key: selection}
+        reference = UnsharedLmdhPolicy(other_config, world).select(world.all_items())
+        assert log_fields([selection]) == log_fields([reference])
+    assert catalog.selections[config] == {key: stored}
+    assert list(other.selections) == [config]

@@ -244,12 +244,11 @@ def test_every_selection_of_a_shared_memo_replay_matches_the_oracle(monkeypatch)
             checked.append(got)
             return got
 
-    memo = {}
     for u in range(6):
         size = int(rng.integers(0, 40))
         positives = frozenset(rng.choice(n_items, size=size, replace=False).tolist())
         environment = ReplayEnvironment(catalog, ReplayUser(u, positives))
-        run_episode(Checked(config, catalog, memo), environment, 12, k)
+        run_episode(Checked(config, catalog), environment, 12, k)
     assert len(checked) > len(runs)  # some selections were memo hits
     assert sum(sizes[0] * 4 < n_items for sizes in runs) > len(runs) // 2
     assert any(len(sizes) > 1 for sizes in runs)
