@@ -18,9 +18,9 @@ fresh process.  It exits 1 unless
 Each replay's wall time, process start-up included, is printed as it ends.
 
 LMDH is the one policy that reads distance rows, in each forked worker, so
-its byte-identity alone covers the metric's row memo at full size.  LMDH's,
-LogRank's and MMR's cover the selection memos in the world's catalog, which
-each worker fills for its own users.
+its byte-identity alone covers the metric's row memo at full size.  LMDH's
+covers the selection memos in the world's catalog, and LogRank's and MMR's
+the slate memos of its scorer, which each worker fills for its own users.
 
     python3 scripts/check_full_replays.py --out results/full-replays
 """

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import ItemCatalog, Slate
+from .catalog import ItemCatalog, Slate, unit_rows
 from .errors import DimensionMismatchError
 from .greedy import greedy_fill
 
@@ -49,6 +49,7 @@ class StaticScorer:
                 )
         self.catalog = catalog  # makes the open mask of the candidates
         self._u_bar = u_bar
+        self.slates: dict = {}  # (name, K, *setting) -> a fixed-slate policy's memo
 
     @cached_property
     def quality(self) -> np.ndarray:
@@ -61,10 +62,8 @@ class StaticScorer:
 
     @cached_property
     def _unit(self) -> np.ndarray:
-        """Unit rows for the MMR similarity penalty."""
-        norms = np.linalg.norm(self.catalog.relevance, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        unit = self.catalog.relevance / safe[:, None]
+        """Unit rows for the MMR similarity penalty (`unit_rows`)."""
+        unit = unit_rows(self.catalog.relevance)
         unit.flags.writeable = False
         return unit
 
@@ -153,9 +152,9 @@ class _FixedSlatePolicy(_StaticPolicy):
 
     Each candidate set's selection is stored in a memo under its open mask's
     packed bits and returned whenever the same set comes back.  The memo is
-    the catalog's, under the policy's name, scorer, K and `setting` (a
-    subclass's parameters): in a replay world the policies of all users
-    share it, so each slate is computed once per world.
+    the scorer's, under the policy's name, K and `setting` (a subclass's
+    parameters): in a replay world the policies of all users share it, so
+    each slate is computed once per world.
     """
 
     def __init__(
@@ -165,9 +164,7 @@ class _FixedSlatePolicy(_StaticPolicy):
         setting: tuple = (),
     ):
         super().__init__(scorer, k)
-        self._memo = scorer.catalog.selections.setdefault(
-            (self.name, scorer, k, *setting), {}
-        )
+        self._memo = scorer.slates.setdefault((self.name, k, *setting), {})
 
     def _slate(self, mask: np.ndarray) -> Slate:
         raise NotImplementedError

@@ -221,8 +221,8 @@ class ItemCatalog:
     Item ids are the dense range 0..L-1.  Safe to share across threads and
     processes; every operation over it is a pure, deterministic function.
     Two states change, neither changing a result: each metric's memo of the
-    distance rows read so far, and `selections`, which maps a policy's
-    settings to the selections that all its policies on this catalog share.
+    distance rows read so far, and `selections`, which maps an LMDH config
+    to the selections that all its policies on this catalog share.
     """
 
     relevance: np.ndarray

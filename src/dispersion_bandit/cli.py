@@ -202,8 +202,8 @@ def make_policy(
     """The one place a policy is built from the command-line settings.
 
     Baselines score with the population `scorer`; epsilon-greedy explores
-    with `rng`.  LMDH uses neither.  LogRank, MMR and LMDH share the
-    selections they can in `catalog.selections`.
+    with `rng`.  LMDH uses neither.  LogRank and MMR share their slates in
+    `scorer.slates`, LMDH its selections in `catalog.selections`.
     """
     if name == "lmdh":
         config = LmdhConfig(
@@ -360,7 +360,7 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
 def _replay_context(key: tuple):
     """Rebuild the replay world from primitives (cached once per process).
 
-    Its users' policies share selections in the catalog's `selections`.
+    Its users' policies share the memos of its catalog and scorer.
     """
     (dataset, fmt, threshold, top_items, seed, embeddings, metric_mode, k) = key
     table = parse_ratings(dataset, fmt, threshold)

@@ -59,7 +59,7 @@ class MetricSeries:
             raise ValueError("metric series lengths differ")
 
 
-def _ordered_mean(values: list[float]) -> float:
+def _ordered_mean(values) -> float:
     # sorting first makes the float sum independent of user ordering
     return float(np.sort(np.asarray(values, dtype=np.float64)).sum() / len(values))
 
@@ -123,35 +123,29 @@ def compute_metric_series(logs, positives, catalog: ItemCatalog) -> MetricSeries
             )
     horizon = max(len(log) for log in logs)
     rounds = np.arange(1, horizon + 1)
-    recall = np.zeros(horizon)
-    diversity = np.zeros(horizon)
-    n_users = np.zeros(horizon, dtype=np.intp)
     unit = unit_rows(catalog.relevance)
 
-    # running per-user state so the sweep is O(total rounds), not O(t^2)
-    hit_fractions = [0.0 for _ in logs]
-    diversity_sums = [0.0 for _ in logs]
     # users often see the same slate (static policies); each is scored once
     slate_diversities: dict[tuple[int, ...], float] = {}
-    for t in rounds:
-        rec_vals, div_vals = [], []
-        for i, (log, pos) in enumerate(zip(logs, pos_sets)):
-            if len(log) < t:
-                continue
-            entry = log[t - 1]
-            hit_fractions[i] += sum(
-                1 for item in entry.items if item in pos
-            ) / len(pos)
-            slate_div = slate_diversities.get(entry.items)
-            if slate_div is None:
-                slate_div = slate_diversity(entry.items, unit)
-                slate_diversities[entry.items] = slate_div
-            diversity_sums[i] += slate_div
-            rec_vals.append(hit_fractions[i])
-            div_vals.append(diversity_sums[i] / t)
-        n_users[t - 1] = len(rec_vals)
-        recall[t - 1] = _ordered_mean(rec_vals)
-        diversity[t - 1] = _ordered_mean(div_vals)
+    # each user's running recall and mean diversity, a row each
+    running_recall = np.zeros((len(logs), horizon))
+    running_diversity = np.zeros((len(logs), horizon))
+    for i, (log, pos) in enumerate(zip(logs, pos_sets)):
+        hits, divs = [], []
+        for entry in log:
+            hits.append(sum(1 for item in entry.items if item in pos) / len(pos))
+            if entry.items not in slate_diversities:
+                slate_diversities[entry.items] = slate_diversity(entry.items, unit)
+            divs.append(slate_diversities[entry.items])
+        # cumsum adds left to right, as a running sum does
+        running_recall[i, : len(log)] = np.cumsum(hits)
+        running_diversity[i, : len(log)] = np.cumsum(divs) / rounds[: len(log)]
+    alive = np.array([len(log) for log in logs])[:, None] >= rounds
+    n_users = np.count_nonzero(alive, axis=0)
+    recall = np.array([_ordered_mean(r[a]) for r, a in zip(running_recall.T, alive.T)])
+    diversity = np.array(
+        [_ordered_mean(d[a]) for d, a in zip(running_diversity.T, alive.T)]
+    )
 
     f_beta = {
         float(b): np.array(

@@ -14,7 +14,8 @@ Within one selection only x changes between passes, so the width's z-only
 terms are computed once per selection (`_z_terms`).
 
 The greedy passes score only the items whose score bound can still reach
-a pick, with the slate unchanged bit for bit (`_score_bounds`).
+a pick, and run once more over every candidate when an item left out might
+have won, so the slate is unchanged bit for bit (`_score_bounds`).
 
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
 the statistics but W and b.  The learners of one config on one catalog
@@ -185,11 +186,11 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     a square root stretches an absolute error e of v to at most sqrt(e).
     `slack` adds both sides' errors.
 
-    The first pass's k best always survive, and `select_slate` widens a set
-    that fails four times and scores whole any set of a quarter of the
-    candidates or more; so with at most 16k candidates a failing first set
-    costs a second run over every candidate, and `select_slate` asks for no
-    bound there, nor at m > 1; none is returned when a term is not finite.
+    The first pass's k best always survive.  `select_slate` scores whole
+    any set of a quarter of the candidates or more, and reruns over every
+    candidate when the survivors' picks fail the check; it asks for no
+    bound with at most 16k candidates, nor at m > 1, and none is returned
+    when a term is not finite.
     The passes over the survivors read their columns alone, which holds the
     slate's bits because a metric's entry has one value whatever ids it is
     read with.
@@ -243,9 +244,9 @@ def select_slate(
     The passes score only the survivors, the candidates whose bound
     (`_score_bounds`) reaches the first pass's k-th best score, as ids in
     order.  The slate stands when every pick's score beats the largest bound
-    left out by the slack; otherwise the passes run again over the four
-    times as many candidates with the largest bounds.  Survivors that make
-    up a quarter of the candidates or more become every candidate.
+    left out by the slack; otherwise the passes run again over every
+    candidate.  Survivors that make up a quarter of the candidates or more
+    become every candidate at once.
 
     `greedy_fill` records the accumulator row and the score at each pick, but
     not the width, so the score closure keeps each pass's square-rooted
@@ -295,18 +296,13 @@ def select_slate(
     if bounds is not None:
         bound, floor, slack = bounds
         rows = np.flatnonzero(bound >= floor)
-    while True:
-        if rows is not None and 4 * rows.size >= n_open:
+        if 4 * rows.size >= n_open:
             rows = None
-        picks, div_feats, widths, pick_scores = run_passes(rows)
-        if rows is None:
-            break
+    picks, div_feats, widths, pick_scores = run_passes(rows)
+    if rows is not None:
         lowest = pick_scores.min() - slack  # a NaN pick score fails both tests
-        if lowest >= floor or lowest > bound[bound < floor].max():
-            break
-        wider = bound.size - 4 * rows.size
-        floor = np.partition(bound, wider)[wider]  # the 4 |rows|-th largest bound
-        rows = np.flatnonzero(bound >= floor)
+        if not (lowest >= floor or lowest > bound[bound < floor].max()):
+            picks, div_feats, widths, _ = run_passes(None)
     return SlateSelection(
         slate=Slate(tuple(picks.tolist())),
         relevance_features=Z[picks],

@@ -17,6 +17,7 @@ from dispersion_bandit.catalog import ItemCatalog, Slate, slate_features
 from dispersion_bandit.errors import (
     DimensionMismatchError,
     InsufficientCandidatesError,
+    UndefinedSimilarityError,
 )
 from dispersion_bandit.lmdh import LmdhConfig, LmdhPolicy
 from dispersion_bandit.seeding import POLICY, rng_from_seed
@@ -113,6 +114,15 @@ def test_mmr_rejects_bad_alpha():
     scorer = StaticScorer(np.zeros(2), catalog)
     with pytest.raises(ValueError):
         mmr_select(scorer, catalog.all_items(), 2, 1.5)
+
+
+def test_mmr_on_a_zero_norm_relevance_row_raises():
+    # the similarity penalty reads unit rows, as the cosine metric does, and
+    # a zero row has no direction, even when it is not a candidate
+    catalog = make_catalog([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+    scorer = StaticScorer(np.ones(2), catalog)
+    with pytest.raises(UndefinedSimilarityError, match=r"items \[1\]"):
+        mmr_select(scorer, [0, 2], 2, 0.5)
 
 
 def test_epsilon_zero_equals_logrank():

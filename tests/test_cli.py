@@ -692,7 +692,7 @@ def test_shared_static_policy_matches_a_fresh_policy_per_user(tmp_path, source, 
     assert [log_bytes(log) for log in shared] == [log_bytes(log) for log in fresh]
     assert not any(logs_features(log) for log in shared + fresh)
     # every user walked the same candidate sets: one memo entry per round
-    memo = catalog.selections[(name, scorer, k, *((0.8,) if name == "mmr" else ()))]
+    memo = scorer.slates[(name, k, *((0.8,) if name == "mmr" else ()))]
     assert len(memo) == max(len(log) for log in shared)
 
     positives = [frozenset(int(i) for i in test.items_of(u)) for u in range(test.n_users)]
@@ -711,36 +711,42 @@ def marked(memo: dict) -> weakref.ref:
 
 
 def test_a_new_world_releases_the_previous_worlds_memo():
+    # with the cyclic collector off, a world's memos and catalog are freed
+    # by reference counting alone once another world replaces it
     world = (RATINGS, "generic-csv", 3.0, None, 7, None, "slate-normalized", 3)
     other_world = world[:4] + (8,) + world[5:]
 
     def task(key, name):
         return (key, name, 50.0, 1.0, 0.05, 0.9, 3, 2, 7, 0)
 
-    cli._replay_context.cache_clear()  # a world built afresh, its selections empty
-    cli._replay_task(task(world, "mmr"))
-    _, _, catalog, scorer = cli._replay_context(world)
-    (first,) = catalog.selections.values()
-    assert catalog.selections[("mmr", scorer, 3, 0.9)] is first
-    cli._replay_task(task(world, "mmr"))  # the world's next user takes the same memo
-    assert list(catalog.selections.values()) == [first]
-    released = marked(first)
-    del first, catalog, scorer
+    gc.disable()
+    try:
+        cli._replay_context.cache_clear()  # a world built afresh, its memos empty
+        cli._replay_task(task(world, "mmr"))
+        _, _, catalog, scorer = cli._replay_context(world)
+        (first,) = scorer.slates.values()
+        assert scorer.slates[("mmr", 3, 0.9)] is first
+        assert not catalog.selections
+        cli._replay_task(task(world, "mmr"))  # the world's next user takes the same memo
+        assert list(scorer.slates.values()) == [first]
+        released, freed = marked(first), weakref.ref(catalog)
+        del first, catalog, scorer
 
-    cli._replay_context(other_world)
-    gc.collect()
-    assert released() is None
-
-    # and so does building another world, whichever the policy
-    for name in ("logrank", "lmdh"):
         cli._replay_context(other_world)
-        cli._replay_task(task(other_world, name))
-        (memo,) = cli._replay_context(other_world)[2].selections.values()
-        released = marked(memo)
-        del memo
-        cli._replay_context(world)
-        gc.collect()
-        assert released() is None
+        assert released() is None and freed() is None
+
+        # and so does building another world, whichever the policy
+        for name in ("logrank", "lmdh"):
+            cli._replay_context(other_world)
+            cli._replay_task(task(other_world, name))
+            _, _, catalog, scorer = cli._replay_context(other_world)
+            (memo,) = [*catalog.selections.values(), *scorer.slates.values()]
+            released, freed = marked(memo), weakref.ref(catalog)
+            del memo, catalog, scorer
+            cli._replay_context(world)
+            assert released() is None and freed() is None, name
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
@@ -791,14 +797,9 @@ def test_memos_of_many_settings_coexist_on_one_world(tmp_path):
         assert shared == alone[setting], (i, setting)
     assert cli._replay_context(key)[2] is catalog  # one world throughout
     config = LmdhConfig(lam=50.0, alpha=1.0, d=catalog.relevance_dim, m=1, k=10)
-    assert set(catalog.selections) == {
-        config,
-        dataclasses.replace(config, alpha=0.5),
-        ("logrank", scorer, 10),
-        ("mmr", scorer, 10, 0.9),
-        ("mmr", scorer, 10, 0.5),
-    }
-    assert all(catalog.selections.values())
+    assert set(catalog.selections) == {config, dataclasses.replace(config, alpha=0.5)}
+    assert set(scorer.slates) == {("logrank", 10), ("mmr", 10, 0.9), ("mmr", 10, 0.5)}
+    assert all(catalog.selections.values()) and all(scorer.slates.values())
 
 
 def test_only_epsilon_greedy_replays_build_a_policy_generator(tmp_path, monkeypatch):

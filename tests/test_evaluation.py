@@ -286,9 +286,10 @@ def test_shared_slate_diversities_match_the_per_user_loop(seed):
     pool += [tuple(int(i) for i in rng.choice(15, size=rng.integers(2, 6), replace=False))
              for _ in range(3)]
     logs = [
-        fake_log([pool[j] for j in rng.integers(0, len(pool), rng.integers(1, 8))])
-        for _ in range(9)
+        fake_log([pool[j] for j in rng.integers(0, len(pool), rng.integers(1, 31))])
+        for _ in range(40)
     ]
+    logs.insert(int(rng.integers(0, len(logs) + 1)), fake_log([]))  # never alive
     positives = [set(rng.choice(15, size=rng.integers(1, 5), replace=False).tolist())
                  for _ in logs]
     got = compute_metric_series(logs, positives, catalog)

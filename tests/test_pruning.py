@@ -1,7 +1,7 @@
 """LMDH's pruned greedy passes against the per-pass oracle over every candidate.
 
 `select_slate` scores only the candidates whose score bound can still reach
-a pick, and reruns over more of them when an item left out might have won.
+a pick, and reruns over every candidate when an item left out might have won.
 Its slate, features and widths must be the plain loop's bit for bit.  The
 catalogs are large enough to prune, with exact and near ties, and the cases
 cover negative beta_hat, alpha = 0, any stored factor W, m = 2, reruns,
@@ -198,7 +198,7 @@ def test_picks_that_score_below_items_left_out_rerun_wider(monkeypatch):
     got = lmdh.select_slate(stats, config, catalog, items)
     assert_same_selection(got, want)
     (sizes,) = runs
-    assert len(sizes) >= 2 and sizes[0] * 4 <= sizes[1]
+    assert sizes[0] < items.size and sizes[1:] == [items.size]
 
 
 def test_an_item_left_out_one_ulp_below_the_last_pick_forces_a_rerun(monkeypatch):
@@ -220,7 +220,7 @@ def test_an_item_left_out_one_ulp_below_the_last_pick_forces_a_rerun(monkeypatch
     got = lmdh.select_slate(stats, config, catalog, items)
     assert_same_selection(got, want)
     assert sorted(got.slate.items) == sorted(order[:k].tolist())
-    assert runs == [[k, 4 * k]]
+    assert runs == [[k, n_items]]
 
 
 def test_every_selection_of_a_shared_memo_replay_matches_the_oracle(monkeypatch):
