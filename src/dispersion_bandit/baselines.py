@@ -135,19 +135,7 @@ def epsilon_greedy_select(
     return Slate(tuple(chosen))
 
 
-class _StaticPolicy:
-    """Shared plumbing: static policies never learn, and select from their
-    scorer's catalog."""
-
-    def __init__(self, scorer: StaticScorer, k: int):
-        self.scorer = scorer
-        self.k = k
-
-    def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
-        pass
-
-
-class _FixedSlatePolicy(_StaticPolicy):
+class _FixedSlatePolicy:
     """A static policy whose slate is a function of the candidate set alone.
 
     Each candidate set's selection is stored in a memo under its open mask's
@@ -163,7 +151,8 @@ class _FixedSlatePolicy(_StaticPolicy):
         k: int,
         setting: tuple = (),
     ):
-        super().__init__(scorer, k)
+        self.scorer = scorer
+        self.k = k
         self._memo = scorer.slates.setdefault((self.name, k, *setting), {})
 
     def _slate(self, mask: np.ndarray) -> Slate:
@@ -176,6 +165,9 @@ class _FixedSlatePolicy(_StaticPolicy):
         if selection is None:
             selection = self._memo[key] = SlateSelection(self._slate(mask))
         return selection
+
+    def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
+        pass
 
 
 class LogRankPolicy(_FixedSlatePolicy):
@@ -201,7 +193,7 @@ class MmrPolicy(_FixedSlatePolicy):
         return mmr_select(self.scorer, mask, self.k, self.mmr_alpha)
 
 
-class EpsilonGreedyPolicy(_StaticPolicy):
+class EpsilonGreedyPolicy:
     name = "epsilon-greedy"
 
     def __init__(
@@ -211,7 +203,8 @@ class EpsilonGreedyPolicy(_StaticPolicy):
         epsilon: float,
         rng: np.random.Generator,
     ):
-        super().__init__(scorer, k)
+        self.scorer = scorer
+        self.k = k
         self.epsilon = epsilon
         self.rng = rng
 
@@ -220,3 +213,6 @@ class EpsilonGreedyPolicy(_StaticPolicy):
             self.scorer, candidates, self.k, self.epsilon, self.rng
         )
         return SlateSelection(slate)
+
+    def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:
+        pass

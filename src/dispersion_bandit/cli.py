@@ -68,12 +68,6 @@ DEFAULT_RATIO_KS = (2, 3, 4, 5)
 POLICIES = ("lmdh", "logrank", "mmr", "epsilon-greedy")
 
 
-def resolve_workers(value: int | None, n_tasks: int) -> int:
-    if value is None:
-        value = os.cpu_count() or 1
-    return max(1, min(value, n_tasks))
-
-
 def _sim_theory(n: int, k: int, d: int, m: int, lam: float, horizon: int) -> TheoryParams:
     # One confidence budget split across every pull of the horizon; floor the
     # product so delta stays inside (0, 1) even for one-pull toy horizons.
@@ -171,9 +165,13 @@ def _write_manifest(out_dir: Path, command: str, options: dict, derived: dict, o
     (out_dir / "manifest.json").write_text(text)
 
 
-def _map_tasks(fn, tasks, workers: int) -> list:
-    """Order-preserving map, forking a pool only when it can actually help."""
-    if workers <= 1 or len(tasks) <= 1:
+def _map_tasks(fn, tasks, workers: int | None) -> list:
+    """Order-preserving map over `workers` processes (None: every core), at most
+    one per task, forking a pool only when it can actually help."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(task) for task in tasks]
     # imported here so that commands run in one process never load them
     import multiprocessing
@@ -255,9 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alpha_value = resolve_alpha(args.alpha, args.k, SIM_D, SIM_M, args.lam, args.rounds)
-    workers = resolve_workers(args.workers, args.runs)
     one_run = partial(_simulate_run, args, alpha_value)
-    series = average_regret(_map_tasks(one_run, range(args.runs), workers))
+    series = average_regret(_map_tasks(one_run, range(args.runs), args.workers))
 
     bounds = budgets = None
     if args.policy == "lmdh":
@@ -321,8 +318,9 @@ def cmd_approx_ratio(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(k, i) for k in ks for i in range(args.runs)]
-    workers = resolve_workers(args.workers, len(tasks))
-    results = list(zip(tasks, _map_tasks(partial(_ratio_task, args), tasks, workers)))
+    results = list(
+        zip(tasks, _map_tasks(partial(_ratio_task, args), tasks, args.workers))
+    )
 
     path = out / "ratios.csv"
     with open(path, "w", newline="") as fh:
@@ -432,8 +430,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
          args.rounds, args.seed, u)
         for u in range(test.n_users)
     ]
-    workers = resolve_workers(args.workers, len(tasks))
-    logs = _map_tasks(_replay_task, tasks, workers)
+    logs = _map_tasks(_replay_task, tasks, args.workers)
     positives = [
         frozenset(int(i) for i in test.items_of(u)) for u in range(test.n_users)
     ]

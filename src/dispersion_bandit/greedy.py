@@ -115,14 +115,10 @@ def _pairwise_weights(
     eta: PreferenceVector, catalog: ItemCatalog, cand: np.ndarray
 ) -> np.ndarray:
     """W[p, q] = sum_i beta_i * h_i(cand[p], cand[q]) over the candidate grid."""
-    add = metric_columns(catalog, cand)
-    h = np.zeros((cand.size, cand.size, catalog.diversity_dim))  # h[p, q, i]
-    for p in range(cand.size):
-        add(h[p], p)
     w = np.zeros((cand.size, cand.size))
-    for i, beta_i in enumerate(eta.beta):
-        if beta_i != 0.0:
-            w += beta_i * h[:, :, i]
+    for p, item in enumerate(cand.tolist()):
+        for beta_i, metric in zip(eta.beta, catalog.metrics):
+            w[p] += beta_i * metric.column(item, cand)
     return w
 
 

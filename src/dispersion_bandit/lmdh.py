@@ -120,12 +120,10 @@ def estimate_preferences(stats: HybridStatistics) -> tuple[np.ndarray, np.ndarra
     return eta[: stats.d], eta[stats.d :]
 
 
-def _check_feature_dims(z: np.ndarray, x: np.ndarray, stats: HybridStatistics) -> None:
-    if z.shape[-1] != stats.d or x.shape[-1] != stats.m:
-        raise DimensionMismatchError(
-            f"features have dims ({z.shape[-1]}, {x.shape[-1]}), "
-            f"statistics expect ({stats.d}, {stats.m})"
-        )
+def _check_dims(what: str, dims: tuple[int, int], expected: tuple[int, int]) -> None:
+    """Raise unless `dims`, a (d, m) pair, equals `expected`; `what` names both sides."""
+    if dims != expected:
+        raise DimensionMismatchError(f"{what} dims differ: {dims} vs {expected}")
 
 
 def _z_terms(Z: np.ndarray, stats: HybridStatistics) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +150,6 @@ def _raw_widths_batch(
     for i in range(1, X.shape[1]):
         v += r[:, i]
     return v
-
-
-def _check_config(config: LmdhConfig, catalog: ItemCatalog) -> None:
-    if config.d != catalog.relevance_dim or config.m != catalog.diversity_dim:
-        raise DimensionMismatchError(
-            f"config dims ({config.d}, {config.m}) do not match catalog "
-            f"({catalog.relevance_dim}, {catalog.diversity_dim})"
-        )
 
 
 def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
@@ -253,7 +243,8 @@ def select_slate(
     widths in `passes` and the width at each pick is read from them
     afterwards.  Each pass works in place on arrays it made itself.
     """
-    _check_config(config, catalog)
+    catalog_dims = (catalog.relevance_dim, catalog.diversity_dim)
+    _check_dims("statistics and catalog", (stats.d, stats.m), catalog_dims)
     mask = catalog.open_mask(candidates, config.k)
     n_open = np.count_nonzero(mask)
 
@@ -353,7 +344,9 @@ def update(
             f"slate has {len(slate)} items but got {w.size} rewards, "
             f"{Z.shape[0]} relevance rows, {X.shape[0]} diversity rows"
         )
-    _check_feature_dims(Z, X, stats)
+    _check_dims(
+        "features and statistics", (Z.shape[-1], X.shape[-1]), (stats.d, stats.m)
+    )
     if not all(0.0 <= r <= 1.0 for r in w.tolist()):  # NaN fails
         raise InvalidFeedbackError(f"rewards must lie in [0, 1], got {w}")
 
@@ -387,8 +380,6 @@ def _width_sum_inner(params: TheoryParams) -> float:
 
 def lemma1_width_budget(params: TheoryParams) -> float:
     """Upper bound on the summed selection widths over the whole horizon."""
-    if params.n == 0:
-        return 0.0
     return params.k * math.sqrt(_width_sum_inner(params))
 
 
@@ -399,19 +390,8 @@ def regret_upper_bound(params: TheoryParams, alpha: float) -> float:
         raise PreconditionError(
             f"alpha={alpha} is below the theoretical radius {threshold}"
         )
-    if params.n == 0:
-        return 0.0
     main = (2.0 * alpha * params.k / GAMMA) * math.sqrt(_width_sum_inner(params))
     return main + params.n * params.k * params.delta
-
-
-def read_only(selection: SlateSelection) -> SlateSelection:
-    """`selection`, its arrays made read-only so that any number of callers can share it."""
-    for array in (
-        selection.relevance_features, selection.diversity_features, selection.widths
-    ):
-        array.flags.writeable = False
-    return selection
 
 
 class LmdhPolicy:
@@ -425,7 +405,8 @@ class LmdhPolicy:
     name = "lmdh"
 
     def __init__(self, config: LmdhConfig, catalog: ItemCatalog):
-        _check_config(config, catalog)
+        catalog_dims = (catalog.relevance_dim, catalog.diversity_dim)
+        _check_dims("config and catalog", (config.d, config.m), catalog_dims)
         self.config = config
         self.catalog = catalog
         self.stats = HybridStatistics(config.d, config.m, config.lam)
@@ -439,9 +420,12 @@ class LmdhPolicy:
         key = stats.W.tobytes() + stats.b.tobytes() + np.packbits(mask).tobytes()
         selection = self._memo.get(key)
         if selection is None:
-            selection = self._memo[key] = read_only(
-                select_slate(stats, self.config, self.catalog, mask)
-            )
+            selection = select_slate(stats, self.config, self.catalog, mask)
+            # read-only, so that any number of callers can share it
+            selection.relevance_features.flags.writeable = False
+            selection.diversity_features.flags.writeable = False
+            selection.widths.flags.writeable = False
+            self._memo[key] = selection
         return selection
 
     def observe(self, selection: SlateSelection, rewards: np.ndarray) -> None:

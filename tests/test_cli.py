@@ -398,6 +398,39 @@ def test_one_process_commands_do_not_import_the_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_map_tasks_runs_at_most_one_worker_per_task(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli._map_tasks(abs, [-3], None) == [3]
+    assert cli._map_tasks(abs, [], None) == []
+    assert cli._map_tasks(abs, [], 2) == []
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert cli._map_tasks(abs, [-1, 2, -3], 8) == [1, 2, 3]
+    assert cli._map_tasks(abs, [-1, 2, -3], None) == [1, 2, 3]
+    assert sizes == [3, 3]
+
+
 @pytest.mark.parametrize("command", ["simulate", "approx-ratio", "replay"])
 def test_slate_normalized_needs_two_slots(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -552,6 +552,14 @@ def test_select_slate_rejects_mismatched_config():
     stats = HybridStatistics(3, 1, lam=1.0)
     with pytest.raises(DimensionMismatchError):
         select_slate(stats, config, catalog, catalog.all_items())
+    # the config agrees with the catalog, the statistics do not
+    config = LmdhConfig(lam=1.0, alpha=1.0, d=2, m=1, k=2)
+    for d, m in ((1, 1), (2, 2)):
+        stats = HybridStatistics(d, m, lam=1.0)
+        with pytest.raises(DimensionMismatchError) as excinfo:
+            select_slate(stats, config, catalog, catalog.all_items())
+        assert f"({d}, {m})" in str(excinfo.value)
+        assert "(2, 1)" in str(excinfo.value)
 
 
 def test_policy_learns_through_interface():
