@@ -184,10 +184,12 @@ class Slate:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        items = integer_ids(tuple(self.items), "slate ids")
-        object.__setattr__(self, "items", tuple(map(int, items)))
-        if len(set(self.items)) != len(self.items):
-            raise DuplicateItemError(f"slate contains duplicates: {self.items}")
+        items = self.items
+        if type(items) is not tuple or not {*map(type, items)} <= {int}:
+            items = tuple(map(int, integer_ids(tuple(items), "slate ids")))
+            object.__setattr__(self, "items", items)
+        if len(set(items)) != len(items):
+            raise DuplicateItemError(f"slate contains duplicates: {items}")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -73,14 +73,12 @@ def greedy_fill(acc: np.ndarray, k: int, score, add_column):
     return np.array(picks, dtype=np.intp), rows, pick_scores
 
 
-def metric_columns(catalog: ItemCatalog, ids: np.ndarray | None = None):
-    """add(acc, pick): acc[:, i] += h_i(ids[pick], ids) for each metric i, or
-    with `ids` None the pick's whole row, read in place."""
+def metric_columns(catalog: ItemCatalog):
+    """add(acc, pick): acc[:, i] += h_i(pick, j) over every item j, for each metric i."""
 
     def add(acc: np.ndarray, pick: int) -> None:
-        item = pick if ids is None else int(ids[pick])
         for i, metric in enumerate(catalog.metrics):
-            acc[:, i] += metric.column(item, ids)
+            acc[:, i] += metric.column(pick)
 
     return add
 

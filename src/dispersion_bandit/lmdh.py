@@ -13,9 +13,11 @@ sums that are only ever added to do not drift from the joint ridge solution.
 Within one selection only x changes between passes, so the width's z-only
 terms are computed once per selection (`_z_terms`).
 
-The greedy passes score only the items whose score bound can still reach
-a pick, and run once more over every candidate when an item left out might
-have won, so the slate is unchanged bit for bit (`_score_bounds`).
+At m = 1, the only m a command runs, the greedy passes keep x in a 1-D
+accumulator, as MMR's do, and score only the items whose score bound can
+still reach a pick; they run once more over every candidate when an item
+left out might have won, so the slate is unchanged bit for bit
+(`_score_bounds`).
 
 Every fresh learner starts from A = lam*I, and a selection reads nothing of
 the statistics but W and b.  The learners of one config on one catalog
@@ -176,14 +178,10 @@ def _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta):
     a square root stretches an absolute error e of v to at most sqrt(e).
     `slack` adds both sides' errors.
 
-    The first pass's k best always survive.  `select_slate` scores whole
-    any set of a quarter of the candidates or more, and reruns over every
-    candidate when the survivors' picks fail the check; it asks for no
-    bound with at most 16k candidates, nor at m > 1, and none is returned
-    when a term is not finite.
-    The passes over the survivors read their columns alone, which holds the
-    slate's bits because a metric's entry has one value whatever ids it is
-    read with.
+    The first pass's k best always survive.  None is returned when a term
+    is not finite.  The passes over the survivors read their columns alone,
+    which holds the slate's bits because a metric's entry has one value
+    whatever ids it is read with.
     """
     open_ = rel_scores != -np.inf  # a NaN stays in: slack is NaN
     w = float(stats.W[-1, -1])
@@ -223,83 +221,90 @@ def select_slate(
 ) -> SlateSelection:
     """Greedy UCB slate: k `greedy_fill` passes, each re-scoring against the prefix.
 
-    Candidates become the open mask (`ItemCatalog.open_mask`); the whole
-    catalog's relevance rows Z are read in place, closed items scoring
-    -inf.  They are fixed per item, so the z-only width terms and
-    Z theta_hat are computed once per call, O(L*d*(d+m)); each pass then
-    recomputes only the terms that involve the diversity marginal x, which
-    changes as the slate grows, O(L*m^2).  Ties take the smallest item id.
-    W is read from cache.
+    Candidates become the open mask (`ItemCatalog.open_mask`); closed items
+    score -inf.  Z theta_hat and the z-only width terms are computed once per
+    call, O(L*d*(d+m)); each pass recomputes only the terms of the diversity
+    marginal x.  Ties take the smallest id.
 
-    The passes score only the survivors, the candidates whose bound
-    (`_score_bounds`) reaches the first pass's k-th best score, as ids in
-    order.  The slate stands when every pick's score beats the largest bound
-    left out by the slack; otherwise the passes run again over every
-    candidate.  Survivors that make up a quarter of the candidates or more
-    become every candidate at once.
-
-    `greedy_fill` records the accumulator row and the score at each pick, but
-    not the width, so the score closure keeps each pass's square-rooted
-    widths in `passes` and the width at each pick is read from them
-    afterwards.  Each pass works in place on arrays it made itself.
+    At m = 1 a pass scores x beta_hat + rel + alpha sqrt((x w + c)^2 +
+    |W_zz z|^2), w = W_xx and c = W_xz z, over 1-D arrays: each product is
+    one rounding, as in an (L, 1) `np.dot`.  The widths at the picks are the
+    same function of the x that `greedy_fill` records.  With more than 16k
+    candidates the passes score only those whose bound (`_score_bounds`)
+    reaches the first pass's k-th best score, unless they are a quarter of
+    the candidates or more, and run again over every candidate unless each
+    pick's score beats the largest bound left out by the slack.  At m > 1
+    each pass takes `_raw_widths_batch`'s (L, m) products over every
+    candidate and keeps its widths for the picks'.
     """
     catalog_dims = (catalog.relevance_dim, catalog.diversity_dim)
     _check_dims("statistics and catalog", (stats.d, stats.m), catalog_dims)
-    mask = catalog.open_mask(candidates, config.k)
+    k, alpha = config.k, config.alpha
+    mask = catalog.open_mask(candidates, k)
     n_open = np.count_nonzero(mask)
 
     theta, beta = estimate_preferences(stats)
-    Z, alpha, w_xx_t = catalog.relevance, config.alpha, stats.W[stats.d :, stats.d :].T
+    Z = catalog.relevance
     term_zz, term_xz = _z_terms(Z, stats)
     rel_scores = Z @ theta
     if n_open < mask.size:
         rel_scores[~mask] = -np.inf
 
-    def run_passes(rows):
-        """Picks (item ids), features, widths and scores over `rows`, or all items."""
-        if rows is None:
-            rel, tzz, txz = rel_scores, term_zz, term_xz
-        else:
-            rel, tzz, txz = rel_scores[rows], term_zz[rows], term_xz[rows]
-        passes: list[np.ndarray] = []  # sqrt of the widths of every pass
+    if stats.m > 1:
+        w_xx_t, roots = stats.W[stats.d :, stats.d :].T, []
 
         def score(step: int, X: np.ndarray) -> np.ndarray:
-            v = _raw_widths_batch(tzz, txz, X, w_xx_t)
-            np.sqrt(v, out=v)
-            passes.append(v)
-            scores = np.dot(X, beta)
-            scores += rel
-            scores += alpha * v
-            return scores
+            v = np.sqrt(_raw_widths_batch(term_zz, term_xz, X, w_xx_t))
+            roots.append(v)
+            return rel_scores + np.dot(X, beta) + alpha * v
 
-        picks, div_feats, pick_scores = greedy_fill(
-            np.zeros((rel.size, catalog.diversity_dim)),
-            config.k,
-            score,
-            metric_columns(catalog, rows),
-        )
-        widths = np.array([root[pick] for root, pick in zip(passes, picks)])
-        return (picks if rows is None else rows[picks]), div_feats, widths, pick_scores
+        acc = np.zeros((mask.size, stats.m))
+        picks, x, _ = greedy_fill(acc, k, score, metric_columns(catalog))
+        widths = np.array([v[pick] for v, pick in zip(roots, picks)])
+        return SlateSelection(Slate(tuple(picks.tolist())), Z[picks], x, widths)
 
-    rows = bounds = None
-    if stats.m == 1 and n_open > 16 * config.k:
-        bounds = _score_bounds(stats, config, catalog, rel_scores, term_zz, term_xz, beta)
-    if bounds is not None:
-        bound, floor, slack = bounds
-        rows = np.flatnonzero(bound >= floor)
-        if 4 * rows.size >= n_open:
-            rows = None
-    picks, div_feats, widths, pick_scores = run_passes(rows)
+    w, b, metric = float(stats.W[-1, -1]), float(beta[0]), catalog.metrics[0]
+    c_all = term_xz[:, 0]
+
+    def root_width(x, c, zz):
+        v = x * w
+        v += c
+        v *= v
+        v += zz
+        return np.sqrt(v, out=v)
+
+    def score(step: int, x: np.ndarray) -> np.ndarray:
+        v = root_width(x, c, tzz)
+        v *= alpha
+        scores = x * b
+        scores += rel
+        scores += v
+        return scores
+
+    def add(x: np.ndarray, pick: int) -> None:
+        x += metric.column(pick if rows is None else int(rows[pick]), rows)
+
+    # score and add read rows, rel, tzz and c as they stand at each call
+    rows, rel, tzz, c = None, rel_scores, term_zz, c_all
+    if n_open > 16 * k:
+        bounds = _score_bounds(stats, config, catalog, rel, tzz, term_xz, beta)
+        if bounds is not None:
+            bound, floor, slack = bounds
+            rows = np.flatnonzero(bound >= floor)
+            if 4 * rows.size >= n_open:
+                rows = None
+            else:
+                rel, tzz, c = rel[rows], tzz[rows], c[rows]
+    picks, x, pick_scores = greedy_fill(np.zeros(rel.size), k, score, add)
     if rows is not None:
         lowest = pick_scores.min() - slack  # a NaN pick score fails both tests
-        if not (lowest >= floor or lowest > bound[bound < floor].max()):
-            picks, div_feats, widths, _ = run_passes(None)
-    return SlateSelection(
-        slate=Slate(tuple(picks.tolist())),
-        relevance_features=Z[picks],
-        diversity_features=div_feats,
-        widths=widths,
-    )
+        if lowest >= floor or lowest > bound[bound < floor].max():
+            picks = rows[picks]
+        else:
+            rows, rel, tzz, c = None, rel_scores, term_zz, c_all
+            picks, x, _ = greedy_fill(np.zeros(rel.size), k, score, add)
+    widths = root_width(x, c_all[picks], term_zz[picks])
+    return SlateSelection(Slate(tuple(picks.tolist())), Z[picks], x[:, None], widths)
 
 
 def _inverse_factor(A: np.ndarray) -> np.ndarray:

@@ -55,6 +55,28 @@ class TestSlate:
         with pytest.raises(DuplicateItemError):
             Slate((1, 2, 1))
 
+    @pytest.mark.parametrize("items", [(4, 4), [0, 3, 0], (np.int64(2), 2)])
+    def test_a_repeat_raises_whatever_the_id_types(self, items):
+        with pytest.raises(DuplicateItemError):
+            Slate(items)
+
+    @pytest.mark.parametrize("items", [(True,), (0, True), [2, True]])
+    def test_a_bool_id_raises_naming_it(self, items):
+        with pytest.raises(InvalidItemError, match=r"\[True\]"):
+            Slate(items)
+
+    @pytest.mark.parametrize("items", [(1.0,), (0, 1.0), (np.float64(1.0), 2)])
+    def test_a_float_id_raises_even_when_whole(self, items):
+        with pytest.raises(InvalidItemError, match=r"\[1\.0\]"):
+            Slate(items)
+
+    def test_numpy_and_list_ids_are_stored_as_a_tuple_of_int(self):
+        for items in [(np.int64(3), 1), np.array([3, 1]), [3, np.intp(1)]]:
+            slate = Slate(items)
+            assert slate.items == (3, 1)
+            assert type(slate.items) is tuple
+            assert [type(i) for i in slate.items] == [int, int]
+
     def test_membership_and_len(self):
         slate = Slate((3, 0))
         assert len(slate) == 2

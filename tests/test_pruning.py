@@ -280,3 +280,29 @@ def test_closed_items_with_the_largest_width_terms_keep_the_slate(monkeypatch):
     plain = lmdh.select_slate(stats, config, catalog, cand)
     assert runs[1] == [n_items]  # not pruned
     assert_same_selection(plain, want)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("m, pruned", [(1, True), (1, False), (2, False)])
+def test_logged_features_and_widths_have_the_shapes_update_concatenates(
+    monkeypatch, m, pruned, k
+):
+    # at m = 1 the passes run on a 1-D accumulator, yet the selection logs
+    # (k, m) diversity features and (k,) widths, as at m > 1, whether the
+    # passes were pruned or went over the whole catalog
+    rng = np.random.default_rng(3)
+    catalog = cosine_catalog(rng, 400, 4, m, k)
+    stats = trained_stats(rng, catalog, k, rounds=3)
+    stats.b = stats.A @ np.append(3.0 * rng.uniform(-1.0, 1.0, size=4), [-0.5] * m)
+    config = LmdhConfig(lam=1.0, alpha=0.3, d=4, m=m, k=k)
+    items = catalog.all_items()
+    if not pruned:
+        monkeypatch.setattr(lmdh, "_score_bounds", lambda *args: None)
+    runs = pass_runs(monkeypatch)
+    got = lmdh.select_slate(stats, config, catalog, items)
+    assert_same_selection(got, select_slate_oracle(stats, config, catalog, items))
+    assert (runs[0][0] < items.size // 4) is pruned
+    for array, shape in [(got.diversity_features, (k, m)), (got.widths, (k,))]:
+        assert array.shape == shape
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+    lmdh.update(stats, got, np.ones(k))
