@@ -39,7 +39,7 @@ class TooLargeInstanceError(DispersionBanditError):
 
 
 class DegenerateInstanceError(DispersionBanditError):
-    """Approximation ratio undefined because the optimal value is zero."""
+    """Optimum not positive (ratio undefined), or no subset has a value above -inf."""
 
 
 class NumericalDegeneracyError(DispersionBanditError):

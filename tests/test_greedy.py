@@ -147,6 +147,20 @@ class TestExhaustiveOptimum:
         assert value == pytest.approx(utility(best, eta, catalog), abs=1e-12)
         assert value == pytest.approx(utility(subset, eta, catalog), abs=1e-12)
 
+    @pytest.mark.parametrize("nan_in", ["theta", "beta", "relevance"])
+    def test_nan_values_raise_naming_k_and_the_candidates(self, nan_in):
+        # every pair's value is NaN, and NaN is never above -inf
+        arrays = {"theta": np.ones(1), "beta": np.ones(1), "relevance": np.ones((4, 1))}
+        arrays[nan_in][...] = np.nan
+        catalog = ItemCatalog(
+            arrays["relevance"], (TableDistanceMetric(1.0 - np.eye(4)),)
+        )
+        eta = PreferenceVector(arrays["theta"], arrays["beta"])
+        with pytest.raises(
+            DegenerateInstanceError, match="no K = 2 subset of the 3 candidates"
+        ):
+            exhaustive_optimum(eta, catalog, (0, 1, 3), 2)
+
     def test_budget_guard(self, rng, monkeypatch):
         catalog = random_catalog(rng, 30, d=2)
         eta = random_eta(rng)

@@ -112,9 +112,43 @@ def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chu
     assert exhaustive_optimum_oracle(eta, catalog, range(6), 2, chunk) == ((0, 5), 1.0)
 
 
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_matches_the_oracle_at_the_index_dtype_boundaries(fresh_tables, n, dtype):
+    # the last two items are planted as the optimum, so index n - 1 must
+    # survive the narrow table: 255 is uint8's largest, 256 needs uint16
+    rng = np.random.default_rng(n)
+    catalog, _ = grid_catalog(rng, n, 2, 1, tied=False)
+    relevance = catalog.relevance.copy()
+    relevance[-2:] += 10.0
+    catalog = ItemCatalog(relevance, catalog.metrics)
+    eta = PreferenceVector(np.ones(2), np.ones(1))
+
+    got_subset, got_value = exhaustive_optimum(eta, catalog, range(n), 2)
+    want_subset, want_value = exhaustive_optimum_oracle(eta, catalog, range(n), 2, 4_096)
+    assert _subset_table(n, 2).dtype == dtype
+    assert got_subset == want_subset == (n - 2, n - 1)
+    assert got_value.hex() == want_value.hex()
+
+
+@pytest.mark.parametrize("rows", [greedy._SCORE_ROWS, 1_000])
+@pytest.mark.parametrize("tied", [False, True])
+def test_matches_the_oracle_at_the_widest_command_table(monkeypatch, rows, tied):
+    # C(20, 10) = 184 756 subsets, the largest enumeration any command makes
+    catalog, eta = grid_catalog(np.random.default_rng(10), 20, 2, 1, tied)
+    want_subset, want_value = exhaustive_optimum_oracle(eta, catalog, range(20), 10, 4_096)
+    monkeypatch.setattr(greedy, "_SCORE_ROWS", rows)
+    got_subset, got_value = exhaustive_optimum(eta, catalog, range(20), 10)
+    assert got_subset == want_subset
+    assert got_value.hex() == want_value.hex()
+
+
+def test_the_widest_command_table_holds_one_byte_per_index(fresh_tables):
+    assert _subset_table(20, 10).nbytes == math.comb(20, 10) * 10
+
+
 def test_the_subset_table_is_lexicographic_and_read_only(fresh_tables):
     table = _subset_table(6, 3)
-    assert table.dtype == np.intp
+    assert table.dtype == np.uint8
     assert table.tolist() == [list(c) for c in itertools.combinations(range(6), 3)]
     assert not table.flags.writeable
     with pytest.raises(ValueError):
