@@ -143,8 +143,8 @@ def exhaustive_optimum(
 
     Enumerates C(n, K) subsets in lexicographic order (first maximizer wins),
     from the cached `_subset_table`, scored `_SCORE_ROWS` at a time.
-    Refuses instances above `SUBSET_BUDGET` subsets, and ones where no value
-    is above -inf (a NaN in eta or the catalog).
+    Refuses instances above `SUBSET_BUDGET` subsets, ones with a non-finite
+    item value or pair weight, and ones where no value is above -inf.
     """
     catalog.check_eta(eta)
     cand = np.flatnonzero(catalog.open_mask(candidates, k))
@@ -156,6 +156,11 @@ def exhaustive_optimum(
 
     per_item = catalog.relevance[cand] @ eta.theta
     w = _pairwise_weights(eta, catalog, cand).ravel()  # W[p, q] at p * n + q
+    if not (np.isfinite(per_item).all() and np.isfinite(w).all()):
+        raise DegenerateInstanceError(
+            f"no K = {k} subset of the {cand.size} candidates is scored: "
+            "an item value or pair weight is not finite"
+        )
 
     best_value = -np.inf
     best_subset: tuple[int, ...] | None = None

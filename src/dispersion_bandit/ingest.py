@@ -140,12 +140,11 @@ class _Columns(NamedTuple):
 
     users: np.ndarray  # int64 original ids
     items: np.ndarray  # int64 original ids
-    ratings: np.ndarray  # float64
+    ratings: np.ndarray  # float64, or int64 from `_read_columnar`
 
 
 _SEPARATORS = {"ml100k-tab": "\t", "ml1m-colons": "::"}
 _COLUMNAR_FIELDS = {"\t": (0, 1, 2, 3), "::": (0, 2, 4, 6)}
-_COLUMNAR_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("ts", "i8")]
 
 
 #: Bytes per block of `_colon_runs_are_pairs`' pass; each block reads two more.
@@ -174,9 +173,10 @@ def _read_columnar(path, sep: str) -> _Columns | None:
 
     Only a file made of unsigned decimals, `\\n` and the separator is tried,
     and for `::` only one whose every run of colons is two long, so that
-    splitting on `:` puts the fields at the even positions.  The file's bytes
-    are freed before `loadtxt` reads it again.  On such a file `loadtxt`
-    either yields the values the line reader would or raises `ValueError`.
+    splitting on `:` puts the fields at the even positions.  Ratings are
+    int64 in a file with no `.`, else float64.  The file's bytes are freed
+    before `loadtxt` reads it again.  On such a file `loadtxt` either yields
+    the values the line reader would or raises `ValueError`.
     A file with no data is left to the line reader (`loadtxt` warns on it).
     """
     raw = Path(path).read_bytes()
@@ -184,6 +184,8 @@ def _read_columnar(path, sep: str) -> _Columns | None:
         return None
     if sep == "::" and not _colon_runs_are_pairs(raw):
         return None
+    rating = "f8" if b"." in raw else "i8"  # ints parse faster
+    dtype = [("user", "i8"), ("item", "i8"), ("rating", rating), ("ts", "i8")]
     del raw
     try:
         with warnings.catch_warnings():
@@ -192,7 +194,7 @@ def _read_columnar(path, sep: str) -> _Columns | None:
             data = np.loadtxt(
                 path,
                 delimiter=sep[0],
-                dtype=_COLUMNAR_DTYPE,
+                dtype=dtype,
                 usecols=_COLUMNAR_FIELDS[sep],
                 comments=None,
                 ndmin=1,
@@ -277,15 +279,16 @@ def _table_from_columns(
     columns: _Columns, positive_threshold: float, source: str
 ) -> InteractionTable:
     """Threshold, deduplicate and densely re-index parsed columns."""
-    positive = columns.ratings > positive_threshold
-    n_positive = int(np.count_nonzero(positive))
+    # compared in float64 whatever the ratings' dtype
+    positive = np.flatnonzero(columns.ratings > float(positive_threshold))
+    n_positive = positive.size
     if not n_positive:
         raise EmptyDatasetError(
             f"no interactions with rating > {positive_threshold} in {source}"
         )
 
-    user_ids, ui = _dense_ids(columns.users[positive])
-    item_ids, ii = _dense_ids(columns.items[positive])
+    user_ids, ui = _dense_ids(columns.users.take(positive))
+    item_ids, ii = _dense_ids(columns.items.take(positive))
     # one code per (user, item) in (user, item) order; code < rows**2, so it
     # cannot overflow.  Repeats of a pair are alike, so one record is kept.
     n_items = len(item_ids)
@@ -311,8 +314,8 @@ def parse_ratings(path, format: str, positive_threshold: float = 3.0) -> Interac
 
     * columnar: a tab or `::` file whose bytes are only unsigned decimals,
       `\\n` and the separator (for `::`, with every run of colons exactly two
-      long) is read whole by one `np.loadtxt` call; the bytes read for that
-      check are freed before it;
+      long) is read whole by one `np.loadtxt` call (int64 ratings if the
+      file holds no `.`); the bytes read for that check are freed before it;
     * line by line: every generic CSV, every other tab or `::` file (CRLF,
       signs, spaces, 3-field or mixed-field lines) and any file `loadtxt`
       rejects.

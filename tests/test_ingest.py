@@ -451,6 +451,36 @@ def test_plain_numeric_files_take_the_columnar_reader(tmp_path, monkeypatch, nam
 
 
 @pytest.mark.parametrize(
+    "name, fmt, text, rating",
+    [
+        ("u.data", "ml100k-tab", "1\t10\t4\t7\n2\t10\t5\t8\n", "i8"),
+        ("ratings.dat", "ml1m-colons", "1::10::4::7\n2::10::5::8", "i8"),
+        ("ratings.dat", "ml1m-colons", "1::10::4::7\n2::10::4.5::8", "f8"),
+        ("u.data", "ml100k-tab", "1\t10\t4\t7\n2\t10\t5\t8.\n", "f8"),  # `.` anywhere
+    ],
+)
+def test_the_rating_field_is_int64_exactly_when_the_file_has_no_dot(
+    tmp_path, monkeypatch, name, fmt, text, rating
+):
+    path = write(tmp_path / name, text)
+    loadtxt = np.loadtxt
+    dtypes = []
+
+    def spy(*args, **kwargs):
+        dtypes.append(np.dtype(kwargs["dtype"]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    outcome = parse_outcome(parse_ratings, path, fmt, 3.0)
+    assert [dtype["rating"] for dtype in dtypes] == [np.dtype(rating)]
+    expected = parse_outcome(dict_parse_ratings, path, fmt, 3.0)
+    if isinstance(expected, tuple):
+        assert outcome == expected
+    else:
+        assert_same_table(outcome, expected)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "1::2::5::3\n1:2::5::3\n",  # a lone colon: ParseError on line 2
@@ -660,6 +690,9 @@ def ratings_files(draw):
 @example(("ml1m-colons", "1::2::5::3\n1::3::5::1.5\n"), 3.0)
 @example(("ml1m-colons", "1::2::5::3\n1::3::5::x\n"), 3.0)
 @example(("ml1m-colons", "1::2::5::3\n1::3::5::9223372036854775808\n"), 3.0)
+# a `.`-free file whose rating overflows int64 goes to the line reader
+@example(("ml100k-tab", "1\t2\t5\t3\n1\t3\t99999999999999999999\t4\n"), 3.0)
+@example(("ml1m-colons", "1::2::1::3\n" * 50 + "1::3::4.5::4\n"), 4.0)  # one half star, last
 def test_both_readers_match_the_dict_oracle(tmp_path_factory, case, threshold):
     fmt, text = case
     path = tmp_path_factory.mktemp("fuzz") / "ratings"
@@ -713,8 +746,10 @@ def id_column(draw, n):
 @st.composite
 def parsed_columns(draw):
     n = draw(st.integers(1, 40))
-    # few rating values, so each threshold keeps some rows and drops others
-    ratings = draw(st.lists(st.sampled_from([1.0, 3.5, 4.0, 5.0]), min_size=n, max_size=n))
+    # few rating values, so each threshold keeps some rows and drops others;
+    # the columnar reader gives int64 ratings for a `.`-free file
+    values = draw(st.sampled_from([[1.0, 3.5, 4.0, 5.0], [1, 3, 4, 5]]))
+    ratings = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     return ingest._Columns(draw(id_column(n)), draw(id_column(n)), np.array(ratings))
 
 

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersion_bandit import cli, greedy
+from dispersion_bandit import cli, environments, greedy
 from dispersion_bandit.catalog import ItemCatalog, PreferenceVector
+from dispersion_bandit.errors import DegenerateInstanceError
 from dispersion_bandit.greedy import _pairwise_weights, _subset_table, exhaustive_optimum
 
 from conftest import TableDistanceMetric
@@ -110,6 +111,35 @@ def test_a_tie_across_a_block_boundary_keeps_the_earlier_subset(monkeypatch, chu
     monkeypatch.setattr(greedy, "_SCORE_ROWS", chunk)
     assert exhaustive_optimum(eta, catalog, range(6), 2) == ((0, 5), 1.0)
     assert exhaustive_optimum_oracle(eta, catalog, range(6), 2, chunk) == ((0, 5), 1.0)
+
+
+@pytest.mark.parametrize("chunk", [1, greedy._SCORE_ROWS, 100_000])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_item_value_is_refused_at_every_chunking(monkeypatch, chunk, value):
+    # one NaN relevance entry used to give (0, 7, 10, 12, 13) at one row per
+    # block, (5, 7, 10, 12, 13) at 4 096 (a block whose argmax hit the NaN was
+    # skipped whole) and an error in one block
+    instance = environments.study_instance(0, 0, metric_mode="raw")
+    relevance = instance.catalog.relevance.copy()
+    relevance[1, 0] = value
+    catalog = ItemCatalog(relevance, instance.catalog.metrics)
+    monkeypatch.setattr(greedy, "_SCORE_ROWS", chunk)
+    with pytest.raises(
+        DegenerateInstanceError,
+        match="no K = 5 subset of the 20 candidates is scored: an item value or pair "
+        "weight is not finite",
+    ):
+        exhaustive_optimum(instance.eta_star, catalog, range(20), 5)
+
+
+def test_finite_values_that_all_overflow_to_minus_inf_are_refused():
+    # each item is worth -1e308, so every pair sums to -inf
+    catalog = ItemCatalog(np.full((4, 1), -1e308), (TableDistanceMetric(np.zeros((4, 4))),))
+    eta = PreferenceVector(np.ones(1), np.ones(1))
+    with np.errstate(over="ignore"), pytest.raises(
+        DegenerateInstanceError, match="no K = 2 subset of the 4 candidates has a value above -inf"
+    ):
+        exhaustive_optimum(eta, catalog, range(4), 2)
 
 
 @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
