@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError
 from .greedy import greedy_fill
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlateSelection:
     """A selected slate and, from the learner, its features logged at pick time.
 

@@ -177,7 +177,7 @@ def cosine_metric(
     return CosineDistanceMetric(vectors, scale=scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slate:
     """Ordered list of distinct integer item ids."""
 
@@ -223,13 +223,16 @@ class ItemCatalog:
     Item ids are the dense range 0..L-1.  Safe to share across threads and
     processes; every operation over it is a pure, deterministic function.
     Two states change, neither changing a result: each metric's memo of the
-    distance rows read so far, and `selections`, which maps an LMDH config
-    to the selections that all its policies on this catalog share.
+    distance rows read so far, and two LMDH memos: `selections` maps a config
+    to the selections that all its policies on this catalog share, and
+    `slate_records` an ordered slate's item tuple to its `Slate` and its
+    read-only z and x blocks, which every selection of that slate shares.
     """
 
     relevance: np.ndarray
     metrics: tuple[CosineDistanceMetric, ...]
     selections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    slate_records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         relevance = np.ascontiguousarray(self.relevance, dtype=np.float64)

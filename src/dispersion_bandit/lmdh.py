@@ -261,7 +261,7 @@ def select_slate(
         acc = np.zeros((mask.size, stats.m))
         picks, x, _ = greedy_fill(acc, k, score, metric_columns(catalog))
         widths = np.array([v[pick] for v, pick in zip(roots, picks)])
-        return SlateSelection(Slate(tuple(picks.tolist())), Z[picks], x, widths)
+        return _shared_selection(catalog, picks, x, widths)
 
     w, b, metric = float(stats.W[-1, -1]), float(beta[0]), catalog.metrics[0]
     c_all = term_xz[:, 0]
@@ -304,7 +304,21 @@ def select_slate(
             rows, rel, tzz, c = None, rel_scores, term_zz, c_all
             picks, x, _ = greedy_fill(np.zeros(rel.size), k, score, add)
     widths = root_width(x, c_all[picks], term_zz[picks])
-    return SlateSelection(Slate(tuple(picks.tolist())), Z[picks], x[:, None], widths)
+    return _shared_selection(catalog, picks, x[:, None], widths)
+
+
+def _shared_selection(catalog, picks, x, widths) -> SlateSelection:
+    """The picks' selection, with the `Slate` and read-only z and x blocks of
+    `catalog.slate_records`: a metric's entry has one value whatever ids it
+    is read with and x adds the same columns in the same order, so a stored
+    record has the bits that this select made."""
+    items = tuple(picks.tolist())
+    record = catalog.slate_records.get(items)
+    if record is None:
+        z = catalog.relevance[picks]
+        z.flags.writeable = x.flags.writeable = False
+        record = catalog.slate_records[items] = Slate(items), z, x
+    return SlateSelection(*record, widths)
 
 
 def _inverse_factor(A: np.ndarray) -> np.ndarray:
@@ -427,8 +441,6 @@ class LmdhPolicy:
         if selection is None:
             selection = select_slate(stats, self.config, self.catalog, mask)
             # read-only, so that any number of callers can share it
-            selection.relevance_features.flags.writeable = False
-            selection.diversity_features.flags.writeable = False
             selection.widths.flags.writeable = False
             self._memo[key] = selection
         return selection

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,19 @@ def count_selects(monkeypatch) -> list:
 
     monkeypatch.setattr(lmdh, "select_slate", counted)
     return calls
+
+
+def log_fields(log) -> list:
+    """Every field of every round, arrays as (dtype, shape, bytes)."""
+    return [
+        tuple(
+            (value.dtype.str, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray)
+            else value
+            for value in (getattr(r, f.name) for f in dataclasses.fields(r))
+        )
+        for r in log
+    ]
 
 
 def logged(Z, X, slate=None):

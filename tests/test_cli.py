@@ -759,7 +759,7 @@ def test_a_new_world_releases_the_previous_worlds_memo():
         _, _, catalog, scorer = cli._replay_context(world)
         (first,) = scorer.slates.values()
         assert scorer.slates[("mmr", 3, 0.9)] is first
-        assert not catalog.selections
+        assert not catalog.selections and not catalog.slate_records
         cli._replay_task(task(world, "mmr"))  # the world's next user takes the same memo
         assert list(scorer.slates.values()) == [first]
         released, freed = marked(first), weakref.ref(catalog)
@@ -774,10 +774,13 @@ def test_a_new_world_releases_the_previous_worlds_memo():
             cli._replay_task(task(other_world, name))
             _, _, catalog, scorer = cli._replay_context(other_world)
             (memo,) = [*catalog.selections.values(), *scorer.slates.values()]
+            # LMDH's selections also share the world's slate records
+            assert bool(catalog.slate_records) is (name == "lmdh")
             released, freed = marked(memo), weakref.ref(catalog)
+            records = marked(catalog.slate_records)
             del memo, catalog, scorer
             cli._replay_context(world)
-            assert released() is None and freed() is None, name
+            assert released() is records() is freed() is None, name
     finally:
         gc.enable()
 

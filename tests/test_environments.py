@@ -1,5 +1,7 @@
 """Tests for the simulated and replay feedback worlds."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from dispersion_bandit.lmdh import (
 )
 from dispersion_bandit.seeding import REWARDS, rng_from_seed
 
-from conftest import TableDistanceMetric, logged
+from conftest import TableDistanceMetric, log_fields, logged
 from oracles import gains_oracle, slate_features_oracle, utility_oracle
 
 
@@ -359,6 +361,56 @@ def test_trial_rounds_hold_python_floats_and_ints():
         assert entry.rewards and all(type(r) is float for r in entry.rewards)
         assert all(type(a) is int for a in entry.items)
         assert type(env.true_utility(entry.items)) is float
+
+
+def lmdh_log(rounds=60):
+    inst = study_instance(32, n_items=8, d=3, k=3)
+    policy = LmdhPolicy(LmdhConfig(lam=1.0, alpha=1.0, d=3, m=1, k=3), inst.catalog)
+    return run_episode(policy, SimulatedEnvironment(inst), rounds, 3)
+
+
+def test_equal_reward_vectors_of_an_episode_share_one_tuple():
+    log = lmdh_log()
+    shared = {}
+    for entry in log:
+        assert shared.setdefault(entry.rewards, entry.rewards) is entry.rewards
+    assert len(shared) < len(log) // 4  # the vectors do repeat
+    # and so do slates, whose records the world keeps once each
+    by_items = {entry.items: entry for entry in log}
+    assert len(by_items) < len(log)
+    for entry in log:
+        first = by_items[entry.items]
+        assert entry.items is first.items
+        assert entry.relevance_features is first.relevance_features
+        assert entry.diversity_features is first.diversity_features
+
+
+def test_log_records_hold_no_instance_dict():
+    selection = SlateSelection(Slate((0, 1)))
+    for record in (selection.slate, selection, lmdh_log(1)[0]):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_a_log_survives_a_pickle_round_trip_unchanged():
+    # `--workers 2` sends each user's log back from its worker by pickle
+    inst = study_instance(33, n_items=9, d=3, k=2)
+    replay = run_episode(
+        LogRankPolicy(StaticScorer(np.ones(3), inst.catalog), k=2),
+        ReplayEnvironment(inst.catalog, ReplayUser(user_id=1, positives=frozenset({4}))),
+        10,
+        2,
+    )
+    for log in (lmdh_log(), replay):
+        back = pickle.loads(pickle.dumps(log))
+        assert log_fields(back) == log_fields(log)
+        # what a log shares, it still shares after the trip
+        for field in ("items", "rewards", "relevance_features"):
+            distinct = [len({id(getattr(r, field)) for r in x}) for x in (log, back)]
+            assert distinct[0] == distinct[1], field
+    selection = SlateSelection(Slate((3, 1)), np.ones((2, 3)), np.zeros((2, 1)), np.ones(2))
+    back = pickle.loads(pickle.dumps(selection))
+    assert log_fields([back]) == log_fields([selection])
+    assert log_fields([back.slate]) == log_fields([selection.slate]) == [((3, 1),)]
 
 
 def test_run_episode_trained_lmdh_matches_greedy_oracle():

@@ -51,7 +51,13 @@ from dispersion_bandit.lmdh import (
     update,
 )
 
-from conftest import TableDistanceMetric, count_selects, logged, random_catalog
+from conftest import (
+    TableDistanceMetric,
+    count_selects,
+    log_fields,
+    logged,
+    random_catalog,
+)
 from oracles import (
     JointRidgeOracle,
     UnsharedLmdhPolicy,
@@ -652,19 +658,6 @@ def test_config_validation():
 # the shared selection memo
 
 
-def log_fields(log) -> list:
-    """Every field of every round, arrays as (dtype, shape, bytes)."""
-    return [
-        tuple(
-            (value.dtype.str, value.shape, value.tobytes())
-            if isinstance(value, np.ndarray)
-            else value
-            for value in (getattr(r, f.name) for f in dataclasses.fields(r))
-        )
-        for r in log
-    ]
-
-
 def stats_fields(stats: HybridStatistics) -> tuple:
     return tuple(a.tobytes() for a in (stats.A, stats.b, stats.W))
 
@@ -872,3 +865,68 @@ def test_assigned_statistics_are_the_policys_own_and_the_memo_is_bound():
         assert log_fields([selection]) == log_fields([reference])
     assert catalog.selections[config] == {key: stored}
     assert list(other.selections) == [config]
+
+
+# ---------------------------------------------------------------------------
+# the shared slate records
+
+
+def new_world(n_items, m):
+    """The simulated study's cosine world at m = 1, a random-table one at m = 2."""
+    if m == 1:
+        return study_instance(43, n_items=n_items, d=3, k=3).catalog
+    return random_catalog(np.random.default_rng(43), n_items=n_items, d=3, m=m)
+
+
+def two_users_one_slate(n_items, m, trained):
+    """A world, and the selections of two users who show one ordered slate:
+    the second has an item closed that the first's slate did not take,
+    which changes no pass's argmax, so their selection memo keys differ."""
+    rng = np.random.default_rng(43)
+    catalog = new_world(n_items, m)
+    config = LmdhConfig(lam=1.0, alpha=0.3, d=3, m=m, k=3)
+    stats = HybridStatistics(3, m, lam=1.0)
+    if trained:  # b is not zero, so the policies call `select_slate` directly
+        stats = trained_stats(rng, catalog, config.k, rounds=3)
+        stats.b = stats.A @ np.append(3.0 * rng.uniform(-1.0, 1.0, size=3), [-0.5] * m)
+    policies = [LmdhPolicy(config, catalog) for _ in range(2)]
+    for policy in policies:
+        policy.stats = copy.deepcopy(stats)
+    first = policies[0].select(catalog.all_items())
+    closed = max(set(range(n_items)) - set(first.slate.items))
+    second = policies[1].select(np.setdiff1d(catalog.all_items(), [closed]))
+    return catalog, config, stats, first, second
+
+
+@pytest.mark.parametrize(
+    "n_items, m, trained",
+    [(20, 1, False), (200, 1, True), (20, 2, False), (20, 2, True)],
+    ids=["m1-L20", "m1-pruned", "m2-fresh", "m2-trained"],
+)
+def test_users_showing_one_slate_share_its_slate_and_feature_blocks(
+    monkeypatch, n_items, m, trained
+):
+    rows_scored = []
+    fill = lmdh.greedy_fill
+
+    def logged_fill(acc, *args):
+        rows_scored.append(acc.shape[0])
+        return fill(acc, *args)
+
+    monkeypatch.setattr(lmdh, "greedy_fill", logged_fill)
+    catalog, config, stats, first, second = two_users_one_slate(n_items, m, trained)
+    # each user selected for itself, in one run of passes over every item or,
+    # with more than 16k candidates, over the bound's survivors alone
+    assert len(rows_scored) == 2
+    assert (max(rows_scored) < n_items // 4) is (n_items > 16 * config.k)
+    assert second is not first and second.widths is not first.widths
+    assert second.slate is first.slate
+    assert second.relevance_features is first.relevance_features
+    assert second.diversity_features is first.diversity_features
+    assert list(catalog.slate_records) == [first.slate.items]
+    for block in (first.relevance_features, first.diversity_features):
+        assert not block.flags.writeable
+    # a fresh select on a new catalog of the same values has the same bits
+    fresh_world = new_world(n_items, m)
+    fresh = select_slate(stats, config, fresh_world, fresh_world.all_items())
+    assert log_fields([first]) == log_fields([second]) == log_fields([fresh])
